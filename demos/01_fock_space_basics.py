@@ -55,12 +55,12 @@ print(f"<n> = {probe.expectation(n_op).real:.12f}  (Poisson mean |alpha|^2 = {al
 
 print()
 print("=" * 70)
-print("4. Unitary evolution by eigendecomposition: exact at long times")
+print("4. Unitary evolution: exact phases at long times")
 print("=" * 70)
 h = qnd_hamiltonian(-0.05, 2, cutoff)
 joint = tensor_state(h.space, 0, [np.array([0.0, 1.0]), probe.amplitudes])
 evolved = evolve(h, joint, t=4.0)  # probe picks up e^{+i 0.2} per photon
-rho_probe = partial_trace(evolved.to_density_matrix(), keep=[1])
+rho_probe = partial_trace(evolved, keep=[1])  # straight from the amplitudes
 rotated = coherent_state(cutoff, alpha * np.exp(0.2j))
 print(f"norm after evolution: {np.linalg.norm(evolved.amplitudes):.15f}")
 print(f"fidelity of reduced probe with the rotated coherent state: "

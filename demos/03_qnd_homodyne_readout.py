@@ -28,7 +28,7 @@ print("2. Quadrature statistics at different local-oscillator phases")
 print("=" * 70)
 res = evolve_qnd(2, alpha, chi, t)
 from ppqnd import partial_trace
-rho_p = partial_trace(res.state.to_density_matrix(), keep=[1])
+rho_p = partial_trace(res.state, keep=[1])
 from ppqnd import homodyne_estimate
 for lo in (0.0, 0.1, 0.2, np.pi / 2):
     r = homodyne_estimate(rho_p, lo)

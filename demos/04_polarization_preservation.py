@@ -71,8 +71,7 @@ print(f"  50 Haar-random u:     max |U H U+ - H| = {worst:.2e}")
 print("  (n_sL + n_sR generates the U(1) center of the mode-mixing action,")
 print("   so every quadratic lift commutes with the interaction)")
 
-from ppqnd import Operator, make_space, number_op
-space = make_space(1, [4, 4, 4])
-h_sens = Operator(space, -1e-3 * (number_op(space, 0).matrix @ number_op(space, 2).matrix))
+from ppqnd import sensitive_qnd_hamiltonian
+h_sens = sensitive_qnd_hamiltonian(-1e-3, 4, 4, 4)
 print(f"  sensitive control:    deviation under LR -> HV = "
       f"{check_invariance(h_sens, lr_to_hv(), (0, 1)):.2e}  (not invariant)")

@@ -21,7 +21,6 @@ from .fock import (
     coherent_truncation_loss,
     creation_op,
     default_cutoff,
-    eigenpair_with_max_overlap,
     evolve,
     fidelity,
     hermitian_eig,
@@ -66,6 +65,7 @@ from .schemes import (
     pp_mirror_permutation,
     ppqnd_hamiltonian,
     qnd_hamiltonian,
+    sensitive_qnd_hamiltonian,
 )
 from .secular import (
     EigenEstimate,

@@ -39,7 +39,12 @@ from .qnd import (
     full_vs_effective,
     polarization_dephasing,
 )
-from .schemes import SchemeParams, build_pp_block_matrix, ppqnd_hamiltonian
+from .schemes import (
+    SchemeParams,
+    build_pp_block_matrix,
+    ppqnd_hamiltonian,
+    sensitive_qnd_hamiltonian,
+)
 from .secular import char_poly_coefficients, estimate_eigenvalues, secular_coefficients
 
 COMMANDS = ("secular", "preserve", "qnd", "invariance", "backaction", "discriminate", "fullmodel")
@@ -320,10 +325,7 @@ def cmd_qnd(config: ExperimentConfig) -> tuple[dict, list, int]:
     res = evolve_qnd(config.n_s, alpha, config.chi, config.time, cutoff_p=config.cutoff_p)
 
     joint = res.state
-    signal_dist = np.zeros(joint.space.mode_cutoffs[0])
-    for i, amp in enumerate(joint.amplitudes):
-        _, (ns, _np) = joint.space.unpack(i)
-        signal_dist[ns] += abs(amp) ** 2
+    signal_dist = np.sum(np.abs(joint.amplitudes.reshape(joint.space.mode_cutoffs)) ** 2, axis=1)
     expected = np.zeros_like(signal_dist)
     expected[config.n_s] = 1.0
     drift = float(np.max(np.abs(signal_dist - expected)))
@@ -363,9 +365,7 @@ def cmd_invariance(config: ExperimentConfig) -> tuple[dict, list, int]:
         devs.append(check_invariance(h, _haar_unitary(rng), (0, 1)))
     max_dev = max(devs)
 
-    from .fock import Operator, make_space, number_op  # control: polarization-sensitive H
-    space = make_space(1, [cs, cs, cp])
-    h_sens = Operator(space, config.chi * (number_op(space, 0).matrix @ number_op(space, 2).matrix))
+    h_sens = sensitive_qnd_hamiltonian(config.chi, cs, cs, cp)
     control_dev = check_invariance(h_sens, lr_to_hv(), (0, 1))
 
     results = {

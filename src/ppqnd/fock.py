@@ -9,7 +9,9 @@ fastest, so index = ravel((level, n_0, n_1, ...)) over the shape
 Conventions used throughout the package:
 
 * hbar = 1; every energy and Rabi frequency is an angular frequency.
-* Time evolution is exp(-i H t), implemented by eigendecomposition so
+* Time evolution is exp(-i H t).  A diagonal H (every effective QND
+  Hamiltonian) multiplies each amplitude by its own phase; any other H is
+  eigendecomposed.  Either way the phases come from exact eigenvalues, so
   arbitrarily long phase-accumulation times stay exact.
 * A mode with cutoff c holds photon numbers 0 .. c-1.  The annihilation
   operator is truncated: a|c-1> = sqrt(c-1)|c-2> and no level above the
@@ -44,7 +46,6 @@ __all__ = [
     "evolve",
     "partial_trace",
     "fidelity",
-    "eigenpair_with_max_overlap",
 ]
 
 _HERM_TOL = 1e-12
@@ -255,14 +256,16 @@ def creation_op(space: HilbertSpace, mode: int) -> Operator:
     return annihilation_op(space, mode).dagger()
 
 
+def _occupations(space: HilbertSpace, mode: int) -> np.ndarray:
+    """Photon number of one mode at every flat basis index (float)."""
+    _check_mode(space, mode)
+    n = np.indices(space.dims, dtype=float, sparse=True)[mode + 1]
+    return np.broadcast_to(n, space.dims).ravel()
+
+
 def number_op(space: HilbertSpace, mode: int) -> Operator:
     """Diagonal photon-number operator of one mode."""
-    _check_mode(space, mode)
-    diag = np.empty(space.total_dim)
-    for i in range(space.total_dim):
-        _, occ = space.unpack(i)
-        diag[i] = occ[mode]
-    return Operator(space, np.diag(diag).astype(complex))
+    return Operator(space, np.diag(_occupations(space, mode).astype(complex)))
 
 
 def atom_transition_op(space: HilbertSpace, i: int, j: int) -> Operator:
@@ -414,30 +417,44 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray, max_sweeps: int = 60) -> tuple[n
 
 
 def evolve(h: Operator, psi: StateVector, t: float, extended: bool = False) -> StateVector:
-    """exp(-i H t) |psi> via eigendecomposition.
+    """exp(-i H t) |psi>.
 
-    extended=True routes through an extended-precision Jacobi
-    eigendecomposition (real symmetric H only) and reduces the accumulated
-    phases mod 2 pi in longdouble before exponentiating; required when
+    When every off-diagonal entry of H is exactly zero the amplitudes are
+    multiplied by exp(-i H_kk t) one by one; otherwise H is eigendecomposed.
+    extended=True reduces the accumulated phases mod 2 pi in longdouble
+    before exponentiating, and eigendecomposes a non-diagonal H by
+    extended-precision Jacobi (real symmetric H only); required when
     |H| * t is so large that double-precision eigenvalue noise corrupts the
     slow phases of interest.
     """
     if not h.hermitian_flag:
         raise ValueError("evolve requires a Hermitian operator")
     _check_same_space(h.space, psi.space)
-    if extended:
-        w, v = _jacobi_eigh_longdouble(h.matrix)
-        wt = np.mod(w * np.longdouble(t), 2 * np.arccos(np.longdouble(-1)))
-        phases = np.exp(-1j * wt.astype(np.float64))
+    m = h.matrix
+    diag = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diag):  # no nonzero off the diagonal
+        w = diag.real
+        if extended:
+            amps = _phases_longdouble(w.astype(np.longdouble), t) * psi.amplitudes
+        else:
+            amps = np.exp(-1j * w * t) * psi.amplitudes
+    elif extended:
+        w, v = _jacobi_eigh_longdouble(m)
         v64 = v.astype(np.float64)
-        amps = v64 @ (phases * (v64.T @ psi.amplitudes))
+        amps = v64 @ (_phases_longdouble(w, t) * (v64.T @ psi.amplitudes))
     else:
-        w, v = np.linalg.eigh(h.matrix)
+        w, v = np.linalg.eigh(m)
         amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
     raw_norm = np.linalg.norm(amps)
     if abs(raw_norm - 1.0) > 1e-10:
         raise ArithmeticError(f"evolution lost unitarity: |psi| = {raw_norm!r}")
     return StateVector(psi.space, amps / raw_norm)
+
+
+def _phases_longdouble(w: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i w t) with w t reduced mod 2 pi in longdouble."""
+    wt = np.mod(w * np.longdouble(t), 2 * np.arccos(np.longdouble(-1)))
+    return np.exp(-1j * wt.astype(np.float64))
 
 
 def _resolve_keep(space: HilbertSpace, keep) -> tuple[bool, tuple[int, ...]]:
@@ -455,35 +472,41 @@ def _resolve_keep(space: HilbertSpace, keep) -> tuple[bool, tuple[int, ...]]:
     return keep_atom, tuple(sorted(set(keep_modes)))
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+def partial_trace(state: StateVector | DensityMatrix, keep) -> DensityMatrix:
     """Trace out every factor not named in `keep`.
 
     `keep` is an iterable of "atom" and/or mode indices.  The reduced state
     lives on a space whose atom factor is trivial (atom_dim = 1) when the
-    atom is traced out, with the kept modes in their original order.
+    atom is traced out, with the kept modes in their original order.  A
+    pure state is reduced straight from its amplitudes, without forming
+    the full density matrix.
     """
-    space = rho.space
+    space = state.space
     keep_atom, keep_modes = _resolve_keep(space, keep)
     dims = space.dims
     n_fac = len(dims)
     keep_factors = ([0] if keep_atom else []) + [m + 1 for m in keep_modes]
-    tensor = rho.matrix.reshape(dims + dims)
 
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n_fac > len(letters):
-        raise ValueError("too many factors for partial trace")
-    row = list(letters[:n_fac])
-    col = [letters[n_fac + i] if i in keep_factors else row[i] for i in range(n_fac)]
-    out_idx = "".join(row[i] for i in keep_factors) + "".join(col[i] for i in keep_factors)
-    subscripts = "".join(row) + "".join(col) + "->" + out_idx
-    reduced = np.einsum(subscripts, tensor)
+    if isinstance(state, StateVector):
+        psi = state.amplitudes.reshape(dims)
+        traced = [i for i in range(n_fac) if i not in keep_factors]
+        reduced = np.tensordot(psi, psi.conj(), axes=(traced, traced))
+    else:
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        if 2 * n_fac > len(letters):
+            raise ValueError("too many factors for partial trace")
+        row = list(letters[:n_fac])
+        col = [letters[n_fac + i] if i in keep_factors else row[i] for i in range(n_fac)]
+        out_idx = "".join(row[i] for i in keep_factors) + "".join(col[i] for i in keep_factors)
+        subscripts = "".join(row) + "".join(col) + "->" + out_idx
+        reduced = np.einsum(subscripts, state.matrix.reshape(dims + dims))
 
     new_atom = space.atom_dim if keep_atom else 1
     new_cutoffs = tuple(space.mode_cutoffs[m] for m in keep_modes)
     new_space = make_space(new_atom, new_cutoffs if new_cutoffs else [1])
     d = new_space.total_dim
     reduced = reduced.reshape(d, d)
-    reduced = 0.5 * (reduced + reduced.conj().T)  # scrub einsum roundoff dust
+    reduced = 0.5 * (reduced + reduced.conj().T)  # scrub contraction roundoff dust
     return DensityMatrix(new_space, reduced)
 
 
@@ -509,16 +532,3 @@ def fidelity(a: StateVector | DensityMatrix, b: StateVector | DensityMatrix) -> 
     inner = sqrt_a @ b.matrix @ sqrt_a
     ev = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(np.clip(np.sum(np.sqrt(ev)) ** 2, 0.0, 1.0))
-
-
-def eigenpair_with_max_overlap(h: Operator, reference: StateVector) -> tuple[float, np.ndarray, float]:
-    """Eigenpair of H whose eigenvector has the largest |<ref|v>|^2.
-
-    Returns (eigenvalue, eigenvector, overlap_probability).  This is the
-    standard way to follow a perturbed (quasidark) level through a spectrum
-    that also contains exact zero modes from other excitation sectors.
-    """
-    w, v = hermitian_eig(h)
-    amps = v.conj().T @ reference.amplitudes
-    k = int(np.argmax(np.abs(amps)))
-    return float(w[k]), v[:, k].copy(), float(abs(amps[k]) ** 2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import HilbertSpace, Operator, annihilation_op
+from .fock import HilbertSpace, Operator, annihilation_op, make_space
 
 __all__ = [
     "PolarizationQubit",
@@ -120,6 +120,10 @@ def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> 
     n_i + n_j <= cutoff - 1; sectors touching the truncation boundary are
     unitary but representation-faithless, so states should keep their
     support below the boundary.
+
+    G acts on the two modes only (G = I (x) G_pair (x) I), so it is
+    exponentiated on the cutoff^2-dimensional pair space and the result is
+    embedded into the full space by contracting over the two mode axes.
     """
     i, j = modes
     if i == j:
@@ -131,13 +135,20 @@ def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> 
         )
     h = 1j * scipy.linalg.logm(u.matrix)
     h = 0.5 * (h + h.conj().T)  # scrub logm roundoff; exact for unitary input
-    ops = {m: annihilation_op(space, m).matrix for m in (i, j)}
-    g = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for a, ma in ((0, i), (1, j)):
-        for b, mb in ((0, i), (1, j)):
-            g += h[a, b] * (ops[ma].conj().T @ ops[mb])
+    cut = space.mode_cutoffs[i]
+    pair = make_space(1, [cut, cut])
+    ops = [annihilation_op(pair, 0).matrix, annihilation_op(pair, 1).matrix]
+    g = np.zeros((pair.total_dim, pair.total_dim), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            g += h[a, b] * (ops[a].conj().T @ ops[b])
     w, v = np.linalg.eigh(g)
-    u_full = (v * np.exp(-1j * w)) @ v.conj().T
+    u_pair = ((v * np.exp(-1j * w)) @ v.conj().T).reshape(cut, cut, cut, cut)
+
+    dim = space.total_dim
+    columns = np.eye(dim, dtype=complex).reshape(space.dims + (dim,))
+    u_full = np.tensordot(u_pair, columns, axes=([2, 3], [i + 1, j + 1]))
+    u_full = np.moveaxis(u_full, (0, 1), (i + 1, j + 1)).reshape(dim, dim)
     return Operator(space, u_full, hermitian_flag=False)
 
 

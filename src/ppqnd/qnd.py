@@ -23,7 +23,6 @@ import numpy as np
 
 from .fock import (
     DensityMatrix,
-    Operator,
     StateVector,
     annihilation_op,
     coherent_state,
@@ -41,6 +40,7 @@ from .schemes import (
     chi_from_params,
     ppqnd_hamiltonian,
     qnd_hamiltonian,
+    sensitive_qnd_hamiltonian,
 )
 from .secular import quintic_roots, secular_coefficients
 
@@ -163,7 +163,7 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     h = qnd_hamiltonian(chi, cutoff_s, cutoff_p)
     psi_t = evolve(h, psi0, t)
 
-    rho_p = partial_trace(psi_t.to_density_matrix(), keep=[1])
+    rho_p = partial_trace(psi_t, keep=[1])
     readout = homodyne_estimate(
         rho_p, lo_phase,
         phase_per_photon=(-chi * t) if t != 0 else None,
@@ -337,13 +337,10 @@ def polarization_dephasing(qubit: PolarizationQubit, alpha_p: complex, chi: floa
     probe = coherent_state(cutoff_p, alpha_p)
     psi0 = StateVector(space, np.kron(_qubit_pair_vector(qubit), probe.amplitudes))
 
-    if sensitive:
-        h = Operator(space, chi * (number_op(space, 0).matrix @ number_op(space, 2).matrix))
-    else:
-        h = ppqnd_hamiltonian(chi, 2, 2, cutoff_p)
-    psi_t = evolve(h, psi0, t)
+    build = sensitive_qnd_hamiltonian if sensitive else ppqnd_hamiltonian
+    psi_t = evolve(build(chi, 2, 2, cutoff_p), psi0, t)
 
-    reduced = partial_trace(psi_t.to_density_matrix(), keep=[0, 1])
+    reduced = partial_trace(psi_t, keep=[0, 1])
     qubit_state = StateVector(reduced.space, _qubit_pair_vector(qubit))
     fid = fidelity(qubit_state, reduced)
     coherence = 2.0 * abs(reduced.matrix[2, 1])
@@ -444,11 +441,8 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     predicted_secular = -lam * t
     predicted_kerr = -chi_from_params(params) * 1 * n_p_eff * t
 
-    leak = 0.0
-    for i, amp_i in enumerate(psi_t.amplitudes):
-        lvl, _ = space.unpack(i)
-        if lvl != 0:
-            leak += abs(amp_i) ** 2
+    by_level = psi_t.amplitudes.reshape(space.atom_dim, -1)
+    leak = float(np.sum(np.abs(by_level[1:]) ** 2))
 
     def rel(measured_v: float, predicted_v: float) -> float:
         return abs(measured_v - predicted_v) / max(abs(predicted_v), 1e-300)

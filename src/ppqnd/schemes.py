@@ -32,11 +32,11 @@ from .fock import (
     HilbertSpace,
     Operator,
     StateVector,
+    _occupations,
     annihilation_op,
     atom_transition_op,
     basis_state,
     make_space,
-    number_op,
 )
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "chi_from_params",
     "qnd_hamiltonian",
     "ppqnd_hamiltonian",
+    "sensitive_qnd_hamiltonian",
     "compare_block_to_full",
 ]
 
@@ -223,12 +224,9 @@ def pp_mirror_permutation(space: HilbertSpace) -> np.ndarray:
         raise ValueError("mirror permutation is defined for PP-scheme spaces")
     if space.mode_cutoffs[0] != space.mode_cutoffs[1]:
         raise ValueError("signal cutoffs must match for the mirror to be a bijection")
-    level_map = {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}
-    perm = np.empty(space.total_dim, dtype=int)
-    for i in range(space.total_dim):
-        lvl, (nl, nr, npp) = space.unpack(i)
-        perm[i] = space.index_of(level_map[lvl], (nr, nl, npp))
-    return perm
+    level_map = np.array([0, 2, 1, 3, 4])
+    lvl, nl, nr, npp = np.indices(space.dims)
+    return np.ravel_multi_index((level_map[lvl], nr, nl, npp), space.dims).ravel()
 
 
 @dataclass(frozen=True)
@@ -304,12 +302,17 @@ def chi_from_params(params: SchemeParams) -> float:
     return -(params.xi_s ** 2) * (params.xi_p ** 2) / (params.delta_probe * params.omega_d ** 2)
 
 
+def _cross_kerr(space: HilbertSpace, chi: float, signal_modes: tuple[int, ...],
+                probe_mode: int) -> Operator:
+    """Diagonal chi * (sum of the signal photon numbers) * n_probe."""
+    n_signal = sum(_occupations(space, m) for m in signal_modes)
+    diag = chi * (n_signal * _occupations(space, probe_mode))
+    return Operator(space, np.diag(diag.astype(complex)))
+
+
 def qnd_hamiltonian(chi: float, cutoff_s: int, cutoff_p: int) -> Operator:
     """Diagonal cross-Kerr QND Hamiltonian chi * n_s * n_p, modes [s, p]."""
-    space = make_space(1, [cutoff_s, cutoff_p])
-    n_s = number_op(space, 0).matrix
-    n_p = number_op(space, 1).matrix
-    return Operator(space, chi * (n_s @ n_p))
+    return _cross_kerr(make_space(1, [cutoff_s, cutoff_p]), chi, (0,), 1)
 
 
 def ppqnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int) -> Operator:
@@ -319,10 +322,18 @@ def ppqnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int)
     and with n_p; a single photon in any polarization state is an
     eigenstate of n_sL + n_sR with eigenvalue 1.
     """
-    space = make_space(1, [cutoff_sl, cutoff_sr, cutoff_p])
-    n_tot = number_op(space, 0).matrix + number_op(space, 1).matrix
-    n_p = number_op(space, 2).matrix
-    return Operator(space, chi * (n_tot @ n_p))
+    return _cross_kerr(make_space(1, [cutoff_sl, cutoff_sr, cutoff_p]), chi, (0, 1), 2)
+
+
+def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
+                              cutoff_p: int) -> Operator:
+    """Polarization-sensitive control chi * n_sL * n_p, modes [s_L, s_R, p].
+
+    Only the left-circular photon kicks the probe, so this Hamiltonian
+    breaks the L/R symmetry that ppqnd_hamiltonian keeps; it serves as the
+    control that shows the invariance and dephasing checks can fail.
+    """
+    return _cross_kerr(make_space(1, [cutoff_sl, cutoff_sr, cutoff_p]), chi, (0,), 2)
 
 
 def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
