@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -368,52 +369,112 @@ def hermitian_eig(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _require_extended_precision() -> None:
+    """Refuse to run an extended-precision path where longdouble is plain double.
+
+    numpy's longdouble is the 80-bit x87 format on x86-64 Linux but only
+    a 64-bit double on some platforms (MSVC builds, macOS on ARM); there the
+    quasidark phases would silently come back as rounding noise.
+    """
+    ld_eps, d_eps = np.finfo(np.longdouble).eps, np.finfo(np.float64).eps
+    if not ld_eps <= d_eps / 1024:
+        raise RuntimeError(
+            f"extended precision unavailable: numpy longdouble eps is {float(ld_eps):.3g}, "
+            f"not well below double eps {float(d_eps):.3g}; the quasidark eigenvalues of "
+            "the five-level scheme cannot be resolved on this platform")
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rounds of disjoint pairs (p < q) of 0..n-1; each pair occurs in exactly one round.
+
+    Circle method: index 0 stays put while the others rotate; with odd n a
+    phantom index n pairs with one real index per round, which then sits out.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        line = [0] + ring
+        pairs = [sorted((line[i], line[m - 1 - i])) for i in range(m // 2)]
+        pairs = [pq for pq in pairs if pq[1] < n]
+        rounds.append((_readonly(np.array([p for p, _ in pairs], dtype=np.intp)),
+                       _readonly(np.array([q for _, q in pairs], dtype=np.intp))))
+        ring = ring[-1:] + ring[:-1]
+    return tuple(rounds)
+
+
+def _rotate_rows(x: np.ndarray, p: np.ndarray, q: np.ndarray, c: np.ndarray,
+                 s: np.ndarray) -> None:
+    """Rows (p, q) of every matrix in the stack x <- (c x_p - s x_q, s x_p + c x_q)."""
+    xp, xq = x[:, p, :], x[:, q, :]
+    c, s = c[:, :, None], s[:, :, None]
+    x[:, p, :] = c * xp - s * xq
+    x[:, q, :] = s * xp + c * xq
+
+
 def _jacobi_eigh_longdouble(matrix: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix in longdouble.
+    """Jacobi diagonalization of real symmetric matrices in longdouble.
 
     LAPACK only works in double precision; eigenvalues ~1e-16 below the
     matrix norm (the quasidark scale of deep-hierarchy schemes) drown in its
     eps*|H| noise.  80-bit arithmetic recovers them.
+
+    `matrix` is one (n, n) matrix or a stack (B, n, n) of equal-size
+    blocks, rotated together in one set of numpy operations.  A sweep
+    visits every pair (p, q) once, in round-robin order: the disjoint pairs
+    of a round rotate at once.  Each matrix stops rotating once it has
+    converged or stagnated at its noise floor.  Returns eigenvalues
+    ascending and eigenvectors as columns, batched like the input.
     """
+    _require_extended_precision()
     matrix = np.asarray(matrix)
     if np.iscomplexobj(matrix):
         if np.max(np.abs(matrix.imag)) != 0.0:
             raise ValueError("extended-precision path supports real symmetric matrices only")
         matrix = matrix.real
-    a = np.array(matrix, dtype=np.longdouble)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.longdouble)
-    tol = np.finfo(np.longdouble).eps * np.sqrt(np.sum(a * a))
-    prev_off = np.inf
+    a = np.array(matrix, dtype=np.longdouble, ndmin=3)
+    batch, n, _ = a.shape
+    diag = np.arange(n)
+    v = np.zeros_like(a)
+    v[:, diag, diag] = 1
+    eps = np.finfo(np.longdouble).eps
+    live = np.ones(batch, dtype=bool)
+    prev_off = np.full(batch, np.inf, dtype=np.longdouble)
     for _ in range(max_sweeps):
-        off = np.sqrt(max(np.longdouble(0), np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off <= tol or off >= prev_off:  # converged or stagnated at the noise floor
+        squares = a * a
+        squares[:, diag, diag] = 0
+        off = np.sqrt(np.sum(squares, axis=(1, 2)))
+        live &= off < prev_off  # stagnated at the noise floor
+        if not live.any():
             break
         prev_off = off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2 * apq)
-                if theta == 0:
-                    t = np.longdouble(1)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                c = 1 / np.sqrt(t * t + 1)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w)
-    return w[order], v[:, order]
+        rotated = np.zeros(batch, dtype=bool)
+        for p, q in _round_robin(n):
+            apq, app, aqq = a[:, p, q], a[:, p, p], a[:, q, q]
+            # Relative test: a_pq is negligible only against its own diagonal
+            # pair, so tiny eigenvalues keep their accuracy next to large ones.
+            turn = live[:, None] & (np.abs(apq) > eps * np.sqrt(np.abs(app * aqq)))
+            if not turn.any():
+                continue
+            rotated |= turn.any(axis=1)
+            pairs = turn.any(axis=0)
+            p, q, apq, app, aqq, turn = (p[pairs], q[pairs], apq[:, pairs], app[:, pairs],
+                                         aqq[:, pairs], turn[:, pairs])
+            theta = (aqq - app) / (2 * np.where(turn, apq, 1))
+            t = np.where(theta == 0, 1,
+                         np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1)))
+            c = np.where(turn, 1 / np.sqrt(t * t + 1), 1)
+            s = np.where(turn, t * c, 0)
+            _rotate_rows(a, p, q, c, s)
+            _rotate_rows(a.swapaxes(1, 2), p, q, c, s)
+            _rotate_rows(v.swapaxes(1, 2), p, q, c, s)
+        live &= rotated  # a sweep without a rotation has converged
+    w = np.diagonal(a, axis1=1, axis2=2)
+    order = np.argsort(w, axis=1)
+    w = np.take_along_axis(w, order, axis=1)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    return (w[0], v[0]) if matrix.ndim == 2 else (w, v)
 
 
 def evolve(h: Operator, psi: StateVector, t: float, extended: bool = False) -> StateVector:
@@ -439,20 +500,48 @@ def evolve(h: Operator, psi: StateVector, t: float, extended: bool = False) -> S
         else:
             amps = np.exp(-1j * w * t) * psi.amplitudes
     elif extended:
-        w, v = _jacobi_eigh_longdouble(m)
-        v64 = v.astype(np.float64)
-        amps = v64 @ (_phases_longdouble(w, t) * (v64.T @ psi.amplitudes))
+        return _evolve_sectors(psi, [(np.arange(len(m)), m)], t)
     else:
         w, v = np.linalg.eigh(m)
         amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
+    return _unitary_result(psi.space, amps)
+
+
+def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.ndarray]],
+                    t: float) -> StateVector:
+    """exp(-i H t) |psi> for a real symmetric H that is block diagonal over `sectors`.
+
+    Each sector is (index, block): the flat basis indices of one invariant
+    subspace and H restricted to it.  Only sectors that hold amplitude of
+    psi are diagonalized, by the longdouble Jacobi, one batch per block
+    size; psi's other amplitudes are zero and stay zero.
+    """
+    amps0 = psi.amplitudes
+    by_size: dict[int, list] = {}
+    for index, block in sectors:
+        if np.any(amps0[index]):
+            by_size.setdefault(len(index), []).append((index, block))
+    amps = np.zeros_like(amps0)
+    for group in by_size.values():
+        index = np.stack([i for i, _ in group])
+        w, v = _jacobi_eigh_longdouble(np.stack([b for _, b in group]))
+        v64 = v.astype(np.float64)
+        coeffs = _phases_longdouble(w, t) * np.einsum("bji,bj->bi", v64, amps0[index])
+        amps[index] = np.einsum("bij,bj->bi", v64, coeffs)
+    return _unitary_result(psi.space, amps)
+
+
+def _unitary_result(space: HilbertSpace, amps: np.ndarray) -> StateVector:
+    """Evolved amplitudes as a state, refusing any that lost unitarity."""
     raw_norm = np.linalg.norm(amps)
     if abs(raw_norm - 1.0) > 1e-10:
         raise ArithmeticError(f"evolution lost unitarity: |psi| = {raw_norm!r}")
-    return StateVector(psi.space, amps / raw_norm)
+    return StateVector(space, amps / raw_norm)
 
 
 def _phases_longdouble(w: np.ndarray, t: float) -> np.ndarray:
     """exp(-i w t) with w t reduced mod 2 pi in longdouble."""
+    _require_extended_precision()
     wt = np.mod(w * np.longdouble(t), 2 * np.arccos(np.longdouble(-1)))
     return np.exp(-1j * wt.astype(np.float64))
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,10 +33,8 @@ from .fock import (
     HilbertSpace,
     Operator,
     StateVector,
+    _jacobi_eigh_longdouble,
     _occupations,
-    annihilation_op,
-    atom_transition_op,
-    basis_state,
     make_space,
 )
 
@@ -122,13 +121,48 @@ class SchemeKind(enum.Enum):
                 SchemeKind.POLARIZATION_PRESERVING: 3}[self]
 
 
-def _coupling(space: HilbertSpace, amplitude: float, upper: int, lower: int,
-              mode: int | None) -> np.ndarray:
-    """amplitude * a_mode |upper><lower| as a raw matrix (mode=None: classical)."""
-    term = atom_transition_op(space, upper, lower).matrix
-    if mode is not None:
-        term = annihilation_op(space, mode).matrix @ term
-    return amplitude * term
+def _coupling_table(space: HilbertSpace, detunings: Sequence[tuple[int, float]],
+                    couplings: Sequence[tuple[float, int, int, int | None]]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scheme Hamiltonian as (row, col, value) entries, from its level rules.
+
+    detunings: (level, energy) pairs, giving energy |level><level|.
+    couplings: (amplitude, upper, lower, mode) rules, giving
+    amplitude a_mode |upper><lower| + h.c.; mode None is a classical field.
+    A coupling entry joins |lower, n> (col) to |upper, n - 1_mode> (row)
+    with value amplitude sqrt(n_mode) and stands for its transpose too.
+    """
+    grid = np.indices(space.dims).reshape(len(space.dims), -1)
+    rows, cols, vals = [], [], []
+    for level, energy in detunings:
+        (idx,) = np.nonzero(grid[0] == level)
+        rows.append(idx)
+        cols.append(idx)
+        vals.append(np.full(idx.size, float(energy)))
+    for amplitude, upper, lower, mode in couplings:
+        src = grid[0] == lower
+        if mode is not None:
+            src &= grid[mode + 1] > 0
+        (col,) = np.nonzero(src)
+        dst = grid[:, col]
+        dst[0] = upper
+        value = np.full(col.size, float(amplitude))
+        if mode is not None:
+            value *= np.sqrt(dst[mode + 1])
+            dst[mode + 1] -= 1
+        rows.append(np.ravel_multi_index(dst, space.dims))
+        cols.append(col)
+        vals.append(value)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _dense(space: HilbertSpace, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Operator:
+    """Scatter a coupling table (and its transpose) into a dense matrix."""
+    rows, cols, vals = table
+    h = np.zeros((space.total_dim, space.total_dim))
+    h[rows, cols] = vals
+    h[cols, rows] = vals
+    return Operator(space, h)
 
 
 def build_lambda_hamiltonian(params: SchemeParams, cutoff_s: int) -> Operator:
@@ -139,11 +173,9 @@ def build_lambda_hamiltonian(params: SchemeParams, cutoff_s: int) -> Operator:
     if cutoff_s < 2:
         raise ValueError("cutoff_s must be >= 2")
     space = make_space(3, [cutoff_s])
-    h = params.delta_two * atom_transition_op(space, 1, 1).matrix
-    half = _coupling(space, params.xi_s, 1, 0, mode=0)
-    half += _coupling(space, params.omega_d, 1, 2, mode=None)
-    h = h + half + half.conj().T
-    return Operator(space, h)
+    return _dense(space, _coupling_table(
+        space, [(1, params.delta_two)],
+        [(params.xi_s, 1, 0, 0), (params.omega_d, 1, 2, None)]))
 
 
 def lambda_dark_state(params: SchemeParams, n_s: int, cutoff_s: int) -> StateVector:
@@ -176,13 +208,22 @@ def build_n_hamiltonian(params: SchemeParams, cutoff_s: int, cutoff_p: int) -> O
     if cutoff_s < 2 or cutoff_p < 2:
         raise ValueError("cutoffs must be >= 2")
     space = make_space(4, [cutoff_s, cutoff_p])
-    h = params.delta_probe * atom_transition_op(space, 3, 3).matrix
-    h += params.delta_two * atom_transition_op(space, 1, 1).matrix
-    half = _coupling(space, params.xi_s, 1, 0, mode=0)
-    half += _coupling(space, params.omega_d, 1, 2, mode=None)
-    half += _coupling(space, params.xi_p, 3, 2, mode=1)
-    h = h + half + half.conj().T
-    return Operator(space, h)
+    return _dense(space, _coupling_table(
+        space, [(3, params.delta_probe), (1, params.delta_two)],
+        [(params.xi_s, 1, 0, 0), (params.omega_d, 1, 2, None), (params.xi_p, 3, 2, 1)]))
+
+
+def _pp_table(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int
+              ) -> tuple[HilbertSpace, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The PP space and the coupling table of its Hamiltonian."""
+    if min(cutoff_sl, cutoff_sr, cutoff_p) < 2:
+        raise ValueError("cutoffs must be >= 2")
+    space = make_space(5, [cutoff_sl, cutoff_sr, cutoff_p])
+    table = _coupling_table(
+        space, [(4, params.delta_probe), (1, params.delta_two), (2, params.delta_two)],
+        [(params.xi_s, 1, 0, 0), (params.xi_s, 2, 0, 1), (params.omega_d, 1, 3, None),
+         (params.omega_d, 2, 3, None), (params.xi_p, 4, 3, 2)])
+    return space, table
 
 
 def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
@@ -197,19 +238,46 @@ def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
     hence the one omega_d amplitude on both 2-3 and 2'-3.  Levels are
     indexed (1, 2, 2', 3, 4) -> (0, 1, 2, 3, 4).
     """
-    if min(cutoff_sl, cutoff_sr, cutoff_p) < 2:
-        raise ValueError("cutoffs must be >= 2")
-    space = make_space(5, [cutoff_sl, cutoff_sr, cutoff_p])
-    h = params.delta_probe * atom_transition_op(space, 4, 4).matrix
-    h += params.delta_two * (atom_transition_op(space, 1, 1).matrix
-                             + atom_transition_op(space, 2, 2).matrix)
-    half = _coupling(space, params.xi_s, 1, 0, mode=0)
-    half += _coupling(space, params.xi_s, 2, 0, mode=1)
-    half += _coupling(space, params.omega_d, 1, 3, mode=None)
-    half += _coupling(space, params.omega_d, 2, 3, mode=None)
-    half += _coupling(space, params.xi_p, 4, 3, mode=2)
-    h = h + half + half.conj().T
-    return Operator(space, h)
+    return _dense(*_pp_table(params, cutoff_sl, cutoff_sr, cutoff_p))
+
+
+class _Sector(NamedTuple):
+    """One invariant subspace: ascending flat basis indices and H restricted to them."""
+
+    index: np.ndarray
+    block: np.ndarray
+
+
+def _pp_sectors(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int
+                ) -> tuple[HilbertSpace, dict[tuple[int, int], _Sector]]:
+    """The PP Hamiltonian split into its (N_s, N_p) sectors.
+
+    N_s = n_sL + n_sR + [atom not in 1] and N_p = n_p + [atom in 4] are
+    conserved entry by entry, truncation included: each rule of the
+    coupling table moves one quantum between a mode and the atom.  So
+    every table entry lands inside one real symmetric block, keyed by
+    (N_s, N_p).  With signal cutoffs 2 no block is wider than 9 states;
+    an N_s = 1 block holds the 6 route-resolved single-photon states
+    |1; 1,0,n>, |1; 0,1,n>, |2; n>, |2'; n>, |3; n>, |4; n-1>, fewer at the
+    edges of the probe range.
+    """
+    space, (rows, cols, vals) = _pp_table(params, cutoff_sl, cutoff_sr, cutoff_p)
+    level, n_l, n_r, n_p = np.indices(space.dims).reshape(4, -1)
+    base = cutoff_p + 1  # N_p <= cutoff_p
+    label = (n_l + n_r + (level != 0)) * base + n_p + (level == 4)
+    order = np.argsort(label, kind="stable")
+    labels, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    sector = np.empty_like(order)
+    sector[order] = np.repeat(np.arange(labels.size), sizes)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size) - np.repeat(starts, sizes)
+    width = sizes.max()
+    blocks = np.zeros((labels.size, width, width))
+    blocks[sector[rows], pos[rows], pos[cols]] = vals
+    blocks[sector[rows], pos[cols], pos[rows]] = vals
+    return space, {
+        divmod(int(key), base): _Sector(order[start:start + size], blocks[k, :size, :size])
+        for k, (key, start, size) in enumerate(zip(labels, starts, sizes))}
 
 
 def pp_mirror_permutation(space: HilbertSpace) -> np.ndarray:
@@ -352,20 +420,23 @@ def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     than asserted away.  For n_s >= 2 the block basis additionally merges
     distinguishable Fock states and the gaps grow.
 
-    Both diagonalizations run in extended precision: the eigenvalues of
-    interest sit ~16 decades below the matrix norm in deep hierarchies.
+    Only the (N_s, N_p) = (n_sL + n_sR, n_p) sector of the reference ket is
+    diagonalized: every eigenvector outside it has zero overlap on the ket.
+    That sector holds at most 16 states for n_s <= 3, against a full space
+    of 5 (n_s + 1)^2 (n_p + 1).  Both diagonalizations run in extended
+    precision: the eigenvalues of interest sit ~16 decades below the
+    matrix norm in deep hierarchies.
     """
-    from .fock import _jacobi_eigh_longdouble  # local import keeps module load light
-
     block = build_pp_block_matrix(params, n_sl, n_sr, n_p)
     w_block, _ = _jacobi_eigh_longdouble(block.matrix)
     lam_block = float(w_block[np.argmin(np.abs(w_block))])
 
-    cut_l, cut_r, cut_p = n_sl + n_sr + 1, n_sl + n_sr + 1, n_p + 1
-    h = build_pp_hamiltonian(params, cut_l, cut_r, cut_p)
-    ref = basis_state(h.space, 0, (n_sl, n_sr, n_p))
-    w_full, v_full = _jacobi_eigh_longdouble(h.matrix)
-    overlaps = np.abs(v_full.astype(np.float64).T @ ref.amplitudes.real) ** 2
+    n_s = n_sl + n_sr
+    space, sectors = _pp_sectors(params, n_s + 1, n_s + 1, n_p + 1)
+    index, h = sectors[(n_s, n_p)]
+    ref = int(np.searchsorted(index, space.index_of(0, (n_sl, n_sr, n_p))))
+    w_full, v_full = _jacobi_eigh_longdouble(h)
+    overlaps = v_full[ref].astype(np.float64) ** 2
     first, second = np.argsort(overlaps)[::-1][:2]
 
     denom = max(abs(lam_block), 1e-300)

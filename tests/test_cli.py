@@ -53,6 +53,13 @@ class TestExitCodes:
             assert code == 0, f"{command} exited {code}"
             assert json.loads(out)["command"] == command
 
+    def test_default_records_hold_plain_numbers(self, capsys):
+        # numpy scalars would print as "np.float64(...)" through repr
+        for argv in [[command] for command in COMMANDS] + [["preserve", "--sensitive"]]:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert "np.float64" not in out, f"{argv} record holds a numpy scalar repr"
+
     def test_malformed_config_exits_one(self, capsys, tmp_path):
         path = write_config(tmp_path, "bad.json", {"delta_probe": 1.0, "delta_two": 1.0,
                                                    "xi_s": 0.1, "xi_p": 1.0, "n_sl": 1,

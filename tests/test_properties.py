@@ -1,16 +1,20 @@
-"""Property tests for the structure-aware effective-model paths.
+"""Property tests for the structure-aware paths.
 
 Each fast path is checked against the generic dense route it replaces:
 elementwise evolution of a diagonal H against its eigendecomposition,
 the amplitude partial trace against the density-matrix one, the
 pair-space polarization lift against the full-space exp(-i G), and the
-vectorized number operator against an index loop.  Examples are
+vectorized number operator against an index loop.  The five-level PP
+Hamiltonian gets its symmetries (two conserved excitation numbers, the
+L/R mirror), its sector split against the dense matrix, and its
+quasidark eigenvalues against an mpmath oracle.  Examples are
 derandomized so the suite stays deterministic.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,14 +22,25 @@ from hypothesis import strategies as st
 from ppqnd import (
     Operator,
     PolUnitary,
+    SchemeParams,
     StateVector,
     annihilation_op,
+    atom_transition_op,
+    build_pp_hamiltonian,
     evolve,
     lift_unitary,
     make_space,
     number_op,
     partial_trace,
+    pp_mirror_permutation,
 )
+from ppqnd.fock import _jacobi_eigh_longdouble
+from ppqnd.schemes import _pp_sectors
+
+try:
+    import mpmath
+except ImportError:  # the oracle test is skipped without it
+    mpmath = None
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -130,3 +145,95 @@ def test_number_op_matches_unpack_loop(space):
         for i in range(space.total_dim):
             oracle[i, i] = space.unpack(i)[1][mode]
         assert np.array_equal(number_op(space, mode).matrix, oracle)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 7), seeds)
+def test_batched_jacobi_diagonalizes_each_matrix_as_alone(batch, n, seed):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-6, 4, size=(batch, n, 1))  # graded rows and columns
+    a = rng.standard_normal((batch, n, n)) * scales * scales.transpose(0, 2, 1)
+    a = a + a.transpose(0, 2, 1)
+    w, v = _jacobi_eigh_longdouble(a)
+    for k in range(batch):
+        w_k, v_k = _jacobi_eigh_longdouble(a[k])
+        assert np.array_equal(w_k, w[k]) and np.array_equal(v_k, v[k])
+    norm = np.sqrt(np.sum(a * a, axis=(1, 2)))[:, None, None]
+    rebuilt = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+    assert np.all(np.abs(rebuilt - a.astype(np.longdouble)) <= 1e-17 * norm)
+    assert np.max(np.abs(v.transpose(0, 2, 1) @ v - np.eye(n))) < 1e-17
+
+
+@st.composite
+def pp_params(draw):
+    """Delta, delta >> Omega_d >> xi_p >> xi_s, each step a factor 10 to 100."""
+    omega = draw(st.floats(10.0, 100.0))
+    r_det, r_drive, r_probe = (draw(st.floats(10.0, 100.0)) for _ in range(3))
+    xi_p = omega / r_drive
+    return SchemeParams(omega * r_det * draw(st.floats(1.0, 3.0)), omega * r_det, omega,
+                        xi_p / r_probe, xi_p)
+
+
+pp_cutoffs = st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 5))
+
+
+def pp_excitations(space):
+    """N_s = n_sL + n_sR + [atom not in 1], N_p = n_p + [atom in 4], from the public operators."""
+    eye = np.eye(space.total_dim)
+    n_s = number_op(space, 0).matrix + number_op(space, 1).matrix \
+        + eye - atom_transition_op(space, 0, 0).matrix
+    n_p = number_op(space, 2).matrix + atom_transition_op(space, 4, 4).matrix
+    return n_s.real, n_p.real
+
+
+@PROPERTY
+@given(pp_params(), pp_cutoffs)
+def test_pp_hamiltonian_conserves_both_excitation_numbers(params, cutoffs):
+    h = build_pp_hamiltonian(params, *cutoffs).matrix
+    for n_op in pp_excitations(make_space(5, cutoffs)):
+        assert np.max(np.abs(h @ n_op - n_op @ h)) == 0.0
+
+
+@PROPERTY
+@given(pp_params(), st.integers(2, 3), st.integers(2, 5))
+def test_pp_hamiltonian_is_mirror_invariant(params, cutoff_s, cutoff_p):
+    h = build_pp_hamiltonian(params, cutoff_s, cutoff_s, cutoff_p).matrix
+    perm = pp_mirror_permutation(make_space(5, [cutoff_s, cutoff_s, cutoff_p]))
+    assert np.array_equal(h[np.ix_(perm, perm)], h)
+
+
+@PROPERTY
+@given(pp_params(), pp_cutoffs)
+def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
+    h = build_pp_hamiltonian(params, *cutoffs).matrix
+    space, sectors = _pp_sectors(params, *cutoffs)
+    n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
+    rebuilt = np.zeros((space.total_dim, space.total_dim))
+    covered = np.zeros(space.total_dim, dtype=int)
+    for (sector_s, sector_p), (index, block) in sectors.items():
+        assert np.all(np.diff(index) > 0)
+        assert np.all(n_s[index] == sector_s) and np.all(n_p[index] == sector_p)
+        assert np.array_equal(block, block.T)
+        rebuilt[np.ix_(index, index)] = block
+        covered[index] += 1
+    assert np.all(covered == 1)  # the sectors partition the basis ...
+    assert np.array_equal(rebuilt, h)  # ... and every nonzero entry lies in one block
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(pp_params(), pp_cutoffs)
+def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
+    mpmath.mp.dps = 40
+    _, sectors = _pp_sectors(params, *cutoffs)
+    for index, block in sectors.values():
+        if len(index) < 2:
+            continue
+        w, _ = _jacobi_eigh_longdouble(block)
+        ours = w[np.argmin(np.abs(w))]
+        exact = min(mpmath.eigsy(mpmath.matrix(block.tolist()), eigvals_only=True), key=abs)
+        norm = np.linalg.norm(block)
+        if abs(exact) <= 1e-30 * norm:  # a probe-free CPT dark state: exactly zero
+            assert abs(ours) <= np.finfo(np.longdouble).eps * norm
+        else:
+            assert abs((mpmath.mpf(str(ours)) - exact) / exact) <= 1e-6

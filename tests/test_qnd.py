@@ -258,6 +258,79 @@ class TestFullVsEffective:
         assert res.probe.startswith("coherent")
         assert res.rel_err_secular < 0.05
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_coherent_probe_at_default_cutoff(self, alpha):
+        # default probe cutoffs 15 and 30 (dims 300 and 600) stay in extended
+        # precision: only the populated 6-state sectors are diagonalized
+        from ppqnd import quintic_roots, secular_coefficients
+        roots = quintic_roots(secular_coefficients(RATIO100, 1, 0, 1))
+        t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
+        res = full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=t, alpha_p=alpha)
+        assert res.rel_err_secular < 0.05
+        assert res.atomic_leakage < 1e-3
+
+    @pytest.mark.parametrize("n_p", [1, 2, 3])
+    def test_sector_route_matches_dense_extended_evolution(self, n_p):
+        # oracle: the dense full-space H through the generic evolve(extended=True)
+        from ppqnd import StateVector, build_pp_hamiltonian, evolve, quintic_roots, \
+            secular_coefficients
+        from ppqnd.fock import _evolve_sectors
+        from ppqnd.schemes import _pp_sectors
+        h = build_pp_hamiltonian(RATIO100, 2, 2, n_p + 1)
+        space, sectors = _pp_sectors(RATIO100, 2, 2, n_p + 1)
+        amps = np.zeros(space.total_dim, dtype=complex)
+        amps[space.index_of(0, (1, 0, n_p))] = 0.6
+        amps[space.index_of(0, (0, 1, n_p))] = 0.8j
+        psi0 = StateVector(space, amps)
+        for t in (1e3, 1e6):
+            dense = evolve(h, psi0, t, extended=True).amplitudes
+            ours = _evolve_sectors(psi0, sectors.values(), t).amplitudes
+            assert np.max(np.abs(ours - dense)) < 1e-12
+        # At the phase target t ~ 1e11 the fast levels accumulate w t ~ 1e15 rad,
+        # which longdouble resolves only to ~1e-4 rad in either route; the
+        # level-1 amplitudes carry the probe phase and must still agree.
+        roots = quintic_roots(secular_coefficients(RATIO100, 1, 0, n_p))
+        t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
+        dense = evolve(h, psi0, t, extended=True).amplitudes.reshape(5, -1)
+        ours = _evolve_sectors(psi0, sectors.values(), t).amplitudes.reshape(5, -1)
+        assert np.max(np.abs(ours[0] - dense[0])) < 1e-12
+
+    def test_coherent_phase_matches_dense_readout(self):
+        # oracle: dense evolve(extended=True) read out through arg <a_p> with
+        # the full-space annihilation operator
+        from ppqnd import StateVector, annihilation_op, build_pp_hamiltonian, evolve, \
+            quintic_roots, secular_coefficients
+        roots = quintic_roots(secular_coefficients(RATIO100, 1, 0, 1))
+        t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
+        alpha, cutoff = 0.3, 6
+        qubit = PolarizationQubit.normalized(0.6, 0.8j)
+        h = build_pp_hamiltonian(RATIO100, 2, 2, cutoff)
+        amps = np.zeros((5, 2, 2, cutoff), dtype=complex)
+        probe = coherent_state(cutoff, alpha).amplitudes
+        amps[0, 1, 0], amps[0, 0, 1] = qubit.c_l * probe, qubit.c_r * probe
+        psi_t = evolve(h, StateVector(h.space, amps.ravel()), t, extended=True)
+        oracle = cmath.phase(psi_t.expectation(annihilation_op(h.space, 2)))
+        res = full_vs_effective(RATIO100, qubit, t=t, alpha_p=alpha, cutoff_p=cutoff)
+        assert res.measured_phase == pytest.approx(oracle, abs=1e-12)
+
+    def test_refuses_without_extended_longdouble(self, monkeypatch):
+        # where numpy's longdouble is plain double the five-level routes refuse
+        # at call time; importing and the double-precision paths still work
+        from ppqnd import compare_block_to_full, ppqnd_hamiltonian
+        real_finfo = np.finfo
+
+        def double_only(dtype):
+            return real_finfo(np.float64 if np.dtype(dtype) == np.longdouble else dtype)
+
+        monkeypatch.setattr(np, "finfo", double_only)
+        with pytest.raises(RuntimeError, match="extended precision unavailable"):
+            full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0, n_p=1)
+        with pytest.raises(RuntimeError, match="extended precision unavailable"):
+            compare_block_to_full(RATIO100, 1, 0, 1)
+        res = polarization_dephasing(PolarizationQubit.left(), 1.0, -0.1, 1.0)
+        assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert ppqnd_hamiltonian(-0.1, 2, 2, 3).space.total_dim == 12
+
     def test_rejects_ambiguous_probe(self):
         with pytest.raises(ValueError):
             full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=1, alpha_p=1.0)
