@@ -53,7 +53,6 @@ from .qnd import (
 )
 from .schemes import (
     PPBlockMatrix,
-    SchemeKind,
     SchemeParams,
     build_lambda_hamiltonian,
     build_n_hamiltonian,

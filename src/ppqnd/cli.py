@@ -10,6 +10,11 @@ are emitted through repr, which round-trips exactly.  Wall-clock time goes
 to stderr so that reruns with the same config and seed are byte-identical
 on stdout and in --out files.  The PPQND_TOL environment variable, when
 set, overrides each command's primary tolerance.
+
+Each command is one row of the _COMMANDS table: its runner, its default
+config, its primary tolerance and any extra flag.  Config values are checked
+against the ExperimentConfig annotations; non-finite numbers, negative
+integers and empty lists are rejected.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -47,8 +52,6 @@ from .schemes import (
 )
 from .secular import char_poly_coefficients, estimate_eigenvalues, secular_coefficients
 
-COMMANDS = ("secular", "preserve", "qnd", "invariance", "backaction", "discriminate", "fullmodel")
-
 
 class ConfigError(ValueError):
     """Malformed config; the message names the offending field."""
@@ -59,20 +62,6 @@ def _mag_phase_to_complex(value: Any, name: str) -> complex:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ConfigError(f"field '{name}': expected [magnitude, phase_radians], got {value!r}")
     return value[0] * cmath.exp(1j * value[1])
-
-
-_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
-    "delta_probe": float, "delta_two": float, "omega_d": float,
-    "xi_s": float, "xi_p": float,
-    "n_sl": int, "n_sr": int, "n_p": int, "n_s": int,
-    "draws": int, "trials": int, "unitary_count": int,
-    "cutoff_s": int, "cutoff_p": int,
-    "seed": int,
-    "chi": float, "time": float, "target_phase": float,
-    "theta": float, "alpha": float, "tolerance": float,
-    "alpha_p": list, "alphas": list, "qubits": list, "times": list,
-    "format": str, "out": str,
-}
 
 
 @dataclass(frozen=True)
@@ -104,44 +93,33 @@ class ExperimentConfig:
     alphas: list | None = None
     qubits: list | None = None
     times: list | None = None
-    format: str | None = None
-    out: str | None = None
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(ExperimentConfig)}
         values: dict[str, Any] = {}
         for key, value in data.items():
-            if key not in known:
+            if key not in _FIELD_KINDS:
                 raise ConfigError(f"unknown field '{key}'")
             if value is None:
                 raise ConfigError(f"field '{key}' is null; remove it or supply a value")
-            want = _FIELD_TYPES[key]
-            if want is float:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"field '{key}': expected a number, got {value!r}")
+            want = _FIELD_KINDS[key]
+            if want is float and isinstance(value, int) and not isinstance(value, bool):
                 value = float(value)
-            elif want is int:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"field '{key}': expected an integer, got {value!r}")
-            elif want is list:
-                if not isinstance(value, list):
-                    raise ConfigError(f"field '{key}': expected a list, got {value!r}")
-            elif want is str:
-                if not isinstance(value, str):
-                    raise ConfigError(f"field '{key}': expected a string, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ConfigError(f"field '{key}': expected {_EXPECTED[want]}, got {value!r}")
+            if not _finite(value):
+                raise ConfigError(f"field '{key}': non-finite number in {value!r}")
+            if want is int and value < 0:
+                raise ConfigError(f"field '{key}': must be nonnegative, got {value!r}")
+            if want is list and not value:
+                raise ConfigError(f"field '{key}': empty list")
             values[key] = value
         return ExperimentConfig(**values)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                out[f.name] = v
-        return out
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -157,8 +135,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def qubit_list(self) -> list[PolarizationQubit]:
-        if self.qubits is None:
-            raise ConfigError("missing required field 'qubits'")
+        self.require("qubits")
         if not self.qubits:
             raise ConfigError("field 'qubits': empty qubit list")
         out = []
@@ -174,6 +151,17 @@ class ExperimentConfig:
         return out
 
 
+# each field's type, from its "T | None" annotation
+_FIELD_KINDS = {name: get_args(hint)[0] for name, hint in get_type_hints(ExperimentConfig).items()}
+_EXPECTED = {float: "a number", int: "an integer", list: "a list"}
+
+
+def _finite(value: Any) -> bool:
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _tolerance(config: ExperimentConfig, default: float) -> float:
     env = os.environ.get("PPQND_TOL")
     if env is not None:
@@ -186,50 +174,17 @@ def _tolerance(config: ExperimentConfig, default: float) -> float:
     return default
 
 
-_SQ2 = 1 / math.sqrt(2)
-
-_DEFAULTS: dict[str, dict] = {
-    "secular": {
-        "delta_probe": 1e4, "delta_two": 1e4, "omega_d": 1e2, "xi_s": 0.1, "xi_p": 1.0,
-        "n_sl": 1, "n_sr": 1, "n_p": 1, "draws": 1000, "seed": 0,
-    },
-    "preserve": {
-        "alpha_p": [2.0, 0.0], "chi": -0.1, "times": [1.0, 2.0, 5.0, 10.0], "seed": 0,
-        "qubits": [
-            [[1.0, 0.0], [0.0, 0.0]],
-            [[0.0, 0.0], [1.0, 0.0]],
-            [[_SQ2, 0.0], [_SQ2, 0.0]],
-            [[_SQ2, 0.0], [_SQ2, math.pi]],
-            [[_SQ2, 0.0], [_SQ2, math.pi / 2]],
-            [[_SQ2, 0.0], [_SQ2, -math.pi / 2]],
-        ],
-    },
-    "qnd": {"n_s": 1, "alpha_p": [2.0, 0.0], "chi": -0.01, "time": 10.0, "seed": 0},
-    "invariance": {"chi": -1e-3, "cutoff_s": 4, "cutoff_p": 4, "unitary_count": 100, "seed": 0},
-    "backaction": {"alphas": [[1.0, 0.0], [2.0, 0.0], [5.0, 0.0]], "seed": 0},
-    "discriminate": {"alpha": 4.0, "theta": 0.25, "trials": 20000, "seed": 0},
-    "fullmodel": {
-        "delta_probe": 1e4, "delta_two": 1e4, "omega_d": 1e2, "xi_s": 0.01, "xi_p": 1.0,
-        "n_p": 1, "target_phase": 0.1, "seed": 0,
-        "qubits": [[[_SQ2, 0.0], [_SQ2, 0.0]]],
-    },
-}
-
-
-def _effective_config(command: str, raw: dict) -> ExperimentConfig:
-    merged = dict(_DEFAULTS[command])
-    parsed = ExperimentConfig.from_dict(raw)  # validates before merging
-    merged.update(parsed.to_dict())
+def _effective_config(defaults: dict, raw: Any, seed: int | None) -> ExperimentConfig:
+    merged = {**defaults, **ExperimentConfig.from_dict(raw).to_dict()}  # validates before merging
+    if seed is not None:
+        merged["seed"] = seed
     return ExperimentConfig.from_dict(merged)
 
 
-def _record(command: str, config: ExperimentConfig, results: dict, rows: list | None = None) -> dict:
-    echo = config.to_dict()
-    echo.pop("out", None)     # delivery options, not experiment inputs:
-    echo.pop("format", None)  # the record must not depend on the sink
+def _record(command: str, config: ExperimentConfig, results: dict, rows: list) -> dict:
     return {
         "command": command,
-        "config": echo,
+        "config": config.to_dict(),
         "conventions": {
             "evolution_sign": EVOLUTION_SIGN,
             "quadrature": QUADRATURE_CONVENTION,
@@ -237,7 +192,7 @@ def _record(command: str, config: ExperimentConfig, results: dict, rows: list | 
         },
         "library_version": __version__,
         "results": results,
-        "rows": rows if rows is not None else [],
+        "rows": rows,
     }
 
 
@@ -250,10 +205,12 @@ def _draw_hierarchy_params(rng: np.random.Generator) -> SchemeParams:
     return SchemeParams(big, delta, omega, xi_s, xi_p)
 
 
-def cmd_secular(config: ExperimentConfig) -> tuple[dict, list, int]:
+# A runner takes the effective config, the command's tolerance and its extra
+# flags, and returns (results, rows, ok); main adds the tolerance and the
+# record around them.
+
+def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     params = config.scheme_params()
-    config.require("n_sl", "n_sr", "n_p")
-    tol = _tolerance(config, 1e-9)
     lam_tol = 0.05
     rng = np.random.default_rng(config.seed)
 
@@ -290,17 +247,14 @@ def cmd_secular(config: ExperimentConfig) -> tuple[dict, list, int]:
         "rel_err_small": est.rel_err_small,
         "rel_err_large": est.rel_err_large,
         "trace_dominated": est.trace_dominated,
-        "tolerance": tol,
     }
-    ok = point_ok and max_rel <= tol and est.rel_err_small <= lam_tol
-    return _record("secular", config, results, rows), rows, (0 if ok else 2)
+    return results, rows, point_ok and max_rel <= tol and est.rel_err_small <= lam_tol
 
 
-def cmd_preserve(config: ExperimentConfig, sensitive: bool = False) -> tuple[dict, list, int]:
+def cmd_preserve(config: ExperimentConfig, tol: float,
+                 sensitive: bool = False) -> tuple[dict, list, bool]:
     qubits = config.qubit_list()
-    config.require("alpha_p", "chi", "times")
     alpha = _mag_phase_to_complex(config.alpha_p, "alpha_p")
-    tol = _tolerance(config, 1e-8)
     rows = [("qubit_index", "time", "fidelity", "purity", "coherence")]
     min_fid = 1.0
     for k, qubit in enumerate(qubits):
@@ -308,20 +262,12 @@ def cmd_preserve(config: ExperimentConfig, sensitive: bool = False) -> tuple[dic
             res = polarization_dephasing(qubit, alpha, config.chi, float(t), sensitive=sensitive)
             min_fid = min(min_fid, res.fidelity)
             rows.append((k, repr(float(t)), repr(res.fidelity), repr(res.purity), repr(res.coherence)))
-    results = {
-        "sensitive": sensitive,
-        "min_fidelity": min_fid,
-        "tolerance": tol,
-        "n_qubits": len(qubits),
-    }
-    ok = sensitive or (min_fid >= 1.0 - tol)
-    return _record("preserve", config, results, rows), rows, (0 if ok else 2)
+    results = {"sensitive": sensitive, "min_fidelity": min_fid, "n_qubits": len(qubits)}
+    return results, rows, sensitive or min_fid >= 1.0 - tol
 
 
-def cmd_qnd(config: ExperimentConfig) -> tuple[dict, list, int]:
-    config.require("n_s", "alpha_p", "chi", "time")
+def cmd_qnd(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     alpha = _mag_phase_to_complex(config.alpha_p, "alpha_p")
-    tol = _tolerance(config, 1e-9)
     res = evolve_qnd(config.n_s, alpha, config.chi, config.time, cutoff_p=config.cutoff_p)
 
     joint = res.state
@@ -340,10 +286,8 @@ def cmd_qnd(config: ExperimentConfig) -> tuple[dict, list, int]:
         "probe_fidelity_flipped": res.probe_fidelity_flipped,
         "probe_purity": res.probe_purity,
         "signal_distribution_drift": drift,
-        "tolerance": tol,
     }
-    ok = res.probe_fidelity >= 1.0 - tol and drift <= 1e-12
-    return _record("qnd", config, results), [], (0 if ok else 2)
+    return results, [], res.probe_fidelity >= 1.0 - tol and drift <= 1e-12
 
 
 def _haar_unitary(rng: np.random.Generator) -> PolUnitary:
@@ -353,9 +297,7 @@ def _haar_unitary(rng: np.random.Generator) -> PolUnitary:
     return PolUnitary(q)
 
 
-def cmd_invariance(config: ExperimentConfig) -> tuple[dict, list, int]:
-    config.require("chi", "cutoff_s", "cutoff_p", "unitary_count", "seed")
-    tol = _tolerance(config, 1e-10)
+def cmd_invariance(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     cs, cp = config.cutoff_s, config.cutoff_p
     h = ppqnd_hamiltonian(config.chi, cs, cs, cp)
     rng = np.random.default_rng(config.seed)
@@ -373,14 +315,11 @@ def cmd_invariance(config: ExperimentConfig) -> tuple[dict, list, int]:
         "lr_to_hv_deviation": devs[0],
         "n_unitaries": config.unitary_count + 1,
         "sensitive_control_deviation": control_dev,
-        "tolerance": tol,
     }
-    return _record("invariance", config, results), [], (0 if max_dev <= tol else 2)
+    return results, [], max_dev <= tol
 
 
-def cmd_backaction(config: ExperimentConfig) -> tuple[dict, list, int]:
-    config.require("alphas")
-    tol = _tolerance(config, 1e-6)
+def cmd_backaction(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     rows = [("alpha_magnitude", "number_variance", "phase_variance", "product")]
     worst = 0.0
     for k, pair in enumerate(config.alphas):
@@ -389,28 +328,18 @@ def cmd_backaction(config: ExperimentConfig) -> tuple[dict, list, int]:
         worst = max(worst, abs(rep.product - 0.25))
         rows.append((repr(abs(alpha)), repr(rep.number_variance),
                      repr(rep.phase_variance), repr(rep.product)))
-    results = {"benchmark": 0.25, "max_deviation_from_benchmark": worst, "tolerance": tol}
-    return _record("backaction", config, results, rows), rows, (0 if worst <= tol else 2)
+    results = {"benchmark": 0.25, "max_deviation_from_benchmark": worst}
+    return results, rows, worst <= tol
 
 
-def cmd_discriminate(config: ExperimentConfig) -> tuple[dict, list, int]:
-    config.require("alpha", "theta", "trials", "seed")
+def cmd_discriminate(config: ExperimentConfig, tol: float | None) -> tuple[dict, list, bool]:
     res = discrimination_error(config.alpha, config.theta, config.trials, config.seed)
-    results = {
-        "mc_error": res.mc_error,
-        "analytic_error": res.analytic_error,
-        "std_error": res.std_error,
-        "trials": res.trials,
-        "seed": res.seed,
-    }
-    return _record("discriminate", config, results), [], 0
+    return asdict(res), [], True
 
 
-def cmd_fullmodel(config: ExperimentConfig) -> tuple[dict, list, int]:
+def cmd_fullmodel(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     params = config.scheme_params()
-    config.require("n_p", "qubits")
     qubits = config.qubit_list()
-    tol = _tolerance(config, 0.05)
     leak_tol = 1e-3
 
     rows = [("qubit_index", "measured_phase", "predicted_phase_secular",
@@ -421,7 +350,6 @@ def cmd_fullmodel(config: ExperimentConfig) -> tuple[dict, list, int]:
         if config.time is not None:
             t = config.time
         else:
-            config.require("target_phase")
             est = estimate_eigenvalues(params, 1, 0, config.n_p)
             roots = np.asarray(est.exact_roots)
             lam = roots[np.argmin(np.abs(roots))]
@@ -438,23 +366,58 @@ def cmd_fullmodel(config: ExperimentConfig) -> tuple[dict, list, int]:
     results = {
         "max_rel_err_secular": worst_err,
         "max_atomic_leakage": worst_leak,
-        "tolerance": tol,
         "leakage_tolerance": leak_tol,
         "regime_ok": params.regime_ok(),
     }
-    ok = worst_err <= tol and worst_leak <= leak_tol
-    return _record("fullmodel", config, results, rows), rows, (0 if ok else 2)
+    return results, rows, worst_err <= tol and worst_leak <= leak_tol
 
 
-_RUNNERS = {
-    "secular": cmd_secular,
-    "preserve": cmd_preserve,
-    "qnd": cmd_qnd,
-    "invariance": cmd_invariance,
-    "backaction": cmd_backaction,
-    "discriminate": cmd_discriminate,
-    "fullmodel": cmd_fullmodel,
+class _Command(NamedTuple):
+    run: Callable[..., tuple[dict, list, bool]]
+    defaults: dict
+    tolerance: float | None          # None: the command has no pass/fail check
+    flags: tuple[tuple[str, str], ...] = ()  # extra store_true flags: (name, help)
+
+
+_SQ2 = 1 / math.sqrt(2)
+
+_COMMANDS: dict[str, _Command] = {
+    "secular": _Command(cmd_secular, {
+        "delta_probe": 1e4, "delta_two": 1e4, "omega_d": 1e2, "xi_s": 0.1, "xi_p": 1.0,
+        "n_sl": 1, "n_sr": 1, "n_p": 1, "draws": 1000, "seed": 0,
+    }, tolerance=1e-9),
+    "preserve": _Command(cmd_preserve, {
+        "alpha_p": [2.0, 0.0], "chi": -0.1, "times": [1.0, 2.0, 5.0, 10.0], "seed": 0,
+        "qubits": [
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0]],
+            [[_SQ2, 0.0], [_SQ2, 0.0]],
+            [[_SQ2, 0.0], [_SQ2, math.pi]],
+            [[_SQ2, 0.0], [_SQ2, math.pi / 2]],
+            [[_SQ2, 0.0], [_SQ2, -math.pi / 2]],
+        ],
+    }, tolerance=1e-8,
+        flags=(("sensitive", "run the polarization-sensitive control interaction"),)),
+    "qnd": _Command(cmd_qnd, {
+        "n_s": 1, "alpha_p": [2.0, 0.0], "chi": -0.01, "time": 10.0, "seed": 0,
+    }, tolerance=1e-9),
+    "invariance": _Command(cmd_invariance, {
+        "chi": -1e-3, "cutoff_s": 4, "cutoff_p": 4, "unitary_count": 100, "seed": 0,
+    }, tolerance=1e-10),
+    "backaction": _Command(cmd_backaction, {
+        "alphas": [[1.0, 0.0], [2.0, 0.0], [5.0, 0.0]], "seed": 0,
+    }, tolerance=1e-6),
+    "discriminate": _Command(cmd_discriminate, {
+        "alpha": 4.0, "theta": 0.25, "trials": 20000, "seed": 0,
+    }, tolerance=None),
+    "fullmodel": _Command(cmd_fullmodel, {
+        "delta_probe": 1e4, "delta_two": 1e4, "omega_d": 1e2, "xi_s": 0.01, "xi_p": 1.0,
+        "n_p": 1, "target_phase": 0.1, "seed": 0,
+        "qubits": [[[_SQ2, 0.0], [_SQ2, 0.0]]],
+    }, tolerance=0.05),
 }
+
+COMMANDS = tuple(_COMMANDS)
 
 
 def _emit(record: dict, rows: list, fmt: str) -> bytes:
@@ -479,23 +442,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "polarization preservation, homodyne readout, back-action.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a flat JSON config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-        if name == "preserve":
-            p.add_argument("--sensitive", action="store_true",
-                           help="run the polarization-sensitive control interaction")
+        for flag, help_text in command.flags:
+            p.add_argument(f"--{flag}", action="store_true", help=help_text)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
-        raw: dict = {}
+        raw: Any = {}
         if args.config is not None:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -504,32 +467,31 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"config file not found: {args.config}")
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
-        if args.seed is not None:
-            raw = {**raw, "seed": args.seed}
-        if args.out is not None:
-            raw = {**raw, "out": args.out}
-        if args.format is not None:
-            raw = {**raw, "format": args.format}
-        config = _effective_config(args.command, raw)
+        config = _effective_config(command.defaults, raw, args.seed)
 
-        if args.command == "preserve":
-            record, rows, code = cmd_preserve(config, sensitive=args.sensitive)
-        else:
-            record, rows, code = _RUNNERS[args.command](config)
+        tol = None if command.tolerance is None else _tolerance(config, command.tolerance)
+        flags = {flag: getattr(args, flag) for flag, _ in command.flags}
+        results, rows, ok = command.run(config, tol, **flags)
     except (ConfigError, ValueError) as exc:  # library rejections are config errors here
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if tol is not None:
+        results["tolerance"] = tol
 
-    payload = _emit(record, rows, config.format or "json")
-    if config.out is not None:
-        with open(config.out, "wb") as fh:
+    payload = _emit(_record(args.command, config, results, rows), rows, args.format)
+    if args.out is not None:
+        with open(args.out, "wb") as fh:
             fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     print(f"# wall_clock_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
-    return code
+    return 0 if ok else 2
 
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -116,7 +116,7 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, space needs ({self.space.total_dim},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # also refuses NaN
             raise ValueError(f"state not normalized: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
@@ -188,35 +188,6 @@ class Operator:
 
     def dagger(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T, self.hermitian_flag)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        _check_same_space(self.space, other.space)
-        return Operator(self.space, self.matrix + other.matrix,
-                        self.hermitian_flag and other.hermitian_flag)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _check_same_space(self.space, other.space)
-        return Operator(self.space, self.matrix - other.matrix,
-                        self.hermitian_flag and other.hermitian_flag)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        herm = self.hermitian_flag and (np.imag(scalar) == 0)
-        return Operator(self.space, self.matrix * scalar, bool(herm))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_same_space(self.space, other.space)
-        return Operator(self.space, self.matrix @ other.matrix, hermitian_flag=False)
-
-    def apply(self, psi: StateVector) -> np.ndarray:
-        """Raw matrix-vector product (not renormalized)."""
-        _check_same_space(self.space, psi.space)
-        return self.matrix @ psi.amplitudes
-
-    def norm(self) -> float:
-        """Spectral-norm upper bound (Frobenius)."""
-        return float(np.linalg.norm(self.matrix))
 
 
 def _check_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
@@ -534,7 +505,7 @@ def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.nda
 def _unitary_result(space: HilbertSpace, amps: np.ndarray) -> StateVector:
     """Evolved amplitudes as a state, refusing any that lost unitarity."""
     raw_norm = np.linalg.norm(amps)
-    if abs(raw_norm - 1.0) > 1e-10:
+    if not abs(raw_norm - 1.0) <= 1e-10:  # also refuses NaN
         raise ArithmeticError(f"evolution lost unitarity: |psi| = {raw_norm!r}")
     return StateVector(space, amps / raw_norm)
 

@@ -22,7 +22,6 @@ the diagonal effective (QND) Hamiltonians.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -40,7 +39,6 @@ from .fock import (
 
 __all__ = [
     "SchemeParams",
-    "SchemeKind",
     "PPBlockMatrix",
     "build_lambda_hamiltonian",
     "lambda_dark_state",
@@ -99,26 +97,6 @@ class SchemeParams:
         ">>" defaults to a factor of 10 per step.
         """
         return all(r >= threshold for r in self.hierarchy_ratios())
-
-
-class SchemeKind(enum.Enum):
-    """The three level schemes and their space shapes."""
-
-    LAMBDA = "lambda"
-    N_TYPE = "n_type"
-    POLARIZATION_PRESERVING = "polarization_preserving"
-
-    @property
-    def atom_dim(self) -> int:
-        return {SchemeKind.LAMBDA: 3,
-                SchemeKind.N_TYPE: 4,
-                SchemeKind.POLARIZATION_PRESERVING: 5}[self]
-
-    @property
-    def n_modes(self) -> int:
-        return {SchemeKind.LAMBDA: 1,
-                SchemeKind.N_TYPE: 2,
-                SchemeKind.POLARIZATION_PRESERVING: 3}[self]
 
 
 def _coupling_table(space: HilbertSpace, detunings: Sequence[tuple[int, float]],

@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ppqnd.cli import COMMANDS, ConfigError, ExperimentConfig, main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -39,6 +46,19 @@ class TestConfigParsing:
                                           "xi_s": 0.1, "xi_p": 1.0})
         with pytest.raises(ConfigError, match="omega_d"):
             cfg.scheme_params()
+
+    def test_int_for_float_field_becomes_float(self):
+        cfg = ExperimentConfig.from_dict({"chi": -1, "n_s": 2})
+        assert type(cfg.chi) is float and type(cfg.n_s) is int
+
+    @pytest.mark.parametrize("raw", [
+        {"time": math.inf}, {"chi": math.nan}, {"alpha_p": [2.0, -math.inf]},
+        {"times": [1.0, math.nan]}, {"qubits": [[[1.0, math.nan], [0.0, 0.0]]]},
+    ], ids=lambda raw: next(iter(raw)))
+    def test_non_finite_number_named(self, raw):
+        (name,) = raw
+        with pytest.raises(ConfigError, match=f"'{name}': non-finite"):
+            ExperimentConfig.from_dict(raw)
 
     def test_qubit_normalization_enforced(self):
         cfg = ExperimentConfig.from_dict({"qubits": [[[1.0, 0.0], [1.0, 0.0]]]})
@@ -84,10 +104,41 @@ class TestExitCodes:
         code, _, err = run(capsys, "secular", "--config", str(path))
         assert code == 1
 
+    def test_non_object_config_with_seed_exits_one(self, capsys, tmp_path):
+        path = write_config(tmp_path, "list.json", [1, 2])
+        code, _, err = run(capsys, "qnd", "--config", path, "--seed", "3")
+        assert code == 1
+        assert "JSON object" in err
+
     def test_empty_qubits_exits_one(self, capsys, tmp_path):
         path = write_config(tmp_path, "empty.json", {"qubits": []})
         code, _, err = run(capsys, "preserve", "--config", path)
         assert code == 1
+
+    @pytest.mark.parametrize("command,raw,name", [
+        ("fullmodel", '{"time": Infinity}', "time"),  # json.load accepts Infinity and NaN
+        ("qnd", '{"chi": NaN}', "chi"),
+        ("secular", '{"draws": -5}', "draws"),
+        ("invariance", '{"unitary_count": -3}', "unitary_count"),
+        ("preserve", '{"times": []}', "times"),
+        ("backaction", '{"alphas": []}', "alphas"),
+    ], ids=["time-inf", "chi-nan", "draws-negative", "unitary_count-negative",
+            "times-empty", "alphas-empty"])
+    def test_out_of_range_config_exits_one(self, capsys, tmp_path, command, raw, name):
+        path = tmp_path / "bad.json"
+        path.write_text(raw)
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"'{name}'" in err
+
+    @pytest.mark.parametrize("raw", [{"out": "r.json"}, {"format": "csv"}], ids=["out", "format"])
+    def test_delivery_options_are_flags_only(self, capsys, tmp_path, monkeypatch, raw):
+        monkeypatch.chdir(tmp_path)  # a regression would write r.json here
+        path = write_config(tmp_path, "sink.json", raw)
+        code, _, err = run(capsys, "qnd", "--config", path)
+        assert code == 1
+        assert "unknown field" in err
 
     def test_tolerance_failure_exits_two(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PPQND_TOL", "1e-30")
@@ -100,6 +151,27 @@ class TestExitCodes:
         code, out, _ = run(capsys, "backaction")
         assert code == 0
         assert json.loads(out)["results"]["tolerance"] == 1e-3
+
+
+class TestGoldenRecords:
+    # Default records, captured before the command-table refactor.  When output
+    # changes on purpose, regenerate with PPQND_TOL unset:
+    #   python -m ppqnd.cli <command> [--sensitive] > tests/golden/<name>.json
+    @pytest.mark.parametrize("name", [*COMMANDS, "preserve-sensitive"])
+    def test_default_record_is_byte_identical(self, name, capsys, monkeypatch):
+        monkeypatch.delenv("PPQND_TOL", raising=False)
+        command, *flag = name.split("-")
+        code, out, _ = run(capsys, command, *(f"--{f}" for f in flag))
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+    def test_module_runs_as_script(self):
+        env = {k: v for k, v in os.environ.items() if k != "PPQND_TOL"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "ppqnd.cli", "backaction"], cwd=ROOT, env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "backaction.json").read_bytes()
 
 
 class TestDeterminism:

@@ -53,6 +53,10 @@ class TestHilbertSpace:
                 lvl, occ = space.unpack(idx)
                 assert space.index_of(lvl, occ) == idx
 
+    def test_state_vector_refuses_nan_norm(self):
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(make_space(1, [2]), [math.nan, 0.0])
+
     def test_row_major_order_atom_slowest(self):
         space = make_space(2, [2, 3])
         # last mode fastest
@@ -248,6 +252,15 @@ class TestEvolve:
         psi = coherent_state(4, 0.1)
         with pytest.raises(ValueError):
             evolve(h, psi, 1.0)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_infinite_time_refused(self, diagonal):
+        # exp(-i H inf) is all NaN; the unitarity check must not pass a NaN norm
+        space = make_space(1, [4])
+        m = np.diag(np.arange(4.0)) + (0 if diagonal else 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1)))
+        psi = StateVector(space, np.full(4, 0.5))
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="unitarity"):
+            evolve(Operator(space, m.astype(complex)), psi, float("inf"))
 
 
 class TestPartialTrace:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ppqnd import (
-    SchemeKind,
     SchemeParams,
     annihilation_op,
     atom_transition_op,
@@ -51,12 +50,6 @@ class TestSchemeParams:
     def test_zero_coupling_ratios_are_inf(self):
         p = SchemeParams(1.0, 1.0, 1.0, 0.0, 0.5)
         assert p.hierarchy_ratios()[2] == math.inf
-
-    def test_scheme_kind_shapes(self):
-        assert (SchemeKind.LAMBDA.atom_dim, SchemeKind.LAMBDA.n_modes) == (3, 1)
-        assert (SchemeKind.N_TYPE.atom_dim, SchemeKind.N_TYPE.n_modes) == (4, 2)
-        kind = SchemeKind.POLARIZATION_PRESERVING
-        assert (kind.atom_dim, kind.n_modes) == (5, 3)
 
 
 class TestLambdaScheme:
