@@ -50,7 +50,12 @@ from .schemes import (
     ppqnd_hamiltonian,
     sensitive_qnd_hamiltonian,
 )
-from .secular import char_poly_coefficients, estimate_eigenvalues, secular_coefficients
+from .secular import (
+    _char_poly_stack,
+    char_poly_coefficients,
+    estimate_eigenvalues,
+    secular_coefficients,
+)
 
 
 class ConfigError(ValueError):
@@ -166,9 +171,12 @@ def _tolerance(config: ExperimentConfig, default: float) -> float:
     env = os.environ.get("PPQND_TOL")
     if env is not None:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise ConfigError(f"PPQND_TOL is not a number: {env!r}") from exc
+        if not math.isfinite(tol):
+            raise ConfigError(f"PPQND_TOL is not finite: {env!r}")
+        return tol
     if config.tolerance is not None:
         return config.tolerance
     return default
@@ -226,14 +234,14 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
             point_ok &= rel <= tol
             rows.append((name, repr(x), repr(y), repr(rel)))
 
+    draws = [(_draw_hierarchy_params(rng), *(int(n) for n in rng.integers(1, 5, size=3)))
+             for _ in range(config.draws)]
     max_rel = 0.0
-    for _ in range(config.draws):
-        p = _draw_hierarchy_params(rng)
-        occ = rng.integers(1, 5, size=3)
-        cf = secular_coefficients(p, int(occ[0]), int(occ[1]), int(occ[2]))
-        oc = char_poly_coefficients(build_pp_block_matrix(p, int(occ[0]), int(occ[1]), int(occ[2])).matrix)
-        for x, y in zip(cf.as_tuple(), oc.as_tuple()):
-            max_rel = max(max_rel, abs(x - y) / max(abs(x), abs(y), 1e-300))
+    if draws:
+        cf = np.array([secular_coefficients(*draw).as_tuple() for draw in draws])
+        oc = _char_poly_stack(np.array([build_pp_block_matrix(*draw).matrix for draw in draws]))
+        rel = np.abs(cf - oc) / np.maximum(np.maximum(np.abs(cf), np.abs(oc)), 1e-300)
+        max_rel = float(rel.max())
 
     est = estimate_eigenvalues(params, config.n_sl, config.n_sr, config.n_p)
     results = {
@@ -344,20 +352,19 @@ def cmd_fullmodel(config: ExperimentConfig, tol: float) -> tuple[dict, list, boo
 
     rows = [("qubit_index", "measured_phase", "predicted_phase_secular",
              "rel_err_secular", "rel_err_kerr", "atomic_leakage")]
+    if config.time is not None:
+        t = config.time
+    else:
+        roots = np.asarray(estimate_eigenvalues(params, 1, 0, config.n_p).exact_roots)
+        lam = roots[np.argmin(np.abs(roots))]
+        if lam == 0:
+            raise ConfigError(
+                "target_phase unreachable: the dark-state eigenvalue is zero "
+                "(no cross-Kerr shift); give 'time' directly")
+        t = config.target_phase / abs(lam)
     worst_err = 0.0
     worst_leak = 0.0
     for k, qubit in enumerate(qubits):
-        if config.time is not None:
-            t = config.time
-        else:
-            est = estimate_eigenvalues(params, 1, 0, config.n_p)
-            roots = np.asarray(est.exact_roots)
-            lam = roots[np.argmin(np.abs(roots))]
-            if lam == 0:
-                raise ConfigError(
-                    "target_phase unreachable: the dark-state eigenvalue is zero "
-                    "(no cross-Kerr shift); give 'time' directly")
-            t = config.target_phase / abs(lam)
         res = full_vs_effective(params, qubit, t=float(t), n_p=config.n_p)
         worst_err = max(worst_err, res.rel_err_secular)
         worst_leak = max(worst_leak, res.atomic_leakage)

@@ -149,7 +149,7 @@ class DensityMatrix:
         if herm_dev > _HERM_TOL:
             raise ValueError(f"density matrix not Hermitian: max |M - M^+| = {herm_dev:g}")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > _NORM_TOL:
+        if not abs(tr - 1.0) <= _NORM_TOL:  # also refuses NaN
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         evmin = float(np.linalg.eigvalsh(m).min())
         if evmin < -_POS_TOL:

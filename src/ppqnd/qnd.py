@@ -207,9 +207,8 @@ def discrimination_error(alpha: float, theta: float, trials: int, seed: int
     mean separation d = 2 alpha sin(theta/2).  The analytic error of the
     midpoint threshold is erfc(d / (2 sigma sqrt(2))) / 2.
 
-    Trials draw an equal-prior hypothesis and a Gaussian quadrature sample
-    from a per-trial generator seeded with (seed, trial index), so the
-    result is identical no matter how trials are scheduled.
+    One generator seeded with seed draws every trial's equal-prior
+    hypothesis, then every trial's Gaussian quadrature sample, as arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -227,13 +226,10 @@ def discrimination_error(alpha: float, theta: float, trials: int, seed: int
         means = ((mu0 * cmath.exp(-1j * lo)).real, (mu1 * cmath.exp(-1j * lo)).real)
     mid = 0.5 * (means[0] + means[1])
 
-    errors = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        h = int(rng.integers(0, 2))
-        x = means[h] + sigma * rng.standard_normal()
-        decided = 1 if x > mid else 0
-        errors += decided != h
+    rng = np.random.default_rng(seed)
+    h = rng.integers(0, 2, size=trials)
+    x = np.asarray(means)[h] + sigma * rng.standard_normal(trials)
+    errors = int(np.count_nonzero((x > mid) != (h == 1)))
     mc = errors / trials
     std = math.sqrt(max(mc * (1 - mc), analytic * (1 - analytic)) / trials)
     return DiscriminationResult(mc, analytic, std, trials, seed)

@@ -96,14 +96,31 @@ def char_poly_coefficients(matrix: np.ndarray) -> SecularCoefficients:
     m = np.asarray(matrix)
     if m.shape != (5, 5):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+    a, b, c, d, e = _char_poly_stack(m[None]).tolist()[0]
+    return SecularCoefficients(a, b, c, d, e)
+
+
+def _char_poly_stack(matrices: np.ndarray) -> np.ndarray:
+    """(B, 5) coefficients a..e of a (B, 5, 5) stack of Hermitian matrices.
+
+    One eigvalsh over the stack, then np.poly's recurrence on the
+    eigenvalues w_k, c[j] -= w_k c[j-1], applied to all rows at once; the
+    arithmetic per row is np.poly's, so each row equals
+    -np.poly(eigvalsh(m))[1:] bit for bit.
+    """
+    m = np.asarray(matrices)
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(1, 2)))
+    asym = np.max(np.abs(m - np.swapaxes(m, 1, 2).conj()), axis=(1, 2))
+    if np.any(asym > 1e-12 * scale):
         raise ValueError("matrix is not Hermitian")
     w = np.linalg.eigvalsh(m)
-    # np.poly(w) = [1, -e1, e2, -e3, e4, -e5] (elementary symmetric polys of
-    # the eigenvalues); our convention -l^5 + a l^4 + ... + e is its negative.
-    p = np.poly(w)
-    a, b, c, d, e = (-p[1:]).tolist()
-    return SecularCoefficients(a, b, c, d, e)
+    # poly = [1, -e1, e2, -e3, e4, -e5] (elementary symmetric polys of the
+    # eigenvalues); our convention -l^5 + a l^4 + ... + e is its negative.
+    poly = np.zeros((len(w), 6))
+    poly[:, 0] = 1.0
+    for k in range(5):
+        poly[:, 1:k + 2] -= w[:, k:k + 1] * poly[:, :k + 1]
+    return -poly[:, 1:]
 
 
 def lambda_small(coeffs: SecularCoefficients) -> float:
@@ -150,31 +167,13 @@ def quintic_roots(coeffs: SecularCoefficients, residual_tol: float = 1e-8) -> np
     Clustered roots (e.g. two levels parked at the same detuning) make the
     companion eigenvalues wander off the real axis by O(eps^(1/3)) of the
     root magnitude, so small imaginary residue is dropped and the real
-    parts are Newton-polished back to full accuracy.  Imaginary residue
+    parts are Aberth-polished as far as rounding in p allows.  Imaginary residue
     beyond the clustering scale signals genuinely complex roots, i.e.
     coefficients that never came from a Hermitian matrix, and raises; so
     does a final residual |p(root)| above residual_tol * scale with
     scale = max|coefficient| * max(1, |root|)^5.
     """
-    a, b, c, d, e = coeffs.as_tuple()
-    poly = np.array([-1.0, a, b, c, d, e])
-    raw = np.roots(poly)  # companion-matrix eigenvalues as starting points
-    refined = _aberth_refine(poly, raw)
-    magnitude = max(1.0, float(np.max(np.abs(refined))))
-    max_imag = float(np.max(np.abs(refined.imag)))
-    if max_imag > 1e-3 * magnitude:
-        raise ValueError(
-            f"complex root residue {max_imag:g}: coefficients not from a Hermitian matrix?")
-    roots = np.sort(refined.real)
-
-    scale0 = np.max(np.abs(poly))
-    for r in roots:
-        scale = scale0 * max(1.0, abs(r)) ** 5
-        p_val = np.polyval(poly, r)
-        if abs(p_val) > residual_tol * scale:
-            raise ValueError(
-                f"root residual |p({r:g})| = {abs(p_val):g} exceeds {residual_tol:g} * scale")
-    return roots
+    return _quintic_roots_stack(_poly_rows([coeffs]), residual_tol)[0]
 
 
 def middle_quartic_roots(coeffs: SecularCoefficients) -> np.ndarray:
@@ -192,8 +191,70 @@ def middle_quartic_roots(coeffs: SecularCoefficients) -> np.ndarray:
     return np.sort(np.concatenate([[0.0], cubic.real]))
 
 
-def _aberth_refine(poly: np.ndarray, starts: np.ndarray, max_iter: int = 60) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous refinement of all polynomial roots.
+def _poly_rows(coeffs: Sequence[SecularCoefficients]) -> np.ndarray:
+    """(B, 6) rows [-1, a, b, c, d, e], highest power first."""
+    return np.array([(-1.0, *c.as_tuple()) for c in coeffs])
+
+
+def _quintic_roots_stack(polys: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
+    """Sorted real roots, (B, 5), of each (B, 6) row; quintic_roots per row.
+
+    Rows are checked in order and the first failing row raises.
+    """
+    refined = _aberth_refine(polys, _companion_eigvals(polys))
+    magnitude = np.maximum(1.0, np.max(np.abs(refined), axis=1))
+    max_imag = np.max(np.abs(refined.imag), axis=1)
+    roots = np.sort(refined.real, axis=1)
+    p_val = np.abs(_horner(polys, roots))
+    scale = np.max(np.abs(polys), axis=1, keepdims=True) * np.maximum(1.0, np.abs(roots)) ** 5
+    too_complex = max_imag > 1e-3 * magnitude
+    too_large = p_val > residual_tol * scale
+    for i in np.flatnonzero(too_complex | np.any(too_large, axis=1)):
+        if too_complex[i]:
+            raise ValueError(f"complex root residue {max_imag[i]:g}: "
+                             "coefficients not from a Hermitian matrix?")
+        k = np.flatnonzero(too_large[i])[0]
+        raise ValueError(f"root residual |p({roots[i, k]:g})| = {p_val[i, k]:g} "
+                         f"exceeds {residual_tol:g} * scale")
+    return roots
+
+
+def _companion_eigvals(polys: np.ndarray) -> np.ndarray:
+    """Companion-matrix eigenvalues of each row, as np.roots computes them.
+
+    A row whose k trailing coefficients vanish has k exact roots at 0; they
+    are split off and the degree-(5-k) companion matrices of the rows
+    sharing a degree go through one eigvals call.
+    """
+    starts = np.zeros((len(polys), 5), dtype=complex)
+    degree = 5 - np.argmax(polys[:, ::-1] != 0, axis=1)  # the leading -1 is never 0
+    for n in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == n)
+        companion = np.zeros((len(rows), n, n))
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, 0, :] = -polys[rows, 1:n + 1] / polys[rows, :1]
+        starts[rows, :n] = np.linalg.eigvals(companion)
+    return starts
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Polynomials (coefficients on the last axis, highest power first) at z.
+
+    The arithmetic is np.polyval's, so each value matches it bit for bit:
+    its first step, 0 * z + c_0, is exactly c_0 for finite z.
+    """
+    y = coeffs[..., :1].astype(np.result_type(coeffs, z))
+    for k in range(1, coeffs.shape[-1]):
+        y = y * z + coeffs[..., k:k + 1]
+    return y
+
+
+_STEP_RTOL = 4 * np.finfo(float).eps  # a step this small relative to its root is rounding
+_MAX_ITER = 60
+
+
+def _aberth_refine(polys: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich simultaneous refinement of all roots of each row.
 
     Companion-matrix eigenvalues resolve clustered roots only to
     O(eps^(1/3)); the simultaneous iteration's mutual-repulsion term keeps
@@ -201,28 +262,50 @@ def _aberth_refine(poly: np.ndarray, starts: np.ndarray, max_iter: int = 60) -> 
     polynomial itself (close real pairs arrive as conjugate artifacts
     whose imaginary parts carry the splitting, so plain Newton on the real
     parts would merge them).
+
+    Each row stops on its own once every root's step is within a few eps
+    of the root, or once its largest relative step stops shrinking while
+    all its iterates are real: from there on the steps are rounding noise
+    of the polynomial's evaluation.  A conjugate pair still off the axis
+    keeps its row going, up to _MAX_ITER steps, as does a row whose next
+    iterate would not be finite (it keeps its last finite iterate).
     """
-    dpoly = np.polyder(poly)
-    z = starts.astype(complex)
-    n = len(z)
-    off_diag = ~np.eye(n, dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(z))))
-    for _ in range(max_iter):
-        pz = np.polyval(poly, z)
-        dz = np.polyval(dpoly, z)
-        newton = np.where(dz == 0, 0.0, pz / np.where(dz == 0, 1.0, dz))
-        diff = z[:, None] - z[None, :]
-        recip = np.zeros_like(diff)
-        ok = off_diag & (diff != 0)  # coincident iterates exert no repulsion
-        recip[ok] = 1.0 / diff[ok]
-        denom = 1.0 - newton * recip.sum(axis=1)
-        step = np.where(denom == 0, 0.0, newton / np.where(denom == 0, 1.0, denom))
-        z_next = z - step
-        if not np.all(np.isfinite(z_next)):
-            break
-        z = z_next
-        if np.max(np.abs(step)) <= 1e-16 * scale:
-            break
+    n = polys.shape[1] - 1
+    # p and p' evaluated in one Horner pass; p' gets a leading zero
+    # coefficient, which leaves np.polyval's roundings unchanged
+    pair = np.zeros((len(polys), 2, n + 1))
+    pair[:, 0] = polys
+    pair[:, 1, 1:] = polys[:, :-1] * np.arange(n, 0, -1)
+    za = starts.astype(complex)
+    z = np.empty_like(za)
+    rows = np.arange(len(z))  # the rows still iterating, held compactly in za
+    prev_rel = np.full(len(z), np.inf)
+    for _ in range(_MAX_ITER):
+        y = _horner(pair, za[:, None, :])
+        pz, dz = y[:, 0], y[:, 1]
+        newton = np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
+        diff = za[:, :, None] - za[:, None, :]
+        # coincident iterates (and each iterate with itself) exert no repulsion
+        recip = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+        denom = 1.0 - newton * recip.sum(axis=2)
+        step = np.divide(newton, denom, out=np.zeros_like(denom), where=denom != 0)
+        z_next = za - step
+        finite = np.isfinite(z_next).all(axis=1)
+        if not finite.all():
+            z_next[~finite] = za[~finite]
+
+        rel = np.divide(np.abs(step), np.abs(z_next), out=np.zeros(step.shape),
+                        where=step != 0).max(axis=1)
+        real = ~np.any(z_next.imag, axis=1)
+        done = ~finite | (rel <= _STEP_RTOL) | (real & (rel >= prev_rel))
+        za, prev_rel = z_next, rel
+        if done.any():
+            z[rows[done]] = za[done]
+            keep = ~done
+            rows, za, pair, prev_rel = rows[keep], za[keep], pair[keep], prev_rel[keep]
+            if not len(rows):
+                return z
+    z[rows] = za
     return z
 
 
@@ -265,7 +348,11 @@ def estimate_eigenvalues(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                          ) -> EigenEstimate:
     """Bundle the lambda_s / lambda_l estimates with exact roots and errors."""
     coeffs = secular_coefficients(params, n_sl, n_sr, n_p)
-    roots = quintic_roots(coeffs)
+    return _estimate(params, n_sl, n_sr, n_p, coeffs, quintic_roots(coeffs))
+
+
+def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int,
+              coeffs: SecularCoefficients, roots: np.ndarray) -> EigenEstimate:
     lam_s = lambda_small(coeffs) if coeffs.d != 0 else 0.0
     lam_l = lambda_large(coeffs)
     exact_small = _smallest_by_magnitude(roots, lam_s)
@@ -299,14 +386,17 @@ class ScanRow:
 def regime_scan(points: Iterable[tuple[SchemeParams, int, int, int]]) -> list[ScanRow]:
     """Evaluate estimate_eigenvalues over a parameter grid.
 
-    Each point is (params, n_sL, n_sR, n_p).  Points are independent, so
-    the scan parallelizes trivially; this implementation is sequential.
+    Each point is (params, n_sL, n_sR, n_p).  The quintics of all points
+    are solved together in one batched root-find; each row equals
+    estimate_eigenvalues at its point.
     """
-    rows = [ScanRow(p, nl, nr, npp, estimate_eigenvalues(p, nl, nr, npp))
-            for (p, nl, nr, npp) in points]
-    if not rows:
+    points = list(points)
+    if not points:
         raise ValueError("regime_scan needs a nonempty grid")
-    return rows
+    coeffs = [secular_coefficients(*point) for point in points]
+    roots = _quintic_roots_stack(_poly_rows(coeffs))
+    return [ScanRow(p, nl, nr, npp, _estimate(p, nl, nr, npp, c, r))
+            for (p, nl, nr, npp), c, r in zip(points, coeffs, roots)]
 
 
 @dataclass(frozen=True)

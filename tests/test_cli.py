@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ppqnd.cli import COMMANDS, ConfigError, ExperimentConfig, main
+from ppqnd.secular import estimate_eigenvalues
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -146,6 +147,14 @@ class TestExitCodes:
         assert code == 2
         monkeypatch.delenv("PPQND_TOL")
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_env_tolerance_exits_one(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PPQND_TOL", value)
+        code, out, err = run(capsys, "backaction")
+        assert code == 1
+        assert out == ""
+        assert "PPQND_TOL" in err
+
     def test_env_tolerance_is_echoed(self, capsys, monkeypatch):
         monkeypatch.setenv("PPQND_TOL", "1e-3")
         code, out, _ = run(capsys, "backaction")
@@ -220,6 +229,21 @@ class TestRecords:
         assert code == 0
         assert record["results"]["max_rel_err_secular"] <= 0.05
         assert record["results"]["max_atomic_leakage"] <= 1e-3
+
+    def test_fullmodel_solves_for_the_target_time_once(self, capsys, tmp_path, monkeypatch):
+        import ppqnd.cli as cli
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return estimate_eigenvalues(*args)
+        monkeypatch.setattr(cli, "estimate_eigenvalues", counting)
+        qubit = [[1 / math.sqrt(2), 0.0], [1 / math.sqrt(2), 0.0]]
+        path = write_config(tmp_path, "three.json", {"qubits": [qubit, qubit, qubit]})
+        code, out, _ = run(capsys, "fullmodel", "--config", path)
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 4  # header + three qubits
+        assert len(calls) == 1
 
     def test_preserve_sensitive_is_informational(self, capsys):
         code, out, _ = run(capsys, "preserve", "--sensitive")

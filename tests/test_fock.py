@@ -57,6 +57,10 @@ class TestHilbertSpace:
         with pytest.raises(ValueError, match="normalized"):
             StateVector(make_space(1, [2]), [math.nan, 0.0])
 
+    def test_density_matrix_refuses_nan_trace(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(make_space(1, [2]), [[math.nan, 0.0], [0.0, 0.0]])
+
     def test_row_major_order_atom_slowest(self):
         space = make_space(2, [2, 3])
         # last mode fastest

@@ -7,11 +7,16 @@ pair-space polarization lift against the full-space exp(-i G), and the
 vectorized number operator against an index loop.  The five-level PP
 Hamiltonian gets its symmetries (two conserved excitation numbers, the
 L/R mirror), its sector split against the dense matrix, and its
-quasidark eigenvalues against an mpmath oracle.  Examples are
-derandomized so the suite stays deterministic.
+quasidark eigenvalues against an mpmath oracle.  The batched secular
+root-finder is checked against its own single-row calls, against a
+50-digit mpmath oracle next to a fixed 60-step Aberth loop, and
+the stacked characteristic polynomial against np.poly per matrix.
+Examples are derandomized so the suite stays deterministic.
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +38,13 @@ from ppqnd import (
     number_op,
     partial_trace,
     pp_mirror_permutation,
+    quintic_roots,
+    secular_coefficients,
 )
+from ppqnd import secular
 from ppqnd.fock import _jacobi_eigh_longdouble
-from ppqnd.schemes import _pp_sectors
+from ppqnd.schemes import _pp_sectors, build_pp_block_matrix
+from ppqnd.secular import SecularCoefficients, _char_poly_stack, _poly_rows, _quintic_roots_stack
 
 try:
     import mpmath
@@ -237,3 +246,141 @@ def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
             assert abs(ours) <= np.finfo(np.longdouble).eps * norm
         else:
             assert abs((mpmath.mpf(str(ours)) - exact) / exact) <= 1e-6
+
+
+def reference_aberth(poly, starts, max_iter=60):
+    """Per-polynomial Aberth loop with a 60-step budget: the accuracy reference.
+
+    Its stopping test, max|step| <= 1e-16 max(1, max|z|), asks for less than
+    half an ulp of the largest root, so it nearly always runs all max_iter
+    steps.
+    """
+    dpoly = np.polyder(poly)
+    z = starts.astype(complex)
+    off_diag = ~np.eye(len(z), dtype=bool)
+    scale = max(1.0, float(np.max(np.abs(z))))
+    for _ in range(max_iter):
+        pz = np.polyval(poly, z)
+        dz = np.polyval(dpoly, z)
+        newton = np.where(dz == 0, 0.0, pz / np.where(dz == 0, 1.0, dz))
+        diff = z[:, None] - z[None, :]
+        recip = np.zeros_like(diff)
+        ok = off_diag & (diff != 0)
+        recip[ok] = 1.0 / diff[ok]
+        denom = 1.0 - newton * recip.sum(axis=1)
+        step = np.where(denom == 0, 0.0, newton / np.where(denom == 0, 1.0, denom))
+        z_next = z - step
+        if not np.all(np.isfinite(z_next)):
+            break
+        z = z_next
+        if np.max(np.abs(step)) <= 1e-16 * scale:
+            break
+    return z
+
+
+@st.composite
+def quintics(draw):
+    """Secular coefficients at hierarchy ratios 3 to 300 and occupations 0 to 3.
+
+    An occupation of 0 makes e = 0 (a root at exactly 0); equal detunings
+    park two levels together, which clusters two roots into a near-double
+    root.
+    """
+    ratio = draw(st.floats(3.0, 300.0))
+    omega = draw(st.floats(10.0, 100.0))
+    r_det, r_drive, r_probe = (ratio * draw(st.floats(1.0, 1.5)) for _ in range(3))
+    big = omega * r_det
+    delta = big if draw(st.booleans()) else big * draw(st.floats(1.0, 3.0))
+    params = SchemeParams(big, delta, omega, omega / r_drive / r_probe, omega / r_drive)
+    occupations = [draw(st.integers(0, 3)) for _ in range(3)]
+    return secular_coefficients(params, *occupations)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@PROPERTY
+@given(st.lists(quintics(), min_size=1, max_size=8))
+def test_batched_roots_equal_single_row_roots(batch):
+    together = _quintic_roots_stack(_poly_rows(batch))
+    assert bitwise_equal(together, np.array([quintic_roots(c) for c in batch]))
+
+
+def rounding_bound(poly, root):
+    """First-order forward-error bound of a real root under float64 Horner.
+
+    Horner's computed p(x) is off by at most 10 eps sum|c_k| |x|^k for a
+    quintic; divided by |p'(root)| that bounds how far rounding alone can
+    move a computed root.
+    """
+    powers = np.abs(root) ** np.arange(len(poly) - 1, -1, -1)
+    slope = abs(np.polyval(np.polyder(poly), root))
+    if slope == 0:
+        return math.inf
+    return 10 * np.finfo(float).eps * float(np.sum(np.abs(poly) * powers)) / slope
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+@PROPERTY
+@given(quintics())
+def test_roots_are_no_farther_from_mpmath_than_the_reference_loop(coeffs):
+    poly = np.array([-1.0, *coeffs.as_tuple()])
+    with mpmath.workdps(50):
+        exact = np.sort([float(mpmath.re(r)) for r in mpmath.polyroots(
+            [mpmath.mpf(float(c)) for c in poly], maxsteps=500, extraprec=500)])
+    ours = quintic_roots(coeffs)
+    reference = np.sort(reference_aberth(poly, np.roots(poly)).real)
+    for r, new, old in zip(exact, ours, reference):
+        # Where rounding noise of p swamps the root (clusters), each loop
+        # stops at a point of that noise; the bound is its width.
+        assert abs(new - r) <= max(abs(old - r), rounding_bound(poly, r))
+
+
+@st.composite
+def separated_quintics(draw):
+    """Coefficients of five real roots at least 5 % of their span apart, 0 allowed."""
+    scale = 10.0 ** draw(st.integers(-2, 5))
+    gaps = [draw(st.floats(0.05, 0.5)) for _ in range(4)]
+    roots = draw(st.floats(-1.0, 0.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    if draw(st.booleans()):
+        roots[np.argmin(np.abs(roots))] = 0.0  # e = 0
+    return SecularCoefficients(*(-np.poly(roots * scale)[1:]).tolist())
+
+
+@PROPERTY
+@given(st.lists(separated_quintics(), min_size=1, max_size=8))
+def test_separated_roots_stop_well_before_the_iteration_cap(batch):
+    polys = _poly_rows(batch)
+    full = _quintic_roots_stack(polys)
+    with mock.patch.object(secular, "_MAX_ITER", 20):
+        # unchanged under a cap of 20 of the 60 steps: every row stopped by then
+        assert bitwise_equal(_quintic_roots_stack(polys), full)
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(B, 5, 5) stacks: block models of the PP scheme or random Hermitian
+    matrices, real or complex, some with exact zero eigenvalues."""
+    rng = np.random.default_rng(draw(seeds))
+    batch = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["block", "real", "complex", "diagonal"]))
+    if kind == "block":
+        params = draw(pp_params())
+        return np.array([build_pp_block_matrix(params, *(int(n) for n in rng.integers(1, 4, 3))).matrix
+                         for _ in range(batch)])
+    if kind == "diagonal":
+        return np.array([np.diag(rng.integers(-2, 3, 5).astype(float)) for _ in range(batch)])
+    m = rng.standard_normal((batch, 5, 5))
+    if kind == "complex":
+        m = m + 1j * rng.standard_normal((batch, 5, 5))
+    return m + np.swapaxes(m, 1, 2).conj()
+
+
+@PROPERTY
+@given(hermitian_stacks())
+def test_stacked_char_poly_matches_np_poly_per_matrix(stack):
+    ours = _char_poly_stack(stack)
+    for m, row in zip(stack, ours):
+        assert bitwise_equal(row, -np.poly(np.linalg.eigvalsh(m))[1:])
