@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -442,6 +443,7 @@ def _emit(record: dict, rows: list, fmt: str) -> bytes:
     return buf.getvalue().encode()
 
 
+@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppqnd",

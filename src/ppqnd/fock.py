@@ -465,17 +465,22 @@ def evolve(h: Operator, psi: StateVector, t: float, extended: bool = False) -> S
     m = h.matrix
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag):  # no nonzero off the diagonal
-        w = diag.real
-        if extended:
-            amps = _phases_longdouble(w.astype(np.longdouble), t) * psi.amplitudes
-        else:
-            amps = np.exp(-1j * w * t) * psi.amplitudes
-    elif extended:
+        return _evolve_diagonal(diag.real, psi, t, extended)
+    if extended:
         return _evolve_sectors(psi, [(np.arange(len(m)), m)], t)
-    else:
-        w, v = np.linalg.eigh(m)
-        amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
+    w, v = np.linalg.eigh(m)
+    amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
     return _unitary_result(psi.space, amps)
+
+
+def _evolve_diagonal(w: np.ndarray, psi: StateVector, t: float,
+                     extended: bool = False) -> StateVector:
+    """exp(-i H t) |psi> for H = diag(w): each amplitude times its own phase."""
+    if extended:
+        phases = _phases_longdouble(w.astype(np.longdouble), t)
+    else:
+        phases = np.exp(-1j * w * t)
+    return _unitary_result(psi.space, phases * psi.amplitudes)
 
 
 def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.ndarray]],

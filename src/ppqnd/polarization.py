@@ -15,13 +15,14 @@ fixed matrix
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .fock import HilbertSpace, Operator, annihilation_op, make_space
+from .fock import HilbertSpace, Operator
 
 __all__ = [
     "PolarizationQubit",
@@ -104,26 +105,89 @@ def lr_to_hv() -> PolUnitary:
     return PolUnitary(np.array([[s, 1j * s], [s, -1j * s]]))
 
 
-def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> Operator:
-    """Fock-space unitary implementing a_i -> sum_j u_ij a_j on a mode pair.
+def _principal_generator(u: np.ndarray) -> np.ndarray:
+    """h = i log(u) for a 2x2 unitary u, principal branch, in closed form.
 
-    Built as exp(-i G) with the quadratic generator
-    G = sum_jk h_jk a_j^+ a_k, h = i log(u) (principal branch), so U is
-    photon-number conserving by construction: G commutes with n_i + n_j,
-    which generates the U(1) center of the U(2) mode-mixing action.  A u
-    with eigenvalue -1 lands on the branch cut; the principal log then
-    contributes an overall pi phase on one eigenmode, which cancels in any
-    U H U^+ similarity check.
+    A 2x2 unitary is u = c0 I + mu (n . sigma) with n a real unit vector and
+    c0, mu complex, so its eigenvalues are c0 +- mu on the projectors
+    P+- = (I +- n . sigma) / 2 and h = -(theta+ P+ + theta- P-) with each
+    theta the eigenvalue's argument in (-pi, pi].  n is read off the Pauli
+    components of u along the largest one; a scalar u has no direction and
+    gets h = -theta I.  h is Hermitian by construction.
+    """
+    c0 = 0.5 * (u[0, 0] + u[1, 1])
+    c = 0.5 * np.array([u[0, 1] + u[1, 0], 1j * (u[0, 1] - u[1, 0]), u[0, 0] - u[1, 1]])
+    k = int(np.argmax(np.abs(c)))
+    if c[k] == 0:
+        n, mu = np.array([0.0, 0.0, 1.0]), 0.0
+    else:
+        n = (c * np.conj(c[k])).real
+        n /= np.linalg.norm(n)
+        mu = c @ n
+    theta = np.angle([c0 + mu, c0 - mu])
+    theta[theta <= -math.pi] = math.pi  # -1 + (-0)j belongs to the principal branch at +pi
+    mean, half = 0.5 * (theta[0] + theta[1]), 0.5 * (theta[0] - theta[1])
+    return -np.array([[mean + half * n[2], half * (n[0] - 1j * n[1])],
+                      [half * (n[0] + 1j * n[1]), mean - half * n[2]]])
 
-    Truncation caveat: the lift is exact (the symmetric-power
-    representation of u) on every complete photon-number sector
-    n_i + n_j <= cutoff - 1; sectors touching the truncation boundary are
-    unitary but representation-faithless, so states should keep their
-    support below the boundary.
 
-    G acts on the two modes only (G = I (x) G_pair (x) I), so it is
-    exponentiated on the cutoff^2-dimensional pair space and the result is
-    embedded into the full space by contracting over the two mode axes.
+class _SectorGroup(NamedTuple):
+    """The pair sectors of one size s, one row each: B sectors of s states."""
+
+    index: np.ndarray  # (B, s) pair-space indices n_i * cut + n_j, n_i ascending
+    n_i: np.ndarray    # (B, s)
+    n_j: np.ndarray    # (B, s)
+    hop: np.ndarray    # (B, s - 1) <k+1, N-k-1| a_i^+ a_j |k, N-k> = sqrt((k+1)(N-k))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_sectors(cut: int) -> tuple[_SectorGroup, ...]:
+    """Photon-number sectors N = n_i + n_j of two modes of cutoff cut, by size.
+
+    Sizes run 1 .. cut; the sectors N >= cut are cut short by the
+    truncation.
+    """
+    by_size: dict[int, list] = {}
+    for total in range(2 * cut - 1):
+        n_i = np.arange(max(0, total - cut + 1), min(total, cut - 1) + 1)
+        by_size.setdefault(n_i.size, []).append((n_i, total - n_i))
+    groups = []
+    for rows in by_size.values():
+        n_i, n_j = (np.stack(x) for x in zip(*rows))
+        group = _SectorGroup(n_i * cut + n_j, n_i, n_j, np.sqrt(n_i[:, 1:] * n_j[:, :-1]))
+        for a in group:
+            a.setflags(write=False)
+        groups.append(group)
+    return tuple(groups)
+
+
+def _sector_unitaries(u: PolUnitary, cut: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(-i G) on every pair sector, G = sum_ab h_ab a_a^+ a_b with h = i log(u).
+
+    Returns one (index, blocks) per sector size s: index (B, s) as in
+    _SectorGroup, blocks (B, s, s) the unitaries, from one batched eigh
+    per size.  G only moves photons between the two modes, so it never
+    leaves a sector, truncated or not.
+    """
+    h = _principal_generator(u.matrix)
+    out = []
+    for index, n_i, n_j, hop in _pair_sectors(cut):
+        batch, size = index.shape
+        g = np.zeros((batch, size, size), dtype=complex)
+        k = np.arange(size)
+        g[:, k, k] = h[0, 0] * n_i + h[1, 1] * n_j
+        g[:, k[1:], k[:-1]] = h[0, 1] * hop
+        g[:, k[:-1], k[1:]] = h[1, 0] * hop
+        w, v = np.linalg.eigh(g)
+        out.append((index, (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)))
+    return out
+
+
+def _pair_layout(space: HilbertSpace, modes: tuple[int, int]) -> tuple[int, np.ndarray]:
+    """The pair's cutoff and the flat basis index of every (pair state, other state).
+
+    Rows run over the pair index n_i * cut + n_j, columns over the states of
+    every other factor in basis order.
     """
     i, j = modes
     if i == j:
@@ -133,30 +197,89 @@ def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> 
             f"mode cutoffs differ ({space.mode_cutoffs[i]} vs {space.mode_cutoffs[j]}); "
             "the lift is only number-conserving for equal truncations"
         )
-    h = 1j * scipy.linalg.logm(u.matrix)
-    h = 0.5 * (h + h.conj().T)  # scrub logm roundoff; exact for unitary input
     cut = space.mode_cutoffs[i]
-    pair = make_space(1, [cut, cut])
-    ops = [annihilation_op(pair, 0).matrix, annihilation_op(pair, 1).matrix]
-    g = np.zeros((pair.total_dim, pair.total_dim), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            g += h[a, b] * (ops[a].conj().T @ ops[b])
-    w, v = np.linalg.eigh(g)
-    u_pair = ((v * np.exp(-1j * w)) @ v.conj().T).reshape(cut, cut, cut, cut)
+    flat = np.moveaxis(np.arange(space.total_dim).reshape(space.dims), (i + 1, j + 1), (0, 1))
+    return cut, flat.reshape(cut * cut, -1)
 
-    dim = space.total_dim
-    columns = np.eye(dim, dtype=complex).reshape(space.dims + (dim,))
-    u_full = np.tensordot(u_pair, columns, axes=([2, 3], [i + 1, j + 1]))
-    u_full = np.moveaxis(u_full, (0, 1), (i + 1, j + 1)).reshape(dim, dim)
+
+@functools.lru_cache(maxsize=8)
+def _sector_gather(space: HilbertSpace, modes: tuple[int, int]) -> tuple[int, np.ndarray]:
+    """The pair's cutoff and the flat indices that read a D x D matrix as
+    (row pair, column pair, rest x rest), the pair states in sector order.
+    """
+    cut, layout = _pair_layout(space, modes)
+    states = layout[np.concatenate([group.index.ravel() for group in _pair_sectors(cut)])]
+    n, d = len(states), space.total_dim
+    gather = (states[:, None, :, None] * d + states[None, :, None, :]).reshape(n, n, -1)
+    gather.setflags(write=False)
+    return cut, gather
+
+
+def _apply_sectors(sectors: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The block-diagonal pair unitary applied to axis 1 of x, written to out.
+
+    x and out are shaped (lead, pair, trail), their pair axis running over
+    the pair states in sector order (the `index` rows of `sectors`,
+    concatenated), so each sector size is one slice.
+    """
+    start = 0
+    for index, blocks in sectors:
+        part = slice(start, start + index.size)
+        start += index.size
+        shape = (len(x), *index.shape, -1)
+        np.matmul(blocks, x[:, part].reshape(shape), out=out[:, part].reshape(shape))
+    return out
+
+
+def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> Operator:
+    """Fock-space unitary implementing a_i -> sum_j u_ij a_j on a mode pair.
+
+    Built as exp(-i G) with the quadratic generator
+    G = sum_jk h_jk a_j^+ a_k, h = i log(u) (principal branch, taken in
+    closed form from the eigendecomposition of u), so U is photon-number
+    conserving by construction: G commutes with n_i + n_j, which generates
+    the U(1) center of the U(2) mode-mixing action.  A u with eigenvalue -1
+    lands on the branch cut; the principal log takes its argument as +pi,
+    an overall pi phase on one eigenmode that cancels in any U H U^+
+    similarity check.
+
+    Truncation caveat: the lift is exact (the symmetric-power
+    representation of u) on every complete photon-number sector
+    n_i + n_j <= cutoff - 1; sectors touching the truncation boundary are
+    unitary but representation-faithless, so states should keep their
+    support below the boundary.
+
+    G acts on the two modes only and conserves N = n_i + n_j, so it is
+    exponentiated per pair sector (at most cutoff states each) and the
+    blocks are scattered into the dense result, once per state of the
+    other factors.  check_invariance applies the same blocks without
+    building this matrix.
+    """
+    cut, layout = _pair_layout(space, modes)
+    u_full = np.zeros((space.total_dim,) * 2, dtype=complex)
+    for index, blocks in _sector_unitaries(u, cut):
+        rows = layout[index]
+        u_full[rows[:, :, None, :], rows[:, None, :, :]] = blocks[..., None]
     return Operator(space, u_full, hermitian_flag=False)
 
 
 def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> float:
-    """max |U H U^+ - H| entrywise for the lifted polarization unitary."""
-    lift = lift_unitary(u, h.space, modes)
-    transformed = lift.matrix @ h.matrix @ lift.matrix.conj().T
-    return float(np.max(np.abs(transformed - h.matrix)))
+    """max |U H U^+ - H| entrywise for the lifted polarization unitary.
+
+    U is applied sector by sector on the two pair axes, to the rows of H
+    and then, conjugated, to its columns; no full-space U is formed.
+    """
+    cut, gather = _sector_gather(h.space, tuple(modes))
+    sectors = _sector_unitaries(u, cut)
+    x = np.take(h.matrix, gather)
+    n = len(x)
+    left = np.empty_like(x)
+    _apply_sectors(sectors, x.reshape(1, n, -1), left.reshape(1, n, -1))
+    conjugated = [(index, blocks.conj()) for index, blocks in sectors]
+    transformed = _apply_sectors(conjugated, left, np.empty_like(x))
+    transformed -= x
+    return float(np.max(np.abs(transformed)))
 
 
 def stokes_vector(q: PolarizationQubit) -> tuple[float, float, float]:

@@ -24,25 +24,16 @@ import numpy as np
 from .fock import (
     DensityMatrix,
     StateVector,
+    _evolve_diagonal,
     _evolve_sectors,
-    annihilation_op,
+    _occupations,
     coherent_state,
     default_cutoff,
-    evolve,
     fidelity,
-    make_space,
-    number_op,
     partial_trace,
 )
 from .polarization import PolarizationQubit
-from .schemes import (
-    SchemeParams,
-    _pp_sectors,
-    chi_from_params,
-    ppqnd_hamiltonian,
-    qnd_hamiltonian,
-    sensitive_qnd_hamiltonian,
-)
+from .schemes import SchemeParams, _pp_sectors, _ppqnd_energies, _qnd_energies, chi_from_params
 from .secular import quintic_roots, secular_coefficients
 
 __all__ = [
@@ -83,12 +74,69 @@ class ProbeReadout:
     lo_phase: float
 
 
-def _expectation_fn(state: StateVector | DensityMatrix):
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        return lambda m: complex(np.vdot(psi, m @ psi))
-    rho = state.matrix
-    return lambda m: complex(np.trace(rho @ m))
+def _mean_a(m: np.ndarray) -> complex:
+    """<a> of the last factor of a pure state with amplitude rows m[k, n]:
+    sum_kn sqrt(n) m*[k, n-1] m[k, n]."""
+    return complex(np.vdot(m[:, :-1], np.sqrt(np.arange(1, m.shape[1])) * m[:, 1:]))
+
+
+def _pure_readout(m: np.ndarray, lo_phase: float, phase_per_photon: float | None,
+                  phase_reference: float) -> ProbeReadout:
+    """homodyne_estimate of a probe in a pure joint state, from its amplitudes.
+
+    m[k, n] is the amplitude of |k> (x) |n>, with the probe photon number n
+    last and every other factor flattened into k (one row for a lone
+    probe).  The truncated a and a^+ act on the rows as shifts weighted by
+    sqrt(n), so <a> is a sum over neighbouring amplitudes and the variance
+    is |(X - <X>) m|^2, a sum of squares: X is Hermitian on the truncated
+    space, and X X is exactly the truncated matrix product of the dense
+    route.
+    """
+    root = np.sqrt(np.arange(1, m.shape[1]))
+    lowered = np.zeros_like(m)
+    lowered[:, :-1] = root * m[:, 1:]  # a m
+    raised = np.zeros_like(m)
+    raised[:, 1:] = root * m[:, :-1]  # a^+ m
+    mean_a = _mean_a(m)
+    rot = cmath.exp(-1j * lo_phase)
+    mean_x = (mean_a * rot).real
+    centered = 0.5 * (rot * lowered + rot.conjugate() * raised) - mean_x * m
+    variance = float(np.vdot(centered, centered).real)
+    return _readout(mean_a, mean_x, variance, lo_phase, phase_per_photon, phase_reference)
+
+
+def _mixed_readout(rho: np.ndarray, lo_phase: float, phase_per_photon: float | None,
+                   phase_reference: float) -> ProbeReadout:
+    """homodyne_estimate of a single-mode density matrix, from its sub-diagonals.
+
+    tr(rho a) = sum_n sqrt(n) rho[n, n-1] runs along the first
+    sub-diagonal and tr(rho a^2) along the second, so with
+    X = (a e^{-i theta} + a^+ e^{i theta}) / 2,
+    <X^2> = (2 Re(e^{-2i theta} <a^2>) + <a^+ a> + <a a^+>) / 4, where on
+    cutoff c a^+ a = diag(0, ..., c-1) and a a^+ = diag(1, ..., c-1, 0), not
+    a^+ a + 1.
+    """
+    root = np.sqrt(np.arange(1, len(rho)))
+    pop = np.diagonal(rho).real
+    mean_a = complex(root @ np.diagonal(rho, -1))
+    mean_a2 = complex((root[:-1] * root[1:]) @ np.diagonal(rho, -2))
+    number_terms = float((pop[1:] + pop[:-1]) @ root ** 2)  # <a^+ a> + <a a^+>
+    rot = cmath.exp(-1j * lo_phase)
+    mean_x = (mean_a * rot).real
+    variance = (2 * (mean_a2 * rot * rot).real + number_terms) / 4 - mean_x ** 2
+    return _readout(mean_a, mean_x, variance, lo_phase, phase_per_photon, phase_reference)
+
+
+def _readout(mean_a: complex, mean_x: float, variance: float, lo_phase: float,
+             phase_per_photon: float | None, phase_reference: float) -> ProbeReadout:
+    """The phase estimate arg<a> and the inferred photon number around the moments."""
+    if abs(mean_a) <= _PHASE_DEFINED_TOL:
+        return ProbeReadout(None, mean_x, variance, None, lo_phase)
+    shift = _wrap_angle(cmath.phase(mean_a) - phase_reference)
+    inferred = None
+    if phase_per_photon is not None and phase_per_photon != 0:
+        inferred = max(0, round(shift / phase_per_photon))
+    return ProbeReadout(shift, mean_x, variance, inferred, lo_phase)
 
 
 def homodyne_estimate(state: StateVector | DensityMatrix, lo_phase: float,
@@ -96,31 +144,24 @@ def homodyne_estimate(state: StateVector | DensityMatrix, lo_phase: float,
                       phase_reference: float = 0.0) -> ProbeReadout:
     """Quadrature statistics of X_lo_phase plus a phase estimate arg<a>.
 
-    The quadrature operator is built as an explicit matrix on the state's
-    truncated space, so no commutator identity is assumed across the
-    truncation boundary.  phase_shift is arg<a> minus phase_reference,
-    wrapped to (-pi, pi].  When phase_per_photon is given (the signed probe
-    rotation per signal photon), the photon number is inferred by rounding
+    No dense operator is built: the truncated a and a^+ act through the
+    ladder structure of the state's space, as shifts of neighbouring
+    amplitudes for a StateVector and as sums along the sub-diagonals for
+    a DensityMatrix.  No commutator identity is assumed across the
+    truncation boundary: the a a^+ in X^2 is diag(1, ..., c-1, 0) on cutoff
+    c, exactly the product of the truncated matrices.  phase_shift is
+    arg<a> minus phase_reference, wrapped to (-pi, pi].  When
+    phase_per_photon is given (the signed probe rotation per signal
+    photon), the photon number is inferred by rounding
     phase_shift / phase_per_photon, clamped below at zero.
     """
     space = state.space
     if space.n_modes != 1 or space.atom_dim != 1:
         raise ValueError("homodyne readout expects a single-mode state")
-    ev = _expectation_fn(state)
-    a = annihilation_op(space, 0).matrix
-    x = 0.5 * (a * cmath.exp(-1j * lo_phase) + a.conj().T * cmath.exp(1j * lo_phase))
-    mean_a = ev(a)
-    mean_x = ev(x).real
-    variance = ev(x @ x).real - mean_x ** 2
-
-    if abs(mean_a) <= _PHASE_DEFINED_TOL:
-        return ProbeReadout(None, mean_x, variance, None, lo_phase)
-
-    shift = _wrap_angle(cmath.phase(mean_a) - phase_reference)
-    inferred = None
-    if phase_per_photon is not None and phase_per_photon != 0:
-        inferred = max(0, round(shift / phase_per_photon))
-    return ProbeReadout(shift, mean_x, variance, inferred, lo_phase)
+    if isinstance(state, StateVector):
+        return _pure_readout(state.amplitudes[None, :], lo_phase, phase_per_photon,
+                             phase_reference)
+    return _mixed_readout(state.matrix, lo_phase, phase_per_photon, phase_reference)
 
 
 def _wrap_angle(x: float) -> float:
@@ -152,32 +193,43 @@ class QndEvolution:
 
 def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
                cutoff_p: int | None = None, lo_phase: float = 0.0) -> QndEvolution:
-    """Evolve |n_s> (x) |alpha_p> under chi n_s n_p for time t and read out."""
+    """Evolve |n_s> (x) |alpha_p> under chi n_s n_p for time t and read out.
+
+    H is diagonal, so each amplitude picks up its own phase.  The probe is
+    read from the (cutoff_s, cutoff_p) amplitude matrix m of the joint
+    state: its readout as in homodyne_estimate, its purity
+    tr(rho_p^2) = |m m^+|_F^2 and its fidelity to a coherent |beta>,
+    <beta| rho_p |beta> = |m beta*|^2.  The reduced density matrix
+    rho_p = m^T m* is never formed, so the cost is linear in cutoff_p.
+    """
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
     cutoff_s = n_s + 1
     if cutoff_p is None:
         cutoff_p = default_cutoff(alpha_p)
-    space = make_space(1, [cutoff_s, cutoff_p])
+    space, energies = _qnd_energies(chi, cutoff_s, cutoff_p)
     probe0 = coherent_state(cutoff_p, alpha_p)
     psi0 = StateVector(space, np.kron(_fock_vec(cutoff_s, n_s), probe0.amplitudes))
-    h = qnd_hamiltonian(chi, cutoff_s, cutoff_p)
-    psi_t = evolve(h, psi0, t)
+    psi_t = _evolve_diagonal(energies, psi0, t)
 
-    rho_p = partial_trace(psi_t, keep=[1])
-    readout = homodyne_estimate(
-        rho_p, lo_phase,
+    m = psi_t.amplitudes.reshape(cutoff_s, cutoff_p)
+    readout = _pure_readout(
+        m, lo_phase,
         phase_per_photon=(-chi * t) if t != 0 else None,
         phase_reference=cmath.phase(alpha_p) if alpha_p != 0 else 0.0,
     )
-    rotated = coherent_state(cutoff_p, alpha_p * cmath.exp(-1j * chi * n_s * t))
-    flipped = coherent_state(cutoff_p, alpha_p * cmath.exp(+1j * chi * n_s * t))
+
+    def fidelity_to(beta: complex) -> float:
+        ket = coherent_state(cutoff_p, beta).amplitudes
+        return float(np.clip(np.linalg.norm(m @ ket.conj()) ** 2, 0.0, 1.0))
+
+    gram = m @ m.conj().T
     return QndEvolution(
         state=psi_t,
         readout=readout,
-        probe_fidelity=fidelity(rotated, rho_p),
-        probe_fidelity_flipped=fidelity(flipped, rho_p),
-        probe_purity=rho_p.purity(),
+        probe_fidelity=fidelity_to(alpha_p * cmath.exp(-1j * chi * n_s * t)),
+        probe_fidelity_flipped=fidelity_to(alpha_p * cmath.exp(+1j * chi * n_s * t)),
+        probe_purity=float(np.sum(np.abs(gram) ** 2)),
     )
 
 
@@ -239,7 +291,8 @@ def discrimination_error(alpha: float, theta: float, trials: int, seed: int
 class BackactionReport:
     """Number-phase uncertainty budget of the coherent probe.
 
-    number_variance is <n^2> - <n>^2 measured on the truncated state.
+    number_variance is <n^2> - <n>^2 measured on the truncated state,
+    summed as sum_n p_n (n - <n>)^2 so that no large terms cancel.
     phase_variance is the linearized probe phase spread
     Var(X_perp) / |<a>|^2 measured at the quadrature orthogonal to the
     mean amplitude; it equals the phase variance the measurement imposes
@@ -268,20 +321,18 @@ def backaction_product(alpha_p: complex, cutoff: int | None = None) -> Backactio
     if cutoff is None:
         cutoff = default_cutoff(alpha_p)
     state = coherent_state(cutoff, alpha_p)
-    space = state.space
-    n_op = number_op(space, 0)
-    n_mat = n_op.matrix
     psi = state.amplitudes
-    mean_n = float(np.vdot(psi, n_mat @ psi).real)
-    mean_n2 = float(np.vdot(psi, n_mat @ (n_mat @ psi)).real)
-    number_variance = mean_n2 - mean_n ** 2
+    n = _occupations(state.space, 0)
+    pop = np.abs(psi) ** 2
+    mean_n = float(pop @ n)
+    number_variance = float(pop @ (n - mean_n) ** 2)
 
-    mean_a = complex(np.vdot(psi, annihilation_op(space, 0).matrix @ psi))
+    mean_a = _mean_a(psi[None, :])
     perp = homodyne_estimate(state, cmath.phase(mean_a) + math.pi / 2)
     phase_variance = perp.quadrature_variance / abs(mean_a) ** 2
 
     phi = 0.1 / math.sqrt(max(number_variance, 1e-30))
-    kicked = np.exp(1j * phi * np.diag(n_mat).real) * psi
+    kicked = np.exp(1j * phi * n) * psi
     coherence = abs(np.vdot(psi, kicked))
     nv_dephasing = -2.0 * math.log(coherence) / phi ** 2
 
@@ -330,12 +381,10 @@ def polarization_dephasing(qubit: PolarizationQubit, alpha_p: complex, chi: floa
     """
     if cutoff_p is None:
         cutoff_p = default_cutoff(alpha_p)
-    space = make_space(1, [2, 2, cutoff_p])
+    space, energies = _ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
     probe = coherent_state(cutoff_p, alpha_p)
     psi0 = StateVector(space, np.kron(_qubit_pair_vector(qubit), probe.amplitudes))
-
-    build = sensitive_qnd_hamiltonian if sensitive else ppqnd_hamiltonian
-    psi_t = evolve(build(chi, 2, 2, cutoff_p), psi0, t)
+    psi_t = _evolve_diagonal(energies, psi0, t)
 
     reduced = partial_trace(psi_t, keep=[0, 1])
     qubit_state = StateVector(reduced.space, _qubit_pair_vector(qubit))
@@ -433,8 +482,7 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
         measured = cmath.phase(amp)
         input_overlap = abs(amp) ** 2
     else:
-        by_photon = psi_t.amplitudes.reshape(-1, cp)  # <a_p> = sum sqrt(n) psi*_{n-1} psi_n
-        mean_a = complex(np.vdot(by_photon[:, :-1], np.sqrt(np.arange(1, cp)) * by_photon[:, 1:]))
+        mean_a = _mean_a(psi_t.amplitudes.reshape(-1, cp))
         measured = _wrap_angle(cmath.phase(mean_a) - cmath.phase(alpha_p))
         input_overlap = abs(psi_t.overlap(psi0)) ** 2
 

@@ -348,17 +348,34 @@ def chi_from_params(params: SchemeParams) -> float:
     return -(params.xi_s ** 2) * (params.xi_p ** 2) / (params.delta_probe * params.omega_d ** 2)
 
 
-def _cross_kerr(space: HilbertSpace, chi: float, signal_modes: tuple[int, ...],
-                probe_mode: int) -> Operator:
-    """Diagonal chi * (sum of the signal photon numbers) * n_probe."""
+def _cross_kerr_energies(space: HilbertSpace, chi: float, signal_modes: tuple[int, ...],
+                         probe_mode: int) -> np.ndarray:
+    """Diagonal of chi * (sum of the signal photon numbers) * n_probe, as a vector."""
     n_signal = sum(_occupations(space, m) for m in signal_modes)
-    diag = chi * (n_signal * _occupations(space, probe_mode))
-    return Operator(space, np.diag(diag.astype(complex)))
+    return chi * (n_signal * _occupations(space, probe_mode))
+
+
+def _qnd_energies(chi: float, cutoff_s: int, cutoff_p: int) -> tuple[HilbertSpace, np.ndarray]:
+    """Space and diagonal of qnd_hamiltonian, modes [s, p]."""
+    space = make_space(1, [cutoff_s, cutoff_p])
+    return space, _cross_kerr_energies(space, chi, (0,), 1)
+
+
+def _ppqnd_energies(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int,
+                    sensitive: bool = False) -> tuple[HilbertSpace, np.ndarray]:
+    """Space and diagonal of ppqnd_hamiltonian, or of sensitive_qnd_hamiltonian
+    when sensitive; modes [s_L, s_R, p]."""
+    space = make_space(1, [cutoff_sl, cutoff_sr, cutoff_p])
+    return space, _cross_kerr_energies(space, chi, (0,) if sensitive else (0, 1), 2)
+
+
+def _diagonal_operator(space: HilbertSpace, energies: np.ndarray) -> Operator:
+    return Operator(space, np.diag(energies.astype(complex)))
 
 
 def qnd_hamiltonian(chi: float, cutoff_s: int, cutoff_p: int) -> Operator:
     """Diagonal cross-Kerr QND Hamiltonian chi * n_s * n_p, modes [s, p]."""
-    return _cross_kerr(make_space(1, [cutoff_s, cutoff_p]), chi, (0,), 1)
+    return _diagonal_operator(*_qnd_energies(chi, cutoff_s, cutoff_p))
 
 
 def ppqnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int) -> Operator:
@@ -368,7 +385,7 @@ def ppqnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int)
     and with n_p; a single photon in any polarization state is an
     eigenstate of n_sL + n_sR with eigenvalue 1.
     """
-    return _cross_kerr(make_space(1, [cutoff_sl, cutoff_sr, cutoff_p]), chi, (0, 1), 2)
+    return _diagonal_operator(*_ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p))
 
 
 def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
@@ -379,7 +396,8 @@ def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
     breaks the L/R symmetry that ppqnd_hamiltonian keeps; it serves as the
     control that shows the invariance and dephasing checks can fail.
     """
-    return _cross_kerr(make_space(1, [cutoff_sl, cutoff_sr, cutoff_p]), chi, (0,), 2)
+    return _diagonal_operator(*_ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p,
+                                               sensitive=True))
 
 
 def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ppqnd.cli import COMMANDS, ConfigError, ExperimentConfig, main
+from ppqnd.cli import COMMANDS, ConfigError, ExperimentConfig, _build_parser, main
 from ppqnd.secular import estimate_eigenvalues
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +174,17 @@ class TestGoldenRecords:
         assert code == 0
         assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
+    def test_parser_is_reused_and_flags_do_not_carry_over(self, capsys, monkeypatch):
+        # main builds the parser once per process; a --sensitive run must not
+        # leave the flag set for the next call
+        monkeypatch.delenv("PPQND_TOL", raising=False)
+        for argv, name in ((["preserve", "--sensitive"], "preserve-sensitive"),
+                           (["preserve"], "preserve")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+        assert _build_parser() is _build_parser()
+
     def test_module_runs_as_script(self):
         env = {k: v for k, v in os.environ.items() if k != "PPQND_TOL"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -181,6 +192,17 @@ class TestGoldenRecords:
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "backaction.json").read_bytes()
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing the CLI must not pay for it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ppqnd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:

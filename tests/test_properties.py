@@ -3,17 +3,22 @@
 Each fast path is checked against the generic dense route it replaces:
 elementwise evolution of a diagonal H against its eigendecomposition,
 the amplitude partial trace against the density-matrix one, the
-pair-space polarization lift against the full-space exp(-i G), and the
-vectorized number operator against an index loop.  The five-level PP
-Hamiltonian gets its symmetries (two conserved excitation numbers, the
-L/R mirror), its sector split against the dense matrix, and its
-quasidark eigenvalues against an mpmath oracle.  The batched secular
+closed-form 2x2 log against scipy's logm, the sector-blocked
+polarization lift against the pair-space and full-space exp(-i G), the
+blockwise invariance check against the dense triple product U H U^+,
+the ladder-sum homodyne readouts and the amplitude-matrix purity and
+fidelity of evolve_qnd against dense operators on the reduced density
+matrix, and the vectorized number operator against an index loop.  The
+five-level PP Hamiltonian gets its symmetries (two conserved excitation
+numbers, the L/R mirror), its sector split against the dense matrix, and
+its quasidark eigenvalues against an mpmath oracle.  The batched secular
 root-finder is checked against its own single-row calls, against a
 50-digit mpmath oracle next to a fixed 60-step Aberth loop, and
 the stacked characteristic polynomial against np.poly per matrix.
 Examples are derandomized so the suite stays deterministic.
 """
 
+import cmath
 import itertools
 import math
 from unittest import mock
@@ -25,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppqnd import (
+    DensityMatrix,
     Operator,
     PolUnitary,
     SchemeParams,
@@ -32,7 +38,13 @@ from ppqnd import (
     annihilation_op,
     atom_transition_op,
     build_pp_hamiltonian,
+    check_invariance,
+    coherent_state,
+    default_cutoff,
     evolve,
+    evolve_qnd,
+    fidelity,
+    homodyne_estimate,
     lift_unitary,
     make_space,
     number_op,
@@ -43,6 +55,7 @@ from ppqnd import (
 )
 from ppqnd import secular
 from ppqnd.fock import _jacobi_eigh_longdouble
+from ppqnd.polarization import _principal_generator
 from ppqnd.schemes import _pp_sectors, build_pp_block_matrix
 from ppqnd.secular import SecularCoefficients, _char_poly_stack, _poly_rows, _quintic_roots_stack
 
@@ -144,6 +157,169 @@ def test_lift_is_unitary_and_conserves_pair_number(case, seed):
     assert np.max(np.abs(lift.conj().T @ lift - np.eye(space.total_dim))) < 1e-12
     n_pair = number_op(space, modes[0]).matrix + number_op(space, modes[1]).matrix
     assert np.max(np.abs(lift @ n_pair - n_pair @ lift)) < 1e-12
+
+
+def pair_space_lift(u, space, modes):
+    """The lift the sector route replaced: exp(-i G) on the cutoff^2-dim pair
+    space, generator from logm, embedded by contraction with a D x D identity."""
+    i, j = modes
+    h = 1j * scipy.linalg.logm(u.matrix)
+    h = 0.5 * (h + h.conj().T)
+    cut = space.mode_cutoffs[i]
+    pair = make_space(1, [cut, cut])
+    ops = [annihilation_op(pair, 0).matrix, annihilation_op(pair, 1).matrix]
+    g = np.zeros((pair.total_dim, pair.total_dim), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            g += h[a, b] * (ops[a].conj().T @ ops[b])
+    w, v = np.linalg.eigh(g)
+    u_pair = ((v * np.exp(-1j * w)) @ v.conj().T).reshape(cut, cut, cut, cut)
+    dim = space.total_dim
+    columns = np.eye(dim, dtype=complex).reshape(space.dims + (dim,))
+    u_full = np.tensordot(u_pair, columns, axes=([2, 3], [i + 1, j + 1]))
+    return np.moveaxis(u_full, (0, 1), (i + 1, j + 1)).reshape(dim, dim)
+
+
+@PROPERTY
+@given(lift_cases(), seeds)
+def test_sector_lift_matches_pair_space_lift(case, seed):
+    space, modes = case
+    u = haar_unitary(np.random.default_rng(seed))
+    ours = lift_unitary(u, space, modes).matrix
+    assert np.max(np.abs(ours - pair_space_lift(u, space, modes))) < 1e-12
+
+
+@st.composite
+def unitaries(draw):
+    """(kind, u): Haar, an eigenvalue of exactly -1 in a Haar basis, or e^{i phi} I."""
+    kind = draw(st.sampled_from(["haar", "minus_one", "scalar"]))
+    rng = np.random.default_rng(draw(seeds))
+    if kind == "scalar":
+        phi = draw(st.sampled_from([0.0, math.pi, -math.pi / 2])) if draw(st.booleans()) \
+            else draw(st.floats(-math.pi, math.pi))
+        return kind, np.exp(1j * phi) * np.eye(2)
+    v = haar_unitary(rng).matrix
+    if kind == "haar":
+        return kind, v
+    other = np.exp(1j * draw(st.floats(-3.0, 3.0)))
+    return kind, (v * np.array([-1.0, other])) @ v.conj().T
+
+
+@PROPERTY
+@given(unitaries())
+def test_closed_form_log_matches_logm(case):
+    kind, u = case
+    ours = _principal_generator(u)
+    assert np.array_equal(ours, ours.conj().T)
+    assert np.max(np.abs(scipy.linalg.expm(-1j * ours) - u)) < 1e-13
+    oracle = 1j * scipy.linalg.logm(u)
+    oracle = 0.5 * (oracle + oracle.conj().T)
+    if kind != "minus_one":
+        assert np.max(np.abs(ours - oracle)) < 1e-13
+        return
+    # logm puts the -1 eigenvalue on either side of the cut, as rounding
+    # falls; the principal branch takes its argument as +pi, so h = -pi there
+    w, v = np.linalg.eigh(ours)
+    assert abs(w[0] + math.pi) < 1e-13
+    minus = np.outer(v[:, 0], v[:, 0].conj())
+    assert min(np.max(np.abs(ours - oracle - 2 * math.pi * k * minus)) for k in (-1, 0, 1)) < 1e-12
+
+
+@PROPERTY
+@given(lift_cases(), seeds, st.sampled_from(["invariant", "diagonal", "dense"]))
+def test_blockwise_invariance_matches_dense_triple_product(case, seed, kind):
+    space, modes = case
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(rng)
+    if kind == "invariant":  # a function of n_i + n_j and of the other factors
+        grid = np.indices(space.dims).reshape(len(space.dims), -1)
+        pair_total = grid[modes[0] + 1] + grid[modes[1] + 1]
+        others = [k for k in range(len(space.dims)) if k not in (modes[0] + 1, modes[1] + 1)]
+        key = np.ravel_multi_index([pair_total] + [grid[k] for k in others],
+                                   [2 * space.mode_cutoffs[modes[0]]] + [space.dims[k] for k in others])
+        m = np.diag(rng.uniform(-1.0, 1.0, key.max() + 1)[key]).astype(complex)
+    elif kind == "diagonal":
+        m = np.diag(rng.uniform(-1.0, 1.0, space.total_dim)).astype(complex)
+    else:
+        m = rng.standard_normal((space.total_dim,) * 2) + 1j * rng.standard_normal((space.total_dim,) * 2)
+        m = m + m.conj().T
+    lift = pair_space_lift(u, space, modes)
+    oracle = np.max(np.abs(lift @ m @ lift.conj().T - m))
+    ours = check_invariance(Operator(space, m), u, modes)
+    assert abs(ours - oracle) < 1e-12
+    if kind == "invariant":
+        assert ours < 1e-12
+
+
+def dense_readout(rho, lo_phase):
+    """(<a>, <X>, Var X) from dense truncated operators on a density matrix."""
+    a = np.diag(np.sqrt(np.arange(1, len(rho))), 1).astype(complex)
+    x = 0.5 * (a * np.exp(-1j * lo_phase) + a.conj().T * np.exp(1j * lo_phase))
+    mean_x = np.trace(rho @ x).real
+    return complex(np.trace(rho @ a)), mean_x, np.trace(rho @ x @ x).real - mean_x ** 2
+
+
+@st.composite
+def probe_amplitudes(draw):
+    """(rows, cutoff) amplitudes of a pure state, the probe photon number last.
+
+    coherent: one row of a truncated coherent state; spread: random
+    amplitudes over the whole range; edge: weight on the top levels c-3 .. c-1,
+    where the truncated a a^+ = diag(1, ..., c-1, 0) differs from a^+ a + 1.
+    """
+    cutoff = draw(st.integers(30, 300))
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["coherent", "spread", "edge"]))
+    if kind == "coherent":
+        alpha = draw(st.floats(0.0, math.sqrt(cutoff + 6.0) - 4.0)) \
+            * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        return coherent_state(cutoff, alpha).amplitudes[None, :]
+    rows = draw(st.integers(1, 3))
+    m = rng.standard_normal((rows, cutoff)) + 1j * rng.standard_normal((rows, cutoff))
+    if kind == "edge":
+        m[:, 4:-3] = 0.0
+    return m / np.linalg.norm(m)
+
+
+def readout_bound(rho):
+    """Rounding scale of the dense route: eps-level relative to <a^+ a> + 1."""
+    return 1e-14 * (1.0 + float(np.diagonal(rho).real @ np.arange(len(rho))))
+
+
+@PROPERTY
+@given(probe_amplitudes(), st.floats(-math.pi, math.pi))
+def test_ladder_readouts_match_dense_operators(m, lo_phase):
+    space = make_space(1, [m.shape[1]])
+    rho = partial_trace(StateVector(make_space(1, m.shape), m.ravel()), keep=[1]).matrix
+    mean_a, mean_x, variance = dense_readout(rho, lo_phase)
+    tol = readout_bound(rho)
+    states = [DensityMatrix(space, rho)]
+    if m.shape[0] == 1:
+        states.append(StateVector(space, m[0]))
+    for state in states:
+        ours = homodyne_estimate(state, lo_phase)
+        assert abs(ours.quadrature_mean - mean_x) < tol
+        assert abs(ours.quadrature_variance - variance) < tol
+        if ours.phase_shift is not None:
+            assert abs(cmath.phase(mean_a) - ours.phase_shift) < 1e-12 or abs(mean_a) < 1e-6
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.integers(0, 3), st.floats(0.5, 10.0), st.floats(-math.pi, math.pi),
+       st.floats(-0.5, 0.5), st.floats(0.0, 20.0), st.integers(0, 60), st.floats(-math.pi, math.pi))
+def test_evolve_qnd_matches_reduced_density_matrix(n_s, mag, arg, chi, t, extra, lo_phase):
+    alpha = mag * cmath.exp(1j * arg)
+    cutoff = default_cutoff(alpha) + extra
+    res = evolve_qnd(n_s, alpha, chi, t, cutoff_p=cutoff, lo_phase=lo_phase)
+    rho_p = partial_trace(res.state.to_density_matrix(), keep=[1])
+    _, mean_x, variance = dense_readout(rho_p.matrix, lo_phase)
+    tol = readout_bound(rho_p.matrix)
+    assert abs(res.readout.quadrature_mean - mean_x) < tol
+    assert abs(res.readout.quadrature_variance - variance) < tol
+    assert abs(res.probe_purity - rho_p.purity()) < 1e-13
+    for beta, ours in ((alpha * cmath.exp(-1j * chi * n_s * t), res.probe_fidelity),
+                       (alpha * cmath.exp(1j * chi * n_s * t), res.probe_fidelity_flipped)):
+        assert abs(ours - fidelity(coherent_state(cutoff, beta), rho_p)) < 1e-13
 
 
 @PROPERTY
