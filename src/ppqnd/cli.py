@@ -45,15 +45,11 @@ from .qnd import (
     full_vs_effective,
     polarization_dephasing,
 )
-from .schemes import (
-    SchemeParams,
-    build_pp_block_matrix,
-    ppqnd_hamiltonian,
-    sensitive_qnd_hamiltonian,
-)
+from .schemes import SchemeParams, _pp_block_stack, ppqnd_hamiltonian, sensitive_qnd_hamiltonian
 from .secular import (
     _char_poly_stack,
-    char_poly_coefficients,
+    _coefficient_stack,
+    _point_arrays,
     estimate_eigenvalues,
     secular_coefficients,
 )
@@ -205,13 +201,16 @@ def _record(command: str, config: ExperimentConfig, results: dict, rows: list) -
     }
 
 
-def _draw_hierarchy_params(rng: np.random.Generator) -> SchemeParams:
-    omega = rng.uniform(10.0, 100.0)
-    xi_p = omega / rng.uniform(10.0, 100.0)
-    xi_s = xi_p / rng.uniform(10.0, 100.0)
-    delta = omega * rng.uniform(10.0, 1000.0)
-    big = omega * rng.uniform(10.0, 1000.0)
-    return SchemeParams(big, delta, omega, xi_s, xi_p)
+def _draw_hierarchy_params(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 5) parameter rows in SchemeParams field order with
+    Delta, delta in Omega_d * U(10, 1000), Omega_d in U(10, 100) and
+    Omega_d / xi_p, xi_p / xi_s in U(10, 100)."""
+    u = rng.uniform([10.0, 10.0, 10.0, 10.0, 10.0], [100.0, 100.0, 100.0, 1000.0, 1000.0],
+                    size=(count, 5))
+    omega = u[:, 0]
+    xi_p = omega / u[:, 1]
+    xi_s = xi_p / u[:, 2]
+    return np.stack([omega * u[:, 4], omega * u[:, 3], omega, xi_s, xi_p], axis=1)
 
 
 # A runner takes the effective config, the command's tolerance and its extra
@@ -226,25 +225,27 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
     names = ("a", "b", "c", "d", "e")
     rows = [("coefficient", "closed_form", "char_poly", "rel_err")]
     point_ok = True
-    closed = secular_coefficients(params, config.n_sl, config.n_sr, config.n_p)
-    if config.n_sl >= 1 and config.n_sr >= 1:
-        oracle = char_poly_coefficients(
-            build_pp_block_matrix(params, config.n_sl, config.n_sr, config.n_p).matrix)
-        for name, x, y in zip(names, closed.as_tuple(), oracle.as_tuple()):
+    point = (params, config.n_sl, config.n_sr, config.n_p)
+    closed = secular_coefficients(*point)
+    # elsewhere e = 0 and the oracle's e is rounding noise: no point check
+    if config.n_sl + config.n_sr >= 1 and config.n_p >= 1:
+        oracle = _char_poly_stack(_pp_block_stack(*_point_arrays([point])))
+        for name, x, y in zip(names, closed.as_tuple(), oracle[0].tolist()):
             rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
             point_ok &= rel <= tol
             rows.append((name, repr(x), repr(y), repr(rel)))
 
-    draws = [(_draw_hierarchy_params(rng), *(int(n) for n in rng.integers(1, 5, size=3)))
-             for _ in range(config.draws)]
+    draws = _draw_hierarchy_params(rng, config.draws)
+    occupations = rng.integers(1, 5, size=(config.draws, 3))
+    draw_n_s, draw_n_p = occupations[:, 0] + occupations[:, 1], occupations[:, 2]
     max_rel = 0.0
-    if draws:
-        cf = np.array([secular_coefficients(*draw).as_tuple() for draw in draws])
-        oc = _char_poly_stack(np.array([build_pp_block_matrix(*draw).matrix for draw in draws]))
+    if config.draws:
+        cf = _coefficient_stack(draws, draw_n_s, draw_n_p)
+        oc = _char_poly_stack(_pp_block_stack(draws, draw_n_s, draw_n_p))
         rel = np.abs(cf - oc) / np.maximum(np.maximum(np.abs(cf), np.abs(oc)), 1e-300)
         max_rel = float(rel.max())
 
-    est = estimate_eigenvalues(params, config.n_sl, config.n_sr, config.n_p)
+    est = estimate_eigenvalues(*point)
     results = {
         "coefficients_closed_form": dict(zip(names, closed.as_tuple())),
         "max_rel_err_over_draws": max_rel,

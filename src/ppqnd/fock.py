@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -261,13 +262,34 @@ def default_cutoff(alpha: complex) -> int:
     return int(math.ceil(a * a + 8 * a + 10))
 
 
+_LOG_TINY = -700.0  # e^-700 ~ 1e-304, inside the normal double range
+
+
 def _coherent_amplitudes(cutoff: int, alpha: complex) -> np.ndarray:
-    """Unnormalized truncated coefficients alpha^n e^{-|a|^2/2} / sqrt(n!)."""
-    c = np.empty(cutoff, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return c
+    """Unnormalized truncated coefficients alpha^n e^{-|a|^2/2} / sqrt(n!).
+
+    The recurrence c_n = c_{n-1} alpha / sqrt(n) runs as one cumulative
+    product from c_0 = e^{-|a|^2/2}.  For |a| > ~37 that prefactor
+    underflows, so the product starts instead at the first n whose
+    log|c_n| is at least _LOG_TINY, and the coefficients below it, all
+    smaller than e^_LOG_TINY, are 0.  Every partial product is a
+    coefficient, so nothing overflows.
+    """
+    r = abs(alpha)
+    f = np.empty(cutoff, dtype=complex)
+    root = np.sqrt(np.arange(1.0, cutoff))
+    f.real[1:] = alpha.real / root  # componentwise: one rounding per part
+    f.imag[1:] = alpha.imag / root
+    log_c = -0.5 * r * r
+    start = 0
+    if log_c < _LOG_TINY:
+        logs = log_c + np.concatenate([[0.0], np.cumsum(np.log(np.abs(f[1:])))])
+        start = int(np.argmax(logs >= _LOG_TINY))  # 0 if none is: then every c_n is 0
+        log_c = float(logs[start])
+    f[start] = math.exp(log_c) * cmath.exp(1j * start * cmath.phase(alpha))
+    f[:start] = 0.0
+    f[start:] = np.cumprod(f[start:])
+    return f
 
 
 def coherent_truncation_loss(cutoff: int, alpha: complex) -> float:
@@ -291,8 +313,10 @@ def coherent_state(cutoff: int, alpha: complex) -> StateVector:
             f"coherent state truncation loss {loss:.3e} at cutoff {cutoff} for |alpha|={abs(alpha):g}",
             stacklevel=2,
         )
-    c = c / np.linalg.norm(c)
-    return StateVector(make_space(1, [cutoff]), c)
+    norm = np.linalg.norm(c)
+    if norm == 0:
+        raise ValueError(f"cutoff {cutoff} holds none of the weight of |alpha|={abs(alpha):g}")
+    return StateVector(make_space(1, [cutoff]), c / norm)
 
 
 def basis_state(space: HilbertSpace, atom_level: int, occupations: Sequence[int]) -> StateVector:

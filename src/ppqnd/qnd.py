@@ -34,7 +34,7 @@ from .fock import (
 )
 from .polarization import PolarizationQubit
 from .schemes import SchemeParams, _pp_sectors, _ppqnd_energies, _qnd_energies, chi_from_params
-from .secular import quintic_roots, secular_coefficients
+from .secular import estimate_eigenvalues
 
 __all__ = [
     "EVOLUTION_SIGN",
@@ -401,10 +401,10 @@ class FullVsEffectiveResult:
     For a Fock probe it is arg<psi(0)|psi(t)>; for a coherent probe the
     rotation of arg<a_p>.
 
-    predicted_phase_secular uses the smallest-|.| root of the closed-form
-    quintic, the scheme's own perturbed-dark-state eigenvalue; this is the
-    prediction the full model tracks.  predicted_phase_kerr uses the
-    N-scheme coefficient chi = -xi_s^2 xi_p^2 / (Delta Omega_d^2) times
+    predicted_phase_secular uses the smallest-|.| root of the secular
+    quintic as estimate_eigenvalues gives it, the scheme's own
+    perturbed-dark-state eigenvalue; this is the prediction the full model
+    tracks.  predicted_phase_kerr uses the N-scheme coefficient chi = -xi_s^2 xi_p^2 / (Delta Omega_d^2) times
     (n_sL + n_sR) n_p; the five-level scheme accumulates half of it
     because both drive legs stiffen the dark state, and the record keeps
     both numbers so that gap stays visible.
@@ -486,8 +486,7 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
         measured = _wrap_angle(cmath.phase(mean_a) - cmath.phase(alpha_p))
         input_overlap = abs(psi_t.overlap(psi0)) ** 2
 
-    coeffs = secular_coefficients(params, 1, 0, n_p_eff)
-    roots = quintic_roots(coeffs)
+    roots = np.asarray(estimate_eigenvalues(params, 1, 0, n_p_eff).exact_roots)
     lam = float(roots[np.argmin(np.abs(roots))])
     predicted_secular = -lam * t
     predicted_kerr = -chi_from_params(params) * 1 * n_p_eff * t

@@ -295,6 +295,31 @@ class PPBlockMatrix:
         object.__setattr__(self, "matrix", m)
 
 
+def _pp_block_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.ndarray:
+    """(B, 5, 5) symmetric blocks on {|1>, |2>, |2'>, |3>, |4>}, one per row.
+
+    params is (B, 5) in SchemeParams field order (Delta, delta, Omega_d,
+    xi_s, xi_p); n_s = n_sL + n_sR and n_p are (B,) occupations.  Both
+    signal legs carry xi_s sqrt(n_s / 2) and the probe leg xi_p sqrt(n_p).
+    The characteristic polynomial of each block is the closed-form quintic
+    at every occupation, n_sL n_sR = 0 included, since both depend on n_s
+    only.  The antisymmetric (|2> - |2'>)/sqrt(2) is always an eigenvector
+    with eigenvalue delta; at n_s = 0 or n_p = 0 the block is singular, as
+    the closed form is through e = 0.
+    """
+    big_delta, delta, omega, xi_s, xi_p = np.asarray(params, dtype=float).T
+    if np.any(omega < 0) or np.any(xi_s < 0) or np.any(xi_p < 0):
+        raise ValueError("omega_d, xi_s and xi_p must be nonnegative")
+    x = xi_s * np.sqrt(np.asarray(n_s) / 2.0)
+    q = xi_p * np.sqrt(np.asarray(n_p, dtype=float))
+    m = np.zeros((len(big_delta), 5, 5))
+    for (i, j), value in (((0, 1), x), ((0, 2), x), ((1, 3), omega), ((2, 3), omega), ((3, 4), q)):
+        m[:, i, j] = m[:, j, i] = value
+    m[:, 1, 1] = m[:, 2, 2] = delta
+    m[:, 4, 4] = big_delta
+    return m
+
+
 def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) -> PPBlockMatrix:
     """Block model whose characteristic polynomial is the scheme's quintic.
 
@@ -308,7 +333,11 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
     Omega_d^2 xi_s^2 (sqrt(n_sL) - sqrt(n_sR))^2 cross terms in the two
     lowest coefficients.  For n_sL = n_sR both choices coincide, and the
     route-resolved physics lives in build_pp_hamiltonian either way (see
-    compare_block_to_full).
+    compare_block_to_full).  With one circular occupation zero the block
+    is the single-route 4x4 chain (`reduced`), which has one drive leg:
+    its characteristic polynomial is not the quintic (its dark root is the
+    N-scheme shift, about twice the quintic's).  The secular analysis
+    uses the 5x5 of _pp_block_stack at every occupation instead.
     """
     if n_sl < 0 or n_sr < 0 or n_sl + n_sr < 1:
         raise ValueError("need n_sL + n_sR >= 1 (a signal photon to detect)")
@@ -317,10 +346,10 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
     delta, big_delta = params.delta_two, params.delta_probe
     omega, xi_s, xi_p = params.omega_d, params.xi_s, params.xi_p
     n_s = n_sl + n_sr
-    q = xi_p * math.sqrt(n_p)
 
     if n_sl == 0 or n_sr == 0:
         x = xi_s * math.sqrt(n_s)
+        q = xi_p * math.sqrt(n_p)
         m = np.array([
             [0.0, x, 0.0, 0.0],
             [x, delta, omega, 0.0],
@@ -330,14 +359,8 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
         kept = "2" if n_sr == 0 else "2'"
         return PPBlockMatrix(m, ("1", kept, "3", "4"), reduced=True)
 
-    x = xi_s * math.sqrt(n_s / 2.0)
-    m = np.array([
-        [0.0, x, x, 0.0, 0.0],
-        [x, delta, 0.0, omega, 0.0],
-        [x, 0.0, delta, omega, 0.0],
-        [0.0, omega, omega, 0.0, q],
-        [0.0, 0.0, 0.0, q, big_delta],
-    ])
+    row = [[big_delta, delta, omega, xi_s, xi_p]]
+    m = _pp_block_stack(np.array(row), np.array([n_s]), np.array([n_p]))[0]
     return PPBlockMatrix(m, ("1", "2", "2'", "3", "4"), reduced=False)
 
 

@@ -7,8 +7,7 @@ The block model's eigenvalues solve
 with closed-form coefficients a..e in the detunings, couplings, and
 occupation numbers (through n_s = n_sL + n_sR only).  This module supplies
 the closed forms, an independent characteristic-polynomial oracle built
-from exact eigenvalues, companion-matrix root extraction, and the two
-perturbative eigenvalue estimates
+from exact eigenvalues, and the two perturbative eigenvalue estimates
 
     lambda_s ~= -e/d      (perturbed-dark-state root, deep hierarchy)
     lambda_l ~= a          (trace-dominating root; meaningful only when
@@ -16,6 +15,17 @@ perturbative eigenvalue estimates
                             delta << Delta)
 
 plus a regime scan comparing both against the exact roots.
+
+The exact roots are the eigenvalues of the symmetric 5x5 block whose
+characteristic polynomial the quintic is, not roots of the rounded
+coefficients: at delta = Delta two roots cluster within 1e-14 of their
+size and no polish of the coefficients can separate them.  One eigvalsh
+of a (B, 5, 5) stack gives every root to eps ||H||; a root small against
+||H|| (the dark root, the light-shifted root near -2 Omega_d^2 / delta)
+is then Newton-polished on the closed-form quintic, where it is well
+conditioned.  estimate_eigenvalues and regime_scan run one stack for all
+of their points.  quintic_roots is a coefficient-level utility for
+coefficients without a block.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .schemes import SchemeParams
+from .schemes import SchemeParams, _pp_block_stack
 
 __all__ = [
     "SecularCoefficients",
@@ -47,6 +57,7 @@ __all__ = [
 ]
 
 _REL_FLOOR = 1e-300  # guards relative errors when the exact root is 0
+_NEWTON_STEPS = 3  # from a start within the eps-scale error bound, enough to converge
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,34 @@ class SecularCoefficients:
         return (self.a, self.b, self.c, self.d, self.e)
 
 
+def _coefficient_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.ndarray:
+    """(B, 5) closed-form coefficients a..e; params is (B, 5) in SchemeParams
+    field order, n_s = n_sL + n_sR and n_p are (B,)."""
+    big, delta, omega, xi_s, xi_p = np.asarray(params, dtype=float).T
+    om2 = omega ** 2
+    s = xi_s ** 2 * n_s
+    p = xi_p ** 2 * n_p
+    a = 2 * delta + big
+    b = -delta ** 2 - 2 * delta * big + s + 2 * om2 + p
+    c = -(delta + big) * s + delta ** 2 * big - 2 * (delta + big) * om2 - 2 * delta * p
+    d = delta * big * (s + 2 * om2) - s * p + delta ** 2 * p
+    e = delta * s * p
+    return np.stack([a, b, c, d, e], axis=1)
+
+
+def _point_arrays(points: Sequence[tuple[SchemeParams, int, int, int]]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, 5) parameter rows, n_s and n_p of (params, n_sL, n_sR, n_p) points."""
+    for _, n_sl, n_sr, n_p in points:
+        if n_sl < 0 or n_sr < 0 or n_p < 0:
+            raise ValueError("photon numbers must be >= 0")
+    rows = np.array([(p.delta_probe, p.delta_two, p.omega_d, p.xi_s, p.xi_p)
+                     for p, *_ in points], dtype=float)
+    n_s = np.array([n_sl + n_sr for _, n_sl, n_sr, _ in points])
+    n_p = np.array([n_p for *_, n_p in points])
+    return rows, n_s, n_p
+
+
 def secular_coefficients(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                          ) -> SecularCoefficients:
     """Closed-form quintic coefficients.
@@ -72,18 +111,8 @@ def secular_coefficients(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     single-photon polarization state is an eigenstate of n_sL + n_sR with
     eigenvalue 1, so the same numbers apply.
     """
-    if n_sl < 0 or n_sr < 0 or n_p < 0:
-        raise ValueError("photon numbers must be >= 0")
-    delta, big = params.delta_two, params.delta_probe
-    om2 = params.omega_d ** 2
-    s = params.xi_s ** 2 * (n_sl + n_sr)
-    p = params.xi_p ** 2 * n_p
-    a = 2 * delta + big
-    b = -delta ** 2 - 2 * delta * big + s + 2 * om2 + p
-    c = -(delta + big) * s + delta ** 2 * big - 2 * (delta + big) * om2 - 2 * delta * p
-    d = delta * big * (s + 2 * om2) - s * p + delta ** 2 * p
-    e = delta * s * p
-    return SecularCoefficients(a, b, c, d, e)
+    row = _coefficient_stack(*_point_arrays([(params, n_sl, n_sr, n_p)]))[0]
+    return SecularCoefficients(*row.tolist())
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> SecularCoefficients:
@@ -161,19 +190,47 @@ def lambda_large(coeffs: SecularCoefficients) -> float:
 
 
 def quintic_roots(coeffs: SecularCoefficients, residual_tol: float = 1e-8) -> np.ndarray:
-    """All five roots via companion-matrix eigenvalues, sorted ascending.
+    """All five roots of the quintic from its coefficients alone, sorted ascending.
 
-    Coefficients coming from a Hermitian matrix have five real roots.
-    Clustered roots (e.g. two levels parked at the same detuning) make the
-    companion eigenvalues wander off the real axis by O(eps^(1/3)) of the
-    root magnitude, so small imaginary residue is dropped and the real
-    parts are Aberth-polished as far as rounding in p allows.  Imaginary residue
+    A coefficient-level utility: the library's own secular roots come from
+    the Hermitian block (see estimate_eigenvalues), which resolves the
+    clustered roots that rounded coefficients cannot.  Here the roots are
+    companion-matrix eigenvalues; coefficients coming from a Hermitian
+    matrix have five real roots, and clustered roots (e.g. two levels
+    parked at the same detuning) make the companion eigenvalues wander off
+    the real axis by O(eps^(1/3)) of the root magnitude, so small imaginary
+    residue is dropped.  Every simple root, one whose Newton rounding bound
+    is below half its distance to the other roots, is Newton-polished on
+    the polynomial; a cluster keeps its real parts.  Imaginary residue
     beyond the clustering scale signals genuinely complex roots, i.e.
     coefficients that never came from a Hermitian matrix, and raises; so
     does a final residual |p(root)| above residual_tol * scale with
     scale = max|coefficient| * max(1, |root|)^5.
     """
-    return _quintic_roots_stack(_poly_rows([coeffs]), residual_tol)[0]
+    poly = np.array([-1.0, *coeffs.as_tuple()])
+    z = np.roots(poly)
+    max_imag = float(np.max(np.abs(z.imag)))
+    if max_imag > 1e-3 * max(1.0, float(np.max(np.abs(z)))):
+        raise ValueError(f"complex root residue {max_imag:g}: "
+                         "coefficients not from a Hermitian matrix?")
+    roots = np.sort(z.real)
+    dpoly = np.polyder(poly)
+    gap = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(5, np.inf))
+    bound = 10 * np.finfo(float).eps * np.polyval(np.abs(poly), np.abs(roots))
+    simple = bound < 0.5 * gap.min(axis=1) * np.abs(np.polyval(dpoly, roots))
+    for _ in range(_NEWTON_STEPS):
+        slope = np.polyval(dpoly, roots)
+        roots = roots - np.divide(np.polyval(poly, roots), slope, out=np.zeros(5),
+                                  where=simple & (slope != 0))
+    roots = np.sort(roots)
+    p_val = np.abs(np.polyval(poly, roots))
+    scale = np.max(np.abs(poly)) * np.maximum(1.0, np.abs(roots)) ** 5
+    too_large = np.flatnonzero(p_val > residual_tol * scale)
+    if too_large.size:
+        k = too_large[0]
+        raise ValueError(f"root residual |p({roots[k]:g})| = {p_val[k]:g} "
+                         f"exceeds {residual_tol:g} * scale")
+    return roots
 
 
 def middle_quartic_roots(coeffs: SecularCoefficients) -> np.ndarray:
@@ -191,52 +248,6 @@ def middle_quartic_roots(coeffs: SecularCoefficients) -> np.ndarray:
     return np.sort(np.concatenate([[0.0], cubic.real]))
 
 
-def _poly_rows(coeffs: Sequence[SecularCoefficients]) -> np.ndarray:
-    """(B, 6) rows [-1, a, b, c, d, e], highest power first."""
-    return np.array([(-1.0, *c.as_tuple()) for c in coeffs])
-
-
-def _quintic_roots_stack(polys: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
-    """Sorted real roots, (B, 5), of each (B, 6) row; quintic_roots per row.
-
-    Rows are checked in order and the first failing row raises.
-    """
-    refined = _aberth_refine(polys, _companion_eigvals(polys))
-    magnitude = np.maximum(1.0, np.max(np.abs(refined), axis=1))
-    max_imag = np.max(np.abs(refined.imag), axis=1)
-    roots = np.sort(refined.real, axis=1)
-    p_val = np.abs(_horner(polys, roots))
-    scale = np.max(np.abs(polys), axis=1, keepdims=True) * np.maximum(1.0, np.abs(roots)) ** 5
-    too_complex = max_imag > 1e-3 * magnitude
-    too_large = p_val > residual_tol * scale
-    for i in np.flatnonzero(too_complex | np.any(too_large, axis=1)):
-        if too_complex[i]:
-            raise ValueError(f"complex root residue {max_imag[i]:g}: "
-                             "coefficients not from a Hermitian matrix?")
-        k = np.flatnonzero(too_large[i])[0]
-        raise ValueError(f"root residual |p({roots[i, k]:g})| = {p_val[i, k]:g} "
-                         f"exceeds {residual_tol:g} * scale")
-    return roots
-
-
-def _companion_eigvals(polys: np.ndarray) -> np.ndarray:
-    """Companion-matrix eigenvalues of each row, as np.roots computes them.
-
-    A row whose k trailing coefficients vanish has k exact roots at 0; they
-    are split off and the degree-(5-k) companion matrices of the rows
-    sharing a degree go through one eigvals call.
-    """
-    starts = np.zeros((len(polys), 5), dtype=complex)
-    degree = 5 - np.argmax(polys[:, ::-1] != 0, axis=1)  # the leading -1 is never 0
-    for n in np.unique(degree[degree > 0]):
-        rows = np.flatnonzero(degree == n)
-        companion = np.zeros((len(rows), n, n))
-        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        companion[:, 0, :] = -polys[rows, 1:n + 1] / polys[rows, :1]
-        starts[rows, :n] = np.linalg.eigvals(companion)
-    return starts
-
-
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Polynomials (coefficients on the last axis, highest power first) at z.
 
@@ -249,64 +260,31 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-_STEP_RTOL = 4 * np.finfo(float).eps  # a step this small relative to its root is rounding
-_MAX_ITER = 60
+def _block_roots(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sorted real roots (B, 5) of the (B, 5, 5) blocks' quintics.
 
-
-def _aberth_refine(polys: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous refinement of all roots of each row.
-
-    Companion-matrix eigenvalues resolve clustered roots only to
-    O(eps^(1/3)); the simultaneous iteration's mutual-repulsion term keeps
-    close roots apart while polishing each toward machine accuracy on the
-    polynomial itself (close real pairs arrive as conjugate artifacts
-    whose imaginary parts carry the splitting, so plain Newton on the real
-    parts would merge them).
-
-    Each row stops on its own once every root's step is within a few eps
-    of the root, or once its largest relative step stops shrinking while
-    all its iterates are real: from there on the steps are rounding noise
-    of the polynomial's evaluation.  A conjugate pair still off the axis
-    keeps its row going, up to _MAX_ITER steps, as does a row whose next
-    iterate would not be finite (it keeps its last finite iterate).
+    eigvalsh gives each root to about eps ||H||, and Newton on the
+    closed-form quintic p to about eps sum_k |c_k| |lambda|^k / |p'(lambda)|.
+    A root is refined, by at most _NEWTON_STEPS Newton steps from its
+    eigvalsh value, exactly where the second bound is the smaller: roots
+    small against ||H|| and simple, among them the dark root.  Clustered
+    roots have p' ~ 0 and keep their eigvalsh values.  Where e = 0 the
+    smallest root is exactly 0.
     """
-    n = polys.shape[1] - 1
-    # p and p' evaluated in one Horner pass; p' gets a leading zero
-    # coefficient, which leaves np.polyval's roundings unchanged
-    pair = np.zeros((len(polys), 2, n + 1))
-    pair[:, 0] = polys
-    pair[:, 1, 1:] = polys[:, :-1] * np.arange(n, 0, -1)
-    za = starts.astype(complex)
-    z = np.empty_like(za)
-    rows = np.arange(len(z))  # the rows still iterating, held compactly in za
-    prev_rel = np.full(len(z), np.inf)
-    for _ in range(_MAX_ITER):
-        y = _horner(pair, za[:, None, :])
-        pz, dz = y[:, 0], y[:, 1]
-        newton = np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
-        diff = za[:, :, None] - za[:, None, :]
-        # coincident iterates (and each iterate with itself) exert no repulsion
-        recip = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
-        denom = 1.0 - newton * recip.sum(axis=2)
-        step = np.divide(newton, denom, out=np.zeros_like(denom), where=denom != 0)
-        z_next = za - step
-        finite = np.isfinite(z_next).all(axis=1)
-        if not finite.all():
-            z_next[~finite] = za[~finite]
-
-        rel = np.divide(np.abs(step), np.abs(z_next), out=np.zeros(step.shape),
-                        where=step != 0).max(axis=1)
-        real = ~np.any(z_next.imag, axis=1)
-        done = ~finite | (rel <= _STEP_RTOL) | (real & (rel >= prev_rel))
-        za, prev_rel = z_next, rel
-        if done.any():
-            z[rows[done]] = za[done]
-            keep = ~done
-            rows, za, pair, prev_rel = rows[keep], za[keep], pair[keep], prev_rel[keep]
-            if not len(rows):
-                return z
-    z[rows] = za
-    return z
+    w = np.linalg.eigvalsh(blocks)
+    poly = np.concatenate([np.full((len(w), 1), -1.0), coeffs], axis=1)
+    dpoly = poly[:, :-1] * np.arange(5, 0, -1)
+    norm = np.max(np.abs(w), axis=1, keepdims=True)
+    refine = _horner(np.abs(poly), np.abs(w)) < np.abs(_horner(dpoly, w)) * norm
+    lam = w
+    for _ in range(_NEWTON_STEPS):
+        slope = _horner(dpoly, lam)
+        lam = lam - np.divide(_horner(poly, lam), slope, out=np.zeros_like(lam),
+                              where=refine & (slope != 0))
+    # e = 0 makes 0 an exact root of the closed form (the block is singular)
+    zero = np.flatnonzero(coeffs[:, 4] == 0)
+    lam[zero, np.argmin(np.abs(lam[zero]), axis=1)] = 0.0
+    return np.sort(lam, axis=1)
 
 
 def _rel_err(approx: float, exact: float) -> float:
@@ -347,8 +325,16 @@ def _smallest_by_magnitude(roots: np.ndarray, sign_hint: float) -> float:
 def estimate_eigenvalues(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                          ) -> EigenEstimate:
     """Bundle the lambda_s / lambda_l estimates with exact roots and errors."""
-    coeffs = secular_coefficients(params, n_sl, n_sr, n_p)
-    return _estimate(params, n_sl, n_sr, n_p, coeffs, quintic_roots(coeffs))
+    return _estimates([(params, n_sl, n_sr, n_p)])[0]
+
+
+def _estimates(points: Sequence[tuple[SchemeParams, int, int, int]]) -> list[EigenEstimate]:
+    """estimate_eigenvalues at every point, from one stack of blocks."""
+    rows, n_s, n_p = _point_arrays(points)
+    coeffs = _coefficient_stack(rows, n_s, n_p)
+    roots = _block_roots(_pp_block_stack(rows, n_s, n_p), coeffs)
+    return [_estimate(*point, SecularCoefficients(*c), r)
+            for point, c, r in zip(points, coeffs.tolist(), roots)]
 
 
 def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int,
@@ -386,17 +372,14 @@ class ScanRow:
 def regime_scan(points: Iterable[tuple[SchemeParams, int, int, int]]) -> list[ScanRow]:
     """Evaluate estimate_eigenvalues over a parameter grid.
 
-    Each point is (params, n_sL, n_sR, n_p).  The quintics of all points
-    are solved together in one batched root-find; each row equals
-    estimate_eigenvalues at its point.
+    Each point is (params, n_sL, n_sR, n_p).  The blocks of all points go
+    through one stacked eigvalsh and one batched Newton polish; each row
+    equals estimate_eigenvalues at its point.
     """
     points = list(points)
     if not points:
         raise ValueError("regime_scan needs a nonempty grid")
-    coeffs = [secular_coefficients(*point) for point in points]
-    roots = _quintic_roots_stack(_poly_rows(coeffs))
-    return [ScanRow(p, nl, nr, npp, _estimate(p, nl, nr, npp, c, r))
-            for (p, nl, nr, npp), c, r in zip(points, coeffs, roots)]
+    return [ScanRow(*point, est) for point, est in zip(points, _estimates(points))]
 
 
 @dataclass(frozen=True)

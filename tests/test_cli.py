@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -5,10 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ppqnd.cli import COMMANDS, ConfigError, ExperimentConfig, _build_parser, main
-from ppqnd.secular import estimate_eigenvalues
+from ppqnd import schemes
+from ppqnd.cli import _COMMANDS, COMMANDS, ConfigError, ExperimentConfig, _build_parser, main
+from ppqnd.secular import _point_arrays, estimate_eigenvalues
+
+try:
+    import mpmath
+except ImportError:  # pragma: no cover
+    mpmath = None
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -24,6 +32,25 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_roots_match_mpmath(record):
+    """The record's exact_roots against 50-digit eigenvalues of its block: the
+    dark root within 4e-15, the others within 8e-15, an exact zero exactly."""
+    config = {**_COMMANDS["secular"].defaults, **record["config"]}
+    params = ExperimentConfig.from_dict(config).scheme_params()
+    point = (params, config["n_sl"], config["n_sr"], config["n_p"])
+    block = schemes._pp_block_stack(*_point_arrays([point]))[0]
+    roots = record["results"]["exact_roots"]
+    with mpmath.workdps(50):
+        exact = sorted(mpmath.eigsy(mpmath.matrix(block.tolist()), eigvals_only=True))
+        dark = min(range(5), key=lambda k: abs(exact[k]))
+        norm = max(abs(w) for w in exact)
+        for k, (ours, w) in enumerate(zip(roots, exact)):
+            if abs(w) <= 1e-30 * norm:
+                assert ours == 0.0
+            else:
+                assert abs(mpmath.mpf(ours) - w) <= (4e-15 if k == dark else 8e-15) * abs(w)
 
 
 class TestConfigParsing:
@@ -288,6 +315,53 @@ class TestRecords:
         record = json.loads(out)
         assert code == 0
         assert record["results"]["rel_err_small"] < 1e-3
+
+    @pytest.mark.parametrize("n_sl, n_sr, n_p, checked", [
+        (1, 0, 1, True), (1, 1, 0, False), (0, 0, 1, False)])
+    def test_secular_point_check_at_zero_occupations(self, capsys, tmp_path, n_sl, n_sr, n_p,
+                                                      checked):
+        # the closed form is checked against the block wherever n_s, n_p >= 1;
+        # elsewhere e = 0 and the rows stay header-only
+        path = write_config(tmp_path, "occ.json",
+                            {"n_sl": n_sl, "n_sr": n_sr, "n_p": n_p, "draws": 20})
+        code, out, _ = run(capsys, "secular", "--config", path)
+        record = json.loads(out)
+        assert code == 0
+        rows = record["rows"]
+        assert rows[0] == ["coefficient", "closed_form", "char_poly", "rel_err"]
+        assert len(rows) == (6 if checked else 1)
+        assert all(float(row[3]) <= 1e-9 for row in rows[1:])
+        if mpmath is not None:
+            assert_roots_match_mpmath(record)
+
+    @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+    def test_default_secular_roots_match_mpmath(self, capsys):
+        code, out, _ = run(capsys, "secular")
+        assert code == 0
+        assert_roots_match_mpmath(json.loads(out))
+
+    def test_secular_draws_run_as_arrays(self, capsys, tmp_path, monkeypatch):
+        # no per-draw SchemeParams, PPBlockMatrix or eigvalsh: the counts are
+        # the same for 10 and 1000 draws
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        for cls in (schemes.SchemeParams, schemes.PPBlockMatrix):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        per_run = []
+        for draws in (10, 1000):
+            counts.clear()
+            code, _, _ = run(capsys, "secular", "--config",
+                             write_config(tmp_path, f"d{draws}.json", {"draws": draws}))
+            assert code == 0
+            per_run.append(dict(counts))
+        assert per_run[0] == per_run[1]
+        assert per_run[1] == {"SchemeParams": 1, "eigvalsh": 3}
 
     def test_zero_signal_coupling_secular_row(self, capsys, tmp_path):
         path = write_config(tmp_path, "dark.json", {

@@ -1,7 +1,14 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+try:
+    import mpmath
+except ImportError:  # pragma: no cover
+    mpmath = None
 
 from ppqnd import (
     DensityMatrix,
@@ -13,6 +20,7 @@ from ppqnd import (
     coherent_state,
     coherent_truncation_loss,
     creation_op,
+    default_cutoff,
     evolve,
     fidelity,
     hermitian_eig,
@@ -163,6 +171,55 @@ class TestCoherentStates:
     def test_warns_on_lossy_truncation(self):
         with pytest.warns(UserWarning):
             coherent_state(9, 3.0)
+
+    @pytest.mark.parametrize("alpha", [39.0, 40.0, 50.0, 45j, -40 + 30j])
+    def test_large_amplitudes_build_without_underflow(self, alpha):
+        # e^{-|alpha|^2/2} underflows from |alpha| ~ 39 on; the state must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = coherent_state(default_cutoff(alpha), alpha)
+            loss = coherent_truncation_loss(default_cutoff(alpha), alpha)
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-14
+        assert loss < 1e-9
+        n = np.arange(len(state.amplitudes))
+        pop = np.abs(state.amplitudes) ** 2
+        assert pop @ n == pytest.approx(abs(alpha) ** 2, rel=1e-12)
+
+    def test_cutoff_without_weight_is_refused(self):
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="none of the weight"):
+            coherent_state(5, 50.0)
+
+    @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+    def test_amplitudes_no_farther_from_mpmath_than_the_loop(self):
+        # the reference: the sequential loop the vectorized build replaced
+        def loop(cutoff, alpha):
+            c = np.empty(cutoff, dtype=complex)
+            c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+            for n in range(1, cutoff):
+                c[n] = c[n - 1] * alpha / math.sqrt(n)
+            return c / np.linalg.norm(c)
+
+        def error(c, exact):
+            return max(abs(mpmath.mpc(x.real, x.imag) - e) for x, e in zip(c, exact))
+
+        ours_errors, loop_errors = [], []
+        for mag in (0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 7.3, 10.0):
+            for phase in (0.0, math.pi / 3, -2.1, math.pi):
+                alpha = mag * cmath.exp(1j * phase)
+                cutoff = default_cutoff(alpha)
+                with mpmath.workdps(40):
+                    a = mpmath.mpc(alpha.real, alpha.imag)
+                    exact = [a ** n / mpmath.sqrt(mpmath.factorial(n)) for n in range(cutoff)]
+                    norm = mpmath.sqrt(sum(abs(x) ** 2 for x in exact))
+                    exact = [x / norm for x in exact]
+                    ours = error(coherent_state(cutoff, alpha).amplitudes, exact)
+                    old = error(loop(cutoff, alpha), exact)
+                # per state: no farther than the loop, or within one rounding
+                # of the unit-norm scale (both sit at 1-2 ulp)
+                assert ours <= max(old, np.finfo(float).eps)
+                ours_errors.append(ours)
+                loop_errors.append(old)
+        assert sum(ours_errors) <= sum(loop_errors)
 
 
 class TestTensorState:

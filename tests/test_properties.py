@@ -11,17 +11,19 @@ fidelity of evolve_qnd against dense operators on the reduced density
 matrix, and the vectorized number operator against an index loop.  The
 five-level PP Hamiltonian gets its symmetries (two conserved excitation
 numbers, the L/R mirror), its sector split against the dense matrix, and
-its quasidark eigenvalues against an mpmath oracle.  The batched secular
-root-finder is checked against its own single-row calls, against a
-50-digit mpmath oracle next to a fixed 60-step Aberth loop, and
-the stacked characteristic polynomial against np.poly per matrix.
+its quasidark eigenvalues against an mpmath oracle.  The secular roots
+from the stacked block are checked against 50-digit mpmath eigenvalues
+and regime_scan against estimate_eigenvalues point by point; the
+coefficient-level quintic_roots against the same kind of oracle next to
+a fixed 60-step Aberth loop; the array-drawn secular oracle against a
+per-draw loop; and the stacked characteristic polynomial against np.poly
+per matrix.
 Examples are derandomized so the suite stays deterministic.
 """
 
 import cmath
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,9 +40,11 @@ from ppqnd import (
     annihilation_op,
     atom_transition_op,
     build_pp_hamiltonian,
+    char_poly_coefficients,
     check_invariance,
     coherent_state,
     default_cutoff,
+    estimate_eigenvalues,
     evolve,
     evolve_qnd,
     fidelity,
@@ -51,13 +55,14 @@ from ppqnd import (
     partial_trace,
     pp_mirror_permutation,
     quintic_roots,
+    regime_scan,
     secular_coefficients,
 )
-from ppqnd import secular
+from ppqnd import cli
 from ppqnd.fock import _jacobi_eigh_longdouble
 from ppqnd.polarization import _principal_generator
-from ppqnd.schemes import _pp_sectors, build_pp_block_matrix
-from ppqnd.secular import SecularCoefficients, _char_poly_stack, _poly_rows, _quintic_roots_stack
+from ppqnd.schemes import _pp_block_stack, _pp_sectors, build_pp_block_matrix
+from ppqnd.secular import _char_poly_stack, _coefficient_stack, _point_arrays
 
 try:
     import mpmath
@@ -477,13 +482,6 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@PROPERTY
-@given(st.lists(quintics(), min_size=1, max_size=8))
-def test_batched_roots_equal_single_row_roots(batch):
-    together = _quintic_roots_stack(_poly_rows(batch))
-    assert bitwise_equal(together, np.array([quintic_roots(c) for c in batch]))
-
-
 def rounding_bound(poly, root):
     """First-order forward-error bound of a real root under float64 Horner.
 
@@ -515,24 +513,59 @@ def test_roots_are_no_farther_from_mpmath_than_the_reference_loop(coeffs):
 
 
 @st.composite
-def separated_quintics(draw):
-    """Coefficients of five real roots at least 5 % of their span apart, 0 allowed."""
-    scale = 10.0 ** draw(st.integers(-2, 5))
-    gaps = [draw(st.floats(0.05, 0.5)) for _ in range(4)]
-    roots = draw(st.floats(-1.0, 0.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
-    if draw(st.booleans()):
-        roots[np.argmin(np.abs(roots))] = 0.0  # e = 0
-    return SecularCoefficients(*(-np.poly(roots * scale)[1:]).tolist())
+def secular_points(draw):
+    """(params, n_sL, n_sR, n_p) at hierarchy ratios 3 to 300, a third of them
+    at delta = Delta, with occupations 0 to 3."""
+    ratio = draw(st.floats(3.0, 300.0))
+    omega = draw(st.floats(10.0, 100.0))
+    r_det, r_drive, r_probe = (ratio * draw(st.floats(1.0, 1.5)) for _ in range(3))
+    big = omega * r_det
+    delta = big if draw(st.integers(0, 2)) == 0 else big * draw(st.floats(1.0, 3.0))
+    params = SchemeParams(big, delta, omega, omega / r_drive / r_probe, omega / r_drive)
+    return (params, *(draw(st.integers(0, 3)) for _ in range(3)))
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(secular_points())
+def test_block_roots_match_mpmath(point):
+    # the oracle: 50-digit eigenvalues of the same float block
+    block = _pp_block_stack(*_point_arrays([point]))[0]
+    roots = estimate_eigenvalues(*point).exact_roots
+    with mpmath.workdps(50):
+        exact = sorted(mpmath.eigsy(mpmath.matrix(block.tolist()), eigvals_only=True))
+        dark = min(range(5), key=lambda k: abs(exact[k]))
+        norm = max(abs(w) for w in exact)
+        for k, (ours, w) in enumerate(zip(roots, exact)):
+            if abs(w) <= 1e-30 * norm:  # n_s = 0 or n_p = 0: exactly singular, e = 0
+                assert ours == 0.0
+            else:
+                assert abs(mpmath.mpf(ours) - w) <= (4e-15 if k == dark else 8e-15) * abs(w)
 
 
 @PROPERTY
-@given(st.lists(separated_quintics(), min_size=1, max_size=8))
-def test_separated_roots_stop_well_before_the_iteration_cap(batch):
-    polys = _poly_rows(batch)
-    full = _quintic_roots_stack(polys)
-    with mock.patch.object(secular, "_MAX_ITER", 20):
-        # unchanged under a cap of 20 of the 60 steps: every row stopped by then
-        assert bitwise_equal(_quintic_roots_stack(polys), full)
+@given(st.lists(secular_points(), min_size=1, max_size=8))
+def test_regime_scan_rows_equal_estimate_eigenvalues(points):
+    for row, point in zip(regime_scan(points), points):
+        alone = estimate_eigenvalues(*point)
+        assert bitwise_equal(row.estimate.exact_roots, alone.exact_roots)
+        assert row.estimate == alone
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 50))
+def test_array_drawn_secular_oracle_equals_per_draw_loop(seed, count):
+    rng = np.random.default_rng(seed)
+    draws = cli._draw_hierarchy_params(rng, count)
+    occupations = rng.integers(1, 5, size=(count, 3))
+    n_s, n_p = occupations[:, 0] + occupations[:, 1], occupations[:, 2]
+    closed = _coefficient_stack(draws, n_s, n_p)
+    oracle = _char_poly_stack(_pp_block_stack(draws, n_s, n_p))
+    for row, occ, c, o in zip(draws.tolist(), occupations.tolist(), closed, oracle):
+        params = SchemeParams(*row)
+        assert bitwise_equal(c, secular_coefficients(params, *occ).as_tuple())
+        block = build_pp_block_matrix(params, *occ).matrix
+        assert bitwise_equal(o, char_poly_coefficients(block).as_tuple())
 
 
 @st.composite

@@ -11,6 +11,7 @@ from ppqnd import (
     basis_state,
     coherent_state,
     discrimination_error,
+    estimate_eigenvalues,
     evolve_qnd,
     fidelity,
     full_vs_effective,
@@ -240,6 +241,15 @@ class TestFullVsEffective:
         t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
         res = full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=t, n_p=1)
         assert res.measured_phase / res.predicted_phase_kerr == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("probe", [{"n_p": 1}, {"n_p": 3}, {"alpha_p": 0.5, "cutoff_p": 12}])
+    def test_secular_prediction_uses_the_estimate_dark_root(self, probe):
+        # the prediction and estimate_eigenvalues share one dark root; a
+        # coherent probe is read per probe photon, i.e. at n_p = 1
+        t = 1e9
+        res = full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=t, **probe)
+        roots = estimate_eigenvalues(RATIO100, 1, 0, probe.get("n_p", 1)).exact_roots
+        assert res.predicted_phase_secular == -min(roots, key=abs) * t
 
     def test_left_right_phases_identical(self):
         t = 1e9
