@@ -35,7 +35,7 @@ from typing import Any, Callable, NamedTuple, Sequence, get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .polarization import PolarizationQubit, PolUnitary, check_invariance, lr_to_hv
+from .polarization import PolarizationQubit, _diagonal_deviations, _require_unitary, lr_to_hv
 from .qnd import (
     EVOLUTION_SIGN,
     QUADRATURE_CONVENTION,
@@ -45,7 +45,7 @@ from .qnd import (
     full_vs_effective,
     polarization_dephasing,
 )
-from .schemes import SchemeParams, _pp_block_stack, ppqnd_hamiltonian, sensitive_qnd_hamiltonian
+from .schemes import SchemeParams, _pp_block_stack, _ppqnd_energies
 from .secular import (
     _char_poly_stack,
     _coefficient_stack,
@@ -300,29 +300,36 @@ def cmd_qnd(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     return results, [], res.probe_fidelity >= 1.0 - tol and drift <= 1e-12
 
 
-def _haar_unitary(rng: np.random.Generator) -> PolUnitary:
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return PolUnitary(q)
+def _haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 2, 2) Haar-random unitaries from one draw of the stream.
+
+    Each takes 4 normals for its real part, then 4 for its imaginary part
+    (axis 1 of the draw), as one draw per unitary would; the phases of R's
+    diagonal are moved into Q so the QR factor is Haar distributed.
+    """
+    z = rng.standard_normal((count, 2, 2, 2))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    _require_unitary(q)
+    return q
 
 
 def cmd_invariance(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     cs, cp = config.cutoff_s, config.cutoff_p
-    h = ppqnd_hamiltonian(config.chi, cs, cs, cp)
+    space, energies = _ppqnd_energies(config.chi, cs, cs, cp)
+    _, sensitive = _ppqnd_energies(config.chi, cs, cs, cp, sensitive=True)
     rng = np.random.default_rng(config.seed)
+    lr_hv = lr_to_hv().matrix[None]
 
-    devs = [check_invariance(h, lr_to_hv(), (0, 1))]
-    for _ in range(config.unitary_count):
-        devs.append(check_invariance(h, _haar_unitary(rng), (0, 1)))
-    max_dev = max(devs)
-
-    h_sens = sensitive_qnd_hamiltonian(config.chi, cs, cs, cp)
-    control_dev = check_invariance(h_sens, lr_to_hv(), (0, 1))
+    unitaries = np.concatenate([lr_hv, _haar_unitaries(rng, config.unitary_count)])
+    devs = _diagonal_deviations(space, energies, unitaries, (0, 1))
+    max_dev = float(devs.max())
+    control_dev = float(_diagonal_deviations(space, sensitive, lr_hv, (0, 1))[0])
 
     results = {
         "max_deviation": max_dev,
-        "lr_to_hv_deviation": devs[0],
+        "lr_to_hv_deviation": float(devs[0]),
         "n_unitaries": config.unitary_count + 1,
         "sensitive_control_deviation": control_dev,
     }

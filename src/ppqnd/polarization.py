@@ -43,7 +43,7 @@ class PolarizationQubit:
 
     def __post_init__(self):
         norm2 = abs(self.c_l) ** 2 + abs(self.c_r) ** 2
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # a NaN amplitude fails too
             raise ValueError(f"qubit amplitudes not normalized: |c|^2 = {norm2!r}")
 
     @staticmethod
@@ -86,9 +86,7 @@ class PolUnitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        if dev > 1e-12:
-            raise ValueError(f"matrix not unitary: max |u^+ u - 1| = {dev:g}")
+        _require_unitary(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -99,6 +97,15 @@ class PolUnitary:
         return PolUnitary(self.matrix.conj().T)
 
 
+def _require_unitary(m: np.ndarray) -> None:
+    """Raise ValueError unless every 2x2 matrix of m (shape (..., 2, 2)) is
+    unitary to 1e-12; a NaN entry fails."""
+    dev = np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(2)), axis=(-2, -1))
+    bad = ~(dev <= 1e-12)
+    if np.any(bad):
+        raise ValueError(f"matrix not unitary: max |u^+ u - 1| = {dev[bad][0]:g}")
+
+
 def lr_to_hv() -> PolUnitary:
     """Circular-to-linear mode map, rows (L, R), columns (H, V)."""
     s = 1 / math.sqrt(2)
@@ -106,29 +113,32 @@ def lr_to_hv() -> PolUnitary:
 
 
 def _principal_generator(u: np.ndarray) -> np.ndarray:
-    """h = i log(u) for a 2x2 unitary u, principal branch, in closed form.
+    """h = i log(u) for 2x2 unitaries u (shape (..., 2, 2)), principal branch,
+    in closed form.
 
     A 2x2 unitary is u = c0 I + mu (n . sigma) with n a real unit vector and
     c0, mu complex, so its eigenvalues are c0 +- mu on the projectors
     P+- = (I +- n . sigma) / 2 and h = -(theta+ P+ + theta- P-) with each
     theta the eigenvalue's argument in (-pi, pi].  n is read off the Pauli
     components of u along the largest one; a scalar u has no direction and
-    gets h = -theta I.  h is Hermitian by construction.
+    gets h = -theta I.  h is Hermitian by construction.  Every matrix of a
+    stack gets the same floating-point operations as it would alone.
     """
-    c0 = 0.5 * (u[0, 0] + u[1, 1])
-    c = 0.5 * np.array([u[0, 1] + u[1, 0], 1j * (u[0, 1] - u[1, 0]), u[0, 0] - u[1, 1]])
-    k = int(np.argmax(np.abs(c)))
-    if c[k] == 0:
-        n, mu = np.array([0.0, 0.0, 1.0]), 0.0
-    else:
-        n = (c * np.conj(c[k])).real
-        n /= np.linalg.norm(n)
-        mu = c @ n
-    theta = np.angle([c0 + mu, c0 - mu])
+    c0 = 0.5 * (u[..., 0, 0] + u[..., 1, 1])
+    c = 0.5 * np.stack([u[..., 0, 1] + u[..., 1, 0], 1j * (u[..., 0, 1] - u[..., 1, 0]),
+                        u[..., 0, 0] - u[..., 1, 1]], axis=-1)
+    c_k = np.take_along_axis(c, np.argmax(np.abs(c), axis=-1)[..., None], axis=-1)
+    scalar = c_k[..., 0] == 0
+    n = (c * np.conj(c_k)).real
+    n[scalar] = (0.0, 0.0, 1.0)
+    n /= np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
+    mu = np.where(scalar, 0.0, (c[..., None, :] @ n[..., :, None])[..., 0, 0])
+    theta = np.angle(np.stack([c0 + mu, c0 - mu], axis=-1))
     theta[theta <= -math.pi] = math.pi  # -1 + (-0)j belongs to the principal branch at +pi
-    mean, half = 0.5 * (theta[0] + theta[1]), 0.5 * (theta[0] - theta[1])
-    return -np.array([[mean + half * n[2], half * (n[0] - 1j * n[1])],
-                      [half * (n[0] + 1j * n[1]), mean - half * n[2]]])
+    mean, half = 0.5 * (theta[..., 0] + theta[..., 1]), 0.5 * (theta[..., 0] - theta[..., 1])
+    n_x, n_y, n_z = n[..., 0], n[..., 1], n[..., 2]
+    return -np.stack([np.stack([mean + half * n_z, half * (n_x - 1j * n_y)], axis=-1),
+                      np.stack([half * (n_x + 1j * n_y), mean - half * n_z], axis=-1)], axis=-2)
 
 
 class _SectorGroup(NamedTuple):
@@ -161,25 +171,27 @@ def _pair_sectors(cut: int) -> tuple[_SectorGroup, ...]:
     return tuple(groups)
 
 
-def _sector_unitaries(u: PolUnitary, cut: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """exp(-i G) on every pair sector, G = sum_ab h_ab a_a^+ a_b with h = i log(u).
+def _sector_unitaries(u: np.ndarray, cut: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(-i G) on every pair sector for each of K 2x2 unitaries u (shape
+    (K, 2, 2)), G = sum_ab h_ab a_a^+ a_b with h = i log(u).
 
     Returns one (index, blocks) per sector size s: index (B, s) as in
-    _SectorGroup, blocks (B, s, s) the unitaries, from one batched eigh
-    per size.  G only moves photons between the two modes, so it never
-    leaves a sector, truncated or not.
+    _SectorGroup, blocks (K, B, s, s) the unitaries, from one batched eigh
+    per size for all K.  G only moves photons between the two modes, so it
+    never leaves a sector, truncated or not.  Each unitary's blocks are
+    the same, bit for bit, as from a call with that unitary alone.
     """
-    h = _principal_generator(u.matrix)
+    h = _principal_generator(u)[:, None, None]  # (K, 1, 1, 2, 2): broadcast over (B, s)
     out = []
     for index, n_i, n_j, hop in _pair_sectors(cut):
         batch, size = index.shape
-        g = np.zeros((batch, size, size), dtype=complex)
+        g = np.zeros((len(u), batch, size, size), dtype=complex)
         k = np.arange(size)
-        g[:, k, k] = h[0, 0] * n_i + h[1, 1] * n_j
-        g[:, k[1:], k[:-1]] = h[0, 1] * hop
-        g[:, k[:-1], k[1:]] = h[1, 0] * hop
+        g[..., k, k] = h[..., 0, 0] * n_i + h[..., 1, 1] * n_j
+        g[..., k[1:], k[:-1]] = h[..., 0, 1] * hop
+        g[..., k[:-1], k[1:]] = h[..., 1, 0] * hop
         w, v = np.linalg.eigh(g)
-        out.append((index, (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)))
+        out.append((index, (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)))
     return out
 
 
@@ -258,20 +270,51 @@ def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> 
     """
     cut, layout = _pair_layout(space, modes)
     u_full = np.zeros((space.total_dim,) * 2, dtype=complex)
-    for index, blocks in _sector_unitaries(u, cut):
+    for index, blocks in _sector_unitaries(u.matrix[None], cut):
         rows = layout[index]
-        u_full[rows[:, :, None, :], rows[:, None, :, :]] = blocks[..., None]
+        u_full[rows[:, :, None, :], rows[:, None, :, :]] = blocks[0, ..., None]
     return Operator(space, u_full, hermitian_flag=False)
+
+
+def _diagonal_deviations(space: HilbertSpace, energies: np.ndarray, unitaries: np.ndarray,
+                         modes: tuple[int, int]) -> np.ndarray:
+    """max |U H U^+ - H| entrywise for H = diag(energies), one per unitary of
+    the stack unitaries (shape (K, 2, 2)), as a (K,) array.
+
+    The lift U is block diagonal over (pair sector, state of the other
+    factors) and so is a diagonal H, so U H U^+ - H vanishes exactly
+    outside those blocks; inside one it is U_N diag(e) U_N^+ - diag(e),
+    at most cutoff x cutoff.  The energies are read per sector size and
+    every unitary is handled at once; nothing of size D x D is formed.
+    Each unitary's deviation is the same, bit for bit, as from a call
+    with that unitary alone.
+    """
+    cut, layout = _pair_layout(space, tuple(modes))
+    worst = np.zeros(len(unitaries))
+    for index, blocks in _sector_unitaries(unitaries, cut):
+        e = np.moveaxis(energies[layout[index]], -1, 1)[None, ..., None, :]  # (1, B, rest, 1, s)
+        blocks = blocks[:, :, None]                                          # (K, B, 1, s, s)
+        dev = np.conj(blocks) @ (blocks * e).swapaxes(-1, -2)  # the transpose of U diag(e) U^+
+        k = np.arange(index.shape[1])
+        dev[..., k, k] -= e[..., 0, :]
+        worst = np.maximum(worst, np.abs(dev).max(axis=(1, 2, 3, 4)))
+    return worst
 
 
 def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> float:
     """max |U H U^+ - H| entrywise for the lifted polarization unitary.
 
-    U is applied sector by sector on the two pair axes, to the rows of H
-    and then, conjugated, to its columns; no full-space U is formed.
+    An H with no nonzero entry off its diagonal goes blockwise through its
+    energies (_diagonal_deviations), forming nothing of size D x D.  Any
+    other H is read in pair-sector order and U is applied sector by sector
+    on the two pair axes, to the rows of H and then, conjugated, to its
+    columns; no full-space U is formed on either route.
     """
+    diag = np.diagonal(h.matrix)
+    if np.count_nonzero(h.matrix) == np.count_nonzero(diag):  # no nonzero off the diagonal
+        return float(_diagonal_deviations(h.space, diag, u.matrix[None], modes)[0])
     cut, gather = _sector_gather(h.space, tuple(modes))
-    sectors = _sector_unitaries(u, cut)
+    sectors = [(index, blocks[0]) for index, blocks in _sector_unitaries(u.matrix[None], cut)]
     x = np.take(h.matrix, gather)
     n = len(x)
     left = np.empty_like(x)

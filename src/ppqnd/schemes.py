@@ -321,7 +321,9 @@ def _pp_block_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.
 
 
 def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) -> PPBlockMatrix:
-    """Block model whose characteristic polynomial is the scheme's quintic.
+    """Block model of one (n_sL, n_sR, n_p) occupation: the route-symmetrized
+    5x5 block, whose characteristic polynomial is the quintic, when both
+    circular occupations are nonzero; the single-route 4x4 chain otherwise.
 
     The block basis deliberately does not resolve which circular route the
     signal excitation took, so for mixed occupations the two signal legs

@@ -4,13 +4,23 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ppqnd import schemes
-from ppqnd.cli import _COMMANDS, COMMANDS, ConfigError, ExperimentConfig, _build_parser, main
+from ppqnd import fock, polarization, schemes
+from ppqnd.cli import (
+    _COMMANDS,
+    COMMANDS,
+    ConfigError,
+    ExperimentConfig,
+    _build_parser,
+    _haar_unitaries,
+    cmd_invariance,
+    main,
+)
 from ppqnd.secular import _point_arrays, estimate_eigenvalues
 
 try:
@@ -190,9 +200,13 @@ class TestExitCodes:
 
 
 class TestGoldenRecords:
-    # Default records, captured before the command-table refactor.  When output
-    # changes on purpose, regenerate with PPQND_TOL unset:
-    #   python -m ppqnd.cli <command> [--sensitive] > tests/golden/<name>.json
+    # The default record of every command.  When a record changes on purpose,
+    # regenerate them all from the root of the repository:
+    #   for c in secular preserve qnd invariance backaction discriminate fullmodel; do
+    #     env -u PPQND_TOL PYTHONPATH=src python -m ppqnd.cli $c > tests/golden/$c.json
+    #   done
+    #   env -u PPQND_TOL PYTHONPATH=src python -m ppqnd.cli preserve --sensitive \
+    #     > tests/golden/preserve-sensitive.json
     @pytest.mark.parametrize("name", [*COMMANDS, "preserve-sensitive"])
     def test_default_record_is_byte_identical(self, name, capsys, monkeypatch):
         monkeypatch.delenv("PPQND_TOL", raising=False)
@@ -271,6 +285,71 @@ class TestRecords:
         assert code == 0
         assert record["results"]["max_deviation"] <= 1e-10
         assert record["results"]["sensitive_control_deviation"] > 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_haar_stack_equals_per_draw_loop(self, seed):
+        # one (K, 2, 2, 2) draw reads the stream as K draws of a real then an
+        # imaginary 2x2 part would, so the record's unitaries do not move
+        def one(rng):
+            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            q, r = np.linalg.qr(z)
+            return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        for count in (0, 1, 7, 100):
+            stack = _haar_unitaries(np.random.default_rng(seed), count)
+            rng = np.random.default_rng(seed)
+            loop = [one(rng) for _ in range(count)]
+            assert stack.shape == (count, 2, 2)
+            assert np.array_equal(stack, np.reshape(loop, (count, 2, 2)))
+
+    def test_invariance_without_haar_unitaries(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "invariance", "--config",
+                           write_config(tmp_path, "zero.json", {"unitary_count": 0}))
+        results = json.loads(out)["results"]
+        assert code == 0
+        assert results["n_unitaries"] == 1
+        assert results["max_deviation"] == results["lr_to_hv_deviation"]
+
+    def test_invariance_runs_all_unitaries_at_once(self, capsys, tmp_path, monkeypatch):
+        # the eigh count does not grow with unitary_count: one batched eigh
+        # per pair-sector size for the LR -> HV and Haar stack, one more per
+        # size for the sensitive control; no Operator, no D x D sector gather
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(fock.Operator, "__post_init__",
+                            counting("Operator", fock.Operator.__post_init__))
+        monkeypatch.setattr(polarization, "_sector_gather",
+                            counting("_sector_gather", polarization._sector_gather))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        per_run = []
+        for count in (5, 100):
+            counts.clear()
+            code, _, _ = run(capsys, "invariance", "--config",
+                             write_config(tmp_path, f"u{count}.json", {"unitary_count": count}))
+            assert code == 0
+            per_run.append(dict(counts))
+        cutoff = _COMMANDS["invariance"].defaults["cutoff_s"]
+        assert per_run[0] == per_run[1] == {"eigh": 2 * cutoff}
+
+    def test_invariance_forms_no_d_squared_array(self):
+        # D = 12^3: an array of D^2 elements takes at least D^2 bytes, and
+        # the whole run must peak below that
+        cutoff = 12
+        config = ExperimentConfig.from_dict({**_COMMANDS["invariance"].defaults,
+                                             "cutoff_s": cutoff, "cutoff_p": cutoff,
+                                             "unitary_count": 3})
+        tracemalloc.start()
+        try:
+            results, _, ok = cmd_invariance(config, 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok and results["sensitive_control_deviation"] > 1e-6
+        assert peak < cutoff ** 6
 
     def test_fullmodel_results(self, capsys):
         code, out, _ = run(capsys, "fullmodel")

@@ -17,6 +17,9 @@ from ppqnd import (
     ppqnd_hamiltonian,
     stokes_vector,
 )
+from ppqnd import polarization
+from ppqnd.polarization import _diagonal_deviations
+from ppqnd.schemes import _ppqnd_energies
 
 
 def haar_unitary(rng):
@@ -29,6 +32,12 @@ class TestPolarizationQubit:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             PolarizationQubit(1.0, 1.0)
+
+    @pytest.mark.parametrize("amplitudes",
+                             [(math.nan, 0.0), (1.0, math.nan), (complex(math.nan, 0.0), 0.0)])
+    def test_rejects_nan(self, amplitudes):
+        with pytest.raises(ValueError):
+            PolarizationQubit(*amplitudes)
 
     def test_normalized_constructor(self):
         q = PolarizationQubit.normalized(3.0, 4.0)
@@ -130,6 +139,13 @@ class TestLiftUnitary:
         with pytest.raises(ValueError):
             PolUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_rejects_nan(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[entry] = math.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            PolUnitary(m)
+
 
 class TestInvariance:
     def test_ppqnd_invariant_under_lr_to_hv(self):
@@ -147,6 +163,38 @@ class TestInvariance:
         chi = -1e-3
         h = Operator(space, chi * (number_op(space, 0).matrix @ number_op(space, 2).matrix))
         assert check_invariance(h, lr_to_hv(), (0, 1)) > 1e-3 * abs(chi) / 1e-3
+
+
+class TestDiagonalRoute:
+    def test_stacked_deviations_equal_one_call_per_unitary(self):
+        rng = np.random.default_rng(7)
+        us = np.array([lr_to_hv().matrix, np.eye(2), np.diag([1.0, -1.0])]
+                      + [haar_unitary(rng).matrix for _ in range(12)], dtype=complex)
+        for cutoffs in ((4, 4, 4), (3, 3, 5)):
+            for sensitive in (False, True):
+                space, energies = _ppqnd_energies(-1e-3, *cutoffs, sensitive=sensitive)
+                stacked = _diagonal_deviations(space, energies, us, (0, 1))
+                single = [_diagonal_deviations(space, energies, u[None], (0, 1))[0] for u in us]
+                assert np.array_equal(stacked, single)
+
+    def test_diagonal_hamiltonian_skips_the_dense_route(self, monkeypatch):
+        # the route is decided from the matrix: a diagonal H never reads
+        # D x D sector gathers, one off-diagonal entry sends H down that route
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gather(*args)
+        gather = polarization._sector_gather
+        monkeypatch.setattr(polarization, "_sector_gather", counting)
+        h = ppqnd_hamiltonian(-1e-3, 3, 3, 3)
+        assert check_invariance(h, lr_to_hv(), (0, 1)) <= 1e-15
+        assert calls == []
+        m = h.matrix.copy()
+        m[1, 3] = m[3, 1] = 1e-3
+        dense = check_invariance(Operator(h.space, m), lr_to_hv(), (0, 1))
+        assert len(calls) == 1
+        assert dense > 1e-4
 
 
 class TestStokes:
