@@ -53,6 +53,7 @@ __all__ = [
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _POS_TOL = 1e-10
+_JACOBI_SWEEPS = 60  # a cap only: each matrix stops once converged or stagnated
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -201,13 +202,53 @@ def make_space(atom_dim: int, mode_cutoffs: Iterable[int]) -> HilbertSpace:
     return HilbertSpace(int(atom_dim), tuple(mode_cutoffs))
 
 
-def _embed_mode_operator(space: HilbertSpace, mode: int, single: np.ndarray) -> np.ndarray:
-    """Kron-embed a single-mode matrix at the given mode position."""
-    out = np.eye(space.atom_dim, dtype=complex)
-    for m, cut in enumerate(space.mode_cutoffs):
-        factor = single if m == mode else np.eye(cut, dtype=complex)
-        out = np.kron(out, factor)
-    return out
+def _coupling_table(space: HilbertSpace, detunings: Sequence[tuple[int, float]],
+                    couplings: Sequence[tuple[float, int, int, int | None]]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An operator as (row, col, value) entries, from its level rules.
+
+    detunings: (level, energy) pairs, giving energy |level><level|.
+    couplings: (amplitude, upper, lower, mode) rules, giving
+    amplitude a_mode |upper><lower|; mode None is a classical field.
+    A coupling entry joins |lower, n> (col) to |upper, n - 1_mode> (row)
+    with value amplitude sqrt(n_mode).  The ladder and transition
+    operators and the scheme Hamiltonians are all scattered from such
+    tables (_scatter).
+    """
+    grid = np.indices(space.dims).reshape(len(space.dims), -1)
+    rows, cols, vals = [], [], []
+    for level, energy in detunings:
+        (idx,) = np.nonzero(grid[0] == level)
+        rows.append(idx)
+        cols.append(idx)
+        vals.append(np.full(idx.size, float(energy)))
+    for amplitude, upper, lower, mode in couplings:
+        src = grid[0] == lower
+        if mode is not None:
+            src &= grid[mode + 1] > 0
+        (col,) = np.nonzero(src)
+        dst = grid[:, col]
+        dst[0] = upper
+        value = np.full(col.size, float(amplitude))
+        if mode is not None:
+            value *= np.sqrt(dst[mode + 1])
+            dst[mode + 1] -= 1
+        rows.append(np.ravel_multi_index(dst, space.dims))
+        cols.append(col)
+        vals.append(value)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _scatter(space: HilbertSpace, table: tuple[np.ndarray, np.ndarray, np.ndarray],
+             hermitian: bool) -> Operator:
+    """A coupling table as a dense Operator; hermitian adds each entry's
+    transpose (the h.c. of every rule) and sets hermitian_flag."""
+    rows, cols, vals = table
+    m = np.zeros((space.total_dim, space.total_dim))
+    m[rows, cols] = vals
+    if hermitian:
+        m[cols, rows] = vals
+    return Operator(space, m, hermitian_flag=hermitian)
 
 
 def _check_mode(space: HilbertSpace, mode: int) -> None:
@@ -218,11 +259,8 @@ def _check_mode(space: HilbertSpace, mode: int) -> None:
 def annihilation_op(space: HilbertSpace, mode: int) -> Operator:
     """Truncated annihilation operator on one mode: <n-1|a|n> = sqrt(n)."""
     _check_mode(space, mode)
-    cut = space.mode_cutoffs[mode]
-    a = np.zeros((cut, cut), dtype=complex)
-    for n in range(1, cut):
-        a[n - 1, n] = math.sqrt(n)
-    return Operator(space, _embed_mode_operator(space, mode, a), hermitian_flag=False)
+    rules = [(1.0, level, level, mode) for level in range(space.atom_dim)]
+    return _scatter(space, _coupling_table(space, [], rules), hermitian=False)
 
 
 def creation_op(space: HilbertSpace, mode: int) -> Operator:
@@ -245,12 +283,7 @@ def atom_transition_op(space: HilbertSpace, i: int, j: int) -> Operator:
     """|i><j| on the atom, identity on all modes."""
     if not (0 <= i < space.atom_dim and 0 <= j < space.atom_dim):
         raise ValueError(f"atom levels ({i}, {j}) out of range for atom_dim {space.atom_dim}")
-    e = np.zeros((space.atom_dim, space.atom_dim), dtype=complex)
-    e[i, j] = 1.0
-    out = e
-    for cut in space.mode_cutoffs:
-        out = np.kron(out, np.eye(cut, dtype=complex))
-    return Operator(space, out, hermitian_flag=(i == j))
+    return _scatter(space, _coupling_table(space, [], [(1.0, i, j, None)]), hermitian=(i == j))
 
 
 def default_cutoff(alpha: complex) -> int:
@@ -408,7 +441,7 @@ def _rotate_rows(x: np.ndarray, p: np.ndarray, q: np.ndarray, c: np.ndarray,
     x[:, q, :] = s * xp + c * xq
 
 
-def _jacobi_eigh_longdouble(matrix: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi diagonalization of real symmetric matrices in longdouble.
 
     LAPACK only works in double precision; eigenvalues ~1e-16 below the
@@ -436,7 +469,7 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray, max_sweeps: int = 60) -> tuple[n
     eps = np.finfo(np.longdouble).eps
     live = np.ones(batch, dtype=bool)
     prev_off = np.full(batch, np.inf, dtype=np.longdouble)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         squares = a * a
         squares[:, diag, diag] = 0
         off = np.sqrt(np.sum(squares, axis=(1, 2)))

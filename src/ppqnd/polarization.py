@@ -214,19 +214,6 @@ def _pair_layout(space: HilbertSpace, modes: tuple[int, int]) -> tuple[int, np.n
     return cut, flat.reshape(cut * cut, -1)
 
 
-@functools.lru_cache(maxsize=8)
-def _sector_gather(space: HilbertSpace, modes: tuple[int, int]) -> tuple[int, np.ndarray]:
-    """The pair's cutoff and the flat indices that read a D x D matrix as
-    (row pair, column pair, rest x rest), the pair states in sector order.
-    """
-    cut, layout = _pair_layout(space, modes)
-    states = layout[np.concatenate([group.index.ravel() for group in _pair_sectors(cut)])]
-    n, d = len(states), space.total_dim
-    gather = (states[:, None, :, None] * d + states[None, :, None, :]).reshape(n, n, -1)
-    gather.setflags(write=False)
-    return cut, gather
-
-
 def _apply_sectors(sectors: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
     """The block-diagonal pair unitary applied to axis 1 of x, written to out.
@@ -306,17 +293,21 @@ def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> floa
 
     An H with no nonzero entry off its diagonal goes blockwise through its
     energies (_diagonal_deviations), forming nothing of size D x D.  Any
-    other H is read in pair-sector order and U is applied sector by sector
-    on the two pair axes, to the rows of H and then, conjugated, to its
-    columns; no full-space U is formed on either route.
+    other H is read once, its basis states in pair-sector order, and laid
+    out as (row pair, column pair, rest x rest); U is applied sector by
+    sector on the two pair axes, to the rows of H and then, conjugated, to
+    its columns.  No full-space U is formed on either route, and nothing
+    is cached between calls.
     """
     diag = np.diagonal(h.matrix)
     if np.count_nonzero(h.matrix) == np.count_nonzero(diag):  # no nonzero off the diagonal
         return float(_diagonal_deviations(h.space, diag, u.matrix[None], modes)[0])
-    cut, gather = _sector_gather(h.space, tuple(modes))
+    cut, layout = _pair_layout(h.space, tuple(modes))
+    states = layout[np.concatenate([group.index.ravel() for group in _pair_sectors(cut)])]
+    n, rest = states.shape
+    rows = states.ravel()
+    x = h.matrix[np.ix_(rows, rows)].reshape(n, rest, n, rest).swapaxes(1, 2).reshape(n, n, -1)
     sectors = [(index, blocks[0]) for index, blocks in _sector_unitaries(u.matrix[None], cut)]
-    x = np.take(h.matrix, gather)
-    n = len(x)
     left = np.empty_like(x)
     _apply_sectors(sectors, x.reshape(1, n, -1), left.reshape(1, n, -1))
     conjugated = [(index, blocks.conj()) for index, blocks in sectors]

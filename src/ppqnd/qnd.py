@@ -326,6 +326,9 @@ def backaction_product(alpha_p: complex, cutoff: int | None = None) -> Backactio
     pop = np.abs(psi) ** 2
     mean_n = float(pop @ n)
     number_variance = float(pop @ (n - mean_n) ** 2)
+    if not number_variance > 0:  # e.g. cutoff 1: <a> = 0, no phase to read
+        raise ValueError(f"probe at cutoff {cutoff} has zero number variance; "
+                         "the relation is degenerate")
 
     mean_a = _mean_a(psi[None, :])
     perp = homodyne_estimate(state, cmath.phase(mean_a) + math.pi / 2)

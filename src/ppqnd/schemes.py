@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .fock import (
     HilbertSpace,
     Operator,
     StateVector,
+    _coupling_table,
     _jacobi_eigh_longdouble,
     _occupations,
+    _scatter,
     make_space,
 )
 
@@ -99,50 +101,6 @@ class SchemeParams:
         return all(r >= threshold for r in self.hierarchy_ratios())
 
 
-def _coupling_table(space: HilbertSpace, detunings: Sequence[tuple[int, float]],
-                    couplings: Sequence[tuple[float, int, int, int | None]]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A scheme Hamiltonian as (row, col, value) entries, from its level rules.
-
-    detunings: (level, energy) pairs, giving energy |level><level|.
-    couplings: (amplitude, upper, lower, mode) rules, giving
-    amplitude a_mode |upper><lower| + h.c.; mode None is a classical field.
-    A coupling entry joins |lower, n> (col) to |upper, n - 1_mode> (row)
-    with value amplitude sqrt(n_mode) and stands for its transpose too.
-    """
-    grid = np.indices(space.dims).reshape(len(space.dims), -1)
-    rows, cols, vals = [], [], []
-    for level, energy in detunings:
-        (idx,) = np.nonzero(grid[0] == level)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(np.full(idx.size, float(energy)))
-    for amplitude, upper, lower, mode in couplings:
-        src = grid[0] == lower
-        if mode is not None:
-            src &= grid[mode + 1] > 0
-        (col,) = np.nonzero(src)
-        dst = grid[:, col]
-        dst[0] = upper
-        value = np.full(col.size, float(amplitude))
-        if mode is not None:
-            value *= np.sqrt(dst[mode + 1])
-            dst[mode + 1] -= 1
-        rows.append(np.ravel_multi_index(dst, space.dims))
-        cols.append(col)
-        vals.append(value)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _dense(space: HilbertSpace, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Operator:
-    """Scatter a coupling table (and its transpose) into a dense matrix."""
-    rows, cols, vals = table
-    h = np.zeros((space.total_dim, space.total_dim))
-    h[rows, cols] = vals
-    h[cols, rows] = vals
-    return Operator(space, h)
-
-
 def build_lambda_hamiltonian(params: SchemeParams, cutoff_s: int) -> Operator:
     """Three-level CPT system with one quantized signal mode.
 
@@ -151,9 +109,9 @@ def build_lambda_hamiltonian(params: SchemeParams, cutoff_s: int) -> Operator:
     if cutoff_s < 2:
         raise ValueError("cutoff_s must be >= 2")
     space = make_space(3, [cutoff_s])
-    return _dense(space, _coupling_table(
+    return _scatter(space, _coupling_table(
         space, [(1, params.delta_two)],
-        [(params.xi_s, 1, 0, 0), (params.omega_d, 1, 2, None)]))
+        [(params.xi_s, 1, 0, 0), (params.omega_d, 1, 2, None)]), hermitian=True)
 
 
 def lambda_dark_state(params: SchemeParams, n_s: int, cutoff_s: int) -> StateVector:
@@ -186,9 +144,10 @@ def build_n_hamiltonian(params: SchemeParams, cutoff_s: int, cutoff_p: int) -> O
     if cutoff_s < 2 or cutoff_p < 2:
         raise ValueError("cutoffs must be >= 2")
     space = make_space(4, [cutoff_s, cutoff_p])
-    return _dense(space, _coupling_table(
+    return _scatter(space, _coupling_table(
         space, [(3, params.delta_probe), (1, params.delta_two)],
-        [(params.xi_s, 1, 0, 0), (params.omega_d, 1, 2, None), (params.xi_p, 3, 2, 1)]))
+        [(params.xi_s, 1, 0, 0), (params.omega_d, 1, 2, None), (params.xi_p, 3, 2, 1)]),
+        hermitian=True)
 
 
 def _pp_table(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int
@@ -216,7 +175,7 @@ def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
     hence the one omega_d amplitude on both 2-3 and 2'-3.  Levels are
     indexed (1, 2, 2', 3, 4) -> (0, 1, 2, 3, 4).
     """
-    return _dense(*_pp_table(params, cutoff_sl, cutoff_sr, cutoff_p))
+    return _scatter(*_pp_table(params, cutoff_sl, cutoff_sr, cutoff_p), hermitian=True)
 
 
 class _Sector(NamedTuple):

@@ -192,6 +192,15 @@ class TestExitCodes:
         assert out == ""
         assert "PPQND_TOL" in err
 
+    def test_one_level_probe_exits_one(self, capsys, tmp_path):
+        # cutoff 1 holds only the vacuum: zero number variance, no phase to read
+        path = write_config(tmp_path, "one.json", {"cutoff_p": 1})
+        with pytest.warns(UserWarning, match="truncation loss"):
+            code, out, err = run(capsys, "backaction", "--config", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error:") and "number variance" in err
+
     def test_env_tolerance_is_echoed(self, capsys, monkeypatch):
         monkeypatch.setenv("PPQND_TOL", "1e-3")
         code, out, _ = run(capsys, "backaction")
@@ -312,7 +321,8 @@ class TestRecords:
     def test_invariance_runs_all_unitaries_at_once(self, capsys, tmp_path, monkeypatch):
         # the eigh count does not grow with unitary_count: one batched eigh
         # per pair-sector size for the LR -> HV and Haar stack, one more per
-        # size for the sensitive control; no Operator, no D x D sector gather
+        # size for the sensitive control; no Operator, and no sector blocks
+        # applied to a D x D layout of H
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -322,8 +332,8 @@ class TestRecords:
             return wrapped
         monkeypatch.setattr(fock.Operator, "__post_init__",
                             counting("Operator", fock.Operator.__post_init__))
-        monkeypatch.setattr(polarization, "_sector_gather",
-                            counting("_sector_gather", polarization._sector_gather))
+        monkeypatch.setattr(polarization, "_apply_sectors",
+                            counting("_apply_sectors", polarization._apply_sectors))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         per_run = []
         for count in (5, 100):

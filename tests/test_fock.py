@@ -134,6 +134,42 @@ class TestAtomOperators:
             atom_transition_op(make_space(2, [2]), 2, 0)
 
 
+def kron_embedding(space, atom, mode=None, single=None):
+    """Independent oracle: atom (x) I ... (x) single at `mode` ... (x) I, by np.kron."""
+    out = np.asarray(atom, dtype=complex)
+    for m, cut in enumerate(space.mode_cutoffs):
+        out = np.kron(out, single if m == mode else np.eye(cut, dtype=complex))
+    return out
+
+
+class TestCouplingTableOperators:
+    # the operators come from the coupling table; the kron embedding they
+    # replaced stays here as the oracle, compared byte for byte
+    SPACES = [(1, [1]), (1, [5]), (1, [2, 1, 3]), (2, [1, 4]), (3, [3, 2]), (5, [2, 2, 3])]
+
+    @pytest.mark.parametrize("atom_dim,cutoffs", SPACES)
+    def test_ladder_operators_match_kron_embedding(self, atom_dim, cutoffs):
+        space = make_space(atom_dim, cutoffs)
+        for mode, cut in enumerate(cutoffs):
+            single = np.diag(np.sqrt(np.arange(1, cut)), 1).astype(complex)
+            oracle = kron_embedding(space, np.eye(atom_dim, dtype=complex), mode, single)
+            a, a_dag = annihilation_op(space, mode), creation_op(space, mode)
+            assert a.matrix.tobytes() == oracle.tobytes()
+            assert a_dag.matrix.tobytes() == oracle.conj().T.tobytes()
+            assert not a.hermitian_flag and not a_dag.hermitian_flag
+
+    @pytest.mark.parametrize("atom_dim,cutoffs", SPACES)
+    def test_atom_transitions_match_kron_embedding(self, atom_dim, cutoffs):
+        space = make_space(atom_dim, cutoffs)
+        for i in range(atom_dim):
+            for j in range(atom_dim):
+                e = np.zeros((atom_dim, atom_dim), dtype=complex)
+                e[i, j] = 1.0
+                op = atom_transition_op(space, i, j)
+                assert op.matrix.tobytes() == kron_embedding(space, e).tobytes()
+                assert op.hermitian_flag == (i == j)
+
+
 def truncated_poisson_mean(alpha, cutoff):
     """Independent oracle: renormalized mean of Poisson(|alpha|^2) below cutoff."""
     lam = abs(alpha) ** 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,23 +179,41 @@ class TestDiagonalRoute:
                 assert np.array_equal(stacked, single)
 
     def test_diagonal_hamiltonian_skips_the_dense_route(self, monkeypatch):
-        # the route is decided from the matrix: a diagonal H never reads
-        # D x D sector gathers, one off-diagonal entry sends H down that route
+        # the route is decided from the matrix: a diagonal H never has the
+        # sector blocks applied to a D x D layout, one off-diagonal entry
+        # sends H down that route (rows, then conjugated columns)
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return gather(*args)
-        gather = polarization._sector_gather
-        monkeypatch.setattr(polarization, "_sector_gather", counting)
+            return apply(*args)
+        apply = polarization._apply_sectors
+        monkeypatch.setattr(polarization, "_apply_sectors", counting)
         h = ppqnd_hamiltonian(-1e-3, 3, 3, 3)
         assert check_invariance(h, lr_to_hv(), (0, 1)) <= 1e-15
         assert calls == []
         m = h.matrix.copy()
         m[1, 3] = m[3, 1] = 1e-3
         dense = check_invariance(Operator(h.space, m), lr_to_hv(), (0, 1))
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert dense > 1e-4
+
+    def test_general_route_retains_nothing(self):
+        # the general route reads H once in sector order and caches no
+        # index between calls: after it returns, nothing it allocated is left
+        h = ppqnd_hamiltonian(-1e-3, 8, 8, 9)
+        m = h.matrix.copy()
+        i, j = h.space.index_of(0, (0, 0, 1)), h.space.index_of(0, (0, 1, 1))
+        m[i, j] = m[j, i] = 1e-3
+        op, u = Operator(h.space, m), lr_to_hv()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert check_invariance(op, u, (0, 1)) > 1e-4
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.1e6
 
 
 class TestStokes:

@@ -152,6 +152,12 @@ class TestBackaction:
         with pytest.raises(ValueError):
             backaction_product(0.0)
 
+    def test_one_level_probe_rejected(self):
+        # cutoff 1 leaves <a> = 0 and zero number variance, however large alpha
+        with pytest.warns(UserWarning, match="truncation loss"):
+            with pytest.raises(ValueError, match="number variance"):
+                backaction_product(2.0, cutoff=1)
+
 
 class TestPpqndNumberConservation:
     def test_per_mode_distributions_frozen(self):
