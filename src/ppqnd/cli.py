@@ -13,8 +13,9 @@ set, overrides each command's primary tolerance.
 
 Each command is one row of the _COMMANDS table: its runner, its default
 config, its primary tolerance and any extra flag.  Config values are checked
-against the ExperimentConfig annotations; non-finite numbers, negative
-integers and empty lists are rejected.
+against the ExperimentConfig annotations (a list[float] holds numbers only);
+non-finite numbers, integers beyond the float range, negative integers and
+empty lists are rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, NamedTuple, Sequence, get_args, get_type_hints
+from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class ExperimentConfig:
     alpha_p: list | None = None
     alphas: list | None = None
     qubits: list | None = None
-    times: list | None = None
+    times: list[float] | None = None
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -107,15 +108,18 @@ class ExperimentConfig:
             if value is None:
                 raise ConfigError(f"field '{key}' is null; remove it or supply a value")
             want = _FIELD_KINDS[key]
-            if want is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if isinstance(value, bool) or not isinstance(value, want):
+            kind = get_origin(want) or want  # list for list[float]
+            if want is float:
+                value = _to_float(value, key)
+            elif isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"field '{key}': expected {_EXPECTED[want]}, got {value!r}")
+            elif want == list[float]:
+                value = [_to_float(v, key) for v in value]
             if not _finite(value):
                 raise ConfigError(f"field '{key}': non-finite number in {value!r}")
             if want is int and value < 0:
                 raise ConfigError(f"field '{key}': must be nonnegative, got {value!r}")
-            if want is list and not value:
+            if kind is list and not value:
                 raise ConfigError(f"field '{key}': empty list")
             values[key] = value
         return ExperimentConfig(**values)
@@ -155,7 +159,17 @@ class ExperimentConfig:
 
 # each field's type, from its "T | None" annotation
 _FIELD_KINDS = {name: get_args(hint)[0] for name, hint in get_type_hints(ExperimentConfig).items()}
-_EXPECTED = {float: "a number", int: "an integer", list: "a list"}
+_EXPECTED = {float: "a number", int: "an integer", list: "a list", list[float]: "a list of numbers"}
+
+
+def _to_float(value: Any, key: str) -> float:
+    """A JSON number as a float; no bool, string, list or out-of-range integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{key}': expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"field '{key}': integer out of the float range") from None
 
 
 def _finite(value: Any) -> bool:
@@ -269,9 +283,9 @@ def cmd_preserve(config: ExperimentConfig, tol: float,
     min_fid = 1.0
     for k, qubit in enumerate(qubits):
         for t in config.times:
-            res = polarization_dephasing(qubit, alpha, config.chi, float(t), sensitive=sensitive)
+            res = polarization_dephasing(qubit, alpha, config.chi, t, sensitive=sensitive)
             min_fid = min(min_fid, res.fidelity)
-            rows.append((k, repr(float(t)), repr(res.fidelity), repr(res.purity), repr(res.coherence)))
+            rows.append((k, repr(t), repr(res.fidelity), repr(res.purity), repr(res.coherence)))
     results = {"sensitive": sensitive, "min_fidelity": min_fid, "n_qubits": len(qubits)}
     return results, rows, sensitive or min_fid >= 1.0 - tol
 

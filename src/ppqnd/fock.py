@@ -16,6 +16,10 @@ Conventions used throughout the package:
 * A mode with cutoff c holds photon numbers 0 .. c-1.  The annihilation
   operator is truncated: a|c-1> = sqrt(c-1)|c-2> and no level above the
   cutoff exists.
+* Every sector split by a conserved number (the five-level (N_s, N_p)
+  blocks, the polarization-pair n_i + n_j) is _sectors(label): one (B, s)
+  stack of flat indices per sector size s, with its (B, s, s) blocks
+  from _sector_blocks.
 """
 
 from __future__ import annotations
@@ -249,6 +253,33 @@ def _scatter(space: HilbertSpace, table: tuple[np.ndarray, np.ndarray, np.ndarra
     if hermitian:
         m[cols, rows] = vals
     return Operator(space, m, hermitian_flag=hermitian)
+
+
+def _sectors(label: np.ndarray) -> list[np.ndarray]:
+    """Flat indices grouped by an integer label: one (B, s) stack per sector
+    size s, sizes ascending, rows in label order, each row ascending."""
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
+
+
+def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], label: np.ndarray
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A coupling table plus its transpose as (index, blocks) per sector size:
+    index (B, s) from _sectors(label), blocks (B, s, s) the real symmetric
+    operator on each row.  Every entry must join two states of one label."""
+    rows, cols, vals = table
+    groups = _sectors(label)
+    where = np.empty((3, label.size), dtype=np.intp)  # (group, row, position) of each index
+    for g, index in enumerate(groups):
+        where[0, index] = g
+        where[1:, index] = np.indices(index.shape)
+    (group, b, p), q = where[:, rows], where[2, cols]
+    out = [(index, np.zeros((*index.shape, index.shape[1]))) for index in groups]
+    for g, (_, blocks) in enumerate(out):
+        m = group == g
+        blocks[b[m], p[m], q[m]] = blocks[b[m], q[m], p[m]] = vals[m]
+    return out
 
 
 def _check_mode(space: HilbertSpace, mode: int) -> None:
@@ -524,7 +555,7 @@ def evolve(h: Operator, psi: StateVector, t: float, extended: bool = False) -> S
     if np.count_nonzero(m) == np.count_nonzero(diag):  # no nonzero off the diagonal
         return _evolve_diagonal(diag.real, psi, t, extended)
     if extended:
-        return _evolve_sectors(psi, [(np.arange(len(m)), m)], t)
+        return _evolve_sectors(psi, [(np.arange(len(m))[None], m[None])], t)
     w, v = np.linalg.eigh(m)
     amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
     return _unitary_result(psi.space, amps)
@@ -544,20 +575,18 @@ def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.nda
                     t: float) -> StateVector:
     """exp(-i H t) |psi> for a real symmetric H that is block diagonal over `sectors`.
 
-    Each sector is (index, block): the flat basis indices of one invariant
-    subspace and H restricted to it.  Only sectors that hold amplitude of
-    psi are diagonalized, by the longdouble Jacobi, one batch per block
-    size; psi's other amplitudes are zero and stay zero.
+    `sectors` holds (index, blocks) per block size, as from _sector_blocks.
+    Only the rows that hold amplitude of psi are diagonalized, by the
+    longdouble Jacobi, one batch per size; the other amplitudes stay zero.
     """
     amps0 = psi.amplitudes
-    by_size: dict[int, list] = {}
-    for index, block in sectors:
-        if np.any(amps0[index]):
-            by_size.setdefault(len(index), []).append((index, block))
     amps = np.zeros_like(amps0)
-    for group in by_size.values():
-        index = np.stack([i for i, _ in group])
-        w, v = _jacobi_eigh_longdouble(np.stack([b for _, b in group]))
+    for index, blocks in sectors:
+        live = np.any(amps0[index], axis=1)
+        if not live.any():
+            continue
+        index = index[live]
+        w, v = _jacobi_eigh_longdouble(blocks[live])
         v64 = v.astype(np.float64)
         coeffs = _phases_longdouble(w, t) * np.einsum("bji,bj->bi", v64, amps0[index])
         amps[index] = np.einsum("bij,bj->bi", v64, coeffs)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .fock import HilbertSpace, Operator
+from .fock import HilbertSpace, Operator, _readonly, _sectors
 
 __all__ = [
     "PolarizationQubit",
@@ -141,50 +140,34 @@ def _principal_generator(u: np.ndarray) -> np.ndarray:
                       np.stack([half * (n_x + 1j * n_y), mean - half * n_z], axis=-1)], axis=-2)
 
 
-class _SectorGroup(NamedTuple):
-    """The pair sectors of one size s, one row each: B sectors of s states."""
-
-    index: np.ndarray  # (B, s) pair-space indices n_i * cut + n_j, n_i ascending
-    n_i: np.ndarray    # (B, s)
-    n_j: np.ndarray    # (B, s)
-    hop: np.ndarray    # (B, s - 1) <k+1, N-k-1| a_i^+ a_j |k, N-k> = sqrt((k+1)(N-k))
-
-
 @functools.lru_cache(maxsize=None)
-def _pair_sectors(cut: int) -> tuple[_SectorGroup, ...]:
-    """Photon-number sectors N = n_i + n_j of two modes of cutoff cut, by size.
+def _pair_sectors(cut: int) -> tuple[np.ndarray, ...]:
+    """Photon-number sectors N = n_i + n_j of two modes of cutoff cut, as
+    fock._sectors index stacks over the pair index n_i * cut + n_j.
 
     Sizes run 1 .. cut; the sectors N >= cut are cut short by the
-    truncation.
+    truncation.  Within a row n_i ascends.
     """
-    by_size: dict[int, list] = {}
-    for total in range(2 * cut - 1):
-        n_i = np.arange(max(0, total - cut + 1), min(total, cut - 1) + 1)
-        by_size.setdefault(n_i.size, []).append((n_i, total - n_i))
-    groups = []
-    for rows in by_size.values():
-        n_i, n_j = (np.stack(x) for x in zip(*rows))
-        group = _SectorGroup(n_i * cut + n_j, n_i, n_j, np.sqrt(n_i[:, 1:] * n_j[:, :-1]))
-        for a in group:
-            a.setflags(write=False)
-        groups.append(group)
-    return tuple(groups)
+    n_i, n_j = np.indices((cut, cut)).reshape(2, -1)
+    return tuple(_readonly(index) for index in _sectors(n_i + n_j))
 
 
 def _sector_unitaries(u: np.ndarray, cut: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """exp(-i G) on every pair sector for each of K 2x2 unitaries u (shape
     (K, 2, 2)), G = sum_ab h_ab a_a^+ a_b with h = i log(u).
 
-    Returns one (index, blocks) per sector size s: index (B, s) as in
-    _SectorGroup, blocks (K, B, s, s) the unitaries, from one batched eigh
+    Returns one (index, blocks) per sector size s: index (B, s) as from
+    _pair_sectors, blocks (K, B, s, s) the unitaries, from one batched eigh
     per size for all K.  G only moves photons between the two modes, so it
     never leaves a sector, truncated or not.  Each unitary's blocks are
     the same, bit for bit, as from a call with that unitary alone.
     """
     h = _principal_generator(u)[:, None, None]  # (K, 1, 1, 2, 2): broadcast over (B, s)
     out = []
-    for index, n_i, n_j, hop in _pair_sectors(cut):
+    for index in _pair_sectors(cut):
         batch, size = index.shape
+        n_i, n_j = np.divmod(index, cut)
+        hop = np.sqrt(n_i[:, 1:] * n_j[:, :-1])  # <k+1, N-k-1| a_i^+ a_j |k, N-k>
         g = np.zeros((len(u), batch, size, size), dtype=complex)
         k = np.arange(size)
         g[..., k, k] = h[..., 0, 0] * n_i + h[..., 1, 1] * n_j
@@ -303,7 +286,7 @@ def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> floa
     if np.count_nonzero(h.matrix) == np.count_nonzero(diag):  # no nonzero off the diagonal
         return float(_diagonal_deviations(h.space, diag, u.matrix[None], modes)[0])
     cut, layout = _pair_layout(h.space, tuple(modes))
-    states = layout[np.concatenate([group.index.ravel() for group in _pair_sectors(cut)])]
+    states = layout[np.concatenate([index.ravel() for index in _pair_sectors(cut)])]
     n, rest = states.shape
     rows = states.ravel()
     x = h.matrix[np.ix_(rows, rows)].reshape(n, rest, n, rest).swapaxes(1, 2).reshape(n, n, -1)

@@ -208,9 +208,9 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     if cutoff_p is None:
         cutoff_p = default_cutoff(alpha_p)
     space, energies = _qnd_energies(chi, cutoff_s, cutoff_p)
-    probe0 = coherent_state(cutoff_p, alpha_p)
-    psi0 = StateVector(space, np.kron(_fock_vec(cutoff_s, n_s), probe0.amplitudes))
-    psi_t = _evolve_diagonal(energies, psi0, t)
+    amps = np.zeros(space.dims, dtype=complex)
+    amps[0, n_s] = coherent_state(cutoff_p, alpha_p).amplitudes
+    psi_t = _evolve_diagonal(energies, StateVector(space, amps.ravel()), t)
 
     m = psi_t.amplitudes.reshape(cutoff_s, cutoff_p)
     readout = _pure_readout(
@@ -231,12 +231,6 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
         probe_fidelity_flipped=fidelity_to(alpha_p * cmath.exp(+1j * chi * n_s * t)),
         probe_purity=float(np.sum(np.abs(gram) ** 2)),
     )
-
-
-def _fock_vec(cutoff: int, n: int) -> np.ndarray:
-    v = np.zeros(cutoff, dtype=complex)
-    v[n] = 1.0
-    return v
 
 
 @dataclass(frozen=True)
@@ -364,10 +358,10 @@ class DephasingResult:
 
 
 def _qubit_pair_vector(qubit: PolarizationQubit) -> np.ndarray:
-    """Amplitudes of c_L |1,0> + c_R |0,1> on the (2, 2) signal pair."""
-    v = np.zeros(4, dtype=complex)
-    v[2] = qubit.c_l  # (n_L, n_R) = (1, 0)
-    v[1] = qubit.c_r  # (n_L, n_R) = (0, 1)
+    """Amplitudes of c_L |1,0> + c_R |0,1> on the (2, 2) signal pair, indexed (n_L, n_R)."""
+    v = np.zeros((2, 2), dtype=complex)
+    v[1, 0] = qubit.c_l
+    v[0, 1] = qubit.c_r
     return v
 
 
@@ -385,14 +379,13 @@ def polarization_dephasing(qubit: PolarizationQubit, alpha_p: complex, chi: floa
     if cutoff_p is None:
         cutoff_p = default_cutoff(alpha_p)
     space, energies = _ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
-    probe = coherent_state(cutoff_p, alpha_p)
-    psi0 = StateVector(space, np.kron(_qubit_pair_vector(qubit), probe.amplitudes))
-    psi_t = _evolve_diagonal(energies, psi0, t)
+    pair = _qubit_pair_vector(qubit)
+    amps = pair[..., None] * coherent_state(cutoff_p, alpha_p).amplitudes  # (n_L, n_R, n_p)
+    psi_t = _evolve_diagonal(energies, StateVector(space, amps.ravel()), t)
 
     reduced = partial_trace(psi_t, keep=[0, 1])
-    qubit_state = StateVector(reduced.space, _qubit_pair_vector(qubit))
-    fid = fidelity(qubit_state, reduced)
-    coherence = float(2.0 * abs(reduced.matrix[2, 1]))
+    fid = fidelity(StateVector(reduced.space, pair.ravel()), reduced)
+    coherence = float(2.0 * abs(reduced.matrix.reshape(2, 2, 2, 2)[1, 0, 0, 1]))  # rho_LR
     return DephasingResult(fid, reduced.purity(), coherence, reduced)
 
 
@@ -462,10 +455,10 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
         qubit = PolarizationQubit(qubit.c_r, qubit.c_l)
 
     if n_p is not None:
-        if n_p < 0:
-            raise ValueError("n_p must be >= 0")
         cp = max(2, n_p + 1) if cutoff_p is None else cutoff_p
-        probe_vec = _fock_vec(cp, n_p)
+        if not 0 <= n_p < cp:
+            raise ValueError(f"need 0 <= n_p < cutoff_p, got n_p={n_p}, cutoff_p={cp}")
+        probe_vec = np.eye(1, cp, n_p, dtype=complex)[0]  # |n_p>
         probe_tag = f"fock:{n_p}"
         n_p_eff = n_p
     else:
@@ -475,10 +468,10 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
         n_p_eff = 1  # phase is read per probe photon
 
     space, sectors = _pp_sectors(params, 2, 2, cp)
-    atom0 = np.zeros(5, dtype=complex)
-    atom0[0] = 1.0
-    psi0 = StateVector(space, np.kron(atom0, np.kron(_qubit_pair_vector(qubit), probe_vec)))
-    psi_t = _evolve_sectors(psi0, sectors.values(), t)
+    amps = np.zeros(space.dims, dtype=complex)
+    amps[0] = _qubit_pair_vector(qubit)[..., None] * probe_vec  # atom in level 1
+    psi0 = StateVector(space, amps.ravel())
+    psi_t = _evolve_sectors(psi0, sectors, t)
 
     if n_p is not None:
         amp = psi_t.overlap(psi0).conjugate()  # <psi0|psi_t>

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .fock import (
     _jacobi_eigh_longdouble,
     _occupations,
     _scatter,
+    _sector_blocks,
     make_space,
 )
 
@@ -178,43 +178,21 @@ def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
     return _scatter(*_pp_table(params, cutoff_sl, cutoff_sr, cutoff_p), hermitian=True)
 
 
-class _Sector(NamedTuple):
-    """One invariant subspace: ascending flat basis indices and H restricted to them."""
-
-    index: np.ndarray
-    block: np.ndarray
-
-
 def _pp_sectors(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int
-                ) -> tuple[HilbertSpace, dict[tuple[int, int], _Sector]]:
-    """The PP Hamiltonian split into its (N_s, N_p) sectors.
+                ) -> tuple[HilbertSpace, list[tuple[np.ndarray, np.ndarray]]]:
+    """The PP Hamiltonian as fock._sector_blocks (index, blocks) per sector
+    size, one row per (N_s, N_p).
 
     N_s = n_sL + n_sR + [atom not in 1] and N_p = n_p + [atom in 4] are
-    conserved entry by entry, truncation included: each rule of the
-    coupling table moves one quantum between a mode and the atom.  So
-    every table entry lands inside one real symmetric block, keyed by
-    (N_s, N_p).  With signal cutoffs 2 no block is wider than 9 states;
-    an N_s = 1 block holds the 6 route-resolved single-photon states
-    |1; 1,0,n>, |1; 0,1,n>, |2; n>, |2'; n>, |3; n>, |4; n-1>, fewer at the
-    edges of the probe range.
+    conserved entry by entry, truncation included: each coupling rule moves
+    one quantum between a mode and the atom.  With signal cutoffs 2 an
+    N_s = 1 row holds the 6 states |1; 1,0,n>, |1; 0,1,n>, |2; n>, |2'; n>,
+    |3; n>, |4; n-1>, fewer at the edges of the probe range.
     """
-    space, (rows, cols, vals) = _pp_table(params, cutoff_sl, cutoff_sr, cutoff_p)
+    space, table = _pp_table(params, cutoff_sl, cutoff_sr, cutoff_p)
     level, n_l, n_r, n_p = np.indices(space.dims).reshape(4, -1)
-    base = cutoff_p + 1  # N_p <= cutoff_p
-    label = (n_l + n_r + (level != 0)) * base + n_p + (level == 4)
-    order = np.argsort(label, kind="stable")
-    labels, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
-    sector = np.empty_like(order)
-    sector[order] = np.repeat(np.arange(labels.size), sizes)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size) - np.repeat(starts, sizes)
-    width = sizes.max()
-    blocks = np.zeros((labels.size, width, width))
-    blocks[sector[rows], pos[rows], pos[cols]] = vals
-    blocks[sector[rows], pos[cols], pos[rows]] = vals
-    return space, {
-        divmod(int(key), base): _Sector(order[start:start + size], blocks[k, :size, :size])
-        for k, (key, start, size) in enumerate(zip(labels, starts, sizes))}
+    label = (n_l + n_r + (level != 0)) * (cutoff_p + 1) + n_p + (level == 4)  # N_p <= cutoff_p
+    return space, _sector_blocks(table, label)
 
 
 def pp_mirror_permutation(space: HilbertSpace) -> np.ndarray:
@@ -413,9 +391,10 @@ def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
 
     n_s = n_sl + n_sr
     space, sectors = _pp_sectors(params, n_s + 1, n_s + 1, n_p + 1)
-    index, h = sectors[(n_s, n_p)]
-    ref = int(np.searchsorted(index, space.index_of(0, (n_sl, n_sr, n_p))))
-    w_full, v_full = _jacobi_eigh_longdouble(h)
+    ket = space.index_of(0, (n_sl, n_sr, n_p))
+    index, blocks = next(sector for sector in sectors if np.any(sector[0] == ket))
+    ((k, ref),) = np.argwhere(index == ket)  # the row that holds the reference ket
+    w_full, v_full = _jacobi_eigh_longdouble(blocks[k])
     overlaps = v_full[ref].astype(np.float64) ** 2
     first, second = np.argsort(overlaps)[::-1][:2]
 

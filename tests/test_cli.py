@@ -160,8 +160,13 @@ class TestExitCodes:
         ("invariance", '{"unitary_count": -3}', "unitary_count"),
         ("preserve", '{"times": []}', "times"),
         ("backaction", '{"alphas": []}', "alphas"),
+        ("preserve", '{"times": [[1.0]]}', "times"),  # was an uncaught TypeError
+        ("preserve", '{"times": ["5"]}', "times"),  # ran silently as 5.0
+        ("preserve", '{"times": [true]}', "times"),  # ran silently as 1.0
+        ("qnd", '{"chi": ' + "9" * 401 + '}', "chi"),  # was an uncaught OverflowError
     ], ids=["time-inf", "chi-nan", "draws-negative", "unitary_count-negative",
-            "times-empty", "alphas-empty"])
+            "times-empty", "alphas-empty", "times-nested", "times-string", "times-bool",
+            "chi-huge-int"])
     def test_out_of_range_config_exits_one(self, capsys, tmp_path, command, raw, name):
         path = tmp_path / "bad.json"
         path.write_text(raw)

@@ -216,6 +216,27 @@ class TestDiagonalRoute:
         assert retained < 0.1e6
 
 
+def by_total_pair_sectors(cut):
+    """The pair sectors built sector by sector: for each total N = n_i + n_j
+    the pair indices n_i * cut + n_j with n_i ascending, stacked per size in
+    order of first appearance."""
+    by_size = {}
+    for total in range(2 * cut - 1):
+        n_i = np.arange(max(0, total - cut + 1), min(total, cut - 1) + 1)
+        by_size.setdefault(n_i.size, []).append(n_i * cut + (total - n_i))
+    return [np.stack(rows) for rows in by_size.values()]
+
+
+@pytest.mark.parametrize("cut", range(1, 9))
+def test_pair_sectors_equal_the_by_total_construction(cut):
+    ours = polarization._pair_sectors(cut)
+    reference = by_total_pair_sectors(cut)
+    assert len(ours) == len(reference)
+    for index, expected in zip(ours, reference):
+        assert index.dtype == np.intp and np.array_equal(index, expected)
+        assert not index.flags.writeable  # cached: shared by every later call
+
+
 class TestStokes:
     def test_poles_and_equator(self):
         assert stokes_vector(PolarizationQubit.left()) == pytest.approx((0.0, 0.0, 1.0))

@@ -59,7 +59,7 @@ from ppqnd import (
     secular_coefficients,
 )
 from ppqnd import cli
-from ppqnd.fock import _jacobi_eigh_longdouble
+from ppqnd.fock import _jacobi_eigh_longdouble, _sectors
 from ppqnd.polarization import _principal_generator
 from ppqnd.schemes import _pp_block_stack, _pp_sectors, build_pp_block_matrix
 from ppqnd.secular import _char_poly_stack, _coefficient_stack, _point_arrays
@@ -364,6 +364,23 @@ def pp_params(draw):
                         xi_p / r_probe, xi_p)
 
 
+@PROPERTY
+@given(st.lists(st.integers(-3, 6), min_size=1, max_size=40))
+def test_sectors_partition_the_indices_by_label(labels):
+    label = np.array(labels)
+    groups = _sectors(label)
+    rows = [row for index in groups for row in index]
+    assert sorted(np.concatenate(rows).tolist()) == list(range(len(label)))
+    for row in rows:
+        assert np.all(np.diff(row) > 0)
+        assert np.all(label[row] == label[row[0]])
+    assert len({label[row[0]] for row in rows}) == len(rows)
+    sizes = [index.shape[1] for index in groups]
+    assert sizes == sorted(set(sizes))
+    for index in groups:  # rows of one size run in label order
+        assert np.all(np.diff(label[index[:, 0]]) > 0)
+
+
 pp_cutoffs = st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 5))
 
 
@@ -400,12 +417,17 @@ def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
     n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
     rebuilt = np.zeros((space.total_dim, space.total_dim))
     covered = np.zeros(space.total_dim, dtype=int)
-    for (sector_s, sector_p), (index, block) in sectors.items():
-        assert np.all(np.diff(index) > 0)
-        assert np.all(n_s[index] == sector_s) and np.all(n_p[index] == sector_p)
-        assert np.array_equal(block, block.T)
-        rebuilt[np.ix_(index, index)] = block
-        covered[index] += 1
+    seen = set()
+    for index, blocks in sectors:
+        for row, block in zip(index, blocks):
+            assert np.all(np.diff(row) > 0)
+            sector = (n_s[row[0]], n_p[row[0]])  # one (N_s, N_p) per row
+            assert np.all(n_s[row] == sector[0]) and np.all(n_p[row] == sector[1])
+            assert sector not in seen
+            seen.add(sector)
+            assert np.array_equal(block, block.T)
+            rebuilt[np.ix_(row, row)] = block
+            covered[row] += 1
     assert np.all(covered == 1)  # the sectors partition the basis ...
     assert np.array_equal(rebuilt, h)  # ... and every nonzero entry lies in one block
 
@@ -416,8 +438,8 @@ def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
 def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
     mpmath.mp.dps = 40
     _, sectors = _pp_sectors(params, *cutoffs)
-    for index, block in sectors.values():
-        if len(index) < 2:
+    for block in (block for _, blocks in sectors for block in blocks):
+        if len(block) < 2:
             continue
         w, _ = _jacobi_eigh_longdouble(block)
         ours = w[np.argmin(np.abs(w))]

@@ -300,7 +300,7 @@ class TestFullVsEffective:
         psi0 = StateVector(space, amps)
         for t in (1e3, 1e6):
             dense = evolve(h, psi0, t, extended=True).amplitudes
-            ours = _evolve_sectors(psi0, sectors.values(), t).amplitudes
+            ours = _evolve_sectors(psi0, sectors, t).amplitudes
             assert np.max(np.abs(ours - dense)) < 1e-12
         # At the phase target t ~ 1e11 the fast levels accumulate w t ~ 1e15 rad,
         # which longdouble resolves only to ~1e-4 rad in either route; the
@@ -308,7 +308,7 @@ class TestFullVsEffective:
         roots = quintic_roots(secular_coefficients(RATIO100, 1, 0, n_p))
         t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
         dense = evolve(h, psi0, t, extended=True).amplitudes.reshape(5, -1)
-        ours = _evolve_sectors(psi0, sectors.values(), t).amplitudes.reshape(5, -1)
+        ours = _evolve_sectors(psi0, sectors, t).amplitudes.reshape(5, -1)
         assert np.max(np.abs(ours[0] - dense[0])) < 1e-12
 
     def test_coherent_phase_matches_dense_readout(self):
@@ -352,3 +352,9 @@ class TestFullVsEffective:
             full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=1, alpha_p=1.0)
         with pytest.raises(ValueError):
             full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0)
+
+    def test_rejects_fock_probe_above_the_cutoff(self):
+        with pytest.raises(ValueError, match="cutoff_p"):
+            full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=5, cutoff_p=3)
+        with pytest.raises(ValueError, match="cutoff_p"):
+            full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=3, cutoff_p=3)
