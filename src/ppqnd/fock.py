@@ -263,14 +263,17 @@ def _sectors(label: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], label: np.ndarray
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A coupling table plus its transpose as (index, blocks) per sector size:
-    index (B, s) from _sectors(label), blocks (B, s, s) the real symmetric
-    operator on each row.  Every entry must join two states of one label."""
+def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], label: np.ndarray,
+                   keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A coupling table plus its transpose as (index, blocks) per sector size,
+    cut only where a sector holds a flat index in `keep`: index (B, s) those
+    rows of _sectors(label), in order, and no size without one; blocks
+    (B, s, s) the real symmetric operator on each row.  Every entry must
+    join two states of one label."""
     rows, cols, vals = table
-    groups = _sectors(label)
-    where = np.empty((3, label.size), dtype=np.intp)  # (group, row, position) of each index
+    groups = [index[np.isin(index, keep).any(axis=1)] for index in _sectors(label)]
+    groups = [index for index in groups if len(index)]
+    where = np.full((3, label.size), -1, dtype=np.intp)  # (group, row, position) of each index
     for g, index in enumerate(groups):
         where[0, index] = g
         where[1:, index] = np.indices(index.shape)
@@ -445,10 +448,11 @@ def _require_extended_precision() -> None:
 
 @functools.lru_cache(maxsize=None)
 def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Rounds of disjoint pairs (p < q) of 0..n-1; each pair occurs in exactly one round.
+    """Rounds of disjoint pairs (p < q) of 0..n-1, each as index arrays (p ++ q, q ++ p).
 
-    Circle method: index 0 stays put while the others rotate; with odd n a
-    phantom index n pairs with one real index per round, which then sits out.
+    Each pair occurs in exactly one round.  Circle method: index 0 stays put
+    while the others rotate; with odd n a phantom index n pairs with one
+    real index per round, which then sits out.
     """
     m = n + n % 2
     ring = list(range(1, m))
@@ -457,19 +461,11 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         line = [0] + ring
         pairs = [sorted((line[i], line[m - 1 - i])) for i in range(m // 2)]
         pairs = [pq for pq in pairs if pq[1] < n]
-        rounds.append((_readonly(np.array([p for p, _ in pairs], dtype=np.intp)),
-                       _readonly(np.array([q for _, q in pairs], dtype=np.intp))))
+        p, q = [p for p, _ in pairs], [q for _, q in pairs]
+        rounds.append((_readonly(np.array(p + q, dtype=np.intp)),
+                       _readonly(np.array(q + p, dtype=np.intp))))
         ring = ring[-1:] + ring[:-1]
     return tuple(rounds)
-
-
-def _rotate_rows(x: np.ndarray, p: np.ndarray, q: np.ndarray, c: np.ndarray,
-                 s: np.ndarray) -> None:
-    """Rows (p, q) of every matrix in the stack x <- (c x_p - s x_q, s x_p + c x_q)."""
-    xp, xq = x[:, p, :], x[:, q, :]
-    c, s = c[:, :, None], s[:, :, None]
-    x[:, p, :] = c * xp - s * xq
-    x[:, q, :] = s * xp + c * xq
 
 
 def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,7 +478,9 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     `matrix` is one (n, n) matrix or a stack (B, n, n) of equal-size
     blocks, rotated together in one set of numpy operations.  A sweep
     visits every pair (p, q) once, in round-robin order: the disjoint pairs
-    of a round rotate at once.  Each matrix stops rotating once it has
+    of a round rotate at once, a pair that need not turn with c = 1, s = 0.
+    A round rotates the rows of [a | v^T], so a's rows and v's columns in
+    one step, then a's columns.  Each matrix stops rotating once it has
     converged or stagnated at its noise floor.  Returns eigenvalues
     ascending and eigenvectors as columns, batched like the input.
     """
@@ -495,8 +493,10 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     a = np.array(matrix, dtype=np.longdouble, ndmin=3)
     batch, n, _ = a.shape
     diag = np.arange(n)
-    v = np.zeros_like(a)
-    v[:, diag, diag] = 1
+    av = np.concatenate([a, np.zeros_like(a)], axis=2)
+    a, vt = av[:, :, :n], av[:, :, n:]
+    vt[:, diag, diag] = 1
+    a_diag, a_cols = np.diagonal(a, axis1=1, axis2=2), a.swapaxes(1, 2)
     eps = np.finfo(np.longdouble).eps
     live = np.ones(batch, dtype=bool)
     prev_off = np.full(batch, np.inf, dtype=np.longdouble)
@@ -509,30 +509,29 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             break
         prev_off = off
         rotated = np.zeros(batch, dtype=bool)
-        for p, q in _round_robin(n):
-            apq, app, aqq = a[:, p, q], a[:, p, p], a[:, q, q]
+        for pq, qp in _round_robin(n):
+            k = len(pq) // 2
+            apq, app_aqq = a[:, pq[:k], qp[:k]], a_diag[:, pq]
+            app, aqq = app_aqq[:, :k], app_aqq[:, k:]
             # Relative test: a_pq is negligible only against its own diagonal
             # pair, so tiny eigenvalues keep their accuracy next to large ones.
             turn = live[:, None] & (np.abs(apq) > eps * np.sqrt(np.abs(app * aqq)))
             if not turn.any():
                 continue
             rotated |= turn.any(axis=1)
-            pairs = turn.any(axis=0)
-            p, q, apq, app, aqq, turn = (p[pairs], q[pairs], apq[:, pairs], app[:, pairs],
-                                         aqq[:, pairs], turn[:, pairs])
             theta = (aqq - app) / (2 * np.where(turn, apq, 1))
             t = np.where(theta == 0, 1,
                          np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1)))
-            c = np.where(turn, 1 / np.sqrt(t * t + 1), 1)
-            s = np.where(turn, t * c, 0)
-            _rotate_rows(a, p, q, c, s)
-            _rotate_rows(a.swapaxes(1, 2), p, q, c, s)
-            _rotate_rows(v.swapaxes(1, 2), p, q, c, s)
+            t = np.where(turn, t, 0)
+            t = np.concatenate([-t, t], axis=1)[:, :, None]
+            c = 1 / np.sqrt(t * t + 1)  # (c, c); exactly 1 where t = 0
+            s = t * c  # (-s, s): c x_p + (-s) x_q rounds exactly as c x_p - s x_q
+            for x in (av, a_cols):  # rows p, q <- (c x_p - s x_q, s x_p + c x_q)
+                x[:, pq] = c * x[:, pq] + s * x[:, qp]
         live &= rotated  # a sweep without a rotation has converged
-    w = np.diagonal(a, axis1=1, axis2=2)
-    order = np.argsort(w, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    order = np.argsort(a_diag, axis=1)
+    w = np.take_along_axis(a_diag, order, axis=1)
+    v = np.take_along_axis(vt.swapaxes(1, 2), order[:, None, :], axis=2)
     return (w[0], v[0]) if matrix.ndim == 2 else (w, v)
 
 
@@ -575,18 +574,14 @@ def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.nda
                     t: float) -> StateVector:
     """exp(-i H t) |psi> for a real symmetric H that is block diagonal over `sectors`.
 
-    `sectors` holds (index, blocks) per block size, as from _sector_blocks.
-    Only the rows that hold amplitude of psi are diagonalized, by the
-    longdouble Jacobi, one batch per size; the other amplitudes stay zero.
+    `sectors` holds (index, blocks) per block size, as from _sector_blocks,
+    and must cover every amplitude of psi; each batch is diagonalized by the
+    longdouble Jacobi, and the amplitudes outside it stay zero.
     """
     amps0 = psi.amplitudes
     amps = np.zeros_like(amps0)
     for index, blocks in sectors:
-        live = np.any(amps0[index], axis=1)
-        if not live.any():
-            continue
-        index = index[live]
-        w, v = _jacobi_eigh_longdouble(blocks[live])
+        w, v = _jacobi_eigh_longdouble(blocks)
         v64 = v.astype(np.float64)
         coeffs = _phases_longdouble(w, t) * np.einsum("bji,bj->bi", v64, amps0[index])
         amps[index] = np.einsum("bij,bj->bi", v64, coeffs)

@@ -279,24 +279,30 @@ def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> floa
     other H is read once, its basis states in pair-sector order, and laid
     out as (row pair, column pair, rest x rest); U is applied sector by
     sector on the two pair axes, to the rows of H and then, conjugated, to
-    its columns.  No full-space U is formed on either route, and nothing
-    is cached between calls.
+    its columns, one column sector size at a time, each slice subtracted
+    and maximized before the next.  That route holds two D x D complex
+    arrays.  No full-space U is formed on either route, and nothing is
+    cached between calls.
     """
     diag = np.diagonal(h.matrix)
     if np.count_nonzero(h.matrix) == np.count_nonzero(diag):  # no nonzero off the diagonal
         return float(_diagonal_deviations(h.space, diag, u.matrix[None], modes)[0])
     cut, layout = _pair_layout(h.space, tuple(modes))
     states = layout[np.concatenate([index.ravel() for index in _pair_sectors(cut)])]
-    n, rest = states.shape
-    rows = states.ravel()
-    x = h.matrix[np.ix_(rows, rows)].reshape(n, rest, n, rest).swapaxes(1, 2).reshape(n, n, -1)
+    n = len(states)
+    x = h.matrix[states[:, None, :, None], states[None, :, None, :]].reshape(n, n, -1)
     sectors = [(index, blocks[0]) for index, blocks in _sector_unitaries(u.matrix[None], cut)]
     left = np.empty_like(x)
     _apply_sectors(sectors, x.reshape(1, n, -1), left.reshape(1, n, -1))
-    conjugated = [(index, blocks.conj()) for index, blocks in sectors]
-    transformed = _apply_sectors(conjugated, left, np.empty_like(x))
-    transformed -= x
-    return float(np.max(np.abs(transformed)))
+    worst, start = 0.0, 0
+    for index, blocks in sectors:  # the columns one sector size at a time
+        part = slice(start, start + index.size)
+        start += index.size
+        cols = left[:, part]  # also frees the previous slice's result
+        cols = _apply_sectors([(index, blocks.conj())], cols, np.empty_like(cols))
+        cols -= x[:, part]
+        worst = np.maximum(worst, np.max(np.abs(cols)))  # NaN propagates
+    return float(worst)
 
 
 def stokes_vector(q: PolarizationQubit) -> tuple[float, float, float]:

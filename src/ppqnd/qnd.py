@@ -30,6 +30,7 @@ from .fock import (
     coherent_state,
     default_cutoff,
     fidelity,
+    make_space,
     partial_trace,
 )
 from .polarization import PolarizationQubit
@@ -440,11 +441,11 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     The evolution is exact within the truncation and runs in extended
     precision at every probe cutoff: H conserves N_s = n_sL + n_sR +
     [atom not in 1] and N_p = n_p + [atom in 4], so only the (N_s, N_p)
-    sectors holding amplitude of psi(0) are diagonalized, by longdouble
-    Jacobi batched over equal-size blocks.  For the single signal photon
-    these are the N_s = 1 sectors, at most 6 states each: one for a Fock
-    probe, one per probe photon number for a coherent probe.  No dense
-    Hamiltonian of the full space is built.
+    sectors holding amplitude of psi(0) are cut and diagonalized, by
+    longdouble Jacobi batched over equal-size blocks.  For the single
+    signal photon these are the N_s = 1 sectors, at most 6 states each: one
+    for a Fock probe, one per probe photon number for a coherent probe.  No
+    dense Hamiltonian of the full space is built.
     """
     if (n_p is None) == (alpha_p is None):
         raise ValueError("give exactly one of n_p or alpha_p")
@@ -467,10 +468,11 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 
-    space, sectors = _pp_sectors(params, 2, 2, cp)
+    space = make_space(5, [2, 2, cp])
     amps = np.zeros(space.dims, dtype=complex)
     amps[0] = _qubit_pair_vector(qubit)[..., None] * probe_vec  # atom in level 1
     psi0 = StateVector(space, amps.ravel())
+    sectors = _pp_sectors(params, 2, 2, cp, np.flatnonzero(psi0.amplitudes))
     psi_t = _evolve_sectors(psi0, sectors, t)
 
     if n_p is not None:

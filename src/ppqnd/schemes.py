@@ -178,10 +178,11 @@ def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
     return _scatter(*_pp_table(params, cutoff_sl, cutoff_sr, cutoff_p), hermitian=True)
 
 
-def _pp_sectors(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int
-                ) -> tuple[HilbertSpace, list[tuple[np.ndarray, np.ndarray]]]:
+def _pp_sectors(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int,
+                keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The PP Hamiltonian as fock._sector_blocks (index, blocks) per sector
-    size, one row per (N_s, N_p).
+    size, one row per (N_s, N_p) sector that holds a flat index in `keep`
+    (on the space make_space(5, [cutoff_sl, cutoff_sr, cutoff_p])).
 
     N_s = n_sL + n_sR + [atom not in 1] and N_p = n_p + [atom in 4] are
     conserved entry by entry, truncation included: each coupling rule moves
@@ -192,7 +193,7 @@ def _pp_sectors(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: 
     space, table = _pp_table(params, cutoff_sl, cutoff_sr, cutoff_p)
     level, n_l, n_r, n_p = np.indices(space.dims).reshape(4, -1)
     label = (n_l + n_r + (level != 0)) * (cutoff_p + 1) + n_p + (level == 4)  # N_p <= cutoff_p
-    return space, _sector_blocks(table, label)
+    return _sector_blocks(table, label, keep)
 
 
 def pp_mirror_permutation(space: HilbertSpace) -> np.ndarray:
@@ -379,22 +380,22 @@ def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     distinguishable Fock states and the gaps grow.
 
     Only the (N_s, N_p) = (n_sL + n_sR, n_p) sector of the reference ket is
-    diagonalized: every eigenvector outside it has zero overlap on the ket.
-    That sector holds at most 16 states for n_s <= 3, against a full space
-    of 5 (n_s + 1)^2 (n_p + 1).  Both diagonalizations run in extended
-    precision: the eigenvalues of interest sit ~16 decades below the
-    matrix norm in deep hierarchies.
+    cut and diagonalized: every eigenvector outside it has zero overlap on
+    the ket.  That sector holds at most 16 states for n_s <= 3, against a
+    full space of 5 (n_s + 1)^2 (n_p + 1).  Both diagonalizations run in
+    extended precision: the eigenvalues of interest sit ~16 decades below
+    the matrix norm in deep hierarchies.
     """
     block = build_pp_block_matrix(params, n_sl, n_sr, n_p)
     w_block, _ = _jacobi_eigh_longdouble(block.matrix)
     lam_block = float(w_block[np.argmin(np.abs(w_block))])
 
     n_s = n_sl + n_sr
-    space, sectors = _pp_sectors(params, n_s + 1, n_s + 1, n_p + 1)
-    ket = space.index_of(0, (n_sl, n_sr, n_p))
-    index, blocks = next(sector for sector in sectors if np.any(sector[0] == ket))
-    ((k, ref),) = np.argwhere(index == ket)  # the row that holds the reference ket
-    w_full, v_full = _jacobi_eigh_longdouble(blocks[k])
+    cutoffs = (n_s + 1, n_s + 1, n_p + 1)
+    ket = make_space(5, cutoffs).index_of(0, (n_sl, n_sr, n_p))
+    ((index, blocks),) = _pp_sectors(params, *cutoffs, [ket])  # the ket's sector alone
+    (ref,) = np.flatnonzero(index[0] == ket)
+    w_full, v_full = _jacobi_eigh_longdouble(blocks[0])
     overlaps = v_full[ref].astype(np.float64) ** 2
     first, second = np.argsort(overlaps)[::-1][:2]
 

@@ -16,7 +16,10 @@ from ppqnd.cli import (
     COMMANDS,
     ConfigError,
     ExperimentConfig,
+    _FIELD_KINDS,
+    _INT_MAX,
     _build_parser,
+    _effective_config,
     _haar_unitaries,
     cmd_invariance,
     main,
@@ -98,6 +101,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"'{name}': non-finite"):
             ExperimentConfig.from_dict(raw)
 
+    def test_every_integer_field_is_bounded_at_its_max(self):
+        # from_dict allocates nothing, so the bounds themselves are safe to probe
+        ints = {name for name, kind in _FIELD_KINDS.items() if kind is int}
+        assert set(_INT_MAX) == ints
+        for name, top in _INT_MAX.items():
+            assert getattr(ExperimentConfig.from_dict({name: top}), name) == top
+            with pytest.raises(ConfigError, match=f"'{name}': must be an integer in 0.."):
+                ExperimentConfig.from_dict({name: top + 1})
+
+    def test_integer_bounds_admit_the_documented_sizes(self):
+        for command, raw in [("qnd", {"cutoff_p": 10**5}), ("qnd", {"cutoff_p": 10**6}),
+                             ("invariance", {"cutoff_s": 16, "cutoff_p": 16}),
+                             ("secular", {"draws": 10**4})]:
+            _effective_config(_COMMANDS[command].defaults, raw, None)
+
     def test_qubit_normalization_enforced(self):
         cfg = ExperimentConfig.from_dict({"qubits": [[[1.0, 0.0], [1.0, 0.0]]]})
         with pytest.raises(ConfigError, match="qubits"):
@@ -164,9 +182,13 @@ class TestExitCodes:
         ("preserve", '{"times": ["5"]}', "times"),  # ran silently as 5.0
         ("preserve", '{"times": [true]}', "times"),  # ran silently as 1.0
         ("qnd", '{"chi": ' + "9" * 401 + '}', "chi"),  # was an uncaught OverflowError
+        # rejected before numpy's "Maximum allowed size exceeded", which named no field
+        ("qnd", '{"cutoff_p": 100000000000000000000}', "cutoff_p"),
+        ("qnd", '{"n_s": 100000000000000000000}', "n_s"),
+        ("secular", '{"draws": 100000000000000000000}', "draws"),
     ], ids=["time-inf", "chi-nan", "draws-negative", "unitary_count-negative",
             "times-empty", "alphas-empty", "times-nested", "times-string", "times-bool",
-            "chi-huge-int"])
+            "chi-huge-int", "cutoff_p-huge-int", "n_s-huge-int", "draws-huge-int"])
     def test_out_of_range_config_exits_one(self, capsys, tmp_path, command, raw, name):
         path = tmp_path / "bad.json"
         path.write_text(raw)

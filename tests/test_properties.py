@@ -11,17 +11,20 @@ fidelity of evolve_qnd against dense operators on the reduced density
 matrix, and the vectorized number operator against an index loop.  The
 five-level PP Hamiltonian gets its symmetries (two conserved excitation
 numbers, the L/R mirror), its sector split against the dense matrix, and
-its quasidark eigenvalues against an mpmath oracle.  The secular roots
-from the stacked block are checked against 50-digit mpmath eigenvalues
-and regime_scan against estimate_eigenvalues point by point; the
-coefficient-level quintic_roots against the same kind of oracle next to
-a fixed 60-step Aberth loop; the array-drawn secular oracle against a
-per-draw loop; and the stacked characteristic polynomial against np.poly
-per matrix.
+its quasidark eigenvalues against an mpmath oracle; the sectors cut for a
+set of kept states are the rows of the all-states cut that hold one, and
+the longdouble Jacobi gives the values of the kernel it replaced, bit for
+bit.  The secular roots from the stacked block are checked against
+50-digit mpmath eigenvalues and regime_scan against estimate_eigenvalues
+point by point; the coefficient-level quintic_roots against the same
+kind of oracle next to a fixed 60-step Aberth loop; the array-drawn
+secular oracle against a per-draw loop; and the stacked characteristic
+polynomial against np.poly per matrix.
 Examples are derandomized so the suite stays deterministic.
 """
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -59,7 +62,13 @@ from ppqnd import (
     secular_coefficients,
 )
 from ppqnd import cli
-from ppqnd.fock import _jacobi_eigh_longdouble, _sectors
+from ppqnd.fock import (
+    _evolve_sectors,
+    _jacobi_eigh_longdouble,
+    _readonly,
+    _require_extended_precision,
+    _sectors,
+)
 from ppqnd.polarization import _principal_generator
 from ppqnd.schemes import _pp_block_stack, _pp_sectors, build_pp_block_matrix
 from ppqnd.secular import _char_poly_stack, _coefficient_stack, _point_arrays
@@ -413,7 +422,8 @@ def test_pp_hamiltonian_is_mirror_invariant(params, cutoff_s, cutoff_p):
 @given(pp_params(), pp_cutoffs)
 def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
     h = build_pp_hamiltonian(params, *cutoffs).matrix
-    space, sectors = _pp_sectors(params, *cutoffs)
+    space = make_space(5, cutoffs)
+    sectors = _pp_sectors(params, *cutoffs, np.arange(space.total_dim))
     n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
     rebuilt = np.zeros((space.total_dim, space.total_dim))
     covered = np.zeros(space.total_dim, dtype=int)
@@ -437,7 +447,7 @@ def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
 @given(pp_params(), pp_cutoffs)
 def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
     mpmath.mp.dps = 40
-    _, sectors = _pp_sectors(params, *cutoffs)
+    sectors = _pp_sectors(params, *cutoffs, np.arange(make_space(5, cutoffs).total_dim))
     for block in (block for _, blocks in sectors for block in blocks):
         if len(block) < 2:
             continue
@@ -449,6 +459,174 @@ def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
             assert abs(ours) <= np.finfo(np.longdouble).eps * norm
         else:
             assert abs((mpmath.mpf(str(ours)) - exact) / exact) <= 1e-6
+
+
+# The longdouble Jacobi as it stood before its round rotated [a | v^T] in one
+# call (kept verbatim but for the names): the bit-for-bit reference that
+# pins the kernel's output.  It rotated only the pairs some matrix of the
+# batch turned, and a's rows, a's columns and v's columns in three calls.
+REFERENCE_SWEEPS = 60
+
+
+@functools.lru_cache(maxsize=None)
+def reference_round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rounds of disjoint pairs (p < q) of 0..n-1; each pair occurs in exactly one round.
+
+    Circle method: index 0 stays put while the others rotate; with odd n a
+    phantom index n pairs with one real index per round, which then sits out.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        line = [0] + ring
+        pairs = [sorted((line[i], line[m - 1 - i])) for i in range(m // 2)]
+        pairs = [pq for pq in pairs if pq[1] < n]
+        rounds.append((_readonly(np.array([p for p, _ in pairs], dtype=np.intp)),
+                       _readonly(np.array([q for _, q in pairs], dtype=np.intp))))
+        ring = ring[-1:] + ring[:-1]
+    return tuple(rounds)
+
+
+def reference_rotate_rows(x: np.ndarray, p: np.ndarray, q: np.ndarray, c: np.ndarray,
+                 s: np.ndarray) -> None:
+    """Rows (p, q) of every matrix in the stack x <- (c x_p - s x_q, s x_p + c x_q)."""
+    xp, xq = x[:, p, :], x[:, q, :]
+    c, s = c[:, :, None], s[:, :, None]
+    x[:, p, :] = c * xp - s * xq
+    x[:, q, :] = s * xp + c * xq
+
+
+def reference_jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi diagonalization of real symmetric matrices in longdouble.
+
+    LAPACK only works in double precision; eigenvalues ~1e-16 below the
+    matrix norm (the quasidark scale of deep-hierarchy schemes) drown in its
+    eps*|H| noise.  80-bit arithmetic recovers them.
+
+    `matrix` is one (n, n) matrix or a stack (B, n, n) of equal-size
+    blocks, rotated together in one set of numpy operations.  A sweep
+    visits every pair (p, q) once, in round-robin order: the disjoint pairs
+    of a round rotate at once.  Each matrix stops rotating once it has
+    converged or stagnated at its noise floor.  Returns eigenvalues
+    ascending and eigenvectors as columns, batched like the input.
+    """
+    _require_extended_precision()
+    matrix = np.asarray(matrix)
+    if np.iscomplexobj(matrix):
+        if np.max(np.abs(matrix.imag)) != 0.0:
+            raise ValueError("extended-precision path supports real symmetric matrices only")
+        matrix = matrix.real
+    a = np.array(matrix, dtype=np.longdouble, ndmin=3)
+    batch, n, _ = a.shape
+    diag = np.arange(n)
+    v = np.zeros_like(a)
+    v[:, diag, diag] = 1
+    eps = np.finfo(np.longdouble).eps
+    live = np.ones(batch, dtype=bool)
+    prev_off = np.full(batch, np.inf, dtype=np.longdouble)
+    for _ in range(REFERENCE_SWEEPS):
+        squares = a * a
+        squares[:, diag, diag] = 0
+        off = np.sqrt(np.sum(squares, axis=(1, 2)))
+        live &= off < prev_off  # stagnated at the noise floor
+        if not live.any():
+            break
+        prev_off = off
+        rotated = np.zeros(batch, dtype=bool)
+        for p, q in reference_round_robin(n):
+            apq, app, aqq = a[:, p, q], a[:, p, p], a[:, q, q]
+            # Relative test: a_pq is negligible only against its own diagonal
+            # pair, so tiny eigenvalues keep their accuracy next to large ones.
+            turn = live[:, None] & (np.abs(apq) > eps * np.sqrt(np.abs(app * aqq)))
+            if not turn.any():
+                continue
+            rotated |= turn.any(axis=1)
+            pairs = turn.any(axis=0)
+            p, q, apq, app, aqq, turn = (p[pairs], q[pairs], apq[:, pairs], app[:, pairs],
+                                         aqq[:, pairs], turn[:, pairs])
+            theta = (aqq - app) / (2 * np.where(turn, apq, 1))
+            t = np.where(theta == 0, 1,
+                         np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1)))
+            c = np.where(turn, 1 / np.sqrt(t * t + 1), 1)
+            s = np.where(turn, t * c, 0)
+            reference_rotate_rows(a, p, q, c, s)
+            reference_rotate_rows(a.swapaxes(1, 2), p, q, c, s)
+            reference_rotate_rows(v.swapaxes(1, 2), p, q, c, s)
+        live &= rotated  # a sweep without a rotation has converged
+    w = np.diagonal(a, axis1=1, axis2=2)
+    order = np.argsort(w, axis=1)
+    w = np.take_along_axis(w, order, axis=1)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    return (w[0], v[0]) if matrix.ndim == 2 else (w, v)
+
+
+def assert_same_bits(ours, reference):
+    """Every value the same, bit for bit.  An exact zero may differ in sign:
+    a pair that no matrix turns now gets c = 1, s = 0 and can turn a -0 into
+    +0, and no nonzero value depends on the sign of a zero.  (The 80-bit
+    longdouble's padding bytes are undefined, so bytes are not compared.)"""
+    for x, y in zip(ours, reference):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+@PROPERTY
+@given(st.integers(1, 16), st.integers(1, 11), st.sampled_from(["graded", "sparse"]), seeds)
+def test_jacobi_is_bitwise_the_reference_kernel(n, batch, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "graded":  # rows and columns scaled over 16 decades
+        scales = 10.0 ** rng.uniform(-8, 8, size=(batch, n, 1))
+        a = rng.standard_normal((batch, n, n)) * scales * scales.transpose(0, 2, 1)
+    else:  # exact zeros: pairs that never turn next to pairs that do
+        a = rng.standard_normal((batch, n, n)) * (rng.random((batch, n, n)) < 0.3)
+    a = a + a.transpose(0, 2, 1)
+    assert_same_bits(_jacobi_eigh_longdouble(a), reference_jacobi_eigh_longdouble(a))
+    assert_same_bits(_jacobi_eigh_longdouble(a[0]), reference_jacobi_eigh_longdouble(a[0]))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(pp_params(), st.integers(2, 30))
+def test_jacobi_is_bitwise_the_reference_kernel_on_pp_sectors(params, cutoff_p):
+    # the full-model shapes: the N_s = 1 stacks of full_vs_effective, (B, 6, 6)
+    # and the shorter edge rows, and the 11 x 11 and 16 x 16 sectors of
+    # compare_block_to_full at n_s = 2 and 3
+    space = make_space(5, [2, 2, cutoff_p])
+    signal = space.index_of(0, (1, 0, 0)) + np.arange(cutoff_p)  # |1; 1, 0, n_p>
+    stacks = [blocks for _, blocks in _pp_sectors(params, 2, 2, cutoff_p, signal)]
+    for n_sl, n_sr in ((2, 0), (1, 2)):
+        cutoffs = (n_sl + n_sr + 1, n_sl + n_sr + 1, 3)
+        ket = make_space(5, cutoffs).index_of(0, (n_sl, n_sr, 2))
+        ((_, blocks),) = _pp_sectors(params, *cutoffs, [ket])
+        stacks.append(blocks[0])
+    assert {stack.shape[-1] for stack in stacks} >= {6, 11, 16}
+    for stack in stacks:
+        assert_same_bits(_jacobi_eigh_longdouble(stack), reference_jacobi_eigh_longdouble(stack))
+
+
+@PROPERTY
+@given(pp_params(), pp_cutoffs, seeds, st.floats(1e-3, 1e6))
+def test_restricted_cut_is_the_full_cut_where_a_kept_state_lives(params, cutoffs, seed, t):
+    space = make_space(5, cutoffs)
+    rng = np.random.default_rng(seed)
+    keep = np.flatnonzero(rng.random(space.total_dim) < rng.choice([0.02, 0.2]))
+    keep = np.union1d(keep, rng.integers(space.total_dim, size=1))
+    full = _pp_sectors(params, *cutoffs, np.arange(space.total_dim))
+    ours = _pp_sectors(params, *cutoffs, keep)
+    expected = []
+    for index, blocks in full:
+        rows = np.isin(index, keep).any(axis=1)
+        if rows.any():
+            expected.append((index[rows], blocks[rows]))
+    assert len(ours) == len(expected)
+    for (index, blocks), (index_ref, blocks_ref) in zip(ours, expected):
+        assert index.dtype == index_ref.dtype and np.array_equal(index, index_ref)
+        assert blocks.dtype == blocks_ref.dtype and blocks.tobytes() == blocks_ref.tobytes()
+    amps = np.zeros(space.total_dim, dtype=complex)
+    amps[keep] = rng.standard_normal(keep.size) + 1j * rng.standard_normal(keep.size)
+    psi = StateVector(space, amps / np.linalg.norm(amps))
+    restricted = _evolve_sectors(psi, ours, t).amplitudes
+    assert np.array_equal(restricted, _evolve_sectors(psi, full, t).amplitudes)
 
 
 def reference_aberth(poly, starts, max_iter=60):

@@ -288,12 +288,13 @@ class TestFullVsEffective:
     @pytest.mark.parametrize("n_p", [1, 2, 3])
     def test_sector_route_matches_dense_extended_evolution(self, n_p):
         # oracle: the dense full-space H through the generic evolve(extended=True)
-        from ppqnd import StateVector, build_pp_hamiltonian, evolve, quintic_roots, \
-            secular_coefficients
+        from ppqnd import StateVector, build_pp_hamiltonian, evolve, make_space, \
+            quintic_roots, secular_coefficients
         from ppqnd.fock import _evolve_sectors
         from ppqnd.schemes import _pp_sectors
         h = build_pp_hamiltonian(RATIO100, 2, 2, n_p + 1)
-        space, sectors = _pp_sectors(RATIO100, 2, 2, n_p + 1)
+        space = make_space(5, [2, 2, n_p + 1])
+        sectors = _pp_sectors(RATIO100, 2, 2, n_p + 1, np.arange(space.total_dim))
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[space.index_of(0, (1, 0, n_p))] = 0.6
         amps[space.index_of(0, (0, 1, n_p))] = 0.8j
