@@ -15,7 +15,8 @@ Each command is one row of the _COMMANDS table: its runner, its default
 config, its primary tolerance and any extra flag.  Config values are checked
 against the ExperimentConfig annotations (a list[float] holds numbers only);
 non-finite numbers, integers beyond the float range, integers outside
-their field's range 0..max (_INT_MAX) and empty lists are rejected.
+their field's range 0..max (_INT_MAX), magnitudes above _MAG_MAX, sizes
+two fields ask for together above _SIZE_MAX and empty lists are rejected.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, ge
 import numpy as np
 
 from . import __version__
+from .fock import default_cutoff
 from .polarization import PolarizationQubit, _diagonal_deviations, _require_unitary, lr_to_hv
 from .qnd import (
     EVOLUTION_SIGN,
@@ -64,6 +66,8 @@ def _mag_phase_to_complex(value: Any, name: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ConfigError(f"field '{name}': expected [magnitude, phase_radians], got {value!r}")
+    if not abs(value[0]) <= _MAG_MAX:
+        raise ConfigError(f"field '{name}': magnitude must be at most {_MAG_MAX}, got {value[0]!r}")
     return value[0] * cmath.exp(1j * value[1])
 
 
@@ -161,16 +165,25 @@ class ExperimentConfig:
 # each field's type, from its "T | None" annotation
 _FIELD_KINDS = {name: get_args(hint)[0] for name, hint in get_type_hints(ExperimentConfig).items()}
 _EXPECTED = {float: "a number", int: "an integer", list: "a list", list[float]: "a list of numbers"}
-# The largest value of each integer field, checked before anything is
-# allocated.  Each admits the sizes the README quotes and keeps its route,
-# the other fields at their defaults, within about 1 GB.  Peaks measured
-# under tracemalloc: ~0.7 kB per secular draw, ~24 B per discriminate
-# trial, ~4 kB per invariance unitary, ~0.2 kB per qnd probe cutoff step;
-# qnd holds (n_s + 1)^2 complex numbers, invariance ~c^3 per unitary at
-# signal cutoff c (75 MB at c = 32).
+# The largest value of each integer field, of a [magnitude, phase] magnitude
+# (_MAG_MAX: a probe's default cutoff stays near the largest cutoff_p) and
+# of the complex numbers two fields ask for together (_SIZE_MAX: the qnd
+# state (n_s + 1) * cutoff, the invariance deviations (unitary_count + 1) *
+# cutoff_s^2 * cutoff_p), all checked before anything is allocated; they
+# admit the sizes the README quotes.  Peaks under tracemalloc: ~0.7 kB per
+# secular draw, ~24 B per discriminate trial and 70-190 B per complex number
+# of a derived size, so at most ~2 GB.
 _INT_MAX = {"n_sl": 1000, "n_sr": 1000, "n_p": 1000, "n_s": 1000, "draws": 10**6,
             "trials": 10**7, "unitary_count": 10**5, "cutoff_s": 32, "cutoff_p": 10**6,
             "seed": 2**64 - 1}
+_MAG_MAX = 1000
+_SIZE_MAX = 10**7
+
+
+def _bound_size(size: int, fields: str) -> None:
+    if not size <= _SIZE_MAX:
+        raise ConfigError(f"fields {fields}: together they ask for {size:.3g} numbers, "
+                          f"more than {_SIZE_MAX:.0e}")
 
 
 def _to_float(value: Any, key: str) -> float:
@@ -303,6 +316,8 @@ def cmd_preserve(config: ExperimentConfig, tol: float,
 
 def cmd_qnd(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     alpha = _mag_phase_to_complex(config.alpha_p, "alpha_p")
+    cutoff = default_cutoff(alpha) if config.cutoff_p is None else config.cutoff_p
+    _bound_size((config.n_s + 1) * cutoff, "'n_s', 'alpha_p', 'cutoff_p'")
     res = evolve_qnd(config.n_s, alpha, config.chi, config.time, cutoff_p=config.cutoff_p)
 
     joint = res.state
@@ -342,6 +357,8 @@ def _haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def cmd_invariance(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     cs, cp = config.cutoff_s, config.cutoff_p
+    _bound_size((config.unitary_count + 1) * cs * cs * cp,
+                "'unitary_count', 'cutoff_s', 'cutoff_p'")
     space, energies = _ppqnd_energies(config.chi, cs, cs, cp)
     _, sensitive = _ppqnd_energies(config.chi, cs, cs, cp, sensitive=True)
     rng = np.random.default_rng(config.seed)
@@ -364,8 +381,8 @@ def cmd_invariance(config: ExperimentConfig, tol: float) -> tuple[dict, list, bo
 def cmd_backaction(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     rows = [("alpha_magnitude", "number_variance", "phase_variance", "product")]
     worst = 0.0
-    for k, pair in enumerate(config.alphas):
-        alpha = _mag_phase_to_complex(pair, f"alphas[{k}]")
+    alphas = [_mag_phase_to_complex(pair, f"alphas[{k}]") for k, pair in enumerate(config.alphas)]
+    for alpha in alphas:  # every magnitude is checked before the first probe is built
         rep = backaction_product(alpha, cutoff=config.cutoff_p)
         worst = max(worst, abs(rep.product - 0.25))
         rows.append((repr(abs(alpha)), repr(rep.number_variance),

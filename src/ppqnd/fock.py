@@ -9,17 +9,13 @@ fastest, so index = ravel((level, n_0, n_1, ...)) over the shape
 Conventions used throughout the package:
 
 * hbar = 1; every energy and Rabi frequency is an angular frequency.
-* Time evolution is exp(-i H t).  A diagonal H (every effective QND
-  Hamiltonian) multiplies each amplitude by its own phase; any other H is
-  eigendecomposed.  Either way the phases come from exact eigenvalues, so
-  arbitrarily long phase-accumulation times stay exact.
+* Time evolution is exp(-i H t), exact at any t (see evolve).
 * A mode with cutoff c holds photon numbers 0 .. c-1.  The annihilation
   operator is truncated: a|c-1> = sqrt(c-1)|c-2> and no level above the
   cutoff exists.
-* Every sector split by a conserved number (the five-level (N_s, N_p)
-  blocks, the polarization-pair n_i + n_j) is _sectors(label): one (B, s)
-  stack of flat indices per sector size s, with its (B, s, s) blocks
-  from _sector_blocks.
+* Every block split is _sectors(label): one (B, s) stack of flat indices
+  per block size s, labelled by a conserved number (the pair n_i + n_j) or
+  by connected component (_components, cut by _sector_blocks).
 """
 
 from __future__ import annotations
@@ -263,17 +259,31 @@ def _sectors(label: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], label: np.ndarray,
+def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Connected components of the graph on 0..size-1 with edges (rows, cols),
+    each index labelled by the smallest index of its component: label
+    propagation along the edges plus pointer jumping, until nothing changes."""
+    label, prev = np.arange(size), None
+    while not np.array_equal(label, prev):
+        prev = label.copy()
+        np.minimum.at(label, rows, prev[cols])
+        np.minimum.at(label, cols, label[rows])
+        label = label[label]
+    return label
+
+
+def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], size: int,
                    keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A coupling table plus its transpose as (index, blocks) per sector size,
-    cut only where a sector holds a flat index in `keep`: index (B, s) those
-    rows of _sectors(label), in order, and no size without one; blocks
-    (B, s, s) the real symmetric operator on each row.  Every entry must
-    join two states of one label."""
+    """A coupling table plus its transpose, on a space of `size` states, as
+    (index, blocks) per block size: the connected components of the table
+    that hold a flat index in `keep`.  index (B, s) is those rows of
+    _sectors(_components(...)), in order, and no size without one; blocks
+    (B, s, s) the real symmetric operator on each row."""
     rows, cols, vals = table
-    groups = [index[np.isin(index, keep).any(axis=1)] for index in _sectors(label)]
-    groups = [index for index in groups if len(index)]
-    where = np.full((3, label.size), -1, dtype=np.intp)  # (group, row, position) of each index
+    label = _components(rows, cols, size)
+    kept = np.flatnonzero(np.isin(label, label[keep]))
+    groups = [kept[index] for index in _sectors(label[kept])]
+    where = np.full((3, size), -1, dtype=np.intp)  # (group, row, position) of each index
     for g, index in enumerate(groups):
         where[0, index] = g
         where[1:, index] = np.indices(index.shape)
@@ -535,39 +545,35 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return (w[0], v[0]) if matrix.ndim == 2 else (w, v)
 
 
-def evolve(h: Operator, psi: StateVector, t: float, extended: bool = False) -> StateVector:
+def evolve(h: Operator, psi: StateVector, t: float) -> StateVector:
     """exp(-i H t) |psi>.
 
-    When every off-diagonal entry of H is exactly zero the amplitudes are
-    multiplied by exp(-i H_kk t) one by one; otherwise H is eigendecomposed.
-    extended=True reduces the accumulated phases mod 2 pi in longdouble
-    before exponentiating, and eigendecomposes a non-diagonal H by
-    extended-precision Jacobi (real symmetric H only); required when
-    |H| * t is so large that double-precision eigenvalue noise corrupts the
-    slow phases of interest.
+    A real symmetric H is cut into the connected components of its nonzero
+    pattern (a diagonal H into 1 x 1 ones), and those holding amplitude go
+    through _evolve_sectors: longdouble Jacobi and phases (RuntimeError where
+    longdouble is plain double).  The Jacobi is O(n^3) per sweep on an
+    n-state component: a dense real H of dimension 40, 100 or 200 takes
+    ~0.03, 0.3 or 3 s on one core of a 2-vCPU Xeon VM.  A complex Hermitian
+    H goes to LAPACK in double.
     """
     if not h.hermitian_flag:
         raise ValueError("evolve requires a Hermitian operator")
     _check_same_space(h.space, psi.space)
     m = h.matrix
-    diag = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(diag):  # no nonzero off the diagonal
-        return _evolve_diagonal(diag.real, psi, t, extended)
-    if extended:
-        return _evolve_sectors(psi, [(np.arange(len(m))[None], m[None])], t)
-    w, v = np.linalg.eigh(m)
-    amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
-    return _unitary_result(psi.space, amps)
+    if np.any(m.imag):
+        w, v = np.linalg.eigh(m)
+        amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
+        return _unitary_result(psi.space, amps)
+    lower = np.tril(m.real)
+    rows, cols = np.nonzero(lower)
+    sectors = _sector_blocks((rows, cols, lower[rows, cols]), len(m),
+                             np.flatnonzero(psi.amplitudes))
+    return _evolve_sectors(psi, sectors, t)
 
 
-def _evolve_diagonal(w: np.ndarray, psi: StateVector, t: float,
-                     extended: bool = False) -> StateVector:
-    """exp(-i H t) |psi> for H = diag(w): each amplitude times its own phase."""
-    if extended:
-        phases = _phases_longdouble(w.astype(np.longdouble), t)
-    else:
-        phases = np.exp(-1j * w * t)
-    return _unitary_result(psi.space, phases * psi.amplitudes)
+def _evolve_diagonal(w: np.ndarray, psi: StateVector, t: float) -> StateVector:
+    """exp(-i H t) |psi> for H = diag(w): each amplitude times exp(-i w t) in double."""
+    return _unitary_result(psi.space, np.exp(-1j * w * t) * psi.amplitudes)
 
 
 def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -576,14 +582,16 @@ def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.nda
 
     `sectors` holds (index, blocks) per block size, as from _sector_blocks,
     and must cover every amplitude of psi; each batch is diagonalized by the
-    longdouble Jacobi, and the amplitudes outside it stay zero.
+    longdouble Jacobi, its phases w t are reduced mod 2 pi in longdouble,
+    and the amplitudes outside it stay zero.
     """
     amps0 = psi.amplitudes
     amps = np.zeros_like(amps0)
     for index, blocks in sectors:
         w, v = _jacobi_eigh_longdouble(blocks)
         v64 = v.astype(np.float64)
-        coeffs = _phases_longdouble(w, t) * np.einsum("bji,bj->bi", v64, amps0[index])
+        wt = np.mod(w * np.longdouble(t), 2 * np.arccos(np.longdouble(-1)))  # w t mod 2 pi
+        coeffs = np.exp(-1j * wt.astype(np.float64)) * np.einsum("bji,bj->bi", v64, amps0[index])
         amps[index] = np.einsum("bij,bj->bi", v64, coeffs)
     return _unitary_result(psi.space, amps)
 
@@ -594,13 +602,6 @@ def _unitary_result(space: HilbertSpace, amps: np.ndarray) -> StateVector:
     if not abs(raw_norm - 1.0) <= 1e-10:  # also refuses NaN
         raise ArithmeticError(f"evolution lost unitarity: |psi| = {raw_norm!r}")
     return StateVector(space, amps / raw_norm)
-
-
-def _phases_longdouble(w: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i w t) with w t reduced mod 2 pi in longdouble."""
-    _require_extended_precision()
-    wt = np.mod(w * np.longdouble(t), 2 * np.arccos(np.longdouble(-1)))
-    return np.exp(-1j * wt.astype(np.float64))
 
 
 def _resolve_keep(space: HilbertSpace, keep) -> tuple[bool, tuple[int, ...]]:

@@ -439,13 +439,10 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     level 1.
 
     The evolution is exact within the truncation and runs in extended
-    precision at every probe cutoff: H conserves N_s = n_sL + n_sR +
-    [atom not in 1] and N_p = n_p + [atom in 4], so only the (N_s, N_p)
-    sectors holding amplitude of psi(0) are cut and diagonalized, by
-    longdouble Jacobi batched over equal-size blocks.  For the single
-    signal photon these are the N_s = 1 sectors, at most 6 states each: one
-    for a Fock probe, one per probe photon number for a coherent probe.  No
-    dense Hamiltonian of the full space is built.
+    precision at every probe cutoff: only the connected components of H
+    that hold amplitude of psi(0) are cut (schemes._pp_sectors, at most 6
+    states each) and diagonalized, by longdouble Jacobi batched over
+    equal-size blocks.  No dense Hamiltonian of the full space is built.
     """
     if (n_p is None) == (alpha_p is None):
         raise ValueError("give exactly one of n_p or alpha_p")

@@ -180,20 +180,18 @@ def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
 
 def _pp_sectors(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int,
                 keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The PP Hamiltonian as fock._sector_blocks (index, blocks) per sector
-    size, one row per (N_s, N_p) sector that holds a flat index in `keep`
+    """The PP Hamiltonian as fock._sector_blocks (index, blocks) per block
+    size, one row per connected component that holds a flat index in `keep`
     (on the space make_space(5, [cutoff_sl, cutoff_sr, cutoff_p])).
 
-    N_s = n_sL + n_sR + [atom not in 1] and N_p = n_p + [atom in 4] are
-    conserved entry by entry, truncation included: each coupling rule moves
-    one quantum between a mode and the atom.  With signal cutoffs 2 an
+    Each coupling rule moves one quantum between a mode and the atom, so
+    every component lies inside one sector of N_s = n_sL + n_sR +
+    [atom not in 1] and N_p = n_p + [atom in 4].  With signal cutoffs 2 an
     N_s = 1 row holds the 6 states |1; 1,0,n>, |1; 0,1,n>, |2; n>, |2'; n>,
     |3; n>, |4; n-1>, fewer at the edges of the probe range.
     """
     space, table = _pp_table(params, cutoff_sl, cutoff_sr, cutoff_p)
-    level, n_l, n_r, n_p = np.indices(space.dims).reshape(4, -1)
-    label = (n_l + n_r + (level != 0)) * (cutoff_p + 1) + n_p + (level == 4)  # N_p <= cutoff_p
-    return _sector_blocks(table, label, keep)
+    return _sector_blocks(table, space.total_dim, keep)
 
 
 def pp_mirror_permutation(space: HilbertSpace) -> np.ndarray:
@@ -379,12 +377,11 @@ def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     than asserted away.  For n_s >= 2 the block basis additionally merges
     distinguishable Fock states and the gaps grow.
 
-    Only the (N_s, N_p) = (n_sL + n_sR, n_p) sector of the reference ket is
-    cut and diagonalized: every eigenvector outside it has zero overlap on
-    the ket.  That sector holds at most 16 states for n_s <= 3, against a
-    full space of 5 (n_s + 1)^2 (n_p + 1).  Both diagonalizations run in
-    extended precision: the eigenvalues of interest sit ~16 decades below
-    the matrix norm in deep hierarchies.
+    Only the connected component of the reference ket, its whole
+    (N_s, N_p) sector of at most 16 states for n_s <= 3, is cut and
+    diagonalized: every eigenvector outside it has zero overlap on the
+    ket.  Both diagonalizations run in extended precision: the eigenvalues
+    of interest sit ~16 decades below the matrix norm in deep hierarchies.
     """
     block = build_pp_block_matrix(params, n_sl, n_sr, n_p)
     w_block, _ = _jacobi_eigh_longdouble(block.matrix)
@@ -393,7 +390,7 @@ def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     n_s = n_sl + n_sr
     cutoffs = (n_s + 1, n_s + 1, n_p + 1)
     ket = make_space(5, cutoffs).index_of(0, (n_sl, n_sr, n_p))
-    ((index, blocks),) = _pp_sectors(params, *cutoffs, [ket])  # the ket's sector alone
+    ((index, blocks),) = _pp_sectors(params, *cutoffs, [ket])  # the ket's component alone
     (ref,) = np.flatnonzero(index[0] == ket)
     w_full, v_full = _jacobi_eigh_longdouble(blocks[0])
     overlaps = v_full[ref].astype(np.float64) ** 2

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppqnd import fock, polarization, schemes
+from ppqnd import cli, fock, polarization, schemes
 from ppqnd.cli import (
     _COMMANDS,
     COMMANDS,
@@ -116,6 +116,28 @@ class TestConfigParsing:
                              ("secular", {"draws": 10**4})]:
             _effective_config(_COMMANDS[command].defaults, raw, None)
 
+    @pytest.mark.parametrize("command,raw,stub", [
+        ("qnd", {"n_s": 3, "cutoff_p": 10**6}, "evolve_qnd"),
+        ("qnd", {"n_s": 1000}, "evolve_qnd"),
+        ("qnd", {"alpha_p": [1000.0, 0.0]}, "evolve_qnd"),
+        ("preserve", {"alpha_p": [1000.0, 0.0]}, "polarization_dephasing"),
+        ("backaction", {"cutoff_p": 10**6}, "backaction_product"),
+        ("invariance", {"cutoff_s": 16, "cutoff_p": 16}, "_ppqnd_energies"),
+        ("invariance", {"unitary_count": 10**5}, "_ppqnd_energies"),
+    ])
+    def test_derived_size_bounds_admit_the_documented_sizes(self, monkeypatch, command, raw,
+                                                            stub):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached  # past every bound, before anything is allocated
+
+        monkeypatch.setattr(cli, stub, reached)
+        config = _effective_config(_COMMANDS[command].defaults, raw, None)
+        with pytest.raises(Reached):
+            _COMMANDS[command].run(config, 1e-9)
+
     def test_qubit_normalization_enforced(self):
         cfg = ExperimentConfig.from_dict({"qubits": [[[1.0, 0.0], [1.0, 0.0]]]})
         with pytest.raises(ConfigError, match="qubits"):
@@ -196,6 +218,35 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert f"'{name}'" in err
+
+    # Each config passes the integer field bounds but asks, through a product
+    # of fields or the default cutoff of a large probe magnitude, for many GB.
+    # The library calls are stubbed to fail the test, so nothing is
+    # allocated even where the bound is missing.
+    @pytest.mark.parametrize("command,raw,names", [
+        ("qnd", {"n_s": 10, "cutoff_p": 10**6}, ["n_s", "cutoff_p"]),
+        ("qnd", {"n_s": 1000, "alpha_p": [100.0, 0.0]}, ["n_s", "alpha_p"]),
+        ("qnd", {"alpha_p": [1e200, 0.0]}, ["alpha_p"]),  # was an uncaught OverflowError
+        ("preserve", {"alpha_p": [3e3, 1.0]}, ["alpha_p"]),
+        ("backaction", {"alphas": [[1.0, 0.0], [1e4, 0.0]]}, ["alphas[1]"]),
+        ("invariance", {"cutoff_s": 32, "cutoff_p": 10**4}, ["cutoff_s", "cutoff_p"]),
+        ("invariance", {"cutoff_s": 16, "cutoff_p": 16, "unitary_count": 10**5},
+         ["unitary_count", "cutoff_s", "cutoff_p"]),
+    ], ids=["qnd-n_s-cutoff_p", "qnd-n_s-alpha_p", "qnd-alpha_p-huge", "preserve-alpha_p",
+            "backaction-alphas", "invariance-cutoffs", "invariance-unitary_count"])
+    def test_oversized_derived_size_exits_one(self, capsys, tmp_path, monkeypatch, command,
+                                              raw, names):
+        def never(*args, **kwargs):
+            pytest.fail("the library was called with an oversized config")
+
+        for name in ("evolve_qnd", "polarization_dephasing", "backaction_product",
+                     "_ppqnd_energies", "_diagonal_deviations"):
+            monkeypatch.setattr(cli, name, never)
+        path = write_config(tmp_path, "big.json", raw)
+        code, out, err = run(capsys, command, "--config", path)
+        assert code == 1
+        assert out == ""
+        assert all(f"'{name}'" in err for name in names), err
 
     @pytest.mark.parametrize("raw", [{"out": "r.json"}, {"format": "csv"}], ids=["out", "format"])
     def test_delivery_options_are_flags_only(self, capsys, tmp_path, monkeypatch, raw):

@@ -464,20 +464,25 @@ class TestIndependentOracles:
 
 
     def test_extended_precision_path(self):
-        # extended evolution agrees with the double path on moderate scales
-        # and rejects genuinely complex Hermitians
+        # a real symmetric H goes through the longdouble Jacobi and agrees with
+        # LAPACK on moderate scales; the Jacobi rejects a genuinely complex
+        # Hermitian, which evolve sends to LAPACK instead
+        import scipy.linalg
         from ppqnd import Operator, StateVector, evolve, make_space
+        from ppqnd.fock import _jacobi_eigh_longdouble
         rng = np.random.default_rng(33)
         space = make_space(1, [8])
         m = rng.standard_normal((8, 8))
         h = Operator(space, (0.5 * (m + m.T)).astype(complex))
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi = StateVector(space, amps / np.linalg.norm(amps))
-        a = evolve(h, psi, 2.2, extended=False).amplitudes
-        b = evolve(h, psi, 2.2, extended=True).amplitudes
-        assert np.max(np.abs(a - b)) < 1e-12
+        w, v = np.linalg.eigh(h.matrix)
+        lapack = v @ (np.exp(-1j * w * 2.2) * (v.conj().T @ psi.amplitudes))
+        assert np.max(np.abs(evolve(h, psi, 2.2).amplitudes - lapack)) < 1e-12
 
         mc = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h_complex = Operator(space, 0.5 * (mc + mc.conj().T))
         with pytest.raises(ValueError):
-            evolve(h_complex, psi, 1.0, extended=True)
+            _jacobi_eigh_longdouble(h_complex.matrix)
+        oracle = scipy.linalg.expm(-1j * h_complex.matrix) @ psi.amplitudes
+        assert np.max(np.abs(evolve(h_complex, psi, 1.0).amplitudes - oracle)) < 1e-12

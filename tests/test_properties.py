@@ -10,16 +10,19 @@ the ladder-sum homodyne readouts and the amplitude-matrix purity and
 fidelity of evolve_qnd against dense operators on the reduced density
 matrix, and the vectorized number operator against an index loop.  The
 five-level PP Hamiltonian gets its symmetries (two conserved excitation
-numbers, the L/R mirror), its sector split against the dense matrix, and
-its quasidark eigenvalues against an mpmath oracle; the sectors cut for a
-set of kept states are the rows of the all-states cut that hold one, and
-the longdouble Jacobi gives the values of the kernel it replaced, bit for
-bit.  The secular roots from the stacked block are checked against
-50-digit mpmath eigenvalues and regime_scan against estimate_eigenvalues
-point by point; the coefficient-level quintic_roots against the same
-kind of oracle next to a fixed 60-step Aberth loop; the array-drawn
-secular oracle against a per-draw loop; and the stacked characteristic
-polynomial against np.poly per matrix.
+numbers, the L/R mirror), its component split against the dense matrix
+and inside the excitation sectors, and its quasidark eigenvalues against
+an mpmath oracle; the components match scipy's connected_components, the
+blocks cut for a set of kept states are the rows of the all-states cut
+that hold one, evolve of a dense PP Hamiltonian is that component route
+bit for bit and resolves a phase 21 decades below the norm against an
+80-digit mpmath evolution, and the longdouble Jacobi gives the values of
+the kernel it replaced, bit for bit.  The secular roots from the stacked
+block are checked against 50-digit mpmath eigenvalues and regime_scan
+against estimate_eigenvalues point by point; the coefficient-level
+quintic_roots against the same kind of oracle next to a fixed 60-step
+Aberth loop; the array-drawn secular oracle against a per-draw loop; and
+the stacked characteristic polynomial against np.poly per matrix.
 Examples are derandomized so the suite stays deterministic.
 """
 
@@ -31,6 +34,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +67,7 @@ from ppqnd import (
 )
 from ppqnd import cli
 from ppqnd.fock import (
+    _components,
     _evolve_sectors,
     _jacobi_eigh_longdouble,
     _readonly,
@@ -70,7 +75,7 @@ from ppqnd.fock import (
     _sectors,
 )
 from ppqnd.polarization import _principal_generator
-from ppqnd.schemes import _pp_block_stack, _pp_sectors, build_pp_block_matrix
+from ppqnd.schemes import _pp_block_stack, _pp_sectors, _pp_table, build_pp_block_matrix
 from ppqnd.secular import _char_poly_stack, _coefficient_stack, _point_arrays
 
 try:
@@ -127,8 +132,8 @@ def lift_cases(draw):
 
 
 @PROPERTY
-@given(spaces(), seeds, st.floats(-50.0, 50.0), st.booleans())
-def test_diagonal_evolve_matches_eigh_route(space, seed, t, extended):
+@given(spaces(), seeds, st.floats(-50.0, 50.0))
+def test_diagonal_evolve_matches_eigh_route(space, seed, t):
     rng = np.random.default_rng(seed)
     diag = rng.uniform(-1.0, 1.0, space.total_dim)
     h = Operator(space, np.diag(diag).astype(complex))
@@ -136,7 +141,7 @@ def test_diagonal_evolve_matches_eigh_route(space, seed, t, extended):
 
     w, v = np.linalg.eigh(h.matrix)
     oracle = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
-    ours = evolve(h, psi, t, extended=extended).amplitudes
+    ours = evolve(h, psi, t).amplitudes
     assert np.max(np.abs(ours - oracle)) < 1e-12
 
 
@@ -427,19 +432,18 @@ def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
     n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
     rebuilt = np.zeros((space.total_dim, space.total_dim))
     covered = np.zeros(space.total_dim, dtype=int)
-    seen = set()
     for index, blocks in sectors:
         for row, block in zip(index, blocks):
             assert np.all(np.diff(row) > 0)
             sector = (n_s[row[0]], n_p[row[0]])  # one (N_s, N_p) per row
             assert np.all(n_s[row] == sector[0]) and np.all(n_p[row] == sector[1])
-            assert sector not in seen
-            seen.add(sector)
+            n_parts, _ = scipy.sparse.csgraph.connected_components(block != 0, directed=False)
+            assert n_parts == 1  # each row is connected ...
             assert np.array_equal(block, block.T)
             rebuilt[np.ix_(row, row)] = block
             covered[row] += 1
-    assert np.all(covered == 1)  # the sectors partition the basis ...
-    assert np.array_equal(rebuilt, h)  # ... and every nonzero entry lies in one block
+    assert np.all(covered == 1)  # ... the rows partition the basis ...
+    assert np.array_equal(rebuilt, h)  # ... and every nonzero entry lies in one: the components
 
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
@@ -459,6 +463,74 @@ def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
             assert abs(ours) <= np.finfo(np.longdouble).eps * norm
         else:
             assert abs((mpmath.mpf(str(ours)) - exact) / exact) <= 1e-6
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.sampled_from(["sparse", "paths"]), seeds)
+def test_components_match_scipy_connected_components(size, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":  # random edges, self-loops and repeats included
+        rows, cols = rng.integers(size, size=(2, rng.integers(0, 2 * size + 1)))
+    else:  # long shuffled chains: the worst case for label propagation
+        order = rng.permutation(size)
+        links = rng.random(size - 1) < 0.9
+        rows, cols = order[:-1][links], order[1:][links]
+    graph = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
+    n, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    smallest = np.full(n, size)
+    np.minimum.at(smallest, labels, np.arange(size))  # each component named by its smallest index
+    assert np.array_equal(_components(rows, cols, size), smallest[labels])
+
+
+@PROPERTY
+@given(pp_params(), pp_cutoffs)
+def test_pp_components_refine_the_excitation_sectors(params, cutoffs):
+    space, (rows, cols, _) = _pp_table(params, *cutoffs)
+    label = _components(rows, cols, space.total_dim)
+    n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
+    # label[i] is a state of i's component, so each component has one (N_s, N_p)
+    assert np.array_equal(n_s[label], n_s) and np.array_equal(n_p[label], n_p)
+    assert len(np.unique(label)) >= len(set(zip(n_s, n_p)))
+
+
+@PROPERTY
+@given(pp_params(), pp_cutoffs, seeds, st.floats(1e-3, 1e12))
+def test_evolve_is_the_pp_component_route_bit_for_bit(params, cutoffs, seed, t):
+    h = build_pp_hamiltonian(params, *cutoffs)
+    rng = np.random.default_rng(seed)
+    support = np.flatnonzero(rng.random(h.space.total_dim) < rng.choice([0.05, 0.5, 1.0]))
+    support = np.union1d(support, rng.integers(h.space.total_dim, size=1))
+    amps = np.zeros(h.space.total_dim, dtype=complex)
+    amps[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+    psi = StateVector(h.space, amps / np.linalg.norm(amps))
+    ours = evolve(h, psi, t).amplitudes
+    assert np.array_equal(ours, _evolve_sectors(psi, _pp_sectors(params, *cutoffs, support),
+                                                t).amplitudes)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+def test_evolve_resolves_a_quasidark_phase_21_decades_below_the_norm():
+    # The generic evolve of a dense PP Hamiltonian whose dark eigenvalue sits
+    # at 1.25e-21 |H|, at t = 0.1 / |lambda|.  Double-precision LAPACK put
+    # this amplitude 1.49 away from the exact one.  Oracle: the ket's
+    # (N_s, N_p) sector, cut from the dense H by the excitation numbers,
+    # evolved with 80-digit eigenpairs.
+    params = SchemeParams(2e6, 2e6, 1e2, 0.01, 1.0)
+    h = build_pp_hamiltonian(params, 2, 2, 3)
+    space = h.space
+    ket = space.index_of(0, (1, 0, 1))
+    n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
+    sector = np.flatnonzero((n_s == n_s[ket]) & (n_p == n_p[ket]))
+    ref = int(np.flatnonzero(sector == ket)[0])
+    with mpmath.workdps(80):
+        w, v = mpmath.eigsy(mpmath.matrix(h.matrix.real[np.ix_(sector, sector)].tolist()))
+        lam = min(w, key=abs)
+        t = float(0.1 / abs(lam))
+        exact = complex(mpmath.fsum(v[ref, k] ** 2 * mpmath.expj(-w[k] * mpmath.mpf(t))
+                                    for k in range(len(sector))))
+        assert abs(lam) / mpmath.mpf(np.linalg.norm(h.matrix, 2)) < 2e-21
+    psi = StateVector(space, np.eye(1, space.total_dim, ket, dtype=complex)[0])
+    assert abs(evolve(h, psi, t).amplitudes[ket] - exact) < 1e-12
 
 
 # The longdouble Jacobi as it stood before its round rotated [a | v^T] in one

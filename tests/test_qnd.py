@@ -23,6 +23,13 @@ from ppqnd import (
 RATIO100 = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.01, xi_p=1.0)
 
 
+def dense_jacobi_evolve(h, psi, t):
+    """The dense oracle: the whole real D x D H as one block of the longdouble Jacobi."""
+    from ppqnd.fock import _evolve_sectors
+    m = h.matrix.real
+    return _evolve_sectors(psi, [(np.arange(len(m))[None], m[None])], t)
+
+
 class TestEvolveQnd:
     def test_no_signal_no_phase(self):
         res = evolve_qnd(0, 2.0, -0.05, 3.0)
@@ -287,8 +294,8 @@ class TestFullVsEffective:
 
     @pytest.mark.parametrize("n_p", [1, 2, 3])
     def test_sector_route_matches_dense_extended_evolution(self, n_p):
-        # oracle: the dense full-space H through the generic evolve(extended=True)
-        from ppqnd import StateVector, build_pp_hamiltonian, evolve, make_space, \
+        # oracle: the dense full-space H diagonalized as one Jacobi block
+        from ppqnd import StateVector, build_pp_hamiltonian, make_space, \
             quintic_roots, secular_coefficients
         from ppqnd.fock import _evolve_sectors
         from ppqnd.schemes import _pp_sectors
@@ -300,7 +307,7 @@ class TestFullVsEffective:
         amps[space.index_of(0, (0, 1, n_p))] = 0.8j
         psi0 = StateVector(space, amps)
         for t in (1e3, 1e6):
-            dense = evolve(h, psi0, t, extended=True).amplitudes
+            dense = dense_jacobi_evolve(h, psi0, t).amplitudes
             ours = _evolve_sectors(psi0, sectors, t).amplitudes
             assert np.max(np.abs(ours - dense)) < 1e-12
         # At the phase target t ~ 1e11 the fast levels accumulate w t ~ 1e15 rad,
@@ -308,14 +315,14 @@ class TestFullVsEffective:
         # level-1 amplitudes carry the probe phase and must still agree.
         roots = quintic_roots(secular_coefficients(RATIO100, 1, 0, n_p))
         t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
-        dense = evolve(h, psi0, t, extended=True).amplitudes.reshape(5, -1)
+        dense = dense_jacobi_evolve(h, psi0, t).amplitudes.reshape(5, -1)
         ours = _evolve_sectors(psi0, sectors, t).amplitudes.reshape(5, -1)
         assert np.max(np.abs(ours[0] - dense[0])) < 1e-12
 
     def test_coherent_phase_matches_dense_readout(self):
-        # oracle: dense evolve(extended=True) read out through arg <a_p> with
+        # oracle: the dense Jacobi evolution read out through arg <a_p> with
         # the full-space annihilation operator
-        from ppqnd import StateVector, annihilation_op, build_pp_hamiltonian, evolve, \
+        from ppqnd import StateVector, annihilation_op, build_pp_hamiltonian, \
             quintic_roots, secular_coefficients
         roots = quintic_roots(secular_coefficients(RATIO100, 1, 0, 1))
         t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
@@ -325,15 +332,20 @@ class TestFullVsEffective:
         amps = np.zeros((5, 2, 2, cutoff), dtype=complex)
         probe = coherent_state(cutoff, alpha).amplitudes
         amps[0, 1, 0], amps[0, 0, 1] = qubit.c_l * probe, qubit.c_r * probe
-        psi_t = evolve(h, StateVector(h.space, amps.ravel()), t, extended=True)
+        psi_t = dense_jacobi_evolve(h, StateVector(h.space, amps.ravel()), t)
         oracle = cmath.phase(psi_t.expectation(annihilation_op(h.space, 2)))
         res = full_vs_effective(RATIO100, qubit, t=t, alpha_p=alpha, cutoff_p=cutoff)
         assert res.measured_phase == pytest.approx(oracle, abs=1e-12)
 
     def test_refuses_without_extended_longdouble(self, monkeypatch):
-        # where numpy's longdouble is plain double the five-level routes refuse
-        # at call time; importing and the double-precision paths still work
-        from ppqnd import compare_block_to_full, ppqnd_hamiltonian
+        # The platform contract: where numpy's longdouble is plain double
+        # (modelled here by patching its finfo to double eps), every route
+        # through the longdouble Jacobi refuses at call time: the five-level
+        # routes and evolve of any real H, diagonal included.  Importing, a
+        # complex Hermitian H (LAPACK) and the double-precision effective
+        # paths still work.
+        from ppqnd import Operator, StateVector, compare_block_to_full, evolve, \
+            ppqnd_hamiltonian
         real_finfo = np.finfo
 
         def double_only(dtype):
@@ -344,9 +356,15 @@ class TestFullVsEffective:
             full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0, n_p=1)
         with pytest.raises(RuntimeError, match="extended precision unavailable"):
             compare_block_to_full(RATIO100, 1, 0, 1)
+        h = ppqnd_hamiltonian(-0.1, 2, 2, 3)
+        psi = StateVector(h.space, np.full(12, 12 ** -0.5))
+        with pytest.raises(RuntimeError, match="extended precision unavailable"):
+            evolve(h, psi, 1.0)
+        hop = 0.5j * (np.eye(12, k=1) - np.eye(12, k=-1))
+        out = evolve(Operator(h.space, h.matrix + hop), psi, 1.0)
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
         res = polarization_dephasing(PolarizationQubit.left(), 1.0, -0.1, 1.0)
         assert res.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert ppqnd_hamiltonian(-0.1, 2, 2, 3).space.total_dim == 12
 
     def test_rejects_ambiguous_probe(self):
         with pytest.raises(ValueError):
