@@ -39,12 +39,14 @@ from .polarization import (
 )
 from .qnd import (
     BackactionReport,
+    DephasingGrid,
     DephasingResult,
     DiscriminationResult,
     FullVsEffectiveResult,
     ProbeReadout,
     QndEvolution,
     backaction_product,
+    dephasing_grid,
     discrimination_error,
     evolve_qnd,
     full_vs_effective,

@@ -43,10 +43,10 @@ from .qnd import (
     EVOLUTION_SIGN,
     QUADRATURE_CONVENTION,
     backaction_product,
+    dephasing_grid,
     discrimination_error,
     evolve_qnd,
     full_vs_effective,
-    polarization_dephasing,
 )
 from .schemes import SchemeParams, _pp_block_stack, _ppqnd_energies
 from .secular import (
@@ -303,13 +303,13 @@ def cmd_preserve(config: ExperimentConfig, tol: float,
                  sensitive: bool = False) -> tuple[dict, list, bool]:
     qubits = config.qubit_list()
     alpha = _mag_phase_to_complex(config.alpha_p, "alpha_p")
+    grid = dephasing_grid(qubits, alpha, config.chi, config.times, sensitive=sensitive)
     rows = [("qubit_index", "time", "fidelity", "purity", "coherence")]
-    min_fid = 1.0
-    for k, qubit in enumerate(qubits):
-        for t in config.times:
-            res = polarization_dephasing(qubit, alpha, config.chi, t, sensitive=sensitive)
-            min_fid = min(min_fid, res.fidelity)
-            rows.append((k, repr(t), repr(res.fidelity), repr(res.purity), repr(res.coherence)))
+    per_qubit = zip(grid.fidelity.tolist(), grid.purity.tolist(), grid.coherence.tolist())
+    for k, columns in enumerate(per_qubit):
+        for t, *values in zip(config.times, *columns):
+            rows.append((k, repr(t), *map(repr, values)))
+    min_fid = float(grid.fidelity.min())
     results = {"sensitive": sensitive, "min_fidelity": min_fid, "n_qubits": len(qubits)}
     return results, rows, sensitive or min_fid >= 1.0 - tol
 

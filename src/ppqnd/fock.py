@@ -147,15 +147,7 @@ class DensityMatrix:
         n = self.space.total_dim
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {n}")
-        herm_dev = np.max(np.abs(m - m.conj().T))
-        if herm_dev > _HERM_TOL:
-            raise ValueError(f"density matrix not Hermitian: max |M - M^+| = {herm_dev:g}")
-        tr = np.trace(m).real
-        if not abs(tr - 1.0) <= _NORM_TOL:  # also refuses NaN
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        evmin = float(np.linalg.eigvalsh(m).min())
-        if evmin < -_POS_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evmin:g}")
+        _check_density(m)
         object.__setattr__(self, "matrix", _readonly(m))
 
     def purity(self) -> float:
@@ -164,6 +156,21 @@ class DensityMatrix:
     def expectation(self, op: "Operator") -> complex:
         _check_same_space(self.space, op.space)
         return complex(np.trace(self.matrix @ op.matrix))
+
+
+def _check_density(m: np.ndarray) -> None:
+    """DensityMatrix's checks on one (n, n) matrix or a stack (..., n, n):
+    Hermitian, unit trace and positive semidefinite, by one stacked eigvalsh."""
+    herm_dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+    if herm_dev > _HERM_TOL:
+        raise ValueError(f"density matrix not Hermitian: max |M - M^+| = {herm_dev:g}")
+    tr = np.trace(m, axis1=-2, axis2=-1).real.ravel()
+    bad = ~(np.abs(tr - 1.0) <= _NORM_TOL)  # also refuses NaN
+    if bad.any():
+        raise ValueError(f"density matrix trace is {tr[bad][0]!r}, expected 1")
+    evmin = float(np.linalg.eigvalsh(m).min())
+    if evmin < -_POS_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {evmin:g}")
 
 
 @dataclass(frozen=True)
@@ -333,10 +340,14 @@ def atom_transition_op(space: HilbertSpace, i: int, j: int) -> Operator:
 def default_cutoff(alpha: complex) -> int:
     """Truncation policy for coherent states: ceil(|a|^2 + 8|a| + 10).
 
-    Keeps the truncation loss below 1e-9 for |a| <= 5.
+    Keeps the truncation loss below 1e-9 for |a| <= 5.  A ValueError names
+    |alpha| where the size is not a finite number (|a| above ~1e154, inf, NaN).
     """
     a = abs(alpha)
-    return int(math.ceil(a * a + 8 * a + 10))
+    size = a * a + 8 * a + 10
+    if not math.isfinite(size):
+        raise ValueError(f"no default cutoff for |alpha| = {a!r}: |a|^2 + 8|a| + 10 is not finite")
+    return int(math.ceil(size))
 
 
 _LOG_TINY = -700.0  # e^-700 ~ 1e-304, inside the normal double range
@@ -599,9 +610,17 @@ def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.nda
 def _unitary_result(space: HilbertSpace, amps: np.ndarray) -> StateVector:
     """Evolved amplitudes as a state, refusing any that lost unitarity."""
     raw_norm = np.linalg.norm(amps)
-    if not abs(raw_norm - 1.0) <= 1e-10:  # also refuses NaN
-        raise ArithmeticError(f"evolution lost unitarity: |psi| = {raw_norm!r}")
+    _check_unitarity(raw_norm)
     return StateVector(space, amps / raw_norm)
+
+
+def _check_unitarity(raw_norm: np.ndarray) -> None:
+    """Refuse an evolved state, or any of an array of them, whose norm is
+    not 1 to within 1e-10."""
+    raw_norm = np.ravel(raw_norm)
+    bad = ~(np.abs(raw_norm - 1.0) <= 1e-10)  # also refuses NaN
+    if bad.any():
+        raise ArithmeticError(f"evolution lost unitarity: |psi| = {raw_norm[bad][0]!r}")
 
 
 def _resolve_keep(space: HilbertSpace, keep) -> tuple[bool, tuple[int, ...]]:

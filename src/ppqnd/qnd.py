@@ -11,6 +11,11 @@ phases together with the convention tag so no silent sign flip can hide.
 
 Quadrature convention: X_theta = (a e^{-i theta} + a^+ e^{i theta}) / 2,
 so an ideal coherent state has quadrature variance 1/4.
+
+The polarization check runs over a grid of qubits x times in one pass
+(dephasing_grid): the effective H is diagonal, so every qubit's reduced
+state is (c c^+) o G(t), with one 4 x 4 probe Gram matrix G(t) per time
+shared by all qubits, and no joint state or partial trace is formed.
 """
 
 from __future__ import annotations
@@ -18,20 +23,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .fock import (
     DensityMatrix,
     StateVector,
+    _check_density,
+    _check_unitarity,
     _evolve_diagonal,
     _evolve_sectors,
     _occupations,
+    _readonly,
     coherent_state,
     default_cutoff,
-    fidelity,
     make_space,
-    partial_trace,
 )
 from .polarization import PolarizationQubit
 from .schemes import SchemeParams, _pp_sectors, _ppqnd_energies, _qnd_energies, chi_from_params
@@ -45,12 +52,14 @@ __all__ = [
     "DiscriminationResult",
     "BackactionReport",
     "DephasingResult",
+    "DephasingGrid",
     "FullVsEffectiveResult",
     "homodyne_estimate",
     "evolve_qnd",
     "discrimination_error",
     "backaction_product",
     "polarization_dephasing",
+    "dephasing_grid",
     "full_vs_effective",
 ]
 
@@ -201,7 +210,10 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     state: its readout as in homodyne_estimate, its purity
     tr(rho_p^2) = |m m^+|_F^2 and its fidelity to a coherent |beta>,
     <beta| rho_p |beta> = |m beta*|^2.  The reduced density matrix
-    rho_p = m^T m* is never formed, so the cost is linear in cutoff_p.
+    rho_p = m^T m* is never formed, so the cost is linear in cutoff_p.  The
+    signal stays in |n_s>, so row n_s is the only occupied row of m, the
+    Gram matrix m m^+ is its 1 x 1 block |m_{n_s}|^2, and the purity is
+    |m_{n_s}|^4.
     """
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
@@ -224,13 +236,12 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
         ket = coherent_state(cutoff_p, beta).amplitudes
         return float(np.clip(np.linalg.norm(m @ ket.conj()) ** 2, 0.0, 1.0))
 
-    gram = m @ m.conj().T
     return QndEvolution(
         state=psi_t,
         readout=readout,
         probe_fidelity=fidelity_to(alpha_p * cmath.exp(-1j * chi * n_s * t)),
         probe_fidelity_flipped=fidelity_to(alpha_p * cmath.exp(+1j * chi * n_s * t)),
-        probe_purity=float(np.sum(np.abs(gram) ** 2)),
+        probe_purity=float(np.linalg.norm(m[n_s]) ** 4),
     )
 
 
@@ -345,11 +356,14 @@ def backaction_product(alpha_p: complex, cutoff: int | None = None) -> Backactio
 
 @dataclass(frozen=True)
 class DephasingResult:
-    """Reduced polarization qubit after a QND probe interaction.
+    """Reduced polarization qubit after a QND probe interaction: one point
+    of dephasing_grid.
 
-    coherence is 2 |rho_LR|, the off-diagonal survival of the qubit; for a
+    fidelity is <c| rho |c> to the input qubit, purity tr(rho^2), and
+    coherence 2 |rho_LR|, the off-diagonal survival of the qubit; for a
     polarization-sensitive interaction it decays by the analytic factor
     |<alpha | alpha e^{-i chi t}>| = exp(-|alpha|^2 (1 - cos chi t)).
+    reduced is rho on the (2, 2) signal pair, indexed (n_L, n_R).
     """
 
     fidelity: float
@@ -358,12 +372,72 @@ class DephasingResult:
     reduced: DensityMatrix
 
 
+@dataclass(frozen=True)
+class DephasingGrid:
+    """DephasingResult at every qubit q and time t of dephasing_grid.
+
+    fidelity, purity and coherence are (Q, T) arrays; reduced is the
+    (Q, T, 4, 4) stack of reduced states on the (2, 2) signal pair, each
+    checked as a DensityMatrix.  Every array is read-only.
+    """
+
+    fidelity: np.ndarray
+    purity: np.ndarray
+    coherence: np.ndarray
+    reduced: np.ndarray
+
+
 def _qubit_pair_vector(qubit: PolarizationQubit) -> np.ndarray:
     """Amplitudes of c_L |1,0> + c_R |0,1> on the (2, 2) signal pair, indexed (n_L, n_R)."""
     v = np.zeros((2, 2), dtype=complex)
     v[1, 0] = qubit.c_l
     v[0, 1] = qubit.c_r
     return v
+
+
+def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: float,
+                   times: Sequence[float], sensitive: bool = False,
+                   cutoff_p: int | None = None) -> DephasingGrid:
+    """polarization_dephasing at every qubit and time, in one pass.
+
+    The interaction is diagonal in the signal number state s = (n_L, n_R),
+    so a qubit c evolves to sum_s c_s |s> (x) |phi_s(t)> with
+    phi_s(t) = exp(-i E_s t) |alpha_p>, and its reduced state is
+    rho = (c c^+) o G(t), with G(t)_{s s'} = <phi_s'(t)|phi_s(t)>.  Each
+    time holds only its four phi_s (4 cutoff_p numbers).  Each rho is
+    divided by its trace, the squared norm of its joint state, which must
+    be 1 to within 1e-10 (ArithmeticError otherwise); the (Q, T) stack then
+    gets DensityMatrix's checks at once.
+    """
+    if len(qubits) == 0 or len(times) == 0:
+        raise ValueError("dephasing_grid needs at least one qubit and one time")
+    if cutoff_p is None:
+        cutoff_p = default_cutoff(alpha_p)
+    _, energies = _ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
+    energies = energies.reshape(4, cutoff_p)  # row s = (n_L, n_R) flattened
+    coh = coherent_state(cutoff_p, alpha_p).amplitudes
+
+    def probe_gram(t: float) -> np.ndarray:
+        phi = np.exp(energies * (-1j * t))
+        phi *= coh
+        return phi @ phi.conj().T
+
+    gram = np.array([probe_gram(t) for t in times])  # (T, 4, 4)
+    c = np.array([_qubit_pair_vector(q).ravel() for q in qubits])  # (Q, 4)
+    rho = c[:, None, :, None] * c.conj()[:, None, None, :] * gram  # (Q, T, 4, 4)
+    norm2 = np.trace(rho, axis1=-2, axis2=-1).real
+    _check_unitarity(np.sqrt(norm2))
+    rho /= norm2[..., None, None]
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))  # scrub product roundoff dust
+    _check_density(rho)
+
+    fid = np.sum(c.conj()[:, None, :, None] * rho * c[:, None, None, :], axis=(-2, -1)).real
+    return DephasingGrid(
+        fidelity=_readonly(np.clip(fid, 0.0, 1.0)),
+        purity=_readonly(np.sum(np.abs(rho) ** 2, axis=(-2, -1))),
+        coherence=_readonly(2.0 * np.abs(rho[..., 2, 1])),  # rho_LR: (1, 0) by (0, 1)
+        reduced=_readonly(rho),
+    )
 
 
 def polarization_dephasing(qubit: PolarizationQubit, alpha_p: complex, chi: float,
@@ -375,19 +449,13 @@ def polarization_dephasing(qubit: PolarizationQubit, alpha_p: complex, chi: floa
     chi (n_sL + n_sR) n_p, under which the joint state stays a product and
     the qubit comes back untouched up to a global phase.  sensitive=True
     is the control: chi n_sL n_p kicks only the left-circular component
-    and visibly dephases superposition qubits.
+    and visibly dephases superposition qubits.  This is the 1 x 1 case of
+    dephasing_grid.
     """
-    if cutoff_p is None:
-        cutoff_p = default_cutoff(alpha_p)
-    space, energies = _ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
-    pair = _qubit_pair_vector(qubit)
-    amps = pair[..., None] * coherent_state(cutoff_p, alpha_p).amplitudes  # (n_L, n_R, n_p)
-    psi_t = _evolve_diagonal(energies, StateVector(space, amps.ravel()), t)
-
-    reduced = partial_trace(psi_t, keep=[0, 1])
-    fid = fidelity(StateVector(reduced.space, pair.ravel()), reduced)
-    coherence = float(2.0 * abs(reduced.matrix.reshape(2, 2, 2, 2)[1, 0, 0, 1]))  # rho_LR
-    return DephasingResult(fid, reduced.purity(), coherence, reduced)
+    grid = dephasing_grid([qubit], alpha_p, chi, [t], sensitive, cutoff_p)
+    return DephasingResult(
+        float(grid.fidelity[0, 0]), float(grid.purity[0, 0]), float(grid.coherence[0, 0]),
+        DensityMatrix(make_space(1, [2, 2]), grid.reduced[0, 0]))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ class TestConfigParsing:
         ("qnd", {"n_s": 3, "cutoff_p": 10**6}, "evolve_qnd"),
         ("qnd", {"n_s": 1000}, "evolve_qnd"),
         ("qnd", {"alpha_p": [1000.0, 0.0]}, "evolve_qnd"),
-        ("preserve", {"alpha_p": [1000.0, 0.0]}, "polarization_dephasing"),
+        ("preserve", {"alpha_p": [1000.0, 0.0]}, "dephasing_grid"),
         ("backaction", {"cutoff_p": 10**6}, "backaction_product"),
         ("invariance", {"cutoff_s": 16, "cutoff_p": 16}, "_ppqnd_energies"),
         ("invariance", {"unitary_count": 10**5}, "_ppqnd_energies"),
@@ -239,7 +239,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             pytest.fail("the library was called with an oversized config")
 
-        for name in ("evolve_qnd", "polarization_dephasing", "backaction_product",
+        for name in ("evolve_qnd", "dephasing_grid", "backaction_product",
                      "_ppqnd_energies", "_diagonal_deviations"):
             monkeypatch.setattr(cli, name, never)
         path = write_config(tmp_path, "big.json", raw)

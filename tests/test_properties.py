@@ -8,7 +8,9 @@ polarization lift against the pair-space and full-space exp(-i G), the
 blockwise invariance check against the dense triple product U H U^+,
 the ladder-sum homodyne readouts and the amplitude-matrix purity and
 fidelity of evolve_qnd against dense operators on the reduced density
-matrix, and the vectorized number operator against an index loop.  The
+matrix, the probe-Gram dephasing grid against the per-point joint state,
+partial trace and fidelity, and the vectorized number operator against an
+index loop.  The
 five-level PP Hamiltonian gets its symmetries (two conserved excitation
 numbers, the L/R mirror), its component split against the dense matrix
 and inside the excitation sectors, and its quasidark eigenvalues against
@@ -41,6 +43,7 @@ from hypothesis import strategies as st
 from ppqnd import (
     DensityMatrix,
     Operator,
+    PolarizationQubit,
     PolUnitary,
     SchemeParams,
     StateVector,
@@ -51,6 +54,7 @@ from ppqnd import (
     check_invariance,
     coherent_state,
     default_cutoff,
+    dephasing_grid,
     estimate_eigenvalues,
     evolve,
     evolve_qnd,
@@ -60,6 +64,7 @@ from ppqnd import (
     make_space,
     number_op,
     partial_trace,
+    polarization_dephasing,
     pp_mirror_permutation,
     quintic_roots,
     regime_scan,
@@ -68,6 +73,7 @@ from ppqnd import (
 from ppqnd import cli
 from ppqnd.fock import (
     _components,
+    _evolve_diagonal,
     _evolve_sectors,
     _jacobi_eigh_longdouble,
     _readonly,
@@ -75,7 +81,13 @@ from ppqnd.fock import (
     _sectors,
 )
 from ppqnd.polarization import _principal_generator
-from ppqnd.schemes import _pp_block_stack, _pp_sectors, _pp_table, build_pp_block_matrix
+from ppqnd.schemes import (
+    _pp_block_stack,
+    _pp_sectors,
+    _pp_table,
+    _ppqnd_energies,
+    build_pp_block_matrix,
+)
 from ppqnd.secular import _char_poly_stack, _coefficient_stack, _point_arrays
 
 try:
@@ -339,6 +351,51 @@ def test_evolve_qnd_matches_reduced_density_matrix(n_s, mag, arg, chi, t, extra,
     for beta, ours in ((alpha * cmath.exp(-1j * chi * n_s * t), res.probe_fidelity),
                        (alpha * cmath.exp(1j * chi * n_s * t), res.probe_fidelity_flipped)):
         assert abs(ours - fidelity(coherent_state(cutoff, beta), rho_p)) < 1e-13
+
+
+def per_point_dephasing(qubit, alpha, chi, t, sensitive):
+    """The route dephasing_grid replaced: the joint state of the signal pair
+    and the probe, its partial trace and the fidelity to the input qubit."""
+    cutoff = default_cutoff(alpha)
+    space, energies = _ppqnd_energies(chi, 2, 2, cutoff, sensitive)
+    pair = np.zeros((2, 2), dtype=complex)
+    pair[1, 0], pair[0, 1] = qubit.c_l, qubit.c_r
+    amps = pair[..., None] * coherent_state(cutoff, alpha).amplitudes
+    psi_t = _evolve_diagonal(energies, StateVector(space, amps.ravel()), t)
+    reduced = partial_trace(psi_t, keep=[0, 1])
+    fid = fidelity(StateVector(reduced.space, pair.ravel()), reduced)
+    coherence = 2.0 * abs(reduced.matrix.reshape(2, 2, 2, 2)[1, 0, 0, 1])
+    return reduced.matrix, fid, reduced.purity(), coherence
+
+
+@st.composite
+def qubits(draw):
+    rng = np.random.default_rng(draw(seeds))
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return PolarizationQubit.normalized(*c)
+
+
+@PROPERTY
+@given(st.lists(qubits(), min_size=1, max_size=4),
+       st.floats(0.0, 6.0, exclude_min=True), st.floats(-math.pi, math.pi),
+       st.floats(-1.0, 1.0), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4),
+       st.booleans())
+def test_dephasing_grid_matches_the_per_point_route(qubit_list, mag, arg, chi, times, sensitive):
+    alpha = mag * cmath.exp(1j * arg)
+    grid = dephasing_grid(qubit_list, alpha, chi, times, sensitive)
+    for q, qubit in enumerate(qubit_list):
+        for k, t in enumerate(times):
+            rho, fid, purity, coherence = per_point_dephasing(qubit, alpha, chi, t, sensitive)
+            assert np.max(np.abs(grid.reduced[q, k] - rho)) < 1e-13
+            assert abs(grid.fidelity[q, k] - fid) < 1e-13
+            assert abs(grid.purity[q, k] - purity) < 1e-13
+            assert abs(grid.coherence[q, k] - coherence) < 1e-13
+            point = polarization_dephasing(qubit, alpha, chi, t, sensitive)
+            for ours, alone in ((grid.fidelity[q, k], point.fidelity),
+                                (grid.purity[q, k], point.purity),
+                                (grid.coherence[q, k], point.coherence),
+                                (grid.reduced[q, k], point.reduced.matrix)):
+                assert np.asarray(ours).tobytes() == np.asarray(alone).tobytes()
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from ppqnd import (
     backaction_product,
     basis_state,
     coherent_state,
+    default_cutoff,
+    dephasing_grid,
     discrimination_error,
     estimate_eigenvalues,
     evolve_qnd,
@@ -19,6 +22,21 @@ from ppqnd import (
     make_space,
     polarization_dephasing,
 )
+
+SQ2 = 1 / math.sqrt(2)
+CLI_QUBITS = [PolarizationQubit(1.0, 0.0), PolarizationQubit(0.0, 1.0),
+              PolarizationQubit(SQ2, SQ2), PolarizationQubit(SQ2, -SQ2),
+              PolarizationQubit(SQ2, 1j * SQ2), PolarizationQubit(SQ2, -1j * SQ2)]
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 RATIO100 = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.01, xi_p=1.0)
 
@@ -31,6 +49,11 @@ def dense_jacobi_evolve(h, psi, t):
 
 
 class TestEvolveQnd:
+    def test_purity_forms_no_signal_gram(self):
+        # n_s = 1000 at cutoff 30: the (n_s + 1)^2 Gram matrix m m^+ alone
+        # would take 16 MB
+        assert traced_peak(lambda: evolve_qnd(1000, 2.0, -0.01, 10.0)) < 4e6
+
     def test_no_signal_no_phase(self):
         res = evolve_qnd(0, 2.0, -0.05, 3.0)
         assert res.readout.phase_shift == pytest.approx(0.0, abs=1e-12)
@@ -223,6 +246,52 @@ class TestPolarizationDephasing:
     def test_reduced_state_is_returned(self):
         res = polarization_dephasing(PolarizationQubit.left(), 1.0, -0.1, 1.0)
         assert res.reduced.space.mode_cutoffs == (2, 2)
+
+
+class TestDephasingGrid:
+    def test_grid_holds_one_time_of_probe_states(self):
+        # |alpha| = 300, cutoff 92410: the four probe states of one time take
+        # 5.9 MB, so a grid of joint states for 6 qubits x 4 times would take
+        # 24 times that
+        times = [1.0, 2.0, 5.0, 10.0]
+        assert default_cutoff(300.0) == 92410
+        point = traced_peak(lambda: dephasing_grid(CLI_QUBITS[2:3], 300.0, -0.1, times[:1]))
+        grid = traced_peak(lambda: dephasing_grid(CLI_QUBITS, 300.0, -0.1, times))
+        assert grid <= 1.5 * point
+
+    def test_shape_and_read_only_arrays(self):
+        grid = dephasing_grid(CLI_QUBITS, 2.0, -0.1, [1.0, 2.0, 5.0])
+        assert grid.fidelity.shape == grid.purity.shape == grid.coherence.shape == (6, 3)
+        assert grid.reduced.shape == (6, 3, 4, 4)
+        for a in (grid.fidelity, grid.purity, grid.coherence, grid.reduced):
+            assert not a.flags.writeable
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit and one time"):
+            dephasing_grid([], 2.0, -0.1, [1.0])
+        with pytest.raises(ValueError, match="at least one qubit and one time"):
+            dephasing_grid(CLI_QUBITS, 2.0, -0.1, [])
+
+    def test_lost_unitarity_refused(self):
+        # chi = inf: inf * 0 photons is NaN, so every probe state is NaN
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="lost unitarity"):
+            dephasing_grid(CLI_QUBITS, 2.0, math.inf, [1.0])
+
+
+class TestNonFiniteDefaultCutoff:
+    @pytest.mark.parametrize("alpha", [1e200, math.inf, math.nan])
+    @pytest.mark.parametrize("entry", [
+        default_cutoff,
+        lambda alpha: evolve_qnd(1, alpha, -0.01, 1.0),
+        lambda alpha: polarization_dephasing(PolarizationQubit.left(), alpha, -0.1, 1.0),
+    ], ids=["default_cutoff", "evolve_qnd", "polarization_dephasing"])
+    def test_named_value_error(self, entry, alpha):
+        # was OverflowError (1e200, inf) and "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=r"\|alpha\| = "):
+            entry(alpha)
+
+    def test_largest_finite_size_still_has_a_cutoff(self):
+        assert default_cutoff(1e150) > 1e299
 
 
 class TestFullVsEffective:
