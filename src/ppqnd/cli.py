@@ -31,30 +31,40 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .fock import default_cutoff
-from .polarization import PolarizationQubit, _diagonal_deviations, _require_unitary, lr_to_hv
+from .polarization import (
+    PolarizationQubit,
+    _pair_layout,
+    _require_unitary,
+    _sector_deviations,
+    _sector_unitaries,
+    lr_to_hv,
+)
 from .qnd import (
     EVOLUTION_SIGN,
     QUADRATURE_CONVENTION,
+    _dark_root,
+    _full_vs_effective,
     backaction_product,
     dephasing_grid,
     discrimination_error,
     evolve_qnd,
-    full_vs_effective,
 )
 from .schemes import SchemeParams, _pp_block_stack, _ppqnd_energies
 from .secular import (
-    _char_poly_stack,
+    SecularCoefficients,
+    _block_roots,
+    _char_poly,
     _coefficient_stack,
+    _estimate,
+    _hermitian_eigvalsh,
     _point_arrays,
-    estimate_eigenvalues,
-    secular_coefficients,
 )
 
 
@@ -217,11 +227,18 @@ def _tolerance(config: ExperimentConfig, default: float) -> float:
     return default
 
 
-def _effective_config(defaults: dict, raw: Any, seed: int | None) -> ExperimentConfig:
-    merged = {**defaults, **ExperimentConfig.from_dict(raw).to_dict()}  # validates before merging
+@functools.cache  # the defaults are constants: validated on a command's first record
+def _default_config(command: str) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_COMMANDS[command].defaults)
+
+
+def _effective_config(command: str, raw: Any, seed: int | None) -> ExperimentConfig:
+    """The command's defaults overridden by the config file, then by --seed;
+    only the file's fields and the seed are validated here."""
+    overrides = ExperimentConfig.from_dict(raw).to_dict()
     if seed is not None:
-        merged["seed"] = seed
-    return ExperimentConfig.from_dict(merged)
+        overrides["seed"] = ExperimentConfig.from_dict({"seed": seed}).seed
+    return replace(_default_config(command), **overrides)
 
 
 def _record(command: str, config: ExperimentConfig, results: dict, rows: list) -> dict:
@@ -264,26 +281,30 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
     rows = [("coefficient", "closed_form", "char_poly", "rel_err")]
     point_ok = True
     point = (params, config.n_sl, config.n_sr, config.n_p)
-    closed = secular_coefficients(*point)
+    draws = _draw_hierarchy_params(rng, config.draws)
+    occupations = rng.integers(1, 5, size=(config.draws, 3))
+    # The point is row 0 of one stack with the draws, so its block is built
+    # and solved once, for its oracle and for its roots; every row is as
+    # from a stack of its own.
+    p_params, p_n_s, p_n_p = _point_arrays([point])
+    stack = (np.concatenate([p_params, draws]),
+             np.concatenate([p_n_s, occupations[:, 0] + occupations[:, 1]]),
+             np.concatenate([p_n_p, occupations[:, 2]]))
+    cf = _coefficient_stack(*stack)
+    w = _hermitian_eigvalsh(_pp_block_stack(*stack))
+    oc = _char_poly(w)
+    closed = SecularCoefficients(*cf[0].tolist())
     # elsewhere e = 0 and the oracle's e is rounding noise: no point check
     if config.n_sl + config.n_sr >= 1 and config.n_p >= 1:
-        oracle = _char_poly_stack(_pp_block_stack(*_point_arrays([point])))
-        for name, x, y in zip(names, closed.as_tuple(), oracle[0].tolist()):
+        for name, x, y in zip(names, closed.as_tuple(), oc[0].tolist()):
             rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
             point_ok &= rel <= tol
             rows.append((name, repr(x), repr(y), repr(rel)))
 
-    draws = _draw_hierarchy_params(rng, config.draws)
-    occupations = rng.integers(1, 5, size=(config.draws, 3))
-    draw_n_s, draw_n_p = occupations[:, 0] + occupations[:, 1], occupations[:, 2]
-    max_rel = 0.0
-    if config.draws:
-        cf = _coefficient_stack(draws, draw_n_s, draw_n_p)
-        oc = _char_poly_stack(_pp_block_stack(draws, draw_n_s, draw_n_p))
-        rel = np.abs(cf - oc) / np.maximum(np.maximum(np.abs(cf), np.abs(oc)), 1e-300)
-        max_rel = float(rel.max())
+    rel = np.abs(cf - oc) / np.maximum(np.maximum(np.abs(cf), np.abs(oc)), 1e-300)
+    max_rel = float(rel[1:].max()) if config.draws else 0.0
 
-    est = estimate_eigenvalues(*point)
+    est = _estimate(*point, closed, _block_roots(w[:1], cf[:1])[0])
     results = {
         "coefficients_closed_form": dict(zip(names, closed.as_tuple())),
         "max_rel_err_over_draws": max_rel,
@@ -362,12 +383,16 @@ def cmd_invariance(config: ExperimentConfig, tol: float) -> tuple[dict, list, bo
     space, energies = _ppqnd_energies(config.chi, cs, cs, cp)
     _, sensitive = _ppqnd_energies(config.chi, cs, cs, cp, sensitive=True)
     rng = np.random.default_rng(config.seed)
-    lr_hv = lr_to_hv().matrix[None]
 
-    unitaries = np.concatenate([lr_hv, _haar_unitaries(rng, config.unitary_count)])
-    devs = _diagonal_deviations(space, energies, unitaries, (0, 1))
+    unitaries = np.concatenate([lr_to_hv().matrix[None],
+                                _haar_unitaries(rng, config.unitary_count)])
+    # one exponentiation of the stack; the control reuses its LR -> HV blocks
+    _, layout = _pair_layout(space, (0, 1))
+    sectors = _sector_unitaries(unitaries, cs)
+    devs = _sector_deviations(layout, energies, sectors)
     max_dev = float(devs.max())
-    control_dev = float(_diagonal_deviations(space, sensitive, lr_hv, (0, 1))[0])
+    lr_hv = [(index, blocks[:1]) for index, blocks in sectors]
+    control_dev = float(_sector_deviations(layout, sensitive, lr_hv)[0])
 
     results = {
         "max_deviation": max_dev,
@@ -403,11 +428,10 @@ def cmd_fullmodel(config: ExperimentConfig, tol: float) -> tuple[dict, list, boo
 
     rows = [("qubit_index", "measured_phase", "predicted_phase_secular",
              "rel_err_secular", "rel_err_kerr", "atomic_leakage")]
+    lam = _dark_root(params, config.n_p)  # one solve for the time and every qubit
     if config.time is not None:
         t = config.time
     else:
-        roots = np.asarray(estimate_eigenvalues(params, 1, 0, config.n_p).exact_roots)
-        lam = roots[np.argmin(np.abs(roots))]
         if lam == 0:
             raise ConfigError(
                 "target_phase unreachable: the dark-state eigenvalue is zero "
@@ -416,7 +440,8 @@ def cmd_fullmodel(config: ExperimentConfig, tol: float) -> tuple[dict, list, boo
     worst_err = 0.0
     worst_leak = 0.0
     for k, qubit in enumerate(qubits):
-        res = full_vs_effective(params, qubit, t=float(t), n_p=config.n_p)
+        res = _full_vs_effective(params, qubit, float(t), n_p=config.n_p, alpha_p=None,
+                                 cutoff_p=None, dark_root=lam)
         worst_err = max(worst_err, res.rel_err_secular)
         worst_leak = max(worst_leak, res.atomic_leakage)
         rows.append((k, repr(res.measured_phase), repr(res.predicted_phase_secular),
@@ -493,28 +518,40 @@ def _emit(record: dict, rows: list, fmt: str) -> bytes:
     return buf.getvalue().encode()
 
 
-@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
-def _build_parser() -> argparse.ArgumentParser:
+# Built on the first main() call, not at import, and kept with each command's
+# own parser; parse_args keeps no state.  A known command's arguments go
+# straight to its parser; the top-level parser only sees an argv that does
+# not start with one (no command, an unknown command, --help) and answers it
+# with usage or help.
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="ppqnd",
         description="Cross-Kerr QND photodetection experiments: secular analysis, "
                     "polarization preservation, homodyne readout, back-action.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = parsers[name] = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a flat JSON config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         for flag, help_text in command.flags:
             p.add_argument(f"--{flag}", action="store_true", help=help_text)
-    return parser
+    return parser, parsers
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = _COMMANDS[args.command]
+    parser, parsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parsers:
+        name, args = argv[0], parsers[argv[0]].parse_args(argv[1:])
+    else:  # no command, an unknown one or --help: usage or help, and an exit
+        args = parser.parse_args(argv)
+        name = args.command
+    command = _COMMANDS[name]
     started = time.perf_counter()
     try:
         raw: Any = {}
@@ -526,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"config file not found: {args.config}")
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
-        config = _effective_config(command.defaults, raw, args.seed)
+        config = _effective_config(name, raw, args.seed)
 
         tol = None if command.tolerance is None else _tolerance(config, command.tolerance)
         flags = {flag: getattr(args, flag) for flag, _ in command.flags}
@@ -537,7 +574,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if tol is not None:
         results["tolerance"] = tol
 
-    payload = _emit(_record(args.command, config, results, rows), rows, args.format)
+    payload = _emit(_record(name, config, results, rows), rows, args.format)
     if args.out is not None:
         with open(args.out, "wb") as fh:
             fh.write(payload)

@@ -260,8 +260,15 @@ def _diagonal_deviations(space: HilbertSpace, energies: np.ndarray, unitaries: n
     with that unitary alone.
     """
     cut, layout = _pair_layout(space, tuple(modes))
-    worst = np.zeros(len(unitaries))
-    for index, blocks in _sector_unitaries(unitaries, cut):
+    return _sector_deviations(layout, energies, _sector_unitaries(unitaries, cut))
+
+
+def _sector_deviations(layout: np.ndarray, energies: np.ndarray,
+                       sectors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """_diagonal_deviations from the pair layout and the _sector_unitaries
+    of the stack, so one set of blocks can serve several energies."""
+    worst = np.zeros(len(sectors[0][1]))
+    for index, blocks in sectors:
         e = np.moveaxis(energies[layout[index]], -1, 1)[None, ..., None, :]  # (1, B, rest, 1, s)
         blocks = blocks[:, :, None]                                          # (K, B, 1, s, s)
         dev = np.conj(blocks) @ (blocks * e).swapaxes(-1, -2)  # the transpose of U diag(e) U^+

@@ -32,6 +32,7 @@ from .fock import (
     StateVector,
     _check_density,
     _check_unitarity,
+    _coherent_amplitudes,
     _evolve_diagonal,
     _evolve_sectors,
     _occupations,
@@ -213,7 +214,9 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     rho_p = m^T m* is never formed, so the cost is linear in cutoff_p.  The
     signal stays in |n_s>, so row n_s is the only occupied row of m, the
     Gram matrix m m^+ is its 1 x 1 block |m_{n_s}|^2, and the purity is
-    |m_{n_s}|^4.
+    |m_{n_s}|^4.  The two reference kets |beta> are coherent_state's
+    amplitudes, normalized the same way but without its truncation check,
+    which the input probe has already passed (one warning per call).
     """
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
@@ -233,7 +236,8 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     )
 
     def fidelity_to(beta: complex) -> float:
-        ket = coherent_state(cutoff_p, beta).amplitudes
+        ket = _coherent_amplitudes(cutoff_p, beta)
+        ket /= np.linalg.norm(ket)
         return float(np.clip(np.linalg.norm(m @ ket.conj()) ** 2, 0.0, 1.0))
 
     return QndEvolution(
@@ -512,6 +516,20 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     states each) and diagonalized, by longdouble Jacobi batched over
     equal-size blocks.  No dense Hamiltonian of the full space is built.
     """
+    return _full_vs_effective(params, pol_state, t, n_p, alpha_p, cutoff_p, None)
+
+
+def _dark_root(params: SchemeParams, n_p: int) -> float:
+    """The secular root of smallest magnitude with one signal and n_p probe photons."""
+    roots = np.asarray(estimate_eigenvalues(params, 1, 0, n_p).exact_roots)
+    return float(roots[np.argmin(np.abs(roots))])
+
+
+def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: float,
+                       n_p: int | None, alpha_p: complex | None, cutoff_p: int | None,
+                       dark_root: float | None) -> FullVsEffectiveResult:
+    """full_vs_effective with its dark root given, _dark_root(params, n_p)
+    (n_p = 1 for a coherent probe), or None to solve for it here."""
     if (n_p is None) == (alpha_p is None):
         raise ValueError("give exactly one of n_p or alpha_p")
 
@@ -549,8 +567,7 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
         measured = _wrap_angle(cmath.phase(mean_a) - cmath.phase(alpha_p))
         input_overlap = abs(psi_t.overlap(psi0)) ** 2
 
-    roots = np.asarray(estimate_eigenvalues(params, 1, 0, n_p_eff).exact_roots)
-    lam = float(roots[np.argmin(np.abs(roots))])
+    lam = _dark_root(params, n_p_eff) if dark_root is None else dark_root
     predicted_secular = -lam * t
     predicted_kerr = -chi_from_params(params) * 1 * n_p_eff * t
 

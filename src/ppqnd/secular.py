@@ -137,12 +137,22 @@ def _char_poly_stack(matrices: np.ndarray) -> np.ndarray:
     arithmetic per row is np.poly's, so each row equals
     -np.poly(eigvalsh(m))[1:] bit for bit.
     """
+    return _char_poly(_hermitian_eigvalsh(matrices))
+
+
+def _hermitian_eigvalsh(matrices: np.ndarray) -> np.ndarray:
+    """eigvalsh of a (B, n, n) stack; ValueError unless every matrix is
+    Hermitian to 1e-12 of max(1, its largest entry)."""
     m = np.asarray(matrices)
     scale = np.maximum(1.0, np.max(np.abs(m), axis=(1, 2)))
     asym = np.max(np.abs(m - np.swapaxes(m, 1, 2).conj()), axis=(1, 2))
     if np.any(asym > 1e-12 * scale):
         raise ValueError("matrix is not Hermitian")
-    w = np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(m)
+
+
+def _char_poly(w: np.ndarray) -> np.ndarray:
+    """(B, 5) coefficients a..e of the quintics whose roots are the rows of w."""
     # poly = [1, -e1, e2, -e3, e4, -e5] (elementary symmetric polys of the
     # eigenvalues); our convention -l^5 + a l^4 + ... + e is its negative.
     poly = np.zeros((len(w), 6))
@@ -260,8 +270,9 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _block_roots(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sorted real roots (B, 5) of the (B, 5, 5) blocks' quintics.
+def _block_roots(w: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sorted real roots (B, 5) of the quintics of (B, 5, 5) blocks, from
+    their eigvalsh eigenvalues w and closed-form coefficients.
 
     eigvalsh gives each root to about eps ||H||, and Newton on the
     closed-form quintic p to about eps sum_k |c_k| |lambda|^k / |p'(lambda)|.
@@ -271,7 +282,6 @@ def _block_roots(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     roots have p' ~ 0 and keep their eigvalsh values.  Where e = 0 the
     smallest root is exactly 0.
     """
-    w = np.linalg.eigvalsh(blocks)
     poly = np.concatenate([np.full((len(w), 1), -1.0), coeffs], axis=1)
     dpoly = poly[:, :-1] * np.arange(5, 0, -1)
     norm = np.max(np.abs(w), axis=1, keepdims=True)
@@ -332,7 +342,7 @@ def _estimates(points: Sequence[tuple[SchemeParams, int, int, int]]) -> list[Eig
     """estimate_eigenvalues at every point, from one stack of blocks."""
     rows, n_s, n_p = _point_arrays(points)
     coeffs = _coefficient_stack(rows, n_s, n_p)
-    roots = _block_roots(_pp_block_stack(rows, n_s, n_p), coeffs)
+    roots = _block_roots(np.linalg.eigvalsh(_pp_block_stack(rows, n_s, n_p)), coeffs)
     return [_estimate(*point, SecularCoefficients(*c), r)
             for point, c, r in zip(points, coeffs.tolist(), roots)]
 

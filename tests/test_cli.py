@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppqnd import cli, fock, polarization, schemes
+from ppqnd import cli, fock, polarization, schemes, secular
 from ppqnd.cli import (
     _COMMANDS,
     COMMANDS,
@@ -24,7 +25,13 @@ from ppqnd.cli import (
     cmd_invariance,
     main,
 )
-from ppqnd.secular import _point_arrays, estimate_eigenvalues
+from ppqnd.polarization import _diagonal_deviations, lr_to_hv
+from ppqnd.secular import (
+    _char_poly_stack,
+    _point_arrays,
+    estimate_eigenvalues,
+    secular_coefficients,
+)
 
 try:
     import mpmath
@@ -45,6 +52,68 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# The library calls the commands make once a config has passed the size
+# bounds; stubbed, a config past a missing bound allocates nothing.
+LIBRARY_CALLS = ("evolve_qnd", "dephasing_grid", "backaction_product", "_ppqnd_energies",
+                 "_pair_layout", "_sector_unitaries", "_sector_deviations")
+
+
+def stub_library(monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("the library was called with an oversized config")
+
+    for name in LIBRARY_CALLS:
+        monkeypatch.setattr(cli, name, never)
+
+
+def merge_and_revalidate(defaults, raw, seed):
+    """Reference for _effective_config: the defaults, the file's fields and
+    the seed merged into one dict, and the whole dict validated."""
+    merged = {**defaults, **ExperimentConfig.from_dict(raw).to_dict()}
+    if seed is not None:
+        merged["seed"] = seed
+    return ExperimentConfig.from_dict(merged)
+
+
+# Configs that name a field out of its range: raw JSON text, as json.load reads it.
+OUT_OF_RANGE = [
+    ("fullmodel", '{"time": Infinity}', "time"),  # json.load accepts Infinity and NaN
+    ("qnd", '{"chi": NaN}', "chi"),
+    ("secular", '{"draws": -5}', "draws"),
+    ("invariance", '{"unitary_count": -3}', "unitary_count"),
+    ("preserve", '{"times": []}', "times"),
+    ("backaction", '{"alphas": []}', "alphas"),
+    ("preserve", '{"times": [[1.0]]}', "times"),  # was an uncaught TypeError
+    ("preserve", '{"times": ["5"]}', "times"),  # ran silently as 5.0
+    ("preserve", '{"times": [true]}', "times"),  # ran silently as 1.0
+    ("qnd", '{"chi": ' + "9" * 401 + '}', "chi"),  # was an uncaught OverflowError
+    # rejected before numpy's "Maximum allowed size exceeded", which named no field
+    ("qnd", '{"cutoff_p": 100000000000000000000}', "cutoff_p"),
+    ("qnd", '{"n_s": 100000000000000000000}', "n_s"),
+    ("secular", '{"draws": 100000000000000000000}', "draws"),
+]
+OUT_OF_RANGE_IDS = ["time-inf", "chi-nan", "draws-negative", "unitary_count-negative",
+                    "times-empty", "alphas-empty", "times-nested", "times-string", "times-bool",
+                    "chi-huge-int", "cutoff_p-huge-int", "n_s-huge-int", "draws-huge-int"]
+
+# Each config passes the integer field bounds but asks, through a product
+# of fields or the default cutoff of a large probe magnitude, for many GB.
+# The library calls are stubbed to fail the test, so nothing is
+# allocated even where the bound is missing.
+OVERSIZED = [
+    ("qnd", {"n_s": 10, "cutoff_p": 10**6}, ["n_s", "cutoff_p"]),
+    ("qnd", {"n_s": 1000, "alpha_p": [100.0, 0.0]}, ["n_s", "alpha_p"]),
+    ("qnd", {"alpha_p": [1e200, 0.0]}, ["alpha_p"]),  # was an uncaught OverflowError
+    ("preserve", {"alpha_p": [3e3, 1.0]}, ["alpha_p"]),
+    ("backaction", {"alphas": [[1.0, 0.0], [1e4, 0.0]]}, ["alphas[1]"]),
+    ("invariance", {"cutoff_s": 32, "cutoff_p": 10**4}, ["cutoff_s", "cutoff_p"]),
+    ("invariance", {"cutoff_s": 16, "cutoff_p": 16, "unitary_count": 10**5},
+     ["unitary_count", "cutoff_s", "cutoff_p"]),
+]
+OVERSIZED_IDS = ["qnd-n_s-cutoff_p", "qnd-n_s-alpha_p", "qnd-alpha_p-huge", "preserve-alpha_p",
+                 "backaction-alphas", "invariance-cutoffs", "invariance-unitary_count"]
 
 
 def assert_roots_match_mpmath(record):
@@ -114,7 +183,7 @@ class TestConfigParsing:
         for command, raw in [("qnd", {"cutoff_p": 10**5}), ("qnd", {"cutoff_p": 10**6}),
                              ("invariance", {"cutoff_s": 16, "cutoff_p": 16}),
                              ("secular", {"draws": 10**4})]:
-            _effective_config(_COMMANDS[command].defaults, raw, None)
+            _effective_config(command, raw, None)
 
     @pytest.mark.parametrize("command,raw,stub", [
         ("qnd", {"n_s": 3, "cutoff_p": 10**6}, "evolve_qnd"),
@@ -134,7 +203,7 @@ class TestConfigParsing:
             raise Reached  # past every bound, before anything is allocated
 
         monkeypatch.setattr(cli, stub, reached)
-        config = _effective_config(_COMMANDS[command].defaults, raw, None)
+        config = _effective_config(command, raw, None)
         with pytest.raises(Reached):
             _COMMANDS[command].run(config, 1e-9)
 
@@ -193,24 +262,7 @@ class TestExitCodes:
         code, _, err = run(capsys, "preserve", "--config", path)
         assert code == 1
 
-    @pytest.mark.parametrize("command,raw,name", [
-        ("fullmodel", '{"time": Infinity}', "time"),  # json.load accepts Infinity and NaN
-        ("qnd", '{"chi": NaN}', "chi"),
-        ("secular", '{"draws": -5}', "draws"),
-        ("invariance", '{"unitary_count": -3}', "unitary_count"),
-        ("preserve", '{"times": []}', "times"),
-        ("backaction", '{"alphas": []}', "alphas"),
-        ("preserve", '{"times": [[1.0]]}', "times"),  # was an uncaught TypeError
-        ("preserve", '{"times": ["5"]}', "times"),  # ran silently as 5.0
-        ("preserve", '{"times": [true]}', "times"),  # ran silently as 1.0
-        ("qnd", '{"chi": ' + "9" * 401 + '}', "chi"),  # was an uncaught OverflowError
-        # rejected before numpy's "Maximum allowed size exceeded", which named no field
-        ("qnd", '{"cutoff_p": 100000000000000000000}', "cutoff_p"),
-        ("qnd", '{"n_s": 100000000000000000000}', "n_s"),
-        ("secular", '{"draws": 100000000000000000000}', "draws"),
-    ], ids=["time-inf", "chi-nan", "draws-negative", "unitary_count-negative",
-            "times-empty", "alphas-empty", "times-nested", "times-string", "times-bool",
-            "chi-huge-int", "cutoff_p-huge-int", "n_s-huge-int", "draws-huge-int"])
+    @pytest.mark.parametrize("command,raw,name", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_config_exits_one(self, capsys, tmp_path, command, raw, name):
         path = tmp_path / "bad.json"
         path.write_text(raw)
@@ -219,29 +271,10 @@ class TestExitCodes:
         assert out == ""
         assert f"'{name}'" in err
 
-    # Each config passes the integer field bounds but asks, through a product
-    # of fields or the default cutoff of a large probe magnitude, for many GB.
-    # The library calls are stubbed to fail the test, so nothing is
-    # allocated even where the bound is missing.
-    @pytest.mark.parametrize("command,raw,names", [
-        ("qnd", {"n_s": 10, "cutoff_p": 10**6}, ["n_s", "cutoff_p"]),
-        ("qnd", {"n_s": 1000, "alpha_p": [100.0, 0.0]}, ["n_s", "alpha_p"]),
-        ("qnd", {"alpha_p": [1e200, 0.0]}, ["alpha_p"]),  # was an uncaught OverflowError
-        ("preserve", {"alpha_p": [3e3, 1.0]}, ["alpha_p"]),
-        ("backaction", {"alphas": [[1.0, 0.0], [1e4, 0.0]]}, ["alphas[1]"]),
-        ("invariance", {"cutoff_s": 32, "cutoff_p": 10**4}, ["cutoff_s", "cutoff_p"]),
-        ("invariance", {"cutoff_s": 16, "cutoff_p": 16, "unitary_count": 10**5},
-         ["unitary_count", "cutoff_s", "cutoff_p"]),
-    ], ids=["qnd-n_s-cutoff_p", "qnd-n_s-alpha_p", "qnd-alpha_p-huge", "preserve-alpha_p",
-            "backaction-alphas", "invariance-cutoffs", "invariance-unitary_count"])
+    @pytest.mark.parametrize("command,raw,names", OVERSIZED, ids=OVERSIZED_IDS)
     def test_oversized_derived_size_exits_one(self, capsys, tmp_path, monkeypatch, command,
                                               raw, names):
-        def never(*args, **kwargs):
-            pytest.fail("the library was called with an oversized config")
-
-        for name in ("evolve_qnd", "dephasing_grid", "backaction_product",
-                     "_ppqnd_energies", "_diagonal_deviations"):
-            monkeypatch.setattr(cli, name, never)
+        stub_library(monkeypatch)
         path = write_config(tmp_path, "big.json", raw)
         code, out, err = run(capsys, command, "--config", path)
         assert code == 1
@@ -303,12 +336,13 @@ class TestGoldenRecords:
         assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_parser_is_reused_and_flags_do_not_carry_over(self, capsys, monkeypatch):
-        # main builds the parser once per process; a --sensitive run must not
-        # leave the flag set for the next call
+        # main builds the parsers once per process; a --sensitive run must not
+        # leave the flag set for the next call, and every golden invocation
+        # follows it in the same process
         monkeypatch.delenv("PPQND_TOL", raising=False)
-        for argv, name in ((["preserve", "--sensitive"], "preserve-sensitive"),
-                           (["preserve"], "preserve")):
-            code, out, _ = run(capsys, *argv)
+        for name in ["preserve-sensitive", *COMMANDS]:
+            command, *flag = name.split("-")
+            code, out, _ = run(capsys, command, *(f"--{f}" for f in flag))
             assert code == 0
             assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
         assert _build_parser() is _build_parser()
@@ -320,6 +354,100 @@ class TestGoldenRecords:
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "backaction.json").read_bytes()
+
+
+# Configs rejected while a record is validated or before its library call.
+BAD_FIELDS = [
+    ("qnd", {"bogus": 1}), ("secular", {"omega_d": "fast"}), ("qnd", [1, 2]),
+    ("fullmodel", {"time": math.inf}), ("qnd", {"chi": math.nan}),
+    ("qnd", {"alpha_p": [2.0, -math.inf]}), ("preserve", {"times": [1.0, math.nan]}),
+    ("preserve", {"qubits": [[[1.0, math.nan], [0.0, 0.0]]]}),
+    ("preserve", {"qubits": [[[1.0, 0.0], [1.0, 0.0]]]}),  # not normalized
+    *[("secular", {name: top + 1}) for name, top in _INT_MAX.items()],
+]
+BAD_CONFIGS = ([(command, json.dumps(raw)) for command, raw in BAD_FIELDS]
+               + [(command, text) for command, text, _ in OUT_OF_RANGE]
+               + [(command, json.dumps(raw)) for command, raw, _ in OVERSIZED])
+
+
+class TestParseOnce:
+    """A known command's argv goes straight to that command's parser, and a
+    record validates its own fields and --seed against defaults validated
+    once per process; every record and every rejection stays the same."""
+
+    # An unknown option is reported by its command's parser ("ppqnd qnd:
+    # error:"), as a bad value of a known option always was.
+    @pytest.mark.parametrize("argv,prog", [
+        ([], "ppqnd"), (["bogus"], "ppqnd"), (["qnd", "--bogus"], "ppqnd qnd"),
+        (["qnd", "--seed", "abc"], "ppqnd qnd"), (["qnd", "--format", "xml"], "ppqnd qnd"),
+    ], ids=["no-command", "unknown-command", "unknown-option", "seed-abc", "format-xml"])
+    def test_malformed_argv_exits_two_with_usage(self, capsys, argv, prog):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert err.startswith(f"usage: {prog} [-h]") and f"\n{prog}: error: " in err
+
+    def test_help_prints_the_top_level_help(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        out, _ = capsys.readouterr()
+        assert info.value.code == 0
+        assert out == _build_parser()[0].format_help()
+        assert out.startswith("usage: ppqnd [-h]") and all(c in out for c in COMMANDS)
+
+    @pytest.mark.parametrize("command,text", BAD_CONFIGS,
+                             ids=[f"{command}-{k}" for k, (command, _) in enumerate(BAD_CONFIGS)])
+    def test_bad_config_gives_the_revalidated_merge_error(self, capsys, tmp_path, monkeypatch,
+                                                          command, text):
+        monkeypatch.delenv("PPQND_TOL", raising=False)
+        stub_library(monkeypatch)
+        entry = _COMMANDS[command]
+        with pytest.raises(ValueError) as expected:  # a ConfigError or a library rejection
+            entry.run(merge_and_revalidate(entry.defaults, json.loads(text), None),
+                      entry.tolerance)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(capsys, command, "--config", str(path)) == (
+            1, "", f"config error: {expected.value}\n")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_one(self, capsys, seed):
+        code, out, err = run(capsys, "qnd", "--seed", str(seed))
+        assert (code, out) == (1, "")
+        assert err == ("config error: field 'seed': must be an integer in "
+                       f"0..{2**64 - 1}, got {seed}\n")
+
+    @pytest.mark.parametrize("raw,seed", [
+        ({}, None), ({}, 0), ({"seed": 3}, 2**64 - 1), ({"chi": -1, "seed": 4}, None),
+        ({"n_s": 2, "n_p": 3, "cutoff_p": 7, "times": [1, 2.5]}, 9),
+    ])
+    def test_effective_config_is_the_revalidated_merge(self, raw, seed):
+        for command, entry in _COMMANDS.items():
+            ours = _effective_config(command, raw, seed)
+            merged = merge_and_revalidate(entry.defaults, raw, seed)
+            assert ours == merged
+            assert repr(ours) == repr(merged)  # -1 for a float field is -1.0 in both
+
+    def test_defaults_are_validated_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        from_dict = ExperimentConfig.from_dict
+
+        def counting(data):
+            calls.append(data)
+            return from_dict(data)
+        monkeypatch.setattr(ExperimentConfig, "from_dict", staticmethod(counting))
+        monkeypatch.setattr(cli, "_default_config",
+                            functools.cache(cli._default_config.__wrapped__))  # a new process
+        defaults = _COMMANDS["qnd"].defaults
+        per_record = []
+        for _ in range(2):
+            calls.clear()
+            code, _, _ = run(capsys, "qnd", "--seed", "3")
+            assert code == 0
+            per_record.append((sum(data is defaults for data in calls), len(calls)))
+        assert per_record == [(1, 3), (0, 2)]  # then only the file's fields and the seed
 
 
 def test_import_does_not_load_scipy():
@@ -398,9 +526,9 @@ class TestRecords:
 
     def test_invariance_runs_all_unitaries_at_once(self, capsys, tmp_path, monkeypatch):
         # the eigh count does not grow with unitary_count: one batched eigh
-        # per pair-sector size for the LR -> HV and Haar stack, one more per
-        # size for the sensitive control; no Operator, and no sector blocks
-        # applied to a D x D layout of H
+        # per pair-sector size for the LR -> HV and Haar stack, whose LR -> HV
+        # blocks the sensitive control reuses; no Operator, and no sector
+        # blocks applied to a D x D layout of H
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -421,7 +549,25 @@ class TestRecords:
             assert code == 0
             per_run.append(dict(counts))
         cutoff = _COMMANDS["invariance"].defaults["cutoff_s"]
-        assert per_run[0] == per_run[1] == {"eigh": 2 * cutoff}
+        assert per_run[0] == per_run[1] == {"eigh": cutoff}
+
+    @pytest.mark.parametrize("cutoff,count,seed", [(2, 0, 1), (3, 4, 2), (4, 20, 3), (6, 5, 4)])
+    def test_invariance_control_reuses_the_stack_blocks(self, cutoff, count, seed):
+        # every deviation equals its own _diagonal_deviations call, the control
+        # against a separate lift of LR -> HV, bit for bit
+        config = ExperimentConfig.from_dict({**_COMMANDS["invariance"].defaults, "seed": seed,
+                                             "cutoff_s": cutoff, "cutoff_p": cutoff,
+                                             "unitary_count": count})
+        results, _, _ = cmd_invariance(config, 1e-10)
+        lr_hv = lr_to_hv().matrix[None]
+        unitaries = np.concatenate([lr_hv, _haar_unitaries(np.random.default_rng(seed), count)])
+        space, energies = schemes._ppqnd_energies(config.chi, cutoff, cutoff, cutoff)
+        devs = _diagonal_deviations(space, energies, unitaries, (0, 1))
+        _, sensitive = schemes._ppqnd_energies(config.chi, cutoff, cutoff, cutoff, sensitive=True)
+        control = _diagonal_deviations(space, sensitive, lr_hv, (0, 1))[0]
+        assert results["max_deviation"] == float(devs.max())
+        assert results["lr_to_hv_deviation"] == float(devs[0])
+        assert results["sensitive_control_deviation"] == float(control)
 
     def test_invariance_forms_no_d_squared_array(self):
         # D = 12^3: an array of D^2 elements takes at least D^2 bytes, and
@@ -446,19 +592,30 @@ class TestRecords:
         assert record["results"]["max_rel_err_secular"] <= 0.05
         assert record["results"]["max_atomic_leakage"] <= 1e-3
 
-    def test_fullmodel_solves_for_the_target_time_once(self, capsys, tmp_path, monkeypatch):
-        import ppqnd.cli as cli
+    def _fullmodel_estimate_points(self, capsys, tmp_path, monkeypatch, raw):
+        """The points every estimate_eigenvalues call, from whichever module,
+        hands to _estimates in one fullmodel run over three qubits."""
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return estimate_eigenvalues(*args)
-        monkeypatch.setattr(cli, "estimate_eigenvalues", counting)
+        def counting(points):
+            calls.extend(points)
+            return estimates(points)
+        estimates = secular._estimates
+        monkeypatch.setattr(secular, "_estimates", counting)
         qubit = [[1 / math.sqrt(2), 0.0], [1 / math.sqrt(2), 0.0]]
-        path = write_config(tmp_path, "three.json", {"qubits": [qubit, qubit, qubit]})
+        path = write_config(tmp_path, "three.json", {**raw, "qubits": [qubit, qubit, qubit]})
         code, out, _ = run(capsys, "fullmodel", "--config", path)
         assert code == 0
         assert len(json.loads(out)["rows"]) == 4  # header + three qubits
+        return calls
+
+    def test_fullmodel_solves_for_the_target_time_once(self, capsys, tmp_path, monkeypatch):
+        # one dark root serves the target time and every qubit's prediction
+        assert len(self._fullmodel_estimate_points(capsys, tmp_path, monkeypatch, {})) == 1
+
+    def test_fullmodel_with_explicit_time_solves_once(self, capsys, tmp_path, monkeypatch):
+        # with the time given, the one dark root still serves every qubit
+        calls = self._fullmodel_estimate_points(capsys, tmp_path, monkeypatch, {"time": 1e8})
         assert len(calls) == 1
 
     def test_preserve_sensitive_is_informational(self, capsys):
@@ -509,7 +666,8 @@ class TestRecords:
 
     def test_secular_draws_run_as_arrays(self, capsys, tmp_path, monkeypatch):
         # no per-draw SchemeParams, PPBlockMatrix or eigvalsh: the counts are
-        # the same for 10 and 1000 draws
+        # the same for 10 and 1000 draws, and the point's block is solved in
+        # the same eigvalsh as the draws', for its oracle and its roots
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -528,7 +686,31 @@ class TestRecords:
             assert code == 0
             per_run.append(dict(counts))
         assert per_run[0] == per_run[1]
-        assert per_run[1] == {"SchemeParams": 1, "eigvalsh": 3}
+        assert per_run[1] == {"SchemeParams": 1, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("raw", [
+        {}, {"n_sl": 1, "n_sr": 0, "n_p": 2, "draws": 0}, {"n_sl": 0, "n_sr": 0, "draws": 7},
+        {"xi_s": 0.0, "draws": 3}, {"delta_two": 3e3, "n_sl": 2, "n_sr": 3, "n_p": 4, "draws": 50},
+    ], ids=["defaults", "no-draws", "no-signal", "dark", "off-point"])
+    def test_secular_point_is_the_library_estimate(self, capsys, tmp_path, raw):
+        # the point is solved inside the draws' stack; its fields are the
+        # single-point library values bit for bit
+        code, out, _ = run(capsys, "secular", "--config", write_config(tmp_path, "p.json", raw))
+        assert code in (0, 2)
+        record = json.loads(out)
+        config = ExperimentConfig.from_dict({**_COMMANDS["secular"].defaults, **raw})
+        point = (config.scheme_params(), config.n_sl, config.n_sr, config.n_p)
+        closed = secular_coefficients(*point).as_tuple()
+        est = estimate_eigenvalues(*point)
+        results = record["results"]
+        assert results["coefficients_closed_form"] == dict(zip("abcde", closed))
+        assert results["exact_roots"] == list(est.exact_roots)
+        for key in ("lambda_small", "lambda_small_reduced", "lambda_large", "rel_err_small",
+                    "rel_err_large", "trace_dominated"):
+            assert results[key] == getattr(est, key), key
+        if len(record["rows"]) > 1:
+            oracle = _char_poly_stack(schemes._pp_block_stack(*_point_arrays([point])))[0]
+            assert [float(row[2]) for row in record["rows"][1:]] == oracle.tolist()
 
     def test_zero_signal_coupling_secular_row(self, capsys, tmp_path):
         path = write_config(tmp_path, "dark.json", {

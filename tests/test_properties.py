@@ -32,6 +32,7 @@ import cmath
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,29 @@ def test_evolve_qnd_matches_reduced_density_matrix(n_s, mag, arg, chi, t, extra,
                        (alpha * cmath.exp(1j * chi * n_s * t), res.probe_fidelity_flipped)):
         assert abs(ours - fidelity(coherent_state(cutoff, beta), rho_p)) < 1e-13
 
+
+
+def coherent_state_fidelity(m, cutoff, beta):
+    """<beta| rho_p |beta> with |beta> built by coherent_state, as evolve_qnd's
+    reference kets were before they skipped its truncation check."""
+    ket = coherent_state(cutoff, beta).amplitudes
+    return float(np.clip(np.linalg.norm(m @ ket.conj()) ** 2, 0.0, 1.0))
+
+
+@PROPERTY
+@given(st.integers(0, 5), st.floats(0.0, 8.0, exclude_min=True), st.floats(-math.pi, math.pi),
+       st.floats(-1.0, 1.0), st.floats(0.0, 50.0), st.one_of(st.none(), st.integers(2, 40)))
+def test_evolve_qnd_reference_kets_are_coherent_states(n_s, mag, arg, chi, t, cutoff_p):
+    # truncated cutoffs included: the kets match bit for bit, warning or not
+    alpha = mag * cmath.exp(1j * arg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = evolve_qnd(n_s, alpha, chi, t, cutoff_p=cutoff_p)
+        cutoff = default_cutoff(alpha) if cutoff_p is None else cutoff_p
+        m = res.state.amplitudes.reshape(n_s + 1, cutoff)
+        for beta, ours in ((alpha * cmath.exp(-1j * chi * n_s * t), res.probe_fidelity),
+                           (alpha * cmath.exp(1j * chi * n_s * t), res.probe_fidelity_flipped)):
+            assert ours.hex() == coherent_state_fidelity(m, cutoff, beta).hex()
 
 def per_point_dephasing(qubit, alpha, chi, t, sensitive):
     """The route dephasing_grid replaced: the joint state of the signal pair

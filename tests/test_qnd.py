@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ class TestEvolveQnd:
         # n_s = 1000 at cutoff 30: the (n_s + 1)^2 Gram matrix m m^+ alone
         # would take 16 MB
         assert traced_peak(lambda: evolve_qnd(1000, 2.0, -0.01, 10.0)) < 4e6
+
+    def test_truncated_probe_warns_once(self):
+        # the probe's truncation check runs once; the two reference kets skip it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve_qnd(1, 3.0, -0.01, 10.0, cutoff_p=12)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "truncation loss" in str(caught[0].message)
 
     def test_no_signal_no_phase(self):
         res = evolve_qnd(0, 2.0, -0.05, 3.0)
