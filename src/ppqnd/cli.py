@@ -8,11 +8,12 @@ failure.
 Complex numbers enter configs as [magnitude, phase_radians] pairs.  Floats
 are emitted through repr, which round-trips exactly.  Wall-clock time goes
 to stderr so that reruns with the same config and seed are byte-identical
-on stdout and in --out files.  The PPQND_TOL environment variable, when
-set, overrides each command's primary tolerance.
+on stdout and in --out files.  A record depends on its argv and its config
+only: its tolerance is the config's tolerance field, else the command's
+default, and the record's config echo shows which.
 
 Each command is one row of the _COMMANDS table: its runner, its default
-config, its primary tolerance and any extra flag.  Config values are checked
+config, its default tolerance and any extra flag.  Config values are checked
 against the ExperimentConfig annotations (a list[float] holds numbers only);
 non-finite numbers, integers beyond the float range, integers outside
 their field's range 0..max (_INT_MAX), magnitudes above _MAG_MAX, sizes
@@ -28,7 +29,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -56,16 +56,8 @@ from .qnd import (
     discrimination_error,
     evolve_qnd,
 )
-from .schemes import SchemeParams, _pp_block_stack, _ppqnd_energies
-from .secular import (
-    SecularCoefficients,
-    _block_roots,
-    _char_poly,
-    _coefficient_stack,
-    _estimate,
-    _hermitian_eigvalsh,
-    _point_arrays,
-)
+from .schemes import SchemeParams, _ppqnd_energies
+from .secular import _char_poly, _estimates
 
 
 class ConfigError(ValueError):
@@ -212,21 +204,6 @@ def _finite(value: Any) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def _tolerance(config: ExperimentConfig, default: float) -> float:
-    env = os.environ.get("PPQND_TOL")
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise ConfigError(f"PPQND_TOL is not a number: {env!r}") from exc
-        if not math.isfinite(tol):
-            raise ConfigError(f"PPQND_TOL is not finite: {env!r}")
-        return tol
-    if config.tolerance is not None:
-        return config.tolerance
-    return default
-
-
 @functools.cache  # the defaults are constants: validated on a command's first record
 def _default_config(command: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(_COMMANDS[command].defaults)
@@ -268,7 +245,7 @@ def _draw_hierarchy_params(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.stack([omega * u[:, 4], omega * u[:, 3], omega, xi_s, xi_p], axis=1)
 
 
-# A runner takes the effective config, the command's tolerance and its extra
+# A runner takes the effective config, the record's tolerance and its extra
 # flags, and returns (results, rows, ok); main adds the tolerance and the
 # record around them.
 
@@ -280,23 +257,17 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
     names = ("a", "b", "c", "d", "e")
     rows = [("coefficient", "closed_form", "char_poly", "rel_err")]
     point_ok = True
-    point = (params, config.n_sl, config.n_sr, config.n_p)
     draws = _draw_hierarchy_params(rng, config.draws)
     occupations = rng.integers(1, 5, size=(config.draws, 3))
     # The point is row 0 of one stack with the draws, so its block is built
-    # and solved once, for its oracle and for its roots; every row is as
-    # from a stack of its own.
-    p_params, p_n_s, p_n_p = _point_arrays([point])
-    stack = (np.concatenate([p_params, draws]),
-             np.concatenate([p_n_s, occupations[:, 0] + occupations[:, 1]]),
-             np.concatenate([p_n_p, occupations[:, 2]]))
-    cf = _coefficient_stack(*stack)
-    w = _hermitian_eigvalsh(_pp_block_stack(*stack))
+    # and solved once, for its oracle and for its roots.
+    (est,), cf, w = _estimates([(params, config.n_sl, config.n_sr, config.n_p)], draws,
+                               occupations[:, 0] + occupations[:, 1], occupations[:, 2])
     oc = _char_poly(w)
-    closed = SecularCoefficients(*cf[0].tolist())
+    closed = cf[0].tolist()
     # elsewhere e = 0 and the oracle's e is rounding noise: no point check
     if config.n_sl + config.n_sr >= 1 and config.n_p >= 1:
-        for name, x, y in zip(names, closed.as_tuple(), oc[0].tolist()):
+        for name, x, y in zip(names, closed, oc[0].tolist()):
             rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
             point_ok &= rel <= tol
             rows.append((name, repr(x), repr(y), repr(rel)))
@@ -304,9 +275,8 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
     rel = np.abs(cf - oc) / np.maximum(np.maximum(np.abs(cf), np.abs(oc)), 1e-300)
     max_rel = float(rel[1:].max()) if config.draws else 0.0
 
-    est = _estimate(*point, closed, _block_roots(w[:1], cf[:1])[0])
     results = {
-        "coefficients_closed_form": dict(zip(names, closed.as_tuple())),
+        "coefficients_closed_form": dict(zip(names, closed)),
         "max_rel_err_over_draws": max_rel,
         "draws": config.draws,
         "lambda_small": est.lambda_small,
@@ -458,7 +428,7 @@ def cmd_fullmodel(config: ExperimentConfig, tol: float) -> tuple[dict, list, boo
 class _Command(NamedTuple):
     run: Callable[..., tuple[dict, list, bool]]
     defaults: dict
-    tolerance: float | None          # None: the command has no pass/fail check
+    tolerance: float | None  # the config tolerance's default; None: no pass/fail check
     flags: tuple[tuple[str, str], ...] = ()  # extra store_true flags: (name, help)
 
 
@@ -565,7 +535,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
         config = _effective_config(name, raw, args.seed)
 
-        tol = None if command.tolerance is None else _tolerance(config, command.tolerance)
+        tol = command.tolerance
+        if tol is not None and config.tolerance is not None:
+            tol = config.tolerance
         flags = {flag: getattr(args, flag) for flag, _ in command.flags}
         results, rows, ok = command.run(config, tol, **flags)
     except (ConfigError, ValueError) as exc:  # library rejections are config errors here

@@ -158,16 +158,22 @@ class DensityMatrix:
         return complex(np.trace(self.matrix @ op.matrix))
 
 
+def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
+    """max |M - M^+| of each matrix of m (shape (..., n, n)); NaN where M
+    holds a NaN or an infinity."""
+    return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+
+
 def _check_density(m: np.ndarray) -> None:
     """DensityMatrix's checks on one (n, n) matrix or a stack (..., n, n):
-    Hermitian, unit trace and positive semidefinite, by one stacked eigvalsh."""
-    herm_dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
-    if herm_dev > _HERM_TOL:
-        raise ValueError(f"density matrix not Hermitian: max |M - M^+| = {herm_dev:g}")
+    unit trace, Hermitian and positive semidefinite, by one stacked eigvalsh."""
     tr = np.trace(m, axis1=-2, axis2=-1).real.ravel()
     bad = ~(np.abs(tr - 1.0) <= _NORM_TOL)  # also refuses NaN
     if bad.any():
         raise ValueError(f"density matrix trace is {tr[bad][0]!r}, expected 1")
+    herm_dev = np.max(_hermitian_deviation(m))
+    if not herm_dev <= _HERM_TOL:  # also refuses NaN
+        raise ValueError(f"density matrix not Hermitian: max |M - M^+| = {herm_dev:g}")
     evmin = float(np.linalg.eigvalsh(m).min())
     if evmin < -_POS_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evmin:g}")
@@ -190,8 +196,8 @@ class Operator:
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {n}")
         if self.hermitian_flag:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev > _HERM_TOL:
+            dev = _hermitian_deviation(m)
+            if not dev <= _HERM_TOL:  # also refuses NaN
                 raise ValueError(f"hermitian_flag set but max |M - M^+| = {dev:g}")
         object.__setattr__(self, "matrix", _readonly(m))
 

@@ -23,9 +23,11 @@ size and no polish of the coefficients can separate them.  One eigvalsh
 of a (B, 5, 5) stack gives every root to eps ||H||; a root small against
 ||H|| (the dark root, the light-shifted root near -2 Omega_d^2 / delta)
 is then Newton-polished on the closed-form quintic, where it is well
-conditioned.  estimate_eigenvalues and regime_scan run one stack for all
-of their points.  quintic_roots is a coefficient-level utility for
-coefficients without a block.
+conditioned.  One kernel, _estimates, builds and solves every stack of
+blocks: the points of estimate_eigenvalues and regime_scan, and the CLI's
+point with its array-drawn parameter sets, whose coefficients and
+eigenvalues feed the char-poly oracle.  quintic_roots is a
+coefficient-level utility for coefficients without a block.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fock import _hermitian_deviation
 from .schemes import SchemeParams, _pp_block_stack
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
 
 _REL_FLOOR = 1e-300  # guards relative errors when the exact root is 0
 _NEWTON_STEPS = 3  # from a start within the eps-scale error bound, enough to converge
+_RESIDUAL_TOL = 1e-8  # quintic_roots refuses a root with |p(root)| above this * scale
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ def _point_arrays(points: Sequence[tuple[SchemeParams, int, int, int]]
         if n_sl < 0 or n_sr < 0 or n_p < 0:
             raise ValueError("photon numbers must be >= 0")
     rows = np.array([(p.delta_probe, p.delta_two, p.omega_d, p.xi_s, p.xi_p)
-                     for p, *_ in points], dtype=float)
+                     for p, *_ in points], dtype=float).reshape(-1, 5)
     n_s = np.array([n_sl + n_sr for _, n_sl, n_sr, _ in points])
     n_p = np.array([n_p for *_, n_p in points])
     return rows, n_s, n_p
@@ -125,34 +129,22 @@ def char_poly_coefficients(matrix: np.ndarray) -> SecularCoefficients:
     m = np.asarray(matrix)
     if m.shape != (5, 5):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
-    a, b, c, d, e = _char_poly_stack(m[None]).tolist()[0]
-    return SecularCoefficients(a, b, c, d, e)
-
-
-def _char_poly_stack(matrices: np.ndarray) -> np.ndarray:
-    """(B, 5) coefficients a..e of a (B, 5, 5) stack of Hermitian matrices.
-
-    One eigvalsh over the stack, then np.poly's recurrence on the
-    eigenvalues w_k, c[j] -= w_k c[j-1], applied to all rows at once; the
-    arithmetic per row is np.poly's, so each row equals
-    -np.poly(eigvalsh(m))[1:] bit for bit.
-    """
-    return _char_poly(_hermitian_eigvalsh(matrices))
+    return SecularCoefficients(*_char_poly(_hermitian_eigvalsh(m[None])).tolist()[0])
 
 
 def _hermitian_eigvalsh(matrices: np.ndarray) -> np.ndarray:
     """eigvalsh of a (B, n, n) stack; ValueError unless every matrix is
-    Hermitian to 1e-12 of max(1, its largest entry)."""
-    m = np.asarray(matrices)
-    scale = np.maximum(1.0, np.max(np.abs(m), axis=(1, 2)))
-    asym = np.max(np.abs(m - np.swapaxes(m, 1, 2).conj()), axis=(1, 2))
-    if np.any(asym > 1e-12 * scale):
+    Hermitian to 1e-12 of max(1, its largest entry), which refuses NaN."""
+    scale = np.maximum(1.0, np.max(np.abs(matrices), axis=(1, 2)))
+    if not np.all(_hermitian_deviation(matrices) <= 1e-12 * scale):
         raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(matrices)
 
 
 def _char_poly(w: np.ndarray) -> np.ndarray:
-    """(B, 5) coefficients a..e of the quintics whose roots are the rows of w."""
+    """(B, 5) coefficients a..e of the quintics whose roots are the rows of w:
+    np.poly's recurrence on all rows at once, so each row equals
+    -np.poly(row)[1:] bit for bit."""
     # poly = [1, -e1, e2, -e3, e4, -e5] (elementary symmetric polys of the
     # eigenvalues); our convention -l^5 + a l^4 + ... + e is its negative.
     poly = np.zeros((len(w), 6))
@@ -199,7 +191,7 @@ def lambda_large(coeffs: SecularCoefficients) -> float:
     return coeffs.a
 
 
-def quintic_roots(coeffs: SecularCoefficients, residual_tol: float = 1e-8) -> np.ndarray:
+def quintic_roots(coeffs: SecularCoefficients) -> np.ndarray:
     """All five roots of the quintic from its coefficients alone, sorted ascending.
 
     A coefficient-level utility: the library's own secular roots come from
@@ -214,7 +206,7 @@ def quintic_roots(coeffs: SecularCoefficients, residual_tol: float = 1e-8) -> np
     the polynomial; a cluster keeps its real parts.  Imaginary residue
     beyond the clustering scale signals genuinely complex roots, i.e.
     coefficients that never came from a Hermitian matrix, and raises; so
-    does a final residual |p(root)| above residual_tol * scale with
+    does a final residual |p(root)| above 1e-8 * scale (_RESIDUAL_TOL) with
     scale = max|coefficient| * max(1, |root|)^5.
     """
     poly = np.array([-1.0, *coeffs.as_tuple()])
@@ -235,11 +227,11 @@ def quintic_roots(coeffs: SecularCoefficients, residual_tol: float = 1e-8) -> np
     roots = np.sort(roots)
     p_val = np.abs(np.polyval(poly, roots))
     scale = np.max(np.abs(poly)) * np.maximum(1.0, np.abs(roots)) ** 5
-    too_large = np.flatnonzero(p_val > residual_tol * scale)
+    too_large = np.flatnonzero(p_val > _RESIDUAL_TOL * scale)
     if too_large.size:
         k = too_large[0]
         raise ValueError(f"root residual |p({roots[k]:g})| = {p_val[k]:g} "
-                         f"exceeds {residual_tol:g} * scale")
+                         f"exceeds {_RESIDUAL_TOL:g} * scale")
     return roots
 
 
@@ -335,16 +327,32 @@ def _smallest_by_magnitude(roots: np.ndarray, sign_hint: float) -> float:
 def estimate_eigenvalues(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                          ) -> EigenEstimate:
     """Bundle the lambda_s / lambda_l estimates with exact roots and errors."""
-    return _estimates([(params, n_sl, n_sr, n_p)])[0]
+    return _estimates([(params, n_sl, n_sr, n_p)])[0][0]
 
 
-def _estimates(points: Sequence[tuple[SchemeParams, int, int, int]]) -> list[EigenEstimate]:
-    """estimate_eigenvalues at every point, from one stack of blocks."""
-    rows, n_s, n_p = _point_arrays(points)
-    coeffs = _coefficient_stack(rows, n_s, n_p)
-    roots = _block_roots(np.linalg.eigvalsh(_pp_block_stack(rows, n_s, n_p)), coeffs)
-    return [_estimate(*point, SecularCoefficients(*c), r)
-            for point, c, r in zip(points, coeffs.tolist(), roots)]
+def _estimates(points: Sequence[tuple[SchemeParams, int, int, int]], rows: np.ndarray = (),
+               n_s: np.ndarray = (), n_p: np.ndarray = ()
+               ) -> tuple[list[EigenEstimate], np.ndarray, np.ndarray]:
+    """estimate_eigenvalues at every point, and the (B, 5) closed-form
+    coefficients and block eigenvalues of the points followed by any extra
+    rows ((k, 5) in SchemeParams field order, with n_s = n_sL + n_sR and
+    n_p).  One stack serves them all, each row as from a stack of its own;
+    only the points' roots are Newton-polished.  A stack with extra rows is
+    the CLI's char-poly oracle input and gets the Hermitian check every
+    oracle input gets; an estimate-only stack skips the copies and the
+    check, which costs as much as its eigvalsh."""
+    params, ns, nps = _point_arrays(points)
+    if len(rows):
+        params, ns, nps = (np.concatenate(pair) for pair in
+                           ((params, rows), (ns, n_s), (nps, n_p)))
+    coeffs = _coefficient_stack(params, ns, nps)
+    blocks = _pp_block_stack(params, ns, nps)
+    w = _hermitian_eigvalsh(blocks) if len(rows) else np.linalg.eigvalsh(blocks)
+    k = len(points)
+    roots = _block_roots(w[:k], coeffs[:k])
+    estimates = [_estimate(*point, SecularCoefficients(*c), r)
+                 for point, c, r in zip(points, coeffs[:k].tolist(), roots)]
+    return estimates, coeffs, w
 
 
 def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int,
@@ -389,7 +397,7 @@ def regime_scan(points: Iterable[tuple[SchemeParams, int, int, int]]) -> list[Sc
     points = list(points)
     if not points:
         raise ValueError("regime_scan needs a nonempty grid")
-    return [ScanRow(*point, est) for point, est in zip(points, _estimates(points))]
+    return [ScanRow(*point, est) for point, est in zip(points, _estimates(points)[0])]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from ppqnd.cli import (
 )
 from ppqnd.polarization import _diagonal_deviations, lr_to_hv
 from ppqnd.secular import (
-    _char_poly_stack,
+    _char_poly,
+    _estimates,
     _point_arrays,
     estimate_eigenvalues,
     secular_coefficients,
@@ -289,19 +290,18 @@ class TestExitCodes:
         assert code == 1
         assert "unknown field" in err
 
-    def test_tolerance_failure_exits_two(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PPQND_TOL", "1e-30")
-        code, out, _ = run(capsys, "secular")
+    def test_tolerance_failure_exits_two(self, capsys, tmp_path):
+        path = write_config(tmp_path, "tight.json", {"tolerance": 1e-30})
+        code, out, _ = run(capsys, "secular", "--config", path)
         assert code == 2
-        monkeypatch.delenv("PPQND_TOL")
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_non_finite_env_tolerance_exits_one(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("PPQND_TOL", value)
-        code, out, err = run(capsys, "backaction")
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_config_tolerance_exits_one(self, capsys, tmp_path, value):
+        path = write_config(tmp_path, "tol.json", {"tolerance": value})
+        code, out, err = run(capsys, "backaction", "--config", path)
         assert code == 1
         assert out == ""
-        assert "PPQND_TOL" in err
+        assert "tolerance" in err
 
     def test_one_level_probe_exits_one(self, capsys, tmp_path):
         # cutoff 1 holds only the vacuum: zero number variance, no phase to read
@@ -312,9 +312,9 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error:") and "number variance" in err
 
-    def test_env_tolerance_is_echoed(self, capsys, monkeypatch):
-        monkeypatch.setenv("PPQND_TOL", "1e-3")
-        code, out, _ = run(capsys, "backaction")
+    def test_config_tolerance_is_echoed(self, capsys, tmp_path):
+        path = write_config(tmp_path, "tol.json", {"tolerance": 1e-3})
+        code, out, _ = run(capsys, "backaction", "--config", path)
         assert code == 0
         assert json.loads(out)["results"]["tolerance"] == 1e-3
 
@@ -323,23 +323,24 @@ class TestGoldenRecords:
     # The default record of every command.  When a record changes on purpose,
     # regenerate them all from the root of the repository:
     #   for c in secular preserve qnd invariance backaction discriminate fullmodel; do
-    #     env -u PPQND_TOL PYTHONPATH=src python -m ppqnd.cli $c > tests/golden/$c.json
+    #     PYTHONPATH=src python -m ppqnd.cli $c > tests/golden/$c.json
     #   done
-    #   env -u PPQND_TOL PYTHONPATH=src python -m ppqnd.cli preserve --sensitive \
+    #   PYTHONPATH=src python -m ppqnd.cli preserve --sensitive \
     #     > tests/golden/preserve-sensitive.json
     @pytest.mark.parametrize("name", [*COMMANDS, "preserve-sensitive"])
     def test_default_record_is_byte_identical(self, name, capsys, monkeypatch):
-        monkeypatch.delenv("PPQND_TOL", raising=False)
+        # a record depends on its argv and config only: PPQND_TOL once
+        # overrode every tolerance without showing in the record
+        monkeypatch.setenv("PPQND_TOL", "1e-30")
         command, *flag = name.split("-")
         code, out, _ = run(capsys, command, *(f"--{f}" for f in flag))
         assert code == 0
         assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
-    def test_parser_is_reused_and_flags_do_not_carry_over(self, capsys, monkeypatch):
+    def test_parser_is_reused_and_flags_do_not_carry_over(self, capsys):
         # main builds the parsers once per process; a --sensitive run must not
         # leave the flag set for the next call, and every golden invocation
         # follows it in the same process
-        monkeypatch.delenv("PPQND_TOL", raising=False)
         for name in ["preserve-sensitive", *COMMANDS]:
             command, *flag = name.split("-")
             code, out, _ = run(capsys, command, *(f"--{f}" for f in flag))
@@ -348,12 +349,21 @@ class TestGoldenRecords:
         assert _build_parser() is _build_parser()
 
     def test_module_runs_as_script(self):
-        env = {k: v for k, v in os.environ.items() if k != "PPQND_TOL"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "ppqnd.cli", "backaction"], cwd=ROOT, env=env,
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "backaction.json").read_bytes()
+
+    def test_record_regenerates_from_its_config_echo(self, capsys, tmp_path):
+        code, first, _ = run(capsys, "backaction", "--config",
+                             write_config(tmp_path, "tol.json", {"tolerance": 1e-3}))
+        assert code == 0
+        echo = write_config(tmp_path, "echo.json", json.loads(first)["config"])
+        code, again, _ = run(capsys, "backaction", "--config", echo)
+        assert code == 0
+        assert again == first
 
 
 # Configs rejected while a record is validated or before its library call.
@@ -401,7 +411,6 @@ class TestParseOnce:
                              ids=[f"{command}-{k}" for k, (command, _) in enumerate(BAD_CONFIGS)])
     def test_bad_config_gives_the_revalidated_merge_error(self, capsys, tmp_path, monkeypatch,
                                                           command, text):
-        monkeypatch.delenv("PPQND_TOL", raising=False)
         stub_library(monkeypatch)
         entry = _COMMANDS[command]
         with pytest.raises(ValueError) as expected:  # a ConfigError or a library rejection
@@ -709,7 +718,7 @@ class TestRecords:
                     "rel_err_large", "trace_dominated"):
             assert results[key] == getattr(est, key), key
         if len(record["rows"]) > 1:
-            oracle = _char_poly_stack(schemes._pp_block_stack(*_point_arrays([point])))[0]
+            oracle = _char_poly(_estimates([point])[2])[0]
             assert [float(row[2]) for row in record["rows"][1:]] == oracle.tolist()
 
     def test_zero_signal_coupling_secular_row(self, capsys, tmp_path):

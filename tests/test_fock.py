@@ -17,6 +17,7 @@ from ppqnd import (
     annihilation_op,
     atom_transition_op,
     basis_state,
+    char_poly_coefficients,
     coherent_state,
     coherent_truncation_loss,
     creation_op,
@@ -310,6 +311,25 @@ class TestEigendecomposition:
         op = annihilation_op(space, 0)
         with pytest.raises(ValueError):
             hermitian_eig(op)
+
+
+def nan_off_diagonal(n):
+    """The maximally mixed n x n matrix with one NaN pair off the diagonal:
+    unit trace, and Hermitian but for the NaN."""
+    m = np.eye(n, dtype=complex) / n
+    m[0, 1] = m[1, 0] = math.nan
+    return m
+
+
+@pytest.mark.parametrize("check", [
+    lambda m: Operator(make_space(1, [5]), m),
+    lambda m: DensityMatrix(make_space(1, [5]), m),
+    char_poly_coefficients,
+], ids=["Operator", "DensityMatrix", "char_poly_coefficients"])
+def test_hermitian_checks_refuse_nan(check):
+    # max |M - M^+| is NaN here, which a `dev > bound` test lets through
+    with pytest.raises(ValueError, match=r"Hermitian|\|M - M\^\+\|"):
+        check(nan_off_diagonal(5))
 
 
 class TestEvolve:

@@ -23,8 +23,9 @@ the kernel it replaced, bit for bit.  The secular roots from the stacked
 block are checked against 50-digit mpmath eigenvalues and regime_scan
 against estimate_eigenvalues point by point; the coefficient-level
 quintic_roots against the same kind of oracle next to a fixed 60-step
-Aberth loop; the array-drawn secular oracle against a per-draw loop; and
-the stacked characteristic polynomial against np.poly per matrix.
+Aberth loop; the secular stack kernel's rows against stacks of their own;
+the array-drawn secular oracle against a per-draw loop; and the stacked
+characteristic polynomial against np.poly per matrix.
 Examples are derandomized so the suite stays deterministic.
 """
 
@@ -89,7 +90,7 @@ from ppqnd.schemes import (
     _ppqnd_energies,
     build_pp_block_matrix,
 )
-from ppqnd.secular import _char_poly_stack, _coefficient_stack, _point_arrays
+from ppqnd.secular import _char_poly, _estimates, _hermitian_eigvalsh, _point_arrays
 
 try:
     import mpmath
@@ -906,14 +907,37 @@ def test_regime_scan_rows_equal_estimate_eigenvalues(points):
 
 
 @PROPERTY
+@given(st.lists(secular_points(), min_size=1, max_size=4), seeds, st.integers(0, 50))
+def test_stack_kernel_rows_equal_stacks_of_their_own(points, seed, count):
+    # the points first, then the extra rows; each row's coefficients and
+    # eigenvalues as from a stack of that row alone, each point's estimate
+    # as estimate_eigenvalues
+    rng = np.random.default_rng(seed)
+    draws = cli._draw_hierarchy_params(rng, count)
+    occupations = rng.integers(1, 5, size=(count, 3))
+    n_s, n_p = occupations[:, 0] + occupations[:, 1], occupations[:, 2]
+    estimates, coeffs, w = _estimates(points, draws, n_s, n_p)
+    assert len(estimates) == len(points)
+    assert coeffs.shape == w.shape == (len(points) + count, 5)
+    for est, point in zip(estimates, points):
+        alone = estimate_eigenvalues(*point)
+        assert bitwise_equal(est.exact_roots, alone.exact_roots)
+        assert est == alone
+    for k in range(count):
+        _, c, v = _estimates([], draws[k:k + 1], n_s[k:k + 1], n_p[k:k + 1])
+        assert bitwise_equal(coeffs[len(points) + k], c[0])
+        assert bitwise_equal(w[len(points) + k], v[0])
+
+
+@PROPERTY
 @given(seeds, st.integers(1, 50))
 def test_array_drawn_secular_oracle_equals_per_draw_loop(seed, count):
     rng = np.random.default_rng(seed)
     draws = cli._draw_hierarchy_params(rng, count)
     occupations = rng.integers(1, 5, size=(count, 3))
     n_s, n_p = occupations[:, 0] + occupations[:, 1], occupations[:, 2]
-    closed = _coefficient_stack(draws, n_s, n_p)
-    oracle = _char_poly_stack(_pp_block_stack(draws, n_s, n_p))
+    _, closed, w = _estimates([], draws, n_s, n_p)
+    oracle = _char_poly(w)
     for row, occ, c, o in zip(draws.tolist(), occupations.tolist(), closed, oracle):
         params = SchemeParams(*row)
         assert bitwise_equal(c, secular_coefficients(params, *occ).as_tuple())
@@ -943,6 +967,6 @@ def hermitian_stacks(draw):
 @PROPERTY
 @given(hermitian_stacks())
 def test_stacked_char_poly_matches_np_poly_per_matrix(stack):
-    ours = _char_poly_stack(stack)
+    ours = _char_poly(_hermitian_eigvalsh(stack))
     for m, row in zip(stack, ours):
         assert bitwise_equal(row, -np.poly(np.linalg.eigvalsh(m))[1:])
