@@ -226,7 +226,7 @@ def _coupling_table(space: HilbertSpace, detunings: Sequence[tuple[int, float]],
     A coupling entry joins |lower, n> (col) to |upper, n - 1_mode> (row)
     with value amplitude sqrt(n_mode).  The ladder and transition
     operators and the scheme Hamiltonians are all scattered from such
-    tables (_scatter).
+    tables (_scatter).  A longdouble amplitude makes the values longdouble.
     """
     grid = np.indices(space.dims).reshape(len(space.dims), -1)
     rows, cols, vals = [], [], []
@@ -242,7 +242,7 @@ def _coupling_table(space: HilbertSpace, detunings: Sequence[tuple[int, float]],
         (col,) = np.nonzero(src)
         dst = grid[:, col]
         dst[0] = upper
-        value = np.full(col.size, float(amplitude))
+        value = np.full(col.size, amplitude, dtype=np.result_type(amplitude, float))
         if mode is not None:
             value *= np.sqrt(dst[mode + 1])
             dst[mode + 1] -= 1
@@ -291,7 +291,7 @@ def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], size: int,
     (index, blocks) per block size: the connected components of the table
     that hold a flat index in `keep`.  index (B, s) is those rows of
     _sectors(_components(...)), in order, and no size without one; blocks
-    (B, s, s) the real symmetric operator on each row."""
+    (B, s, s) the real symmetric operator on each row, in the table's dtype."""
     rows, cols, vals = table
     label = _components(rows, cols, size)
     kept = np.flatnonzero(np.isin(label, label[keep]))
@@ -301,7 +301,7 @@ def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], size: int,
         where[0, index] = g
         where[1:, index] = np.indices(index.shape)
     (group, b, p), q = where[:, rows], where[2, cols]
-    out = [(index, np.zeros((*index.shape, index.shape[1]))) for index in groups]
+    out = [(index, np.zeros((*index.shape, index.shape[1]), vals.dtype)) for index in groups]
     for g, (_, blocks) in enumerate(out):
         m = group == g
         blocks[b[m], p[m], q[m]] = blocks[b[m], q[m], p[m]] = vals[m]

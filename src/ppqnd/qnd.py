@@ -33,16 +33,18 @@ from .fock import (
     _check_density,
     _check_unitarity,
     _coherent_amplitudes,
+    _coupling_table,
     _evolve_diagonal,
     _evolve_sectors,
     _occupations,
     _readonly,
+    _sector_blocks,
     coherent_state,
     default_cutoff,
     make_space,
 )
 from .polarization import PolarizationQubit
-from .schemes import SchemeParams, _pp_sectors, _ppqnd_energies, _qnd_energies, chi_from_params
+from .schemes import SchemeParams, _ppqnd_energies, _qnd_energies, chi_from_params
 from .secular import estimate_eigenvalues
 
 __all__ = [
@@ -480,10 +482,11 @@ class FullVsEffectiveResult:
 
     atomic_leakage is the final population outside atomic level 1;
     input_overlap is |<psi(0)|psi(t)>|^2.  Runs outside the hierarchy are
-    valid data, labeled by regime_ok.  mirror_canonicalized records that
-    the input qubit was routed through the exact L/R mirror symmetry of
-    the builder (so mirrored inputs execute the identical float program
-    and report identical phases).
+    valid data, labeled by regime_ok.  Only the drive-parallel part
+    (c_L + c_R)/sqrt(2) of the qubit feels the probe: an H photon tracks
+    the secular prediction, a V photon gets no phase and an L or R photon
+    about half.  Mirrored qubits (c_L, c_R) and (c_R, c_L) give identical
+    records, bit for bit.
     """
 
     measured_phase: float
@@ -496,7 +499,6 @@ class FullVsEffectiveResult:
     regime_ok: bool
     hierarchy_ratios: tuple[float, float, float]
     probe: str
-    mirror_canonicalized: bool
     evolution_sign: str = EVOLUTION_SIGN
 
 
@@ -511,10 +513,12 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     level 1.
 
     The evolution is exact within the truncation and runs in extended
-    precision at every probe cutoff: only the connected components of H
-    that hold amplitude of psi(0) are cut (schemes._pp_sectors, at most 6
-    states each) and diagonalized, by longdouble Jacobi batched over
-    equal-size blocks.  No dense Hamiltonian of the full space is built.
+    precision at every probe cutoff.  It runs in the drive's linear basis,
+    where the connected components of H are even chains of at most 4
+    states (|1; H, n>, 2+, |3>, |4; n - 1>) and odd pairs (|1; V, n>, 2-);
+    only those that hold amplitude of psi(0) are cut and diagonalized, by
+    longdouble Jacobi batched over equal-size blocks, so an H photon never
+    meets an odd pair.  No dense Hamiltonian of the full space is built.
     """
     return _full_vs_effective(params, pol_state, t, n_p, alpha_p, cutoff_p, None)
 
@@ -533,11 +537,6 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
     if (n_p is None) == (alpha_p is None):
         raise ValueError("give exactly one of n_p or alpha_p")
 
-    qubit = pol_state
-    canonicalized = abs(qubit.c_r) > abs(qubit.c_l)
-    if canonicalized:
-        qubit = PolarizationQubit(qubit.c_r, qubit.c_l)
-
     if n_p is not None:
         cp = max(2, n_p + 1) if cutoff_p is None else cutoff_p
         if not 0 <= n_p < cp:
@@ -551,11 +550,20 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 
+    # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4); a mirrored qubit only
+    # flips the sign of c_V.  The sqrt(2) Omega_d leg stays longdouble: in
+    # double it moves the phase by ~1e-13.  Leakage, <a_p> and <psi0|psi_t>
+    # do not depend on the basis, so nothing is rotated back.
     space = make_space(5, [2, 2, cp])
-    amps = np.zeros(space.dims, dtype=complex)
-    amps[0] = _qubit_pair_vector(qubit)[..., None] * probe_vec  # atom in level 1
+    table = _coupling_table(
+        space, [(4, params.delta_probe), (1, params.delta_two), (2, params.delta_two)],
+        [(params.xi_s, 1, 0, 0), (params.xi_s, 2, 0, 1), (params.xi_p, 4, 3, 2),
+         (np.sqrt(np.longdouble(2)) * params.omega_d, 1, 3, None)])
+    amps = np.zeros(space.dims, dtype=complex)  # atom in level 1
+    amps[0, 1, 0] = (pol_state.c_l + pol_state.c_r) / math.sqrt(2) * probe_vec
+    amps[0, 0, 1] = (pol_state.c_l - pol_state.c_r) / math.sqrt(2) * probe_vec
     psi0 = StateVector(space, amps.ravel())
-    sectors = _pp_sectors(params, 2, 2, cp, np.flatnonzero(psi0.amplitudes))
+    sectors = _sector_blocks(table, space.total_dim, np.flatnonzero(psi0.amplitudes))
     psi_t = _evolve_sectors(psi0, sectors, t)
 
     if n_p is not None:
@@ -588,5 +596,4 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         regime_ok=params.regime_ok(),
         hierarchy_ratios=params.hierarchy_ratios(),
         probe=probe_tag,
-        mirror_canonicalized=canonicalized,
     )

@@ -11,7 +11,11 @@ Three atomic schemes, in increasing size:
 * Polarization preserving (PP): levels {1,2,2',3,4} with two circular
   signal modes s_L, s_R feeding 1-2 and 1-2', one (linearly polarized)
   drive coupling both 2-3 and 2'-3 with the same amplitude, and the probe
-  on 3-4.  Mode order is [s_L, s_R, p].
+  on 3-4.  Mode order is [s_L, s_R, p].  In the drive's linear basis,
+  s_H, s_V = (s_L +- s_R)/sqrt(2) and 2+- = (|2> +- |2'>)/sqrt(2), every
+  one-photon sector splits into an even chain |1; H>, 2+, 3, 4 (drive leg
+  sqrt(2) Omega_d) and an odd pair |1; V>, 2- that the drive never links
+  to 3: only the drive-parallel photon H reaches the probe.
 
 Atomic levels are indexed from 0, so scheme level "1" is index 0,
 "2" is 1, "2'" is 2, "3" is 3, "4" is 4 in the PP scheme.
@@ -23,7 +27,7 @@ the diagonal effective (QND) Hamiltonians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -231,28 +235,38 @@ class PPBlockMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def _pp_block_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.ndarray:
-    """(B, 5, 5) symmetric blocks on {|1>, |2>, |2'>, |3>, |4>}, one per row.
-
-    params is (B, 5) in SchemeParams field order (Delta, delta, Omega_d,
-    xi_s, xi_p); n_s = n_sL + n_sR and n_p are (B,) occupations.  Both
-    signal legs carry xi_s sqrt(n_s / 2) and the probe leg xi_p sqrt(n_p).
-    The characteristic polynomial of each block is the closed-form quintic
-    at every occupation, n_sL n_sR = 0 included, since both depend on n_s
-    only.  The antisymmetric (|2> - |2'>)/sqrt(2) is always an eigenvector
-    with eigenvalue delta; at n_s = 0 or n_p = 0 the block is singular, as
-    the closed form is through e = 0.
-    """
-    big_delta, delta, omega, xi_s, xi_p = np.asarray(params, dtype=float).T
-    if np.any(omega < 0) or np.any(xi_s < 0) or np.any(xi_p < 0):
+def _pp_chain_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.ndarray:
+    """(B, 4, 4) symmetric chains |1> - |2> - |3> - |4> with diagonal (0, delta,
+    0, Delta) and legs xi_s sqrt(n_s), drive, xi_p sqrt(n_p), one per row of
+    params ((B, 5) in SchemeParams field order, whose Omega_d column is the
+    drive leg: Omega_d for one circular route, sqrt(2) Omega_d for the even
+    chain {|1; H>, 2+, |3>, |4>} of the PP scheme) and of n_s and n_p (B,)."""
+    big_delta, delta, drive, xi_s, xi_p = np.asarray(params, dtype=float).T
+    if np.any(drive < 0) or np.any(xi_s < 0) or np.any(xi_p < 0):
         raise ValueError("omega_d, xi_s and xi_p must be nonnegative")
-    x = xi_s * np.sqrt(np.asarray(n_s) / 2.0)
-    q = xi_p * np.sqrt(np.asarray(n_p, dtype=float))
-    m = np.zeros((len(big_delta), 5, 5))
-    for (i, j), value in (((0, 1), x), ((0, 2), x), ((1, 3), omega), ((2, 3), omega), ((3, 4), q)):
-        m[:, i, j] = m[:, j, i] = value
-    m[:, 1, 1] = m[:, 2, 2] = delta
-    m[:, 4, 4] = big_delta
+    legs = (xi_s * np.sqrt(np.asarray(n_s, dtype=float)), drive,
+            xi_p * np.sqrt(np.asarray(n_p, dtype=float)))
+    m = np.zeros((len(big_delta), 4, 4))
+    for k, value in enumerate(legs):
+        m[:, k, k + 1] = m[:, k + 1, k] = value
+    m[:, 1, 1], m[:, 3, 3] = delta, big_delta
+    return m
+
+
+def _pp_block_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.ndarray:
+    """(B, 5, 5) symmetric blocks on {|1>, |2>, |2'>, |3>, |4>}, one per row:
+    the single-route chain at n_s / 2 with its level 2 doubled into the
+    uncoupled 2 and 2', so both signal legs carry xi_s sqrt(n_s / 2).
+
+    params is (B, 5) in SchemeParams field order; n_s = n_sL + n_sR and n_p
+    are (B,) occupations.  In the basis 2+- = (|2> +- |2'>)/sqrt(2), 2- is an
+    eigenvector at delta and the rest is the even chain (drive leg sqrt(2)
+    Omega_d), so the characteristic polynomial, the closed-form quintic at
+    every occupation, is (delta - lambda) Q(lambda) with Q the chain's.
+    """
+    doubled = [0, 1, 1, 2, 3]
+    m = _pp_chain_stack(params, np.asarray(n_s) / 2.0, n_p)[:, doubled][:, :, doubled]
+    m[:, 1, 2] = m[:, 2, 1] = 0.0
     return m
 
 
@@ -272,34 +286,23 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
     lowest coefficients.  For n_sL = n_sR both choices coincide, and the
     route-resolved physics lives in build_pp_hamiltonian either way (see
     compare_block_to_full).  With one circular occupation zero the block
-    is the single-route 4x4 chain (`reduced`), which has one drive leg:
-    its characteristic polynomial is not the quintic (its dark root is the
-    N-scheme shift, about twice the quintic's).  The secular analysis
-    uses the 5x5 of _pp_block_stack at every occupation instead.
+    is the single-route chain of _pp_chain_stack (`reduced`), which has one
+    drive leg: its characteristic polynomial is not the quintic (its dark
+    root is the N-scheme shift, about twice the quintic's).  The secular
+    analysis solves the even chain (drive leg sqrt(2) Omega_d) plus delta.
     """
     if n_sl < 0 or n_sr < 0 or n_sl + n_sr < 1:
         raise ValueError("need n_sL + n_sR >= 1 (a signal photon to detect)")
     if n_p < 1:
         raise ValueError("block model needs n_p >= 1 (the |4> state absorbs a probe photon)")
-    delta, big_delta = params.delta_two, params.delta_probe
-    omega, xi_s, xi_p = params.omega_d, params.xi_s, params.xi_p
-    n_s = n_sl + n_sr
-
+    row = np.array([astuple(params)])
+    n_s, n_p = np.array([n_sl + n_sr]), np.array([n_p])
     if n_sl == 0 or n_sr == 0:
-        x = xi_s * math.sqrt(n_s)
-        q = xi_p * math.sqrt(n_p)
-        m = np.array([
-            [0.0, x, 0.0, 0.0],
-            [x, delta, omega, 0.0],
-            [0.0, omega, 0.0, q],
-            [0.0, 0.0, q, big_delta],
-        ])
         kept = "2" if n_sr == 0 else "2'"
-        return PPBlockMatrix(m, ("1", kept, "3", "4"), reduced=True)
-
-    row = [[big_delta, delta, omega, xi_s, xi_p]]
-    m = _pp_block_stack(np.array(row), np.array([n_s]), np.array([n_p]))[0]
-    return PPBlockMatrix(m, ("1", "2", "2'", "3", "4"), reduced=False)
+        return PPBlockMatrix(_pp_chain_stack(row, n_s, n_p)[0], ("1", kept, "3", "4"),
+                             reduced=True)
+    return PPBlockMatrix(_pp_block_stack(row, n_s, n_p)[0], ("1", "2", "2'", "3", "4"),
+                         reduced=False)
 
 
 def chi_from_params(params: SchemeParams) -> float:

@@ -16,15 +16,16 @@ from exact eigenvalues, and the two perturbative eigenvalue estimates
 
 plus a regime scan comparing both against the exact roots.
 
-The exact roots are the eigenvalues of the symmetric 5x5 block whose
-characteristic polynomial the quintic is, not roots of the rounded
-coefficients: at delta = Delta two roots cluster within 1e-14 of their
-size and no polish of the coefficients can separate them.  One eigvalsh
-of a (B, 5, 5) stack gives every root to eps ||H||; a root small against
+The quintic is (delta - lambda) Q(lambda), with Q the characteristic
+polynomial of the block's even chain (see schemes._pp_block_stack).  So delta
+is an exact root and the other four are the chain's eigenvalues, not roots
+of the rounded coefficients: at delta = Delta one sits within 1e-14 of
+delta, which no polish of the coefficients can resolve.  One eigvalsh of
+a (B, 4, 4) stack gives every chain root to eps ||H||; a root small against
 ||H|| (the dark root, the light-shifted root near -2 Omega_d^2 / delta)
 is then Newton-polished on the closed-form quintic, where it is well
 conditioned.  One kernel, _estimates, builds and solves every stack of
-blocks: the points of estimate_eigenvalues and regime_scan, and the CLI's
+chains: the points of estimate_eigenvalues and regime_scan, and the CLI's
 point with its array-drawn parameter sets, whose coefficients and
 eigenvalues feed the char-poly oracle.  quintic_roots is a
 coefficient-level utility for coefficients without a block.
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fock import _hermitian_deviation
-from .schemes import SchemeParams, _pp_block_stack
+from .schemes import SchemeParams, _pp_chain_stack
 
 __all__ = [
     "SecularCoefficients",
@@ -262,17 +263,18 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _block_roots(w: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sorted real roots (B, 5) of the quintics of (B, 5, 5) blocks, from
-    their eigvalsh eigenvalues w and closed-form coefficients.
+def _block_roots(w: np.ndarray, coeffs: np.ndarray, delta: np.ndarray,
+                 singular: np.ndarray) -> np.ndarray:
+    """Sorted real roots (B, 5) of the quintics (delta - lambda) Q(lambda):
+    delta, and the roots of Q from w, the eigvalsh eigenvalues (B, 4) of Q's chains.
 
     eigvalsh gives each root to about eps ||H||, and Newton on the
     closed-form quintic p to about eps sum_k |c_k| |lambda|^k / |p'(lambda)|.
-    A root is refined, by at most _NEWTON_STEPS Newton steps from its
+    A chain root is refined, by at most _NEWTON_STEPS Newton steps from its
     eigvalsh value, exactly where the second bound is the smaller: roots
-    small against ||H|| and simple, among them the dark root.  Clustered
-    roots have p' ~ 0 and keep their eigvalsh values.  Where e = 0 the
-    smallest root is exactly 0.
+    small against ||H|| and simple, among them the dark root; a root next
+    to delta has p' ~ 0 and keeps it.  Where Q(0) = s p = 0 (`singular`: an
+    end leg of the chain is 0) the chain root of least magnitude is 0.
     """
     poly = np.concatenate([np.full((len(w), 1), -1.0), coeffs], axis=1)
     dpoly = poly[:, :-1] * np.arange(5, 0, -1)
@@ -283,10 +285,9 @@ def _block_roots(w: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         slope = _horner(dpoly, lam)
         lam = lam - np.divide(_horner(poly, lam), slope, out=np.zeros_like(lam),
                               where=refine & (slope != 0))
-    # e = 0 makes 0 an exact root of the closed form (the block is singular)
-    zero = np.flatnonzero(coeffs[:, 4] == 0)
+    zero = np.flatnonzero(singular)
     lam[zero, np.argmin(np.abs(lam[zero]), axis=1)] = 0.0
-    return np.sort(lam, axis=1)
+    return np.sort(np.concatenate([lam, delta[:, None]], axis=1), axis=1)
 
 
 def _rel_err(approx: float, exact: float) -> float:
@@ -336,23 +337,31 @@ def _estimates(points: Sequence[tuple[SchemeParams, int, int, int]], rows: np.nd
     """estimate_eigenvalues at every point, and the (B, 5) closed-form
     coefficients and block eigenvalues of the points followed by any extra
     rows ((k, 5) in SchemeParams field order, with n_s = n_sL + n_sR and
-    n_p).  One stack serves them all, each row as from a stack of its own;
-    only the points' roots are Newton-polished.  A stack with extra rows is
-    the CLI's char-poly oracle input and gets the Hermitian check every
-    oracle input gets; an estimate-only stack skips the copies and the
-    check, which costs as much as its eigvalsh."""
+    n_p).  A row's block eigenvalues are its even chain's and delta, sorted.
+    One stack serves them all, each row as from a stack of its own; only the
+    points' roots are Newton-polished.  A stack with extra rows is the CLI's
+    char-poly oracle input and gets the Hermitian check every oracle input
+    gets; an estimate-only stack skips the copies and the check, which
+    costs as much as its eigvalsh.  A row that overflows raises ValueError."""
     params, ns, nps = _point_arrays(points)
     if len(rows):
         params, ns, nps = (np.concatenate(pair) for pair in
                            ((params, rows), (ns, n_s), (nps, n_p)))
     coeffs = _coefficient_stack(params, ns, nps)
-    blocks = _pp_block_stack(params, ns, nps)
-    w = _hermitian_eigvalsh(blocks) if len(rows) else np.linalg.eigvalsh(blocks)
+    chains = _pp_chain_stack(params * [1.0, 1.0, math.sqrt(2), 1.0, 1.0], ns, nps)
+    bad = np.flatnonzero(~(np.isfinite(coeffs).all(1) & np.isfinite(chains).all((1, 2))))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"secular point {points[j] if j < len(points) else params[j].tolist()}"
+                         ": the closed-form coefficients or chain entries overflow")
+    w = _hermitian_eigvalsh(chains) if len(rows) else np.linalg.eigvalsh(chains)
     k = len(points)
-    roots = _block_roots(w[:k], coeffs[:k])
+    delta = params[:, 1]
+    singular = (chains[:k, 0, 1] == 0) | (chains[:k, 2, 3] == 0)
+    roots = _block_roots(w[:k], coeffs[:k], delta[:k], singular)
     estimates = [_estimate(*point, SecularCoefficients(*c), r)
                  for point, c, r in zip(points, coeffs[:k].tolist(), roots)]
-    return estimates, coeffs, w
+    return estimates, coeffs, np.sort(np.concatenate([w, delta[:, None]], axis=1), axis=1)
 
 
 def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int,

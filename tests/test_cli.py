@@ -31,6 +31,7 @@ from ppqnd.secular import (
     _estimates,
     _point_arrays,
     estimate_eigenvalues,
+    regime_scan,
     secular_coefficients,
 )
 
@@ -302,6 +303,25 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("raw", [{"xi_s": 1e300, "n_sl": 1000, "n_sr": 1000},
+                                     {"xi_s": 1e160}, {"xi_s": 1e150}],
+                             ids=["xi_s-1e300-n_s-2000", "xi_s-1e160", "xi_s-1e150"])
+    def test_overflowing_secular_point_exits_one(self, capsys, tmp_path, raw):
+        # finite fields whose closed-form coefficients overflow: these ended
+        # in an OverflowError traceback, or a record holding "Infinity"
+        path = write_config(tmp_path, "huge.json", raw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "secular", "--config", path)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("config error: secular point (SchemeParams(") and "xi_s=" in err
+            config = {**_COMMANDS["secular"].defaults, **raw}
+            point = (ExperimentConfig.from_dict(config).scheme_params(), config["n_sl"],
+                     config["n_sr"], config["n_p"])
+            for entry in (lambda: estimate_eigenvalues(*point), lambda: regime_scan([point])):
+                with pytest.raises(ValueError, match="overflow"):
+                    entry()
 
     def test_one_level_probe_exits_one(self, capsys, tmp_path):
         # cutoff 1 holds only the vacuum: zero number variance, no phase to read

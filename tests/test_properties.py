@@ -18,7 +18,8 @@ an mpmath oracle; the components match scipy's connected_components, the
 blocks cut for a set of kept states are the rows of the all-states cut
 that hold one, evolve of a dense PP Hamiltonian is that component route
 bit for bit and resolves a phase 21 decades below the norm against an
-80-digit mpmath evolution, and the longdouble Jacobi gives the values of
+80-digit mpmath evolution, full_vs_effective splits into its drive-parallel
+(H) and probe-blind (V) channels, and the longdouble Jacobi gives the values of
 the kernel it replaced, bit for bit.  The secular roots from the stacked
 block are checked against 50-digit mpmath eigenvalues and regime_scan
 against estimate_eigenvalues point by point; the coefficient-level
@@ -61,6 +62,7 @@ from ppqnd import (
     evolve,
     evolve_qnd,
     fidelity,
+    full_vs_effective,
     homodyne_estimate,
     lift_unitary,
     make_space,
@@ -85,6 +87,7 @@ from ppqnd.fock import (
 from ppqnd.polarization import _principal_generator
 from ppqnd.schemes import (
     _pp_block_stack,
+    _pp_chain_stack,
     _pp_sectors,
     _pp_table,
     _ppqnd_energies,
@@ -742,7 +745,7 @@ def test_jacobi_is_bitwise_the_reference_kernel(n, batch, kind, seed):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(pp_params(), st.integers(2, 30))
 def test_jacobi_is_bitwise_the_reference_kernel_on_pp_sectors(params, cutoff_p):
-    # the full-model shapes: the N_s = 1 stacks of full_vs_effective, (B, 6, 6)
+    # the circular five-level shapes: the N_s = 1 stacks, (B, 6, 6)
     # and the shorter edge rows, and the 11 x 11 and 16 x 16 sectors of
     # compare_block_to_full at n_s = 2 and 3
     space = make_space(5, [2, 2, cutoff_p])
@@ -781,6 +784,39 @@ def test_restricted_cut_is_the_full_cut_where_a_kept_state_lives(params, cutoffs
     psi = StateVector(space, amps / np.linalg.norm(amps))
     restricted = _evolve_sectors(psi, ours, t).amplitudes
     assert np.array_equal(restricted, _evolve_sectors(psi, full, t).amplitudes)
+
+
+def phase_target_time(params, n_p, phase):
+    """The time at which the dark root of n_p probe photons turns by phase."""
+    return phase / abs(min(estimate_eigenvalues(params, 1, 0, n_p).exact_roots, key=abs))
+
+
+@PROPERTY
+@given(pp_params(), st.floats(0.01, 3.0), st.floats(-math.pi, math.pi), st.floats(0.1, 2.0))
+def test_vertical_photon_leaves_the_probe_phase_alone(params, phase, arg, mag):
+    # V = (L - R)/sqrt(2) lives in the odd pairs {|1; V>, 2-}, which the
+    # drive never links to |3>: whatever the parameters, the probe keeps its phase
+    c = cmath.exp(1j * arg) / math.sqrt(2)
+    res = full_vs_effective(params, PolarizationQubit(c, -c), phase_target_time(params, 1, phase),
+                            alpha_p=mag)
+    assert abs(res.measured_phase) <= 1e-15
+
+
+@PROPERTY
+@given(pp_params(), qubits(), st.integers(1, 3), st.floats(0.01, 3.0))
+def test_fock_probe_overlap_is_the_weighted_sum_of_its_channels(params, qubit, n_p, phase):
+    # <psi0|psi_t> = w_H <H run> + w_V <V run>, w_H = |c_L + c_R|^2 / 2 and
+    # w_V = |c_L - c_R|^2 / 2: each channel evolves on its own
+    t = phase_target_time(params, n_p, phase)
+
+    def amplitude(q):
+        res = full_vs_effective(params, q, t, n_p=n_p)
+        return math.sqrt(res.input_overlap) * cmath.exp(1j * res.measured_phase)
+
+    w_h, w_v = abs(qubit.c_l + qubit.c_r) ** 2 / 2, abs(qubit.c_l - qubit.c_r) ** 2 / 2
+    expected = (w_h * amplitude(PolarizationQubit.horizontal())
+                + w_v * amplitude(PolarizationQubit.vertical()))
+    assert abs(amplitude(qubit) - expected) <= 1e-12
 
 
 def reference_aberth(poly, starts, max_iter=60):
@@ -932,6 +968,9 @@ def test_stack_kernel_rows_equal_stacks_of_their_own(points, seed, count):
 @PROPERTY
 @given(seeds, st.integers(1, 50))
 def test_array_drawn_secular_oracle_equals_per_draw_loop(seed, count):
+    # each draw's oracle row is the char poly of its own even chain's
+    # eigenvalues and delta, bit for bit, and agrees with the char poly of
+    # its 5x5 block to the CLI's 1e-9
     rng = np.random.default_rng(seed)
     draws = cli._draw_hierarchy_params(rng, count)
     occupations = rng.integers(1, 5, size=(count, 3))
@@ -941,8 +980,12 @@ def test_array_drawn_secular_oracle_equals_per_draw_loop(seed, count):
     for row, occ, c, o in zip(draws.tolist(), occupations.tolist(), closed, oracle):
         params = SchemeParams(*row)
         assert bitwise_equal(c, secular_coefficients(params, *occ).as_tuple())
-        block = build_pp_block_matrix(params, *occ).matrix
-        assert bitwise_equal(o, char_poly_coefficients(block).as_tuple())
+        even = np.array([[row[0], row[1], row[2] * math.sqrt(2), row[3], row[4]]])
+        chain = _pp_chain_stack(even, np.array([occ[0] + occ[1]]), np.array([occ[2]]))[0]
+        assert bitwise_equal(o, -np.poly(np.sort([*np.linalg.eigvalsh(chain), row[1]]))[1:])
+        block = np.array(char_poly_coefficients(build_pp_block_matrix(params, *occ).matrix)
+                         .as_tuple())
+        assert np.all(np.abs(o - block) <= 1e-9 * np.maximum(np.abs(o), np.abs(block)))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import tracemalloc
 import warnings
@@ -23,6 +24,11 @@ from ppqnd import (
     make_space,
     polarization_dephasing,
 )
+
+try:
+    import mpmath
+except ImportError:  # the 60-digit oracle test is skipped without it
+    mpmath = None
 
 SQ2 = 1 / math.sqrt(2)
 CLI_QUBITS = [PolarizationQubit(1.0, 0.0), PolarizationQubit(0.0, 1.0),
@@ -343,11 +349,62 @@ class TestFullVsEffective:
         assert res.predicted_phase_secular == -min(roots, key=abs) * t
 
     def test_left_right_phases_identical(self):
+        # a mirrored qubit flips only the sign of c_V, which every float
+        # operation carries exactly: bit-identical records
         t = 1e9
-        res_l = full_vs_effective(RATIO100, PolarizationQubit.left(), t=t, n_p=1)
-        res_r = full_vs_effective(RATIO100, PolarizationQubit.right(), t=t, n_p=1)
-        assert res_l.measured_phase == res_r.measured_phase  # bitwise, via mirror
-        assert res_r.mirror_canonicalized and not res_l.mirror_canonicalized
+        for probe in ({"n_p": 1}, {"alpha_p": 0.5, "cutoff_p": 12}):
+            for c_l, c_r in ((1.0, 0.0), (0.6, 0.8j)):
+                res_l = full_vs_effective(RATIO100, PolarizationQubit(c_l, c_r), t=t, **probe)
+                res_r = full_vs_effective(RATIO100, PolarizationQubit(c_r, c_l), t=t, **probe)
+                assert res_l.measured_phase == res_r.measured_phase  # bitwise, via mirror
+                assert res_l.input_overlap == res_r.input_overlap
+                assert res_l.atomic_leakage == res_r.atomic_leakage
+                assert res_l == res_r
+
+    def test_jacobi_sees_even_chains_and_odd_pairs_only(self, monkeypatch):
+        # in the drive's linear basis an H photon fills only the even chains
+        # (3 states at n = 0, else 4) and an L photon also the odd pairs;
+        # no 6-state circular sector is diagonalized
+        from ppqnd import fock
+        jacobi, sizes = fock._jacobi_eigh_longdouble, collections.Counter()
+
+        def counting(blocks):
+            sizes[blocks.shape[-1]] += len(blocks)
+            return jacobi(blocks)
+
+        monkeypatch.setattr(fock, "_jacobi_eigh_longdouble", counting)
+        cutoff = default_cutoff(2.0)
+        expected = {"H": {3: 1, 4: cutoff - 1}, "L": {2: cutoff, 3: 1, 4: cutoff - 1}}
+        for name, qubit in (("H", PolarizationQubit.horizontal()), ("L", PolarizationQubit.left())):
+            sizes.clear()
+            full_vs_effective(RATIO100, qubit, t=1e9, alpha_p=2.0)
+            assert sizes == expected[name]
+        sizes.clear()
+        full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1e9, n_p=1)
+        assert sizes == {4: 1}
+
+    @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+    def test_default_fullmodel_point_matches_60_digit_evolution(self):
+        # the fullmodel default (RATIO100, an H photon, n_p = 1, phase target
+        # 0.1) against the circular 6-state sector {|1; L>, |1; R>, |2>, |2'>,
+        # |3>, |4; 0>}, whose entries are exact floats, evolved at 60 digits.
+        # A sqrt(2) Omega_d leg rounded to double misses the phase by ~1e-13.
+        qubit = PolarizationQubit.horizontal()
+        t = 0.1 / abs(min(estimate_eigenvalues(RATIO100, 1, 0, 1).exact_roots, key=abs))
+        res = full_vs_effective(RATIO100, qubit, t=t, n_p=1)
+        with mpmath.workdps(60):
+            big, delta, om, xs, xp = map(mpmath.mpf, (1e4, 1e4, 1e2, 0.01, 1.0))
+            h = mpmath.matrix([[0, 0, xs, 0, 0, 0], [0, 0, 0, xs, 0, 0],
+                               [xs, 0, delta, 0, om, 0], [0, xs, 0, delta, om, 0],
+                               [0, 0, om, om, 0, xp], [0, 0, 0, 0, xp, big]])
+            w, v = mpmath.eigsy(h)
+            psi0 = mpmath.matrix([qubit.c_l, qubit.c_r, 0, 0, 0, 0])
+            phases = mpmath.diag([mpmath.expj(-w[k] * mpmath.mpf(t)) for k in range(6)])
+            psi_t = v * phases * v.T * psi0
+            amp = sum(psi0[k] * psi_t[k] for k in range(2))
+            leak = sum(abs(psi_t[k]) ** 2 for k in range(2, 6)) / mpmath.norm(psi_t) ** 2
+            assert abs(res.measured_phase - mpmath.arg(amp)) <= 1e-15
+            assert abs(res.atomic_leakage - leak) <= 1e-6 * leak
 
     def test_coherent_probe_route(self):
         from ppqnd import quintic_roots, secular_coefficients

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,57 @@ class TestSecularCoefficients:
     def test_rejects_negative_occupations(self):
         with pytest.raises(ValueError):
             secular_coefficients(SPEC_POINT, -1, 1, 1)
+
+
+def _poly_mul(p, q):
+    """Product of two polynomials, coefficients lowest power first."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def exact_factored_quintic(params, n_s, n_p):
+    """(delta - l) det(l - chain) in Fractions, lowest power first, for the
+    even chain on {|1; H>, 2+, |3>, |4>} with diagonal (0, delta, 0, Delta)
+    and squared legs xi_s^2 n_s, 2 Omega_d^2, xi_p^2 n_p: the continuant
+    f_k = (l - d_k) f_(k-1) - leg_(k-1)^2 f_(k-2)."""
+    big, delta, omega, xi_s, xi_p = (Fraction(x) for x in (
+        params.delta_probe, params.delta_two, params.omega_d, params.xi_s, params.xi_p))
+    diagonal = (0, delta, 0, big)
+    legs2 = (xi_s ** 2 * n_s, 2 * omega ** 2, xi_p ** 2 * n_p)
+    before, det = [Fraction(1)], [-diagonal[0], Fraction(1)]
+    for d_k, leg2 in zip(diagonal[1:], legs2):
+        shifted = _poly_mul([-d_k, Fraction(1)], det)
+        before, det = det, [x - leg2 * y for x, y in
+                            zip(shifted, before + [Fraction(0)] * (len(shifted) - len(before)))]
+    return _poly_mul([delta, Fraction(-1)], det)
+
+
+class TestFactorization:
+    def test_quintic_is_delta_minus_lambda_times_the_even_chain(self):
+        # dyadic parameters with few bits, where every float operation of
+        # the closed form is exact: a..e equal (delta - l) det(l - chain)
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            big, delta = (float(k) / 8 for k in rng.integers(-64, 65, 2))
+            omega, xi_s, xi_p = (float(k) / 8 for k in rng.integers(0, 65, 3))
+            n_sl, n_sr, n_p = (int(k) for k in rng.integers(0, 5, 3))
+            params = SchemeParams(big, delta, omega, xi_s, xi_p)
+            closed = secular_coefficients(params, n_sl, n_sr, n_p).as_tuple()
+            exact = exact_factored_quintic(params, n_sl + n_sr, n_p)
+            assert [Fraction(-1), *map(Fraction, closed)] == exact[::-1]
+
+    def test_zero_delta_keeps_the_dark_root(self):
+        # at delta = 0, e = 0, but Q(0) = xi_s^2 n_s xi_p^2 n_p is not: the
+        # exact zero root is delta itself and the chain's dark root stays;
+        # -4.99999997500000008e-13 is the 60-digit eigenvalue of the chain
+        params = SchemeParams(1e4, 0.0, 1e2, 0.01, 1.0)
+        roots = estimate_eigenvalues(params, 1, 0, 1).exact_roots
+        assert roots.count(0.0) == 1
+        dark = min((r for r in roots if r != 0.0), key=abs)
+        assert dark == pytest.approx(-4.99999997500000008e-13, rel=4e-15, abs=0.0)
 
 
 class TestCharPolyOracle:
