@@ -12,7 +12,7 @@ Two findings worth staring at:
   |4> and drives the probe; a V photon lives in the pair |1; V>,
   (|2> - |2'>)/sqrt(2), which the drive never links to |3>, so it is
   exactly probe-blind and keeps its own light shift.  A circular photon
-  straddles both channels.
+  straddles both channels, and the 5x5 block model is exactly the H one.
 
 Run as: python3 demos/05_full_model_validation.py
 """
@@ -72,10 +72,15 @@ print("  the sign of their V part) get arg((e^{i phi_H} + 1)/2), about half.")
 
 report = compare_block_to_full(params, 1, 0, 1)
 print(f"  block-model dark root:        {report['lambda_block']:+.3e}")
-print(f"  full-model channel 1:         {report['lambda_full']:+.3e} "
+print(f"  full-model H channel:         {report['lambda_full']:+.3e} "
       f"(overlap {report['overlap']:.2f})")
-print(f"  full-model channel 2:         {report['lambda_full_second']:+.3e} "
+print(f"  full-model V channel:         {report['lambda_full_second']:+.3e} "
       f"(overlap {report['overlap_second']:.2f})")
 print("  An |L> photon splits evenly between the probe-coupled H channel and")
-print("  the probe-blind V channel (light shift -xi_s^2/delta); the")
-print("  single-route 4-state block model sees neither feature.")
+print("  the probe-blind V channel (light shift -xi_s^2/delta).  The")
+print("  single-route 4-state block has one drive leg, so its dark root is")
+print("  twice the H channel's; with both circular occupations set, the 5x5")
+print("  block is the H channel plus an uncoupled 2-, exact to rounding:")
+both = compare_block_to_full(params, 1, 1, 1)
+print(f"  n_sL = n_sR = 1: block {both['lambda_block']:+.6e}, H channel "
+      f"{both['lambda_full']:+.6e} (relative difference {both['relative_difference']:.0e})")

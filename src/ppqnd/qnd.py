@@ -33,18 +33,16 @@ from .fock import (
     _check_density,
     _check_unitarity,
     _coherent_amplitudes,
-    _coupling_table,
     _evolve_diagonal,
     _evolve_sectors,
     _occupations,
     _readonly,
-    _sector_blocks,
     coherent_state,
     default_cutoff,
     make_space,
 )
 from .polarization import PolarizationQubit
-from .schemes import SchemeParams, _ppqnd_energies, _qnd_energies, chi_from_params
+from .schemes import SchemeParams, _pp_sectors, _ppqnd_energies, _qnd_energies, chi_from_params
 from .secular import estimate_eigenvalues
 
 __all__ = [
@@ -513,12 +511,12 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     level 1.
 
     The evolution is exact within the truncation and runs in extended
-    precision at every probe cutoff.  It runs in the drive's linear basis,
-    where the connected components of H are even chains of at most 4
-    states (|1; H, n>, 2+, |3>, |4; n - 1>) and odd pairs (|1; V, n>, 2-);
-    only those that hold amplitude of psi(0) are cut and diagonalized, by
-    longdouble Jacobi batched over equal-size blocks, so an H photon never
-    meets an odd pair.  No dense Hamiltonian of the full space is built.
+    precision at every probe cutoff.  It runs in the drive's linear basis
+    (schemes._pp_sectors): of its even chains |1; H, n>, 2+, |3>, |4; n - 1>
+    and odd pairs |1; V, n>, 2-, only those that hold amplitude of psi(0)
+    are cut and diagonalized, by longdouble Jacobi batched over equal-size
+    blocks, so an H photon never meets an odd pair.  No dense Hamiltonian
+    of the full space is built.
     """
     return _full_vs_effective(params, pol_state, t, n_p, alpha_p, cutoff_p, None)
 
@@ -550,20 +548,15 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 
-    # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4); a mirrored qubit only
-    # flips the sign of c_V.  The sqrt(2) Omega_d leg stays longdouble: in
-    # double it moves the phase by ~1e-13.  Leakage, <a_p> and <psi0|psi_t>
-    # do not depend on the basis, so nothing is rotated back.
+    # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4) as in _pp_sectors; a
+    # mirrored qubit only flips the sign of c_V.  Leakage, <a_p> and
+    # <psi0|psi_t> do not depend on the basis, so nothing is rotated back.
     space = make_space(5, [2, 2, cp])
-    table = _coupling_table(
-        space, [(4, params.delta_probe), (1, params.delta_two), (2, params.delta_two)],
-        [(params.xi_s, 1, 0, 0), (params.xi_s, 2, 0, 1), (params.xi_p, 4, 3, 2),
-         (np.sqrt(np.longdouble(2)) * params.omega_d, 1, 3, None)])
     amps = np.zeros(space.dims, dtype=complex)  # atom in level 1
     amps[0, 1, 0] = (pol_state.c_l + pol_state.c_r) / math.sqrt(2) * probe_vec
     amps[0, 0, 1] = (pol_state.c_l - pol_state.c_r) / math.sqrt(2) * probe_vec
     psi0 = StateVector(space, amps.ravel())
-    sectors = _sector_blocks(table, space.total_dim, np.flatnonzero(psi0.amplitudes))
+    sectors = _pp_sectors(params, 2, 2, cp, np.flatnonzero(psi0.amplitudes))
     psi_t = _evolve_sectors(psi0, sectors, t)
 
     if n_p is not None:

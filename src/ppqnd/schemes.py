@@ -12,16 +12,16 @@ Three atomic schemes, in increasing size:
   signal modes s_L, s_R feeding 1-2 and 1-2', one (linearly polarized)
   drive coupling both 2-3 and 2'-3 with the same amplitude, and the probe
   on 3-4.  Mode order is [s_L, s_R, p].  In the drive's linear basis,
-  s_H, s_V = (s_L +- s_R)/sqrt(2) and 2+- = (|2> +- |2'>)/sqrt(2), every
-  one-photon sector splits into an even chain |1; H>, 2+, 3, 4 (drive leg
-  sqrt(2) Omega_d) and an odd pair |1; V>, 2- that the drive never links
-  to 3: only the drive-parallel photon H reaches the probe.
+  s_H, s_V = (s_L +- s_R)/sqrt(2) and 2+- = (|2> +- |2'>)/sqrt(2), the
+  drive links only 2+ to 3 (leg sqrt(2) Omega_d), so every component holds
+  at most |1; n_H, n_V, n_p>, 2+, 2-, 3, 4 (_pp_sectors) and only the
+  drive-parallel photon H reaches the probe.
 
 Atomic levels are indexed from 0, so scheme level "1" is index 0,
 "2" is 1, "2'" is 2, "3" is 3, "4" is 4 in the PP scheme.
 
-Also provided: the 5x5 single-excitation block model of the PP scheme and
-the diagonal effective (QND) Hamiltonians.
+Also provided: the 5x5 single-excitation block model of the PP scheme,
+exact for H photons, and the diagonal effective (QND) Hamiltonians.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .fock import (
     _sector_blocks,
     make_space,
 )
+from .polarization import PolUnitary, lift_unitary
 
 __all__ = [
     "SchemeParams",
@@ -154,16 +155,19 @@ def build_n_hamiltonian(params: SchemeParams, cutoff_s: int, cutoff_p: int) -> O
         hermitian=True)
 
 
-def _pp_table(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int
-              ) -> tuple[HilbertSpace, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The PP space and the coupling table of its Hamiltonian."""
-    if min(cutoff_sl, cutoff_sr, cutoff_p) < 2:
+def _pp_table(params: SchemeParams, cutoff_0: int, cutoff_1: int, cutoff_p: int,
+              linear: bool = False) -> tuple[HilbertSpace, tuple[np.ndarray, ...]]:
+    """The PP space and the coupling table of its Hamiltonian, circular or in
+    the drive's linear basis (see the module docstring).  The linear table is
+    longdouble for its sqrt(2) Omega_d leg, which in double moves phases ~1e-13."""
+    if min(cutoff_0, cutoff_1, cutoff_p) < 2:
         raise ValueError("cutoffs must be >= 2")
-    space = make_space(5, [cutoff_sl, cutoff_sr, cutoff_p])
+    space = make_space(5, [cutoff_0, cutoff_1, cutoff_p])
+    drive = ([(np.sqrt(np.longdouble(2)) * params.omega_d, 1, 3, None)] if linear
+             else [(params.omega_d, 1, 3, None), (params.omega_d, 2, 3, None)])
     table = _coupling_table(
         space, [(4, params.delta_probe), (1, params.delta_two), (2, params.delta_two)],
-        [(params.xi_s, 1, 0, 0), (params.xi_s, 2, 0, 1), (params.omega_d, 1, 3, None),
-         (params.omega_d, 2, 3, None), (params.xi_p, 4, 3, 2)])
+        [(params.xi_s, 1, 0, 0), (params.xi_s, 2, 0, 1), *drive, (params.xi_p, 4, 3, 2)])
     return space, table
 
 
@@ -182,19 +186,18 @@ def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
     return _scatter(*_pp_table(params, cutoff_sl, cutoff_sr, cutoff_p), hermitian=True)
 
 
-def _pp_sectors(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int,
+def _pp_sectors(params: SchemeParams, cutoff_h: int, cutoff_v: int, cutoff_p: int,
                 keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The PP Hamiltonian as fock._sector_blocks (index, blocks) per block
-    size, one row per connected component that holds a flat index in `keep`
-    (on the space make_space(5, [cutoff_sl, cutoff_sr, cutoff_p])).
+    """The linear PP Hamiltonian as fock._sector_blocks (index, blocks) per
+    block size, one row per connected component that holds a flat index in
+    `keep` (on the space make_space(5, [cutoff_h, cutoff_v, cutoff_p])).
 
-    Each coupling rule moves one quantum between a mode and the atom, so
-    every component lies inside one sector of N_s = n_sL + n_sR +
-    [atom not in 1] and N_p = n_p + [atom in 4].  With signal cutoffs 2 an
-    N_s = 1 row holds the 6 states |1; 1,0,n>, |1; 0,1,n>, |2; n>, |2'; n>,
-    |3; n>, |4; n-1>, fewer at the edges of the probe range.
+    Each rule moves one quantum between a mode and the atom and only 2+
+    meets the drive, so the component of |1; n_H, n_V, n_p> holds at most
+    it, 2+ and 2- (one H or V photon fewer), 3 and 4: 5 states at every
+    cutoff, the pair |1>, 2- when n_H = 0.
     """
-    space, table = _pp_table(params, cutoff_sl, cutoff_sr, cutoff_p)
+    space, table = _pp_table(params, cutoff_h, cutoff_v, cutoff_p, linear=True)
     return _sector_blocks(table, space.total_dim, keep)
 
 
@@ -278,18 +281,15 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
     The block basis deliberately does not resolve which circular route the
     signal excitation took, so for mixed occupations the two signal legs
     enter with the route-symmetrized amplitude xi_s sqrt(n_s/2) each
-    (n_s = n_sL + n_sR).  That is the unique symmetric choice whose
-    characteristic polynomial reproduces the closed-form quintic
-    coefficients exactly for every occupation; the naive route-resolved
-    entries xi_s sqrt(n_sL), xi_s sqrt(n_sR) differ from them by
-    Omega_d^2 xi_s^2 (sqrt(n_sL) - sqrt(n_sR))^2 cross terms in the two
-    lowest coefficients.  For n_sL = n_sR both choices coincide, and the
-    route-resolved physics lives in build_pp_hamiltonian either way (see
-    compare_block_to_full).  With one circular occupation zero the block
-    is the single-route chain of _pp_chain_stack (`reduced`), which has one
-    drive leg: its characteristic polynomial is not the quintic (its dark
-    root is the N-scheme shift, about twice the quintic's).  The secular
-    analysis solves the even chain (drive leg sqrt(2) Omega_d) plus delta.
+    (n_s = n_sL + n_sR).  In the basis 2+- that block is exactly the full
+    scheme's component of |1; n_s H photons, n_p> (the chain |1>, 2+, 3, 4
+    of _pp_sectors) plus the uncoupled 2- at delta: the block model is exact
+    for drive-parallel photons (see compare_block_to_full).  With one
+    circular occupation zero the block is the single-route chain of
+    _pp_chain_stack (`reduced`), which has one drive leg: its characteristic
+    polynomial is not the quintic (its dark root is the N-scheme shift,
+    about twice the quintic's).  The secular analysis solves the even chain
+    (drive leg sqrt(2) Omega_d) plus delta.
     """
     if n_sl < 0 or n_sr < 0 or n_sl + n_sr < 1:
         raise ValueError("need n_sL + n_sR >= 1 (a signal photon to detect)")
@@ -305,11 +305,24 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
                          reduced=False)
 
 
+def _kerr_shift(params: SchemeParams, n_s: int, n_p: int) -> float:
+    """The N-scheme cross-Kerr shift -xi_s^2 n_s xi_p^2 n_p / (Delta Omega_d^2),
+    or a ValueError naming the point where it is not finite: at Delta = 0 or
+    Omega_d = 0, or where the float arithmetic overflows."""
+    try:
+        s, p = params.xi_s ** 2 * n_s, params.xi_p ** 2 * n_p
+        shift = -s * p / (params.delta_probe * params.omega_d ** 2)
+    except (OverflowError, ZeroDivisionError):
+        shift = math.nan
+    if not math.isfinite(shift):
+        raise ValueError(f"Kerr shift at {params}, n_s={n_s}, n_p={n_p} is not finite: it "
+                         "needs Delta != 0, Omega_d != 0 and no overflow")
+    return shift
+
+
 def chi_from_params(params: SchemeParams) -> float:
     """Cross-Kerr coefficient of the N scheme: chi = -xi_s^2 xi_p^2 / (Delta Omega_d^2)."""
-    if params.delta_probe == 0 or params.omega_d == 0:
-        raise ValueError("chi requires Delta != 0 and Omega_d != 0")
-    return -(params.xi_s ** 2) * (params.xi_p ** 2) / (params.delta_probe * params.omega_d ** 2)
+    return _kerr_shift(params, 1, 1)
 
 
 def _cross_kerr_energies(space: HilbertSpace, chi: float, signal_modes: tuple[int, ...],
@@ -364,40 +377,51 @@ def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
                                                sensitive=True))
 
 
+def _ket_eigenpairs(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of the linear components that hold the circular ket
+    |1; n_sL, n_sR, n_p>, their overlaps (v^T ket)^2 and whether each is of
+    the component of |1; n_s H photons, n_p>.  The ket is rotated by the lift
+    of the real Hadamard, V = (L - R)/sqrt(2) (lr_to_hv puts an i on V)."""
+    n_s = n_sl + n_sr
+    cutoffs = (n_s + 1, n_s + 1, n_p + 1)
+    pair = make_space(1, cutoffs[:2])
+    hadamard = PolUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))  # (L, R) -> (H, V)
+    rotated = lift_unitary(hadamard, pair, (0, 1)).matrix[:, pair.index_of(0, (n_sl, n_sr))].real
+    ket = np.kron(np.kron(np.eye(5)[0], rotated), np.eye(n_p + 1)[n_p])  # |1> (x) pair (x) |n_p>
+    own = make_space(5, cutoffs).index_of(0, (n_s, 0, n_p))
+    parts = []
+    for index, blocks in _pp_sectors(params, *cutoffs, np.flatnonzero(ket)):
+        w, v = _jacobi_eigh_longdouble(blocks)
+        overlaps = np.einsum("bji,bj->bi", v, ket[index]).astype(np.float64) ** 2
+        parts.append((w.ravel(), overlaps.ravel(), np.repeat((index == own).any(1), w.shape[1])))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
 def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                           ) -> dict[str, float]:
     """Measure how far the block model is from the route-resolved scheme.
 
-    Diagonalizes the full PP Hamiltonian with just-large-enough cutoffs and
-    reports the two eigenpairs with the largest overlap on the reference
-    ket |1, (n_sL, n_sR), n_p>, against the smallest-|.| eigenvalue of the
-    block model.  Two channels, not one, because the full scheme couples
-    the two circular routes through the shared upper level: the ground
-    manifold splits into a bright combination that feels the probe and a
-    dark one that does not, and a circular reference straddles both.  The
-    block model sees none of this structure, so the reported gaps are
-    physical model discrepancies, not numerics; they are reported rather
-    than asserted away.  For n_s >= 2 the block basis additionally merges
-    distinguishable Fock states and the gaps grow.
-
-    Only the connected component of the reference ket, its whole
-    (N_s, N_p) sector of at most 16 states for n_s <= 3, is cut and
-    diagonalized: every eigenvector outside it has zero overlap on the
-    ket.  Both diagonalizations run in extended precision: the eigenvalues
-    of interest sit ~16 decades below the matrix norm in deep hierarchies.
+    Diagonalizes the full PP Hamiltonian around the reference ket
+    |1, (n_sL, n_sR), n_p> and reports, against the block model's
+    smallest-|.| eigenvalue, the largest-overlap eigenpair of the block's
+    own channel, the component of |1; n_s H photons, n_p> (`lambda_full`),
+    and of all other channels (`lambda_full_second`): a circular ket also
+    holds V photons, whose pairs with 2- the probe never reaches (light
+    shift -xi_s^2 / delta at n_s = 1).  With both circular occupations
+    nonzero the block is the own channel plus 2-, so `relative_difference`
+    is rounding; with one zero it is the single-route chain, about 0.5 off.
+    The other channels are model discrepancies, reported, not asserted
+    away.  Only the linear components of the rotated ket (at most 5 states)
+    are diagonalized, both models in extended precision: the eigenvalues of
+    interest sit ~16 decades below the matrix norm in deep hierarchies.
     """
     block = build_pp_block_matrix(params, n_sl, n_sr, n_p)
     w_block, _ = _jacobi_eigh_longdouble(block.matrix)
     lam_block = float(w_block[np.argmin(np.abs(w_block))])
 
-    n_s = n_sl + n_sr
-    cutoffs = (n_s + 1, n_s + 1, n_p + 1)
-    ket = make_space(5, cutoffs).index_of(0, (n_sl, n_sr, n_p))
-    ((index, blocks),) = _pp_sectors(params, *cutoffs, [ket])  # the ket's component alone
-    (ref,) = np.flatnonzero(index[0] == ket)
-    w_full, v_full = _jacobi_eigh_longdouble(blocks[0])
-    overlaps = v_full[ref].astype(np.float64) ** 2
-    first, second = np.argsort(overlaps)[::-1][:2]
+    w_full, overlaps, own = _ket_eigenpairs(params, n_sl, n_sr, n_p)
+    first, second = (np.flatnonzero(m)[np.argmax(overlaps[m])] for m in (own, ~own))
 
     denom = max(abs(lam_block), 1e-300)
     return {

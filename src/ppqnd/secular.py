@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fock import _hermitian_deviation
-from .schemes import SchemeParams, _pp_chain_stack
+from .schemes import SchemeParams, _kerr_shift, _pp_chain_stack
 
 __all__ = [
     "SecularCoefficients",
@@ -117,6 +117,8 @@ def secular_coefficients(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     eigenvalue 1, so the same numbers apply.
     """
     row = _coefficient_stack(*_point_arrays([(params, n_sl, n_sr, n_p)]))[0]
+    if not np.isfinite(row).all():
+        raise ValueError(f"secular point {(params, n_sl, n_sr, n_p)}: the coefficients overflow")
     return SecularCoefficients(*row.tolist())
 
 
@@ -175,11 +177,7 @@ def lambda_small_closed_form(params: SchemeParams, n_sl: int, n_sr: int, n_p: in
     stated for reference and applies verbatim to the single-route (N-type)
     chain.
     """
-    if params.delta_probe == 0 or params.omega_d == 0:
-        raise ValueError("closed form requires Delta != 0 and Omega_d != 0")
-    s = params.xi_s ** 2 * (n_sl + n_sr)
-    p = params.xi_p ** 2 * n_p
-    return -s * p / (params.delta_probe * params.omega_d ** 2)
+    return _kerr_shift(params, n_sl + n_sr, n_p)
 
 
 def lambda_large(coeffs: SecularCoefficients) -> float:
@@ -370,10 +368,10 @@ def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int,
     lam_l = lambda_large(coeffs)
     exact_small = _smallest_by_magnitude(roots, lam_s)
     exact_large = float(roots[-1])
-    if params.delta_probe != 0 and params.omega_d != 0:
+    try:
         reduced = lambda_small_closed_form(params, n_sl, n_sr, n_p)
-    else:
-        reduced = math.nan  # undefined outside Delta, Omega_d != 0
+    except ValueError:
+        reduced = math.nan  # undefined at Delta = 0 or Omega_d = 0, or where it overflows
     dominated = abs(exact_large) >= 0.9 * abs(coeffs.a) if coeffs.a != 0 else False
     return EigenEstimate(
         lambda_small=lam_s,

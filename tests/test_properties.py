@@ -82,10 +82,12 @@ from ppqnd.fock import (
     _jacobi_eigh_longdouble,
     _readonly,
     _require_extended_precision,
+    _sector_blocks,
     _sectors,
 )
 from ppqnd.polarization import _principal_generator
 from ppqnd.schemes import (
+    _ket_eigenpairs,
     _pp_block_stack,
     _pp_chain_stack,
     _pp_sectors,
@@ -511,11 +513,12 @@ def test_pp_hamiltonian_is_mirror_invariant(params, cutoff_s, cutoff_p):
 @PROPERTY
 @given(pp_params(), pp_cutoffs)
 def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
-    h = build_pp_hamiltonian(params, *cutoffs).matrix
-    space = make_space(5, cutoffs)
+    space, (rows, cols, vals) = _pp_table(params, *cutoffs, linear=True)
+    h = np.zeros((space.total_dim, space.total_dim), dtype=np.longdouble)
+    h[rows, cols] = h[cols, rows] = vals  # the linear table, scattered in its own dtype
     sectors = _pp_sectors(params, *cutoffs, np.arange(space.total_dim))
     n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
-    rebuilt = np.zeros((space.total_dim, space.total_dim))
+    rebuilt = np.zeros((space.total_dim, space.total_dim), dtype=np.longdouble)
     covered = np.zeros(space.total_dim, dtype=int)
     for index, blocks in sectors:
         for row, block in zip(index, blocks):
@@ -531,6 +534,66 @@ def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
     assert np.array_equal(rebuilt, h)  # ... and every nonzero entry lies in one: the components
 
 
+@PROPERTY
+@given(pp_params(), st.integers(2, 3), st.integers(2, 4))
+def test_linear_table_is_the_circular_hamiltonian_rotated(params, cutoff_s, cutoff_p):
+    # modes by the lift of the real Hadamard (L, R) -> (H, V), levels by
+    # 2, 2' -> 2+- = (|2> +- |2'>)/sqrt(2); the lift is exact on the complete
+    # sectors N_s <= cutoff_s - 1, and only there are the two compared
+    h = build_pp_hamiltonian(params, cutoff_s, cutoff_s, cutoff_p)
+    space = h.space
+    s = 1 / math.sqrt(2)
+    levels = np.eye(5)
+    levels[1:3, 1:3] = [[s, s], [s, -s]]
+    modes = lift_unitary(PolUnitary(np.array([[s, s], [s, -s]])), space, (0, 1)).matrix
+    u = np.kron(levels, np.eye(space.total_dim // 5)) @ modes
+    rotated = u @ h.matrix @ u.conj().T
+    _, (rows, cols, vals) = _pp_table(params, cutoff_s, cutoff_s, cutoff_p, linear=True)
+    linear = np.zeros((space.total_dim, space.total_dim))
+    linear[rows, cols] = linear[cols, rows] = vals
+    n_s, _ = (np.diagonal(n_op) for n_op in pp_excitations(space))
+    complete = np.ix_(n_s <= cutoff_s - 1, n_s <= cutoff_s - 1)
+    assert np.max(np.abs(rotated[complete] - linear[complete])) <= 1e-14 * np.max(np.abs(h.matrix))
+
+
+@PROPERTY
+@given(pp_params(), st.integers(2, 6), st.integers(2, 6), st.integers(2, 8))
+def test_pp_sector_components_hold_at_most_five_states(params, cutoff_h, cutoff_v, cutoff_p):
+    # |1; n_H, n_V, n_p>, 2+, 2-, 3, 4 at most, whatever the cutoffs
+    total = make_space(5, [cutoff_h, cutoff_v, cutoff_p]).total_dim
+    sectors = _pp_sectors(params, cutoff_h, cutoff_v, cutoff_p, np.arange(total))
+    assert sum(index.size for index, _ in sectors) == total
+    assert max(index.shape[1] for index, _ in sectors) <= 5
+
+
+def circular_sector_eigenpairs(params, n_sl, n_sr, n_p):
+    """Oracle: eigenvalues of the whole circular (N_s, N_p) sector of the ket
+    |1; n_sL, n_sR, n_p> and their overlaps v[ket]^2, one Jacobi on up to 16
+    states (the route compare_block_to_full took before the linear basis)."""
+    n_s = n_sl + n_sr
+    space, table = _pp_table(params, n_s + 1, n_s + 1, n_p + 1)
+    ket = space.index_of(0, (n_sl, n_sr, n_p))
+    ((index, blocks),) = _sector_blocks(table, space.total_dim, [ket])
+    w, v = _jacobi_eigh_longdouble(blocks[0])
+    return w, v[np.flatnonzero(index[0] == ket)[0]].astype(np.float64) ** 2
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(pp_params(), st.sampled_from([(1, 0, 1), (0, 1, 2), (1, 1, 1), (2, 0, 1), (2, 1, 2),
+                                     (0, 3, 1), (1, 2, 3)]))
+def test_linear_ket_eigenpairs_match_the_circular_sector(params, point):
+    pairs = []
+    for w, overlaps in (_ket_eigenpairs(params, *point)[:2],
+                        circular_sector_eigenpairs(params, *point)):
+        seen = overlaps > 1e-3
+        pairs.append(sorted(zip(w[seen].astype(np.float64), overlaps[seen])))
+    ours, oracle = pairs
+    assert len(ours) == len(oracle) >= 2
+    for (lam, overlap), (lam_ref, overlap_ref) in zip(ours, oracle):
+        assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
+        assert abs(overlap - overlap_ref) <= 1e-12
+
+
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(pp_params(), pp_cutoffs)
@@ -542,8 +605,9 @@ def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
             continue
         w, _ = _jacobi_eigh_longdouble(block)
         ours = w[np.argmin(np.abs(w))]
-        exact = min(mpmath.eigsy(mpmath.matrix(block.tolist()), eigvals_only=True), key=abs)
-        norm = np.linalg.norm(block)
+        entries = [[mpmath.mpf(str(x)) for x in row] for row in block]  # longdouble, exactly
+        exact = min(mpmath.eigsy(mpmath.matrix(entries), eigvals_only=True), key=abs)
+        norm = float(np.linalg.norm(block))
         if abs(exact) <= 1e-30 * norm:  # a probe-free CPT dark state: exactly zero
             assert abs(ours) <= np.finfo(np.longdouble).eps * norm
         else:
@@ -589,8 +653,9 @@ def test_evolve_is_the_pp_component_route_bit_for_bit(params, cutoffs, seed, t):
     amps[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
     psi = StateVector(h.space, amps / np.linalg.norm(amps))
     ours = evolve(h, psi, t).amplitudes
-    assert np.array_equal(ours, _evolve_sectors(psi, _pp_sectors(params, *cutoffs, support),
-                                                t).amplitudes)
+    space, table = _pp_table(params, *cutoffs)  # the circular table evolve cuts from H
+    sectors = _sector_blocks(table, space.total_dim, support)
+    assert np.array_equal(ours, _evolve_sectors(psi, sectors, t).amplitudes)
 
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
@@ -745,18 +810,18 @@ def test_jacobi_is_bitwise_the_reference_kernel(n, batch, kind, seed):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(pp_params(), st.integers(2, 30))
 def test_jacobi_is_bitwise_the_reference_kernel_on_pp_sectors(params, cutoff_p):
-    # the circular five-level shapes: the N_s = 1 stacks, (B, 6, 6)
-    # and the shorter edge rows, and the 11 x 11 and 16 x 16 sectors of
-    # compare_block_to_full at n_s = 2 and 3
+    # the linear five-level shapes, (B, s, s) for s = 2 .. 5, and the
+    # circular 11 x 11 and 16 x 16 sectors that evolve of build_pp_hamiltonian
+    # still runs at n_s = 2 and 3
     space = make_space(5, [2, 2, cutoff_p])
-    signal = space.index_of(0, (1, 0, 0)) + np.arange(cutoff_p)  # |1; 1, 0, n_p>
-    stacks = [blocks for _, blocks in _pp_sectors(params, 2, 2, cutoff_p, signal)]
+    stacks = [blocks for _, blocks in _pp_sectors(params, 2, 2, cutoff_p,
+                                                  np.arange(space.total_dim))]
     for n_sl, n_sr in ((2, 0), (1, 2)):
-        cutoffs = (n_sl + n_sr + 1, n_sl + n_sr + 1, 3)
-        ket = make_space(5, cutoffs).index_of(0, (n_sl, n_sr, 2))
-        ((_, blocks),) = _pp_sectors(params, *cutoffs, [ket])
+        circular, table = _pp_table(params, n_sl + n_sr + 1, n_sl + n_sr + 1, 3)
+        ket = circular.index_of(0, (n_sl, n_sr, 2))
+        ((_, blocks),) = _sector_blocks(table, circular.total_dim, [ket])
         stacks.append(blocks[0])
-    assert {stack.shape[-1] for stack in stacks} >= {6, 11, 16}
+    assert {stack.shape[-1] for stack in stacks} >= {2, 3, 4, 5, 11, 16}
     for stack in stacks:
         assert_same_bits(_jacobi_eigh_longdouble(stack), reference_jacobi_eigh_longdouble(stack))
 
@@ -778,7 +843,7 @@ def test_restricted_cut_is_the_full_cut_where_a_kept_state_lives(params, cutoffs
     assert len(ours) == len(expected)
     for (index, blocks), (index_ref, blocks_ref) in zip(ours, expected):
         assert index.dtype == index_ref.dtype and np.array_equal(index, index_ref)
-        assert blocks.dtype == blocks_ref.dtype and blocks.tobytes() == blocks_ref.tobytes()
+        assert blocks.dtype == blocks_ref.dtype and np.array_equal(blocks, blocks_ref)
     amps = np.zeros(space.total_dim, dtype=complex)
     amps[keep] = rng.standard_normal(keep.size) + 1j * rng.standard_normal(keep.size)
     psi = StateVector(space, amps / np.linalg.norm(amps))

@@ -430,13 +430,13 @@ class TestFullVsEffective:
     @pytest.mark.parametrize("n_p", [1, 2, 3])
     def test_sector_route_matches_dense_extended_evolution(self, n_p):
         # oracle: the dense full-space H diagonalized as one Jacobi block
-        from ppqnd import StateVector, build_pp_hamiltonian, make_space, \
-            quintic_roots, secular_coefficients
-        from ppqnd.fock import _evolve_sectors
-        from ppqnd.schemes import _pp_sectors
+        from ppqnd import StateVector, build_pp_hamiltonian, quintic_roots, \
+            secular_coefficients
+        from ppqnd.fock import _evolve_sectors, _sector_blocks
+        from ppqnd.schemes import _pp_table
         h = build_pp_hamiltonian(RATIO100, 2, 2, n_p + 1)
-        space = make_space(5, [2, 2, n_p + 1])
-        sectors = _pp_sectors(RATIO100, 2, 2, n_p + 1, np.arange(space.total_dim))
+        space, table = _pp_table(RATIO100, 2, 2, n_p + 1)  # circular, as h
+        sectors = _sector_blocks(table, space.total_dim, np.arange(space.total_dim))
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[space.index_of(0, (1, 0, n_p))] = 0.6
         amps[space.index_of(0, (0, 1, n_p))] = 0.8j

@@ -26,6 +26,7 @@ from ppqnd import (
 from ppqnd.fock import _jacobi_eigh_longdouble
 
 SPEC_POINT = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.1, xi_p=1.0)
+FULLMODEL_POINT = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.01, xi_p=1.0)
 
 
 def quasidark_eigenvalue_extended(h, reference):
@@ -233,6 +234,12 @@ class TestEffectiveHamiltonians:
         p2 = SchemeParams(100.0, 1.0, 20.0, 1.0, 1.0)
         assert chi_from_params(p2) == pytest.approx(chi_from_params(p1) / 4)
 
+    def test_chi_refuses_overflow(self):
+        # xi_s^2 overflows a Python float (an OverflowError before); the
+        # refusal names the point
+        with pytest.raises(ValueError, match=r"xi_s=1e\+300"):
+            chi_from_params(SchemeParams(1e4, 1e4, 1e2, 1e300, 1.0))
+
     def test_chi_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
             chi_from_params(SchemeParams(0.0, 1.0, 10.0, 1.0, 1.0))
@@ -292,6 +299,37 @@ class TestBlockVsFull:
         # dark channel keeps the probe-independent light shift -xi_s^2 / delta
         expected_dark = -SPEC_POINT.xi_s**2 / SPEC_POINT.delta_two
         assert lams[1] == pytest.approx(expected_dark, rel=0.05)
+
+    @pytest.mark.parametrize("point", [(1, 1, 1), (2, 2, 1), (2, 1, 2), (1, 2, 3)])
+    def test_block_is_the_h_photon_channel(self, point):
+        # both circular occupations nonzero: the 5x5 block is the full
+        # model's component of |1; n_s H photons, n_p> plus the uncoupled
+        # 2-, so lambda_full, that component's dark root, is the block's
+        report = compare_block_to_full(FULLMODEL_POINT, *point)
+        assert report["relative_difference"] <= 1e-14
+
+    @pytest.mark.parametrize("point", [(1, 0, 1), (0, 2, 1)])
+    def test_single_route_block_is_twice_the_h_photon_channel(self, point):
+        # one circular occupation zero: the reduced 4x4 chain has one drive
+        # leg, not sqrt(2) Omega_d, and its dark root is about twice as large
+        report = compare_block_to_full(FULLMODEL_POINT, *point)
+        assert report["relative_difference"] == pytest.approx(0.5, abs=1e-3)
+
+    def test_jacobi_sees_no_block_larger_than_five_states(self, monkeypatch):
+        # only the linear components of the rotated ket are diagonalized;
+        # the circular sectors held 6, 11 and 16 states at n_s = 1, 2, 3
+        import ppqnd.schemes as schemes
+        sizes, jacobi = [], schemes._jacobi_eigh_longdouble
+
+        def counted(matrix):
+            sizes.append(np.shape(matrix)[-1])
+            return jacobi(matrix)
+
+        monkeypatch.setattr(schemes, "_jacobi_eigh_longdouble", counted)
+        for n_sl, n_sr in ((1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1), (1, 2), (0, 3)):
+            for n_p in (1, 2, 3):
+                compare_block_to_full(SPEC_POINT, n_sl, n_sr, n_p)
+        assert sizes and max(sizes) <= 5
 
     def test_two_photon_report_is_finite_data(self):
         report = compare_block_to_full(SPEC_POINT, 1, 1, 1)

@@ -8,6 +8,7 @@ from ppqnd import (
     SchemeParams,
     build_pp_block_matrix,
     char_poly_coefficients,
+    chi_from_params,
     estimate_eigenvalues,
     lambda_large,
     lambda_small,
@@ -78,6 +79,13 @@ class TestSecularCoefficients:
     def test_rejects_negative_occupations(self):
         with pytest.raises(ValueError):
             secular_coefficients(SPEC_POINT, -1, 1, 1)
+
+    def test_refuses_overflowing_coefficients(self):
+        # b came out inf and d nan here; the refusal names the point
+        params = SchemeParams(1e4, 1e4, 1e2, 1e160, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"xi_s=1e\+160"):
+            secular_coefficients(params, 1, 1, 1)
 
 
 def _poly_mul(p, q):
@@ -177,6 +185,31 @@ class TestLambdaSmall:
 
     def test_closed_form_at_spec_point(self):
         assert lambda_small_closed_form(SPEC_POINT, 1, 0, 1) == pytest.approx(-1e-10)
+
+    def test_closed_form_refuses_overflow(self):
+        # xi_s^2 overflows a Python float (an OverflowError before); the
+        # refusal names the point
+        params = SchemeParams(1e4, 1e4, 1e2, 1e300, 1.0)
+        with pytest.raises(ValueError, match=r"xi_s=1e\+300"):
+            lambda_small_closed_form(params, 1000, 1000, 1)
+
+    def test_reduced_diagnostic_is_nan_where_the_closed_form_is_not_finite(self):
+        # Delta Omega_d^2 = 1e-320 (subnormal) sends the closed form to -inf;
+        # the estimate reports it undefined, as at Delta = 0
+        est = estimate_eigenvalues(SchemeParams(1e-300, 1e4, 1e-10, 1.0, 1.0), 1, 0, 1)
+        assert math.isnan(est.lambda_small_reduced)
+
+    def test_closed_forms_keep_their_finite_values_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            params = draw_params(rng, separated=False)
+            n_sl, n_sr, n_p = (int(v) for v in rng.integers(0, 5, 3))
+            s = params.xi_s ** 2 * (n_sl + n_sr)
+            p = params.xi_p ** 2 * n_p
+            expected = -s * p / (params.delta_probe * params.omega_d ** 2)
+            assert lambda_small_closed_form(params, n_sl, n_sr, n_p) == expected
+            assert chi_from_params(params) == -(params.xi_s ** 2) * (params.xi_p ** 2) \
+                / (params.delta_probe * params.omega_d ** 2)
 
     def test_reduced_form_matches_degenerate_chain_root(self):
         # single-route chain: the reduced formula is the N-scheme shift and
