@@ -36,6 +36,7 @@ from .fock import (
     _evolve_diagonal,
     _evolve_sectors,
     _occupations,
+    _padded,
     _readonly,
     coherent_state,
     default_cutoff,
@@ -514,9 +515,10 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     precision at every probe cutoff.  It runs in the drive's linear basis
     (schemes._pp_sectors): of its even chains |1; H, n>, 2+, |3>, |4; n - 1>
     and odd pairs |1; V, n>, 2-, only those that hold amplitude of psi(0)
-    are cut and diagonalized, by longdouble Jacobi batched over equal-size
-    blocks, so an H photon never meets an odd pair.  No dense Hamiltonian
-    of the full space is built.
+    are cut, so an H photon never meets an odd pair, and diagonalized by one
+    longdouble Jacobi call on all of them, each zero-padded to the widest
+    (fock._padded, exact: the Jacobi never turns a padded row).  No dense
+    Hamiltonian of the full space is built.
     """
     return _full_vs_effective(params, pol_state, t, n_p, alpha_p, cutoff_p, None)
 
@@ -557,7 +559,7 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
     amps[0, 0, 1] = (pol_state.c_l - pol_state.c_r) / math.sqrt(2) * probe_vec
     psi0 = StateVector(space, amps.ravel())
     sectors = _pp_sectors(params, 2, 2, cp, np.flatnonzero(psi0.amplitudes))
-    psi_t = _evolve_sectors(psi0, sectors, t)
+    psi_t = _evolve_sectors(psi0, [_padded(sectors, space.total_dim)], t)
 
     if n_p is not None:
         amp = psi_t.overlap(psi0).conjugate()  # <psi0|psi_t>

@@ -38,11 +38,11 @@ from .fock import (
     _coupling_table,
     _jacobi_eigh_longdouble,
     _occupations,
+    _padded,
     _scatter,
     _sector_blocks,
     make_space,
 )
-from .polarization import PolUnitary, lift_unitary
 
 __all__ = [
     "SchemeParams",
@@ -377,25 +377,49 @@ def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
                                                sensitive=True))
 
 
+def _hadamard_column(n_sl: int, n_sr: int) -> np.ndarray:
+    """The circular |n_sL, n_sR> in the linear basis: its amplitude on
+    |n_H, n_s - n_H> for n_H = 0 .. n_s, with a_L, a_R = (a_H +- a_V)/sqrt(2)
+    (the real Hadamard; lr_to_hv puts an i on V).  Expanding (a_H + a_V)^n_sL
+    (a_H - a_V)^n_sR gives the integer sum_{i+j=n_H} C(n_sL, i) C(n_sR, j)
+    (-1)^(n_sR - j), times sqrt(n_H! n_V! / (n_sL! n_sR! 2^n_s)), so an
+    amplitude is exactly 0 wherever that sum is."""
+    n_s, f = n_sl + n_sr, math.factorial
+    column = np.zeros(n_s + 1)
+    for n_h in range(n_s + 1):
+        k = sum(math.comb(n_sl, n_h - j) * math.comb(n_sr, j) * (-1) ** (n_sr - j)
+                for j in range(max(0, n_h - n_sl), min(n_sr, n_h) + 1))
+        column[n_h] = k * math.sqrt(f(n_h) * f(n_s - n_h) / (f(n_sl) * f(n_sr) * 2 ** n_s))
+    return column
+
+
 def _ket_eigenpairs(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues of the linear components that hold the circular ket
-    |1; n_sL, n_sR, n_p>, their overlaps (v^T ket)^2 and whether each is of
-    the component of |1; n_s H photons, n_p>.  The ket is rotated by the lift
-    of the real Hadamard, V = (L - R)/sqrt(2) (lr_to_hv puts an i on V)."""
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The block model of (n_sL, n_sR, n_p) and the linear components that
+    hold the circular ket |1; n_sL, n_sR, n_p>, in one longdouble Jacobi call
+    (zero-padded to the widest, fock._padded).  Returns the components'
+    eigenvalues, their overlaps (v^T ket)^2 and whether each is of the
+    component of |1; n_s H photons, n_p>, then the block's eigenvalues; the
+    padded eigenpairs, eigenvalue 0 on a padded slot, are dropped."""
+    block = build_pp_block_matrix(params, n_sl, n_sr, n_p).matrix
     n_s = n_sl + n_sr
     cutoffs = (n_s + 1, n_s + 1, n_p + 1)
-    pair = make_space(1, cutoffs[:2])
-    hadamard = PolUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))  # (L, R) -> (H, V)
-    rotated = lift_unitary(hadamard, pair, (0, 1)).matrix[:, pair.index_of(0, (n_sl, n_sr))].real
-    ket = np.kron(np.kron(np.eye(5)[0], rotated), np.eye(n_p + 1)[n_p])  # |1> (x) pair (x) |n_p>
-    own = make_space(5, cutoffs).index_of(0, (n_s, 0, n_p))
-    parts = []
-    for index, blocks in _pp_sectors(params, *cutoffs, np.flatnonzero(ket)):
-        w, v = _jacobi_eigh_longdouble(blocks)
-        overlaps = np.einsum("bji,bj->bi", v, ket[index]).astype(np.float64) ** 2
-        parts.append((w.ravel(), overlaps.ravel(), np.repeat((index == own).any(1), w.shape[1])))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    space = make_space(5, cutoffs)
+    scratch = space.total_dim
+    column = _hadamard_column(n_sl, n_sr)
+    (n_h,) = np.nonzero(column)
+    kept = np.ravel_multi_index((0, n_h, n_s - n_h, n_p), space.dims)
+    ket = np.zeros(scratch + 1)
+    ket[kept] = column[n_h]
+    block_row = (np.full((1, len(block)), scratch), block[None])  # last, all scratch slots
+    index, blocks = _padded([*_pp_sectors(params, *cutoffs, kept), block_row], scratch)
+    w, v = _jacobi_eigh_longdouble(blocks)
+    pad = index == scratch
+    pad[-1] = np.arange(index.shape[1]) >= len(block)  # the block's own padding
+    real = ~np.any((v != 0) & pad[:, :, None], axis=1)  # not a unit vector on a padded slot
+    overlaps = np.einsum("bji,bj->bi", v[:-1], ket[index[:-1]]).astype(np.float64) ** 2
+    own = (index[:-1] == space.index_of(0, (n_s, 0, n_p))).any(1)[:, None] & real[:-1]
+    return w[:-1][real[:-1]], overlaps[real[:-1]], own[real[:-1]], w[-1][real[-1]]
 
 
 def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
@@ -412,15 +436,14 @@ def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     nonzero the block is the own channel plus 2-, so `relative_difference`
     is rounding; with one zero it is the single-route chain, about 0.5 off.
     The other channels are model discrepancies, reported, not asserted
-    away.  Only the linear components of the rotated ket (at most 5 states)
-    are diagonalized, both models in extended precision: the eigenvalues of
-    interest sit ~16 decades below the matrix norm in deep hierarchies.
+    away.  The ket is rotated into the linear basis in closed form
+    (_hadamard_column), and only the components where it is nonzero (at
+    most 5 states each) are diagonalized, together with the block in one
+    extended-precision Jacobi call: the eigenvalues of interest sit ~16
+    decades below the matrix norm in deep hierarchies.
     """
-    block = build_pp_block_matrix(params, n_sl, n_sr, n_p)
-    w_block, _ = _jacobi_eigh_longdouble(block.matrix)
+    w_full, overlaps, own, w_block = _ket_eigenpairs(params, n_sl, n_sr, n_p)
     lam_block = float(w_block[np.argmin(np.abs(w_block))])
-
-    w_full, overlaps, own = _ket_eigenpairs(params, n_sl, n_sr, n_p)
     first, second = (np.flatnonzero(m)[np.argmax(overlaps[m])] for m in (own, ~own))
 
     denom = max(abs(lam_block), 1e-300)

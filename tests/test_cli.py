@@ -614,6 +614,23 @@ class TestRecords:
         assert ok and results["sensitive_control_deviation"] > 1e-6
         assert peak < cutoff ** 6
 
+    @pytest.mark.parametrize("command, calls", [("fullmodel", 1), ("qnd", 0), ("preserve", 0),
+                                                ("invariance", 0), ("backaction", 0)])
+    def test_longdouble_jacobi_calls_per_record(self, capsys, monkeypatch, command, calls):
+        # the default one-qubit fullmodel record diagonalizes every sector it
+        # needs in one zero-padded stack; the effective commands never need
+        # extended precision
+        seen, jacobi = [], fock._jacobi_eigh_longdouble
+
+        def counting(matrix):
+            seen.append(np.shape(matrix))
+            return jacobi(matrix)
+        for module in (fock, schemes):
+            monkeypatch.setattr(module, "_jacobi_eigh_longdouble", counting)
+        code, _, _ = run(capsys, command)
+        assert code == 0
+        assert len(seen) == calls
+
     def test_fullmodel_results(self, capsys):
         code, out, _ = run(capsys, "fullmodel")
         record = json.loads(out)

@@ -364,12 +364,13 @@ class TestFullVsEffective:
     def test_jacobi_sees_even_chains_and_odd_pairs_only(self, monkeypatch):
         # in the drive's linear basis an H photon fills only the even chains
         # (3 states at n = 0, else 4) and an L photon also the odd pairs;
-        # no 6-state circular sector is diagonalized
+        # no 6-state circular sector is diagonalized.  The Jacobi sees them
+        # zero-padded in one stack, so a block's size is its nonzero rows.
         from ppqnd import fock
         jacobi, sizes = fock._jacobi_eigh_longdouble, collections.Counter()
 
         def counting(blocks):
-            sizes[blocks.shape[-1]] += len(blocks)
+            sizes.update(np.count_nonzero(np.any(blocks != 0, axis=2), axis=1).tolist())
             return jacobi(blocks)
 
         monkeypatch.setattr(fock, "_jacobi_eigh_longdouble", counting)
@@ -382,6 +383,61 @@ class TestFullVsEffective:
         sizes.clear()
         full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1e9, n_p=1)
         assert sizes == {4: 1}
+
+    @pytest.mark.parametrize("qubit", [PolarizationQubit.horizontal(), PolarizationQubit.vertical(),
+                                       PolarizationQubit.left()])
+    @pytest.mark.parametrize("probe", [{"n_p": 1}, {"n_p": 3}, {"alpha_p": 2.0}])
+    def test_one_jacobi_call_per_evolution(self, monkeypatch, qubit, probe):
+        # chains and pairs of every size ride one zero-padded stack
+        from ppqnd import fock
+        jacobi, shapes = fock._jacobi_eigh_longdouble, []
+
+        def counting(blocks):
+            shapes.append(blocks.shape)
+            return jacobi(blocks)
+
+        monkeypatch.setattr(fock, "_jacobi_eigh_longdouble", counting)
+        full_vs_effective(RATIO100, qubit, t=1e9, **probe)
+        assert len(shapes) == 1 and shapes[0][1:] in {(2, 2), (3, 3), (4, 4)}
+
+    def test_padded_stack_is_bitwise_the_per_size_route(self, monkeypatch):
+        # padding a chain of 3 to 4 or a pair to any width keeps the Jacobi's
+        # rotation sequence, so every record equals, byte for byte, the one
+        # from a Jacobi call per block size (the reference kept here)
+        from ppqnd import qnd
+        from ppqnd.fock import _jacobi_eigh_longdouble, _unitary_result
+
+        def per_size_evolve_sectors(psi, sectors, t):
+            amps0 = psi.amplitudes
+            amps = np.zeros_like(amps0)
+            for index, blocks in sectors:
+                w, v = _jacobi_eigh_longdouble(blocks)
+                v64 = v.astype(np.float64)
+                wt = np.mod(w * np.longdouble(t), 2 * np.arccos(np.longdouble(-1)))
+                coeffs = np.exp(-1j * wt.astype(np.float64)) * np.einsum("bji,bj->bi", v64,
+                                                                         amps0[index])
+                amps[index] = np.einsum("bij,bj->bi", v64, coeffs)
+            return _unitary_result(psi.space, amps)
+
+        points = [RATIO100, SchemeParams(1e4, 3e4, 1e2, 0.1, 1.0),
+                  SchemeParams(3e3, 5e3, 50.0, 0.05, 0.7)]
+        qubits = [PolarizationQubit.horizontal(), PolarizationQubit.vertical(),
+                  PolarizationQubit.left(), PolarizationQubit.right(),
+                  PolarizationQubit.normalized(0.6, 0.8j)]
+        probes = [{"n_p": 1}, {"n_p": 3}, {"alpha_p": 0.5 + 0.2j}, {"alpha_p": 2.0}]
+
+        def records():
+            out = []
+            for params in points:
+                t = 0.1 / abs(min(estimate_eigenvalues(params, 1, 0, 1).exact_roots, key=abs))
+                out += [repr(full_vs_effective(params, q, t, **p)) for q in qubits for p in probes]
+            return out
+
+        ours = records()
+        monkeypatch.setattr(qnd, "_padded", lambda sectors, size: sectors)
+        monkeypatch.setattr(qnd, "_evolve_sectors",
+                            lambda psi, stacks, t: per_size_evolve_sectors(psi, stacks[0], t))
+        assert ours == records()
 
     @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
     def test_default_fullmodel_point_matches_60_digit_evolution(self):

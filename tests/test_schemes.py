@@ -317,12 +317,15 @@ class TestBlockVsFull:
 
     def test_jacobi_sees_no_block_larger_than_five_states(self, monkeypatch):
         # only the linear components of the rotated ket are diagonalized;
-        # the circular sectors held 6, 11 and 16 states at n_s = 1, 2, 3
+        # the circular sectors held 6, 11 and 16 states at n_s = 1, 2, 3.
+        # The Jacobi sees them zero-padded in one stack with the block model,
+        # so a block's size is its nonzero rows.
         import ppqnd.schemes as schemes
         sizes, jacobi = [], schemes._jacobi_eigh_longdouble
 
         def counted(matrix):
-            sizes.append(np.shape(matrix)[-1])
+            stack = np.reshape(matrix, (-1, *np.shape(matrix)[-2:]))
+            sizes.extend(np.count_nonzero(np.any(stack != 0, axis=2), axis=1).tolist())
             return jacobi(matrix)
 
         monkeypatch.setattr(schemes, "_jacobi_eigh_longdouble", counted)
@@ -331,8 +334,75 @@ class TestBlockVsFull:
                 compare_block_to_full(SPEC_POINT, n_sl, n_sr, n_p)
         assert sizes and max(sizes) <= 5
 
+    def test_one_jacobi_call_per_comparison(self, monkeypatch):
+        # the block model rides the same zero-padded stack as the ket's components
+        import ppqnd.schemes as schemes
+        shapes, jacobi = [], schemes._jacobi_eigh_longdouble
+
+        def counted(matrix):
+            shapes.append(np.shape(matrix))
+            return jacobi(matrix)
+
+        monkeypatch.setattr(schemes, "_jacobi_eigh_longdouble", counted)
+        for point in ((1, 0, 1), (1, 1, 1), (2, 1, 2), (0, 2, 1), (2, 2, 3)):
+            shapes.clear()
+            compare_block_to_full(SPEC_POINT, *point)
+            assert len(shapes) == 1 and shapes[0][1] <= 5
+
+    @pytest.mark.parametrize("n_s", [1, 2, 3])
+    @pytest.mark.parametrize("n_p", [1, 2])
+    def test_only_the_nonzero_linear_terms_are_kept(self, monkeypatch, n_s, n_p):
+        # |1; n, n> in the linear basis is (H^2 - V^2)^n |0>: only even n_H
+        # hold amplitude, and no rounding residue cuts a component at odd n_H
+        import ppqnd.schemes as schemes
+        kept, cut = [], schemes._pp_sectors
+
+        def recorded(params, cutoff_h, cutoff_v, cutoff_p, keep):
+            kept.append(np.asarray(keep))
+            return cut(params, cutoff_h, cutoff_v, cutoff_p, keep)
+
+        monkeypatch.setattr(schemes, "_pp_sectors", recorded)
+        compare_block_to_full(FULLMODEL_POINT, n_s, n_s, n_p)
+        space = make_space(5, (2 * n_s + 1, 2 * n_s + 1, n_p + 1))
+        expected = [space.index_of(0, (n_h, 2 * n_s - n_h, n_p))
+                    for n_h in range(0, 2 * n_s + 1, 2)]
+        assert len(kept) == 1 and sorted(kept[0].tolist()) == expected
+
+    @pytest.mark.parametrize("point", [(1, 0, 1), (0, 2, 1), (3, 0, 2), (0, 1, 3)])
+    def test_single_route_block_root_is_never_a_padded_zero(self, point):
+        # the reduced 4x4 chain is padded to the widest component (5 states
+        # at n_s >= 2); its padded eigenvalue 0 must not win argmin |lambda|
+        report = compare_block_to_full(FULLMODEL_POINT, *point)
+        w, _ = _jacobi_eigh_longdouble(build_pp_block_matrix(FULLMODEL_POINT, *point).matrix)
+        alone = float(w[np.argmin(np.abs(w))])
+        assert report["lambda_block"] != 0.0
+        assert abs(report["lambda_block"] - alone) <= 1e-13 * abs(alone)
+
     def test_two_photon_report_is_finite_data(self):
         report = compare_block_to_full(SPEC_POINT, 1, 1, 1)
         for key in ("lambda_block", "lambda_full", "relative_difference",
                     "overlap", "lambda_full_second", "overlap_second"):
             assert np.isfinite(report[key])
+
+
+class TestHadamardColumn:
+    @pytest.mark.parametrize("n_s", [1, 2, 3, 4])
+    def test_closed_form_is_the_lifted_hadamard_column(self, n_s):
+        # the binomial column against the real part of the lift of (L, R) ->
+        # (H, V) on the complete pair sector n_s (the part the ket rotation
+        # took from it), and exactly 0 where the integer sum is
+        from ppqnd.polarization import PolUnitary, lift_unitary
+        from ppqnd.schemes import _hadamard_column
+        pair = make_space(1, (n_s + 1, n_s + 1))
+        s = 1 / math.sqrt(2)
+        lift = lift_unitary(PolUnitary(np.array([[s, s], [s, -s]])), pair, (0, 1)).matrix.real
+        for n_sl in range(n_s + 1):
+            n_sr = n_s - n_sl
+            column = _hadamard_column(n_sl, n_sr)
+            lifted = [lift[pair.index_of(0, (n_h, n_s - n_h)), pair.index_of(0, (n_sl, n_sr))]
+                      for n_h in range(n_s + 1)]
+            assert np.max(np.abs(column - np.array(lifted))) <= 1e-15
+            for n_h in range(n_s + 1):
+                integer = sum(math.comb(n_sl, i) * math.comb(n_sr, j) * (-1) ** (n_sr - j)
+                              for i in range(n_sl + 1) for j in range(n_sr + 1) if i + j == n_h)
+                assert (column[n_h] == 0.0) == (integer == 0)
