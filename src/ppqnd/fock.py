@@ -13,11 +13,12 @@ Conventions used throughout the package:
 * A mode with cutoff c holds photon numbers 0 .. c-1.  The annihilation
   operator is truncated: a|c-1> = sqrt(c-1)|c-2> and no level above the
   cutoff exists.
-* Every block split is _sectors(label): one (B, s) stack of flat indices
-  per block size s, labelled by a conserved number (the pair n_i + n_j) or
-  by connected component (_components, cut by _sector_blocks).  _padded
-  joins the stacks of blocks known to be small (the five-level ones, at
-  most 5 states) into one zero-padded stack, so they cost one Jacobi call.
+* Every generic block split is _sectors(label): one (B, s) stack of flat
+  indices per block size s, labelled by a conserved number (the pair
+  n_i + n_j) or by connected component (_components, cut by
+  _sector_blocks).  The five-level components, at most 5 states, are
+  built in closed form as one zero-padded stack (schemes._pp_components),
+  so they cost one Jacobi call.
 """
 
 from __future__ import annotations
@@ -310,30 +311,6 @@ def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], size: int,
     return out
 
 
-def _padded(sectors: Sequence[tuple[np.ndarray, np.ndarray]], size: int
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """(index, blocks) stacks of several block sizes as one stack, each row
-    zero-padded to the widest: a padded slot has index `size`, one scratch
-    slot past a space of `size` states, and a zero row and column.
-
-    The Jacobi never turns a zero row (|0| is not above its threshold), so a
-    padded block rotates exactly as it would alone wherever _round_robin
-    schedules its pairs in the same order (padding n to at most n + n % 2,
-    or a pair to any width), and each padded slot comes back as an
-    eigenpair (0, unit vector on that slot).
-    """
-    width = max(index.shape[1] for index, _ in sectors)
-    index = np.full((sum(len(i) for i, _ in sectors), width), size, dtype=np.intp)
-    blocks = np.zeros((len(index), width, width), np.result_type(*(b for _, b in sectors)))
-    start = 0
-    for i, b in sectors:
-        rows, s = i.shape
-        index[start:start + rows, :s] = i
-        blocks[start:start + rows, :s, :s] = b
-        start += rows
-    return index, blocks
-
-
 def _check_mode(space: HilbertSpace, mode: int) -> None:
     if not (0 <= mode < space.n_modes):
         raise ValueError(f"mode index {mode} out of range for {space.n_modes} modes")
@@ -624,9 +601,9 @@ def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.nda
     """exp(-i H t) |psi> for a real symmetric H that is block diagonal over `sectors`.
 
     `sectors` holds (index, blocks) stacks, one per block size as from
-    _sector_blocks or one zero-padded stack as from _padded (its padded
-    slots read and write one scratch amplitude, then dropped), and must
-    cover every amplitude of psi; each stack is diagonalized by one
+    _sector_blocks or one zero-padded stack as from schemes._pp_components
+    (its padded slots read and write one scratch amplitude, then dropped),
+    and must cover every amplitude of psi; each stack is diagonalized by one
     longdouble Jacobi call, its phases w t are reduced mod 2 pi in
     longdouble, and the amplitudes outside it stay zero.
     """

@@ -36,14 +36,14 @@ from .fock import (
     _evolve_diagonal,
     _evolve_sectors,
     _occupations,
-    _padded,
     _readonly,
     coherent_state,
     default_cutoff,
     make_space,
 )
 from .polarization import PolarizationQubit
-from .schemes import SchemeParams, _pp_sectors, _ppqnd_energies, _qnd_energies, chi_from_params
+from .schemes import (SchemeParams, _pp_components, _ppqnd_energies, _qnd_energies,
+                      chi_from_params)
 from .secular import estimate_eigenvalues
 
 __all__ = [
@@ -512,13 +512,14 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     level 1.
 
     The evolution is exact within the truncation and runs in extended
-    precision at every probe cutoff.  It runs in the drive's linear basis
-    (schemes._pp_sectors): of its even chains |1; H, n>, 2+, |3>, |4; n - 1>
-    and odd pairs |1; V, n>, 2-, only those that hold amplitude of psi(0)
-    are cut, so an H photon never meets an odd pair, and diagonalized by one
-    longdouble Jacobi call on all of them, each zero-padded to the widest
-    (fock._padded, exact: the Jacobi never turns a padded row).  No dense
-    Hamiltonian of the full space is built.
+    precision at every probe cutoff.  It runs in the drive's linear basis:
+    of its even chains |1; H, n>, 2+, |3>, |4; n - 1> and odd pairs
+    |1; V, n>, 2-, only those that hold amplitude of psi(0) are built, in
+    closed form (schemes._pp_components), so an H photon never meets an odd
+    pair, and diagonalized by one longdouble Jacobi call on all of them,
+    each zero-padded to the widest (exact: the Jacobi never turns a padded
+    row).  No coupling table and no dense Hamiltonian of the full space is
+    built.
     """
     return _full_vs_effective(params, pol_state, t, n_p, alpha_p, cutoff_p, None)
 
@@ -550,16 +551,16 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 
-    # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4) as in _pp_sectors; a
-    # mirrored qubit only flips the sign of c_V.  Leakage, <a_p> and
+    # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4) as in _pp_components;
+    # a mirrored qubit only flips the sign of c_V.  Leakage, <a_p> and
     # <psi0|psi_t> do not depend on the basis, so nothing is rotated back.
     space = make_space(5, [2, 2, cp])
     amps = np.zeros(space.dims, dtype=complex)  # atom in level 1
     amps[0, 1, 0] = (pol_state.c_l + pol_state.c_r) / math.sqrt(2) * probe_vec
     amps[0, 0, 1] = (pol_state.c_l - pol_state.c_r) / math.sqrt(2) * probe_vec
     psi0 = StateVector(space, amps.ravel())
-    sectors = _pp_sectors(params, 2, 2, cp, np.flatnonzero(psi0.amplitudes))
-    psi_t = _evolve_sectors(psi0, [_padded(sectors, space.total_dim)], t)
+    stack = _pp_components(params, space.mode_cutoffs, np.flatnonzero(psi0.amplitudes))
+    psi_t = _evolve_sectors(psi0, [stack], t)
 
     if n_p is not None:
         amp = psi_t.overlap(psi0).conjugate()  # <psi0|psi_t>

@@ -14,8 +14,8 @@ Three atomic schemes, in increasing size:
   on 3-4.  Mode order is [s_L, s_R, p].  In the drive's linear basis,
   s_H, s_V = (s_L +- s_R)/sqrt(2) and 2+- = (|2> +- |2'>)/sqrt(2), the
   drive links only 2+ to 3 (leg sqrt(2) Omega_d), so every component holds
-  at most |1; n_H, n_V, n_p>, 2+, 2-, 3, 4 (_pp_sectors) and only the
-  drive-parallel photon H reaches the probe.
+  at most |1; n_H, n_V, n_p>, 2+, 2-, 3, 4, built in closed form
+  (_pp_components), and only the drive-parallel photon H reaches the probe.
 
 Atomic levels are indexed from 0, so scheme level "1" is index 0,
 "2" is 1, "2'" is 2, "3" is 3, "4" is 4 in the PP scheme.
@@ -38,9 +38,7 @@ from .fock import (
     _coupling_table,
     _jacobi_eigh_longdouble,
     _occupations,
-    _padded,
     _scatter,
-    _sector_blocks,
     make_space,
 )
 
@@ -155,19 +153,16 @@ def build_n_hamiltonian(params: SchemeParams, cutoff_s: int, cutoff_p: int) -> O
         hermitian=True)
 
 
-def _pp_table(params: SchemeParams, cutoff_0: int, cutoff_1: int, cutoff_p: int,
-              linear: bool = False) -> tuple[HilbertSpace, tuple[np.ndarray, ...]]:
-    """The PP space and the coupling table of its Hamiltonian, circular or in
-    the drive's linear basis (see the module docstring).  The linear table is
-    longdouble for its sqrt(2) Omega_d leg, which in double moves phases ~1e-13."""
-    if min(cutoff_0, cutoff_1, cutoff_p) < 2:
+def _pp_table(params: SchemeParams, cutoff_sl: int, cutoff_sr: int, cutoff_p: int
+              ) -> tuple[HilbertSpace, tuple[np.ndarray, ...]]:
+    """The PP space and the coupling table of its Hamiltonian (circular basis)."""
+    if min(cutoff_sl, cutoff_sr, cutoff_p) < 2:
         raise ValueError("cutoffs must be >= 2")
-    space = make_space(5, [cutoff_0, cutoff_1, cutoff_p])
-    drive = ([(np.sqrt(np.longdouble(2)) * params.omega_d, 1, 3, None)] if linear
-             else [(params.omega_d, 1, 3, None), (params.omega_d, 2, 3, None)])
+    space = make_space(5, [cutoff_sl, cutoff_sr, cutoff_p])
     table = _coupling_table(
         space, [(4, params.delta_probe), (1, params.delta_two), (2, params.delta_two)],
-        [(params.xi_s, 1, 0, 0), (params.xi_s, 2, 0, 1), *drive, (params.xi_p, 4, 3, 2)])
+        [(params.xi_s, 1, 0, 0), (params.xi_s, 2, 0, 1), (params.omega_d, 1, 3, None),
+         (params.omega_d, 2, 3, None), (params.xi_p, 4, 3, 2)])
     return space, table
 
 
@@ -186,19 +181,51 @@ def build_pp_hamiltonian(params: SchemeParams, cutoff_sl: int, cutoff_sr: int,
     return _scatter(*_pp_table(params, cutoff_sl, cutoff_sr, cutoff_p), hermitian=True)
 
 
-def _pp_sectors(params: SchemeParams, cutoff_h: int, cutoff_v: int, cutoff_p: int,
-                keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The linear PP Hamiltonian as fock._sector_blocks (index, blocks) per
-    block size, one row per connected component that holds a flat index in
-    `keep` (on the space make_space(5, [cutoff_h, cutoff_v, cutoff_p])).
+def _pp_components(params: SchemeParams, cutoffs: tuple[int, int, int], keep: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The linear PP Hamiltonian's components of the level-1 states `keep`
+    (flat indices on make_space(5, cutoffs), modes [s_H, s_V, p]) as one
+    zero-padded longdouble stack (index, blocks), built in closed form.
 
     Each rule moves one quantum between a mode and the atom and only 2+
-    meets the drive, so the component of |1; n_H, n_V, n_p> holds at most
-    it, 2+ and 2- (one H or V photon fewer), 3 and 4: 5 states at every
-    cutoff, the pair |1>, 2- when n_H = 0.
+    meets the drive, so the component of |1; n_H, n_V, n_p> is the chain
+    |1> - 2+ - |3> - |4> (one H photon fewer, then one probe photon fewer
+    on |4>) plus |1> - 2- (one V photon fewer): legs xi_s sqrt(n_H),
+    sqrt(2) Omega_d (formed in longdouble: in double it moves phases ~1e-13),
+    xi_p sqrt(n_p) and xi_s sqrt(n_V), diagonal delta on 2+- and Delta on 4.
+    A row holds the states that exist, in ascending flat index, one row per
+    kept state in ascending order, and is padded to the widest row: a padded
+    slot has index total_dim, one scratch slot past the space, and a zero
+    row and column.  The Jacobi never turns a zero row (|0| is not above its
+    threshold), so a row rotates exactly as it would alone wherever
+    _round_robin schedules its pairs in the same order (padding n to at
+    most n + n % 2, or a pair to any width), and each padded slot comes
+    back as an eigenpair (0, unit vector on that slot).
     """
-    space, table = _pp_table(params, cutoff_h, cutoff_v, cutoff_p, linear=True)
-    return _sector_blocks(table, space.total_dim, keep)
+    if min(cutoffs) < 2:
+        raise ValueError("cutoffs must be >= 2")
+    space = make_space(5, cutoffs)
+    keep = np.unique(keep)
+    level, n_h, n_v, n_p = np.unravel_index(keep, space.dims)  # ValueError outside the space
+    if np.any(level != 0):
+        raise ValueError("kept states must lie on atomic level 1")
+    _, c_h, c_v, c_p = space.dims
+    step = c_h * c_v * c_p  # one atomic level
+    offsets = np.array([0, step - c_v * c_p, 2 * step - c_p, 3 * step - c_v * c_p,
+                        4 * step - c_v * c_p - 1])  # 1, 2+, 2-, 3, 4 from |1; n_H, n_V, n_p>
+    exists = np.stack([n_h >= 0, n_h > 0, n_v > 0, n_h > 0, (n_h > 0) & (n_p > 0)], axis=1)
+    m = np.zeros((len(keep), 5, 5), dtype=np.longdouble)
+    legs = ((0, 1, params.xi_s * np.sqrt(n_h)), (0, 2, params.xi_s * np.sqrt(n_v)),
+            (1, 3, np.sqrt(np.longdouble(2)) * params.omega_d), (3, 4, params.xi_p * np.sqrt(n_p)))
+    for i, j, value in legs:
+        m[:, i, j] = m[:, j, i] = value
+    m[:, 1, 1] = m[:, 2, 2] = float(params.delta_two)
+    m[:, 4, 4] = float(params.delta_probe)
+    m = np.where(exists[:, :, None] & exists[:, None, :], m, 0)
+    order = np.argsort(~exists, axis=1, kind="stable")[:, :exists.sum(axis=1).max()]
+    rows = np.arange(len(keep))[:, None]
+    index = np.where(exists, keep[:, None] + offsets, space.total_dim)[rows, order]
+    return index, m[rows[:, :, None], order[:, :, None], order[:, None, :]]
 
 
 def pp_mirror_permutation(space: HilbertSpace) -> np.ndarray:
@@ -283,7 +310,7 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
     enter with the route-symmetrized amplitude xi_s sqrt(n_s/2) each
     (n_s = n_sL + n_sR).  In the basis 2+- that block is exactly the full
     scheme's component of |1; n_s H photons, n_p> (the chain |1>, 2+, 3, 4
-    of _pp_sectors) plus the uncoupled 2- at delta: the block model is exact
+    of _pp_components) plus the uncoupled 2- at delta: the block model is exact
     for drive-parallel photons (see compare_block_to_full).  With one
     circular occupation zero the block is the single-route chain of
     _pp_chain_stack (`reduced`), which has one drive leg: its characteristic
@@ -396,23 +423,26 @@ def _hadamard_column(n_sl: int, n_sr: int) -> np.ndarray:
 def _ket_eigenpairs(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The block model of (n_sL, n_sR, n_p) and the linear components that
-    hold the circular ket |1; n_sL, n_sR, n_p>, in one longdouble Jacobi call
-    (zero-padded to the widest, fock._padded).  Returns the components'
+    hold the circular ket |1; n_sL, n_sR, n_p>, in one longdouble Jacobi call:
+    the block is the last row of the components' zero-padded stack
+    (_pp_components), all its slots scratch.  Returns the components'
     eigenvalues, their overlaps (v^T ket)^2 and whether each is of the
     component of |1; n_s H photons, n_p>, then the block's eigenvalues; the
     padded eigenpairs, eigenvalue 0 on a padded slot, are dropped."""
     block = build_pp_block_matrix(params, n_sl, n_sr, n_p).matrix
     n_s = n_sl + n_sr
-    cutoffs = (n_s + 1, n_s + 1, n_p + 1)
-    space = make_space(5, cutoffs)
+    space = make_space(5, (n_s + 1, n_s + 1, n_p + 1))
     scratch = space.total_dim
     column = _hadamard_column(n_sl, n_sr)
     (n_h,) = np.nonzero(column)
     kept = np.ravel_multi_index((0, n_h, n_s - n_h, n_p), space.dims)
     ket = np.zeros(scratch + 1)
     ket[kept] = column[n_h]
-    block_row = (np.full((1, len(block)), scratch), block[None])  # last, all scratch slots
-    index, blocks = _padded([*_pp_sectors(params, *cutoffs, kept), block_row], scratch)
+    index, blocks = _pp_components(params, space.mode_cutoffs, kept)
+    grow = max(len(block) - index.shape[1], 0)
+    index = np.pad(index, ((0, 1), (0, grow)), constant_values=scratch)
+    blocks = np.pad(blocks, ((0, 1), (0, grow), (0, grow)))
+    blocks[-1, :len(block), :len(block)] = block
     w, v = _jacobi_eigh_longdouble(blocks)
     pad = index == scratch
     pad[-1] = np.arange(index.shape[1]) >= len(block)  # the block's own padding

@@ -31,6 +31,7 @@ Examples are derandomized so the suite stays deterministic.
 """
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -90,12 +91,14 @@ from ppqnd.schemes import (
     _ket_eigenpairs,
     _pp_block_stack,
     _pp_chain_stack,
-    _pp_sectors,
+    _pp_components,
     _pp_table,
     _ppqnd_energies,
     build_pp_block_matrix,
 )
 from ppqnd.secular import _char_poly, _estimates, _hermitian_eigvalsh, _point_arrays
+
+from linear_pp_oracle import linear_pp_sectors, linear_pp_table, padded
 
 try:
     import mpmath
@@ -494,6 +497,11 @@ def pp_excitations(space):
     return n_s.real, n_p.real
 
 
+def ground_states(space):
+    """Flat indices of every state on atomic level 1."""
+    return np.arange(space.total_dim // space.atom_dim)
+
+
 @PROPERTY
 @given(pp_params(), pp_cutoffs)
 def test_pp_hamiltonian_conserves_both_excitation_numbers(params, cutoffs):
@@ -513,10 +521,10 @@ def test_pp_hamiltonian_is_mirror_invariant(params, cutoff_s, cutoff_p):
 @PROPERTY
 @given(pp_params(), pp_cutoffs)
 def test_pp_sectors_scatter_back_to_the_dense_hamiltonian(params, cutoffs):
-    space, (rows, cols, vals) = _pp_table(params, *cutoffs, linear=True)
+    space, (rows, cols, vals) = linear_pp_table(params, *cutoffs)
     h = np.zeros((space.total_dim, space.total_dim), dtype=np.longdouble)
     h[rows, cols] = h[cols, rows] = vals  # the linear table, scattered in its own dtype
-    sectors = _pp_sectors(params, *cutoffs, np.arange(space.total_dim))
+    sectors = linear_pp_sectors(params, cutoffs, np.arange(space.total_dim))
     n_s, n_p = (np.diagonal(n_op) for n_op in pp_excitations(space))
     rebuilt = np.zeros((space.total_dim, space.total_dim), dtype=np.longdouble)
     covered = np.zeros(space.total_dim, dtype=int)
@@ -548,7 +556,7 @@ def test_linear_table_is_the_circular_hamiltonian_rotated(params, cutoff_s, cuto
     modes = lift_unitary(PolUnitary(np.array([[s, s], [s, -s]])), space, (0, 1)).matrix
     u = np.kron(levels, np.eye(space.total_dim // 5)) @ modes
     rotated = u @ h.matrix @ u.conj().T
-    _, (rows, cols, vals) = _pp_table(params, cutoff_s, cutoff_s, cutoff_p, linear=True)
+    _, (rows, cols, vals) = linear_pp_table(params, cutoff_s, cutoff_s, cutoff_p)
     linear = np.zeros((space.total_dim, space.total_dim))
     linear[rows, cols] = linear[cols, rows] = vals
     n_s, _ = (np.diagonal(n_op) for n_op in pp_excitations(space))
@@ -559,11 +567,58 @@ def test_linear_table_is_the_circular_hamiltonian_rotated(params, cutoff_s, cuto
 @PROPERTY
 @given(pp_params(), st.integers(2, 6), st.integers(2, 6), st.integers(2, 8))
 def test_pp_sector_components_hold_at_most_five_states(params, cutoff_h, cutoff_v, cutoff_p):
-    # |1; n_H, n_V, n_p>, 2+, 2-, 3, 4 at most, whatever the cutoffs
-    total = make_space(5, [cutoff_h, cutoff_v, cutoff_p]).total_dim
-    sectors = _pp_sectors(params, cutoff_h, cutoff_v, cutoff_p, np.arange(total))
-    assert sum(index.size for index, _ in sectors) == total
-    assert max(index.shape[1] for index, _ in sectors) <= 5
+    # |1; n_H, n_V, n_p>, 2+, 2-, 3, 4 at most, whatever the cutoffs: the
+    # stack the Jacobi sees is at most 5 wide, one row per level-1 state,
+    # and its rows are disjoint
+    space = make_space(5, [cutoff_h, cutoff_v, cutoff_p])
+    index, blocks = _pp_components(params, space.mode_cutoffs, ground_states(space))
+    real = index[index < space.total_dim]
+    assert len(index) == space.total_dim // 5 and index.shape[1] <= 5
+    assert blocks.shape == (*index.shape, index.shape[1])
+    assert len(np.unique(real)) == real.size
+
+
+@st.composite
+def pp_params_with_zeros(draw):
+    """pp_params, with one of Omega_d, xi_s and xi_p set to 0 in some draws:
+    a zero coupling keeps its table entries, so the components stay the same."""
+    params = draw(pp_params())
+    zero = draw(st.sampled_from([None, "omega_d", "xi_s", "xi_p"]))
+    return params if zero is None else dataclasses.replace(params, **{zero: 0.0})
+
+
+@PROPERTY
+@given(pp_params_with_zeros(),
+       st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 8)), seeds)
+def test_components_are_the_linear_table_cut_bit_for_bit(params, cutoffs, seed):
+    # the closed form against the generic cut of the oracle table, padded to
+    # one stack: the same states, dtype, width and entries (signs of zero
+    # included), row for row matched by ground state
+    space = make_space(5, cutoffs)
+    rng = np.random.default_rng(seed)
+    ground = ground_states(space)
+    keep = rng.choice(ground, size=rng.integers(1, len(ground) + 1), replace=False)
+    index, blocks = _pp_components(params, cutoffs, keep)
+    index_ref, blocks_ref = padded(linear_pp_sectors(params, cutoffs, keep), space.total_dim)
+    assert index.dtype == index_ref.dtype and blocks.dtype == blocks_ref.dtype
+    assert index.shape == index_ref.shape and blocks.shape == blocks_ref.shape
+    assert np.array_equal(index[:, 0], np.sort(keep))  # one row per kept state, ascending
+    order = np.argsort(index_ref[:, 0])  # a row's ground state is its smallest index
+    assert np.array_equal(index, index_ref[order])
+    assert np.array_equal(blocks, blocks_ref[order])
+    assert np.array_equal(np.signbit(blocks), np.signbit(blocks_ref[order]))
+
+
+def test_components_refuse_states_off_level_1_or_outside_the_space():
+    params, cutoffs = SchemeParams(1e4, 1e4, 1e2, 0.01, 1.0), (2, 2, 3)
+    space = make_space(5, cutoffs)
+    for keep in ([space.index_of(1, (0, 0, 0))], [0, space.index_of(4, (1, 1, 2))],
+                 [space.total_dim], [-1]):
+        with pytest.raises(ValueError):
+            _pp_components(params, cutoffs, keep)
+    for small in ((1, 2, 3), (2, 1, 3), (2, 2, 1)):
+        with pytest.raises(ValueError, match="cutoffs must be >= 2"):
+            _pp_components(params, small, [0])
 
 
 def circular_sector_eigenpairs(params, n_sl, n_sr, n_p):
@@ -599,8 +654,11 @@ def test_linear_ket_eigenpairs_match_the_circular_sector(params, point):
 @given(pp_params(), pp_cutoffs)
 def test_quasidark_eigenvalues_match_mpmath(params, cutoffs):
     mpmath.mp.dps = 40
-    sectors = _pp_sectors(params, *cutoffs, np.arange(make_space(5, cutoffs).total_dim))
-    for block in (block for _, blocks in sectors for block in blocks):
+    space = make_space(5, cutoffs)
+    index, blocks = _pp_components(params, cutoffs, ground_states(space))
+    for row, padded_block in zip(index, blocks):
+        size = np.count_nonzero(row < space.total_dim)  # the padding is at the end
+        block = padded_block[:size, :size]
         if len(block) < 2:
             continue
         w, _ = _jacobi_eigh_longdouble(block)
@@ -810,12 +868,15 @@ def test_jacobi_is_bitwise_the_reference_kernel(n, batch, kind, seed):
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(pp_params(), st.integers(2, 30))
 def test_jacobi_is_bitwise_the_reference_kernel_on_pp_sectors(params, cutoff_p):
-    # the linear five-level shapes, (B, s, s) for s = 2 .. 5, and the
-    # circular 11 x 11 and 16 x 16 sectors that evolve of build_pp_hamiltonian
-    # still runs at n_s = 2 and 3
+    # the linear five-level stacks, of rows of one size s = 2 .. 5 and of all
+    # of them zero-padded to 5, and the circular 11 x 11 and 16 x 16 sectors
+    # that evolve of build_pp_hamiltonian still runs at n_s = 2 and 3
     space = make_space(5, [2, 2, cutoff_p])
-    stacks = [blocks for _, blocks in _pp_sectors(params, 2, 2, cutoff_p,
-                                                  np.arange(space.total_dim))]
+    _, n_h, n_v, n_p = np.unravel_index(ground_states(space), space.dims)
+    shapes = [(n_h == 0) & (n_v == 1), (n_h == 1) & (n_v == 0) & (n_p == 0),
+              (n_h == 1) & (n_v == 0) & (n_p > 0), (n_h == 1) & (n_v == 1), n_h >= 0]
+    stacks = [_pp_components(params, space.mode_cutoffs, np.flatnonzero(shape))[1]
+              for shape in shapes]
     for n_sl, n_sr in ((2, 0), (1, 2)):
         circular, table = _pp_table(params, n_sl + n_sr + 1, n_sl + n_sr + 1, 3)
         ket = circular.index_of(0, (n_sl, n_sr, 2))
@@ -833,8 +894,8 @@ def test_restricted_cut_is_the_full_cut_where_a_kept_state_lives(params, cutoffs
     rng = np.random.default_rng(seed)
     keep = np.flatnonzero(rng.random(space.total_dim) < rng.choice([0.02, 0.2]))
     keep = np.union1d(keep, rng.integers(space.total_dim, size=1))
-    full = _pp_sectors(params, *cutoffs, np.arange(space.total_dim))
-    ours = _pp_sectors(params, *cutoffs, keep)
+    full = linear_pp_sectors(params, cutoffs, np.arange(space.total_dim))
+    ours = linear_pp_sectors(params, cutoffs, keep)
     expected = []
     for index, blocks in full:
         rows = np.isin(index, keep).any(axis=1)

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import functools
 import math
 import tracemalloc
 import warnings
@@ -24,6 +25,8 @@ from ppqnd import (
     make_space,
     polarization_dephasing,
 )
+
+from linear_pp_oracle import linear_pp_sectors
 
 try:
     import mpmath
@@ -403,7 +406,8 @@ class TestFullVsEffective:
     def test_padded_stack_is_bitwise_the_per_size_route(self, monkeypatch):
         # padding a chain of 3 to 4 or a pair to any width keeps the Jacobi's
         # rotation sequence, so every record equals, byte for byte, the one
-        # from a Jacobi call per block size (the reference kept here)
+        # from the oracle's linear coupling table cut generically and a Jacobi
+        # call per block size (the per-size evolution kept here)
         from ppqnd import qnd
         from ppqnd.fock import _jacobi_eigh_longdouble, _unitary_result
 
@@ -434,10 +438,38 @@ class TestFullVsEffective:
             return out
 
         ours = records()
-        monkeypatch.setattr(qnd, "_padded", lambda sectors, size: sectors)
+        monkeypatch.setattr(qnd, "_pp_components", linear_pp_sectors)
         monkeypatch.setattr(qnd, "_evolve_sectors",
                             lambda psi, stacks, t: per_size_evolve_sectors(psi, stacks[0], t))
         assert ours == records()
+
+    def test_five_level_path_builds_no_coupling_table(self, monkeypatch):
+        # the components are built in closed form: no coupling table, no
+        # component search, no generic cut, and one Jacobi call per result
+        from ppqnd import fock, qnd, schemes
+        from ppqnd.schemes import compare_block_to_full
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("_coupling_table", "_components", "_sector_blocks",
+                     "_jacobi_eigh_longdouble"):
+            wrapped = counting(name, getattr(fock, name))
+            for module in (fock, schemes, qnd):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        calls = [functools.partial(full_vs_effective, RATIO100, qubit, 1e9, **probe)
+                 for qubit in (PolarizationQubit.horizontal(), PolarizationQubit.left())
+                 for probe in ({"n_p": 1}, {"alpha_p": 2.0})]
+        calls.append(functools.partial(compare_block_to_full, RATIO100, 2, 1, 2))
+        for call in calls:
+            counts.clear()
+            call()
+            assert counts == {"_jacobi_eigh_longdouble": 1}
 
     @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
     def test_default_fullmodel_point_matches_60_digit_evolution(self):

@@ -355,13 +355,13 @@ class TestBlockVsFull:
         # |1; n, n> in the linear basis is (H^2 - V^2)^n |0>: only even n_H
         # hold amplitude, and no rounding residue cuts a component at odd n_H
         import ppqnd.schemes as schemes
-        kept, cut = [], schemes._pp_sectors
+        kept, build = [], schemes._pp_components
 
-        def recorded(params, cutoff_h, cutoff_v, cutoff_p, keep):
+        def recorded(params, cutoffs, keep):
             kept.append(np.asarray(keep))
-            return cut(params, cutoff_h, cutoff_v, cutoff_p, keep)
+            return build(params, cutoffs, keep)
 
-        monkeypatch.setattr(schemes, "_pp_sectors", recorded)
+        monkeypatch.setattr(schemes, "_pp_components", recorded)
         compare_block_to_full(FULLMODEL_POINT, n_s, n_s, n_p)
         space = make_space(5, (2 * n_s + 1, 2 * n_s + 1, n_p + 1))
         expected = [space.index_of(0, (n_h, 2 * n_s - n_h, n_p))
