@@ -33,6 +33,7 @@ from .polarization import (
     PolarizationQubit,
     PolUnitary,
     check_invariance,
+    diagonal_invariance,
     lift_unitary,
     lr_to_hv,
     stokes_vector,
@@ -64,6 +65,7 @@ from .schemes import (
     compare_block_to_full,
     lambda_dark_state,
     pp_mirror_permutation,
+    ppqnd_energies,
     ppqnd_hamiltonian,
     qnd_hamiltonian,
     sensitive_qnd_hamiltonian,
@@ -73,7 +75,9 @@ from .secular import (
     ScanRow,
     SecularCoefficients,
     char_poly_coefficients,
+    char_poly_from_eigenvalues,
     estimate_eigenvalues,
+    estimate_stack,
     lambda_large,
     lambda_small,
     lambda_small_closed_form,

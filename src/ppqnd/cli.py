@@ -38,14 +38,7 @@ import numpy as np
 
 from . import __version__
 from .fock import default_cutoff
-from .polarization import (
-    PolarizationQubit,
-    _pair_layout,
-    _require_unitary,
-    _sector_deviations,
-    _sector_unitaries,
-    lr_to_hv,
-)
+from .polarization import PolarizationQubit, diagonal_invariance, lr_to_hv
 from .qnd import (
     EVOLUTION_SIGN,
     QUADRATURE_CONVENTION,
@@ -56,8 +49,8 @@ from .qnd import (
     discrimination_error,
     evolve_qnd,
 )
-from .schemes import SchemeParams, _ppqnd_energies
-from .secular import _char_poly, _estimates
+from .schemes import SchemeParams, ppqnd_energies
+from .secular import char_poly_from_eigenvalues, estimate_stack
 
 
 class ConfigError(ValueError):
@@ -170,7 +163,7 @@ _EXPECTED = {float: "a number", int: "an integer", list: "a list", list[float]: 
 # The largest value of each integer field, of a [magnitude, phase] magnitude
 # (_MAG_MAX: a probe's default cutoff stays near the largest cutoff_p) and
 # of the complex numbers two fields ask for together (_SIZE_MAX: the qnd
-# state (n_s + 1) * cutoff, the invariance deviations (unitary_count + 1) *
+# state (n_s + 1) * cutoff, the invariance deviations (unitary_count + 2) *
 # cutoff_s^2 * cutoff_p), all checked before anything is allocated; they
 # admit the sizes the README quotes.  Peaks under tracemalloc: ~0.7 kB per
 # secular draw, ~24 B per discriminate trial and 70-190 B per complex number
@@ -261,9 +254,9 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
     occupations = rng.integers(1, 5, size=(config.draws, 3))
     # The point is row 0 of one stack with the draws, so its block is built
     # and solved once, for its oracle and for its roots.
-    (est,), cf, w = _estimates([(params, config.n_sl, config.n_sr, config.n_p)], draws,
-                               occupations[:, 0] + occupations[:, 1], occupations[:, 2])
-    oc = _char_poly(w)
+    (est,), cf, w = estimate_stack([(params, config.n_sl, config.n_sr, config.n_p)], draws,
+                                   occupations[:, 0] + occupations[:, 1], occupations[:, 2])
+    oc = char_poly_from_eigenvalues(w)
     closed = cf[0].tolist()
     # elsewhere e = 0 and the oracle's e is rounding noise: no point check
     if config.n_sl + config.n_sr >= 1 and config.n_p >= 1:
@@ -341,34 +334,28 @@ def _haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
     z = rng.standard_normal((count, 2, 2, 2))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
-    _require_unitary(q)
-    return q
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def cmd_invariance(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
     cs, cp = config.cutoff_s, config.cutoff_p
-    _bound_size((config.unitary_count + 1) * cs * cs * cp,
+    _bound_size((config.unitary_count + 2) * cs * cs * cp,
                 "'unitary_count', 'cutoff_s', 'cutoff_p'")
-    space, energies = _ppqnd_energies(config.chi, cs, cs, cp)
-    _, sensitive = _ppqnd_energies(config.chi, cs, cs, cp, sensitive=True)
-    rng = np.random.default_rng(config.seed)
-
-    unitaries = np.concatenate([lr_to_hv().matrix[None],
-                                _haar_unitaries(rng, config.unitary_count)])
-    # one exponentiation of the stack; the control reuses its LR -> HV blocks
-    _, layout = _pair_layout(space, (0, 1))
-    sectors = _sector_unitaries(unitaries, cs)
-    devs = _sector_deviations(layout, energies, sectors)
-    max_dev = float(devs.max())
-    lr_hv = [(index, blocks[:1]) for index, blocks in sectors]
-    control_dev = float(_sector_deviations(layout, sensitive, lr_hv)[0])
+    space, energies = ppqnd_energies(config.chi, cs, cs, cp)
+    _, sensitive = ppqnd_energies(config.chi, cs, cs, cp, sensitive=True)
+    haar = _haar_unitaries(np.random.default_rng(config.seed), config.unitary_count)
+    # LR -> HV and the Haar stack on the symmetric H, LR -> HV on the control
+    lr_hv = lr_to_hv().matrix[None]
+    unitaries = np.concatenate([lr_hv, haar, lr_hv])
+    pairs = np.repeat([energies, sensitive], [len(unitaries) - 1, 1], axis=0)
+    devs = diagonal_invariance(space, pairs, unitaries, (0, 1))
+    max_dev = float(devs[:-1].max())
 
     results = {
         "max_deviation": max_dev,
         "lr_to_hv_deviation": float(devs[0]),
         "n_unitaries": config.unitary_count + 1,
-        "sensitive_control_deviation": control_dev,
+        "sensitive_control_deviation": float(devs[-1]),
     }
     return results, [], max_dev <= tol
 

@@ -29,6 +29,7 @@ __all__ = [
     "lr_to_hv",
     "lift_unitary",
     "check_invariance",
+    "diagonal_invariance",
     "stokes_vector",
 ]
 
@@ -246,31 +247,33 @@ def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> 
     return Operator(space, u_full, hermitian_flag=False)
 
 
-def _diagonal_deviations(space: HilbertSpace, energies: np.ndarray, unitaries: np.ndarray,
-                         modes: tuple[int, int]) -> np.ndarray:
-    """max |U H U^+ - H| entrywise for H = diag(energies), one per unitary of
-    the stack unitaries (shape (K, 2, 2)), as a (K,) array.
+def diagonal_invariance(space: HilbertSpace, energies: np.ndarray, unitaries: np.ndarray,
+                        modes: tuple[int, int]) -> np.ndarray:
+    """max |U_k H_k U_k^+ - H_k| entrywise for each pair of H_k = diag(energies[k])
+    ((K, D) energies, or one (D,) diagonal for every k) and the lift U_k of
+    u_k (unitaries of shape (K, 2, 2)), as a (K,) array.
 
-    The lift U is block diagonal over (pair sector, state of the other
-    factors) and so is a diagonal H, so U H U^+ - H vanishes exactly
-    outside those blocks; inside one it is U_N diag(e) U_N^+ - diag(e),
-    at most cutoff x cutoff.  The energies are read per sector size and
-    every unitary is handled at once; nothing of size D x D is formed.
-    Each unitary's deviation is the same, bit for bit, as from a call
-    with that unitary alone.
+    U is block diagonal over (pair sector, state of the other factors) and
+    so is a diagonal H, so U H U^+ - H vanishes exactly outside those
+    blocks; inside one it is U_N diag(e) U_N^+ - diag(e), at most cutoff x
+    cutoff.  One batched eigh per sector size serves all K, and nothing of
+    size D x D is formed.  Each pair's deviation equals, bit for bit, a call
+    with that pair alone.  ValueError unless every u_k is unitary, the
+    energies have one of those shapes and the pair's cutoffs are equal.
     """
+    unitaries = np.asarray(unitaries, dtype=complex)
+    if unitaries.shape[1:] != (2, 2):
+        raise ValueError(f"expected a (K, 2, 2) stack of unitaries, got {unitaries.shape}")
+    _require_unitary(unitaries)
+    energies, dim = np.asarray(energies), space.total_dim
+    if energies.shape not in ((dim,), (len(unitaries), dim)):
+        raise ValueError(f"energies of shape {energies.shape}: want ({dim},) or (K, {dim})")
     cut, layout = _pair_layout(space, tuple(modes))
-    return _sector_deviations(layout, energies, _sector_unitaries(unitaries, cut))
-
-
-def _sector_deviations(layout: np.ndarray, energies: np.ndarray,
-                       sectors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """_diagonal_deviations from the pair layout and the _sector_unitaries
-    of the stack, so one set of blocks can serve several energies."""
-    worst = np.zeros(len(sectors[0][1]))
-    for index, blocks in sectors:
-        e = np.moveaxis(energies[layout[index]], -1, 1)[None, ..., None, :]  # (1, B, rest, 1, s)
-        blocks = blocks[:, :, None]                                          # (K, B, 1, s, s)
+    energies = energies.reshape(-1, dim)  # (1 or K, D)
+    worst = np.zeros(len(unitaries))
+    for index, blocks in _sector_unitaries(unitaries, cut):
+        e = np.moveaxis(energies[:, layout[index]], -1, 2)[..., None, :]  # (1|K, B, rest, 1, s)
+        blocks = blocks[:, :, None]                                      # (K, B, 1, s, s)
         dev = np.conj(blocks) @ (blocks * e).swapaxes(-1, -2)  # the transpose of U diag(e) U^+
         k = np.arange(index.shape[1])
         dev[..., k, k] -= e[..., 0, :]
@@ -282,7 +285,7 @@ def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> floa
     """max |U H U^+ - H| entrywise for the lifted polarization unitary.
 
     An H with no nonzero entry off its diagonal goes blockwise through its
-    energies (_diagonal_deviations), forming nothing of size D x D.  Any
+    energies (diagonal_invariance), forming nothing of size D x D.  Any
     other H is read once, its basis states in pair-sector order, and laid
     out as (row pair, column pair, rest x rest); U is applied sector by
     sector on the two pair axes, to the rows of H and then, conjugated, to
@@ -293,7 +296,7 @@ def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> floa
     """
     diag = np.diagonal(h.matrix)
     if np.count_nonzero(h.matrix) == np.count_nonzero(diag):  # no nonzero off the diagonal
-        return float(_diagonal_deviations(h.space, diag, u.matrix[None], modes)[0])
+        return float(diagonal_invariance(h.space, diag, u.matrix[None], modes)[0])
     cut, layout = _pair_layout(h.space, tuple(modes))
     states = layout[np.concatenate([index.ravel() for index in _pair_sectors(cut)])]
     n = len(states)

@@ -42,8 +42,8 @@ from .fock import (
     make_space,
 )
 from .polarization import PolarizationQubit
-from .schemes import (SchemeParams, _pp_components, _ppqnd_energies, _qnd_energies,
-                      chi_from_params)
+from .schemes import (SchemeParams, _pp_components, _qnd_energies, chi_from_params,
+                      ppqnd_energies)
 from .secular import estimate_eigenvalues
 
 __all__ = [
@@ -418,7 +418,7 @@ def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: f
         raise ValueError("dephasing_grid needs at least one qubit and one time")
     if cutoff_p is None:
         cutoff_p = default_cutoff(alpha_p)
-    _, energies = _ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
+    _, energies = ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
     energies = energies.reshape(4, cutoff_p)  # row s = (n_L, n_R) flattened
     coh = coherent_state(cutoff_p, alpha_p).amplitudes
 

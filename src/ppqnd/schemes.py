@@ -55,6 +55,7 @@ __all__ = [
     "qnd_hamiltonian",
     "ppqnd_hamiltonian",
     "sensitive_qnd_hamiltonian",
+    "ppqnd_energies",
     "compare_block_to_full",
 ]
 
@@ -365,10 +366,11 @@ def _qnd_energies(chi: float, cutoff_s: int, cutoff_p: int) -> tuple[HilbertSpac
     return space, _cross_kerr_energies(space, chi, (0,), 1)
 
 
-def _ppqnd_energies(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int,
-                    sensitive: bool = False) -> tuple[HilbertSpace, np.ndarray]:
-    """Space and diagonal of ppqnd_hamiltonian, or of sensitive_qnd_hamiltonian
-    when sensitive; modes [s_L, s_R, p]."""
+def ppqnd_energies(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int,
+                   sensitive: bool = False) -> tuple[HilbertSpace, np.ndarray]:
+    """The space and diagonal of ppqnd_hamiltonian, chi (n_sL + n_sR) n_p, or of
+    sensitive_qnd_hamiltonian, chi n_sL n_p, when sensitive; modes [s_L, s_R, p].
+    diagonal_invariance and dephasing_grid take them without a D x D Operator."""
     space = make_space(1, [cutoff_sl, cutoff_sr, cutoff_p])
     return space, _cross_kerr_energies(space, chi, (0,) if sensitive else (0, 1), 2)
 
@@ -389,7 +391,7 @@ def ppqnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int)
     and with n_p; a single photon in any polarization state is an
     eigenstate of n_sL + n_sR with eigenvalue 1.
     """
-    return _diagonal_operator(*_ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p))
+    return _diagonal_operator(*ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p))
 
 
 def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
@@ -400,8 +402,8 @@ def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
     breaks the L/R symmetry that ppqnd_hamiltonian keeps; it serves as the
     control that shows the invariance and dephasing checks can fail.
     """
-    return _diagonal_operator(*_ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p,
-                                               sensitive=True))
+    return _diagonal_operator(*ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p,
+                                              sensitive=True))
 
 
 def _hadamard_column(n_sl: int, n_sr: int) -> np.ndarray:

@@ -24,11 +24,11 @@ delta, which no polish of the coefficients can resolve.  One eigvalsh of
 a (B, 4, 4) stack gives every chain root to eps ||H||; a root small against
 ||H|| (the dark root, the light-shifted root near -2 Omega_d^2 / delta)
 is then Newton-polished on the closed-form quintic, where it is well
-conditioned.  One kernel, _estimates, builds and solves every stack of
+conditioned.  One kernel, estimate_stack, builds and solves every stack of
 chains: the points of estimate_eigenvalues and regime_scan, and the CLI's
-point with its array-drawn parameter sets, whose coefficients and
-eigenvalues feed the char-poly oracle.  quintic_roots is a
-coefficient-level utility for coefficients without a block.
+point with its array-drawn parameter sets, whose block eigenvalues
+char_poly_from_eigenvalues turns into the char-poly oracle.  quintic_roots
+is a coefficient-level utility for coefficients without a block.
 """
 
 from __future__ import annotations
@@ -48,12 +48,14 @@ __all__ = [
     "ScanRow",
     "secular_coefficients",
     "char_poly_coefficients",
+    "char_poly_from_eigenvalues",
     "lambda_small",
     "lambda_small_closed_form",
     "lambda_large",
     "quintic_roots",
     "middle_quartic_roots",
     "estimate_eigenvalues",
+    "estimate_stack",
     "regime_scan",
     "ScanSummary",
     "summarize_regime_scan",
@@ -132,7 +134,8 @@ def char_poly_coefficients(matrix: np.ndarray) -> SecularCoefficients:
     m = np.asarray(matrix)
     if m.shape != (5, 5):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
-    return SecularCoefficients(*_char_poly(_hermitian_eigvalsh(m[None])).tolist()[0])
+    return SecularCoefficients(*char_poly_from_eigenvalues(_hermitian_eigvalsh(m[None]))
+                               .tolist()[0])
 
 
 def _hermitian_eigvalsh(matrices: np.ndarray) -> np.ndarray:
@@ -144,10 +147,13 @@ def _hermitian_eigvalsh(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrices)
 
 
-def _char_poly(w: np.ndarray) -> np.ndarray:
-    """(B, 5) coefficients a..e of the quintics whose roots are the rows of w:
-    np.poly's recurrence on all rows at once, so each row equals
-    -np.poly(row)[1:] bit for bit."""
+def char_poly_from_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """(B, 5) coefficients a..e of the quintics whose roots are the rows of w
+    (B, 5), in the -l^5 + a l^4 + ... + e convention: np.poly's recurrence on
+    all rows at once, so each row equals -np.poly(row)[1:] bit for bit."""
+    w = np.asarray(w)
+    if w.ndim != 2 or w.shape[1] != 5:
+        raise ValueError(f"expected (B, 5) eigenvalues, got shape {w.shape}")
     # poly = [1, -e1, e2, -e3, e4, -e5] (elementary symmetric polys of the
     # eigenvalues); our convention -l^5 + a l^4 + ... + e is its negative.
     poly = np.zeros((len(w), 6))
@@ -326,21 +332,19 @@ def _smallest_by_magnitude(roots: np.ndarray, sign_hint: float) -> float:
 def estimate_eigenvalues(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                          ) -> EigenEstimate:
     """Bundle the lambda_s / lambda_l estimates with exact roots and errors."""
-    return _estimates([(params, n_sl, n_sr, n_p)])[0][0]
+    return estimate_stack([(params, n_sl, n_sr, n_p)])[0][0]
 
 
-def _estimates(points: Sequence[tuple[SchemeParams, int, int, int]], rows: np.ndarray = (),
-               n_s: np.ndarray = (), n_p: np.ndarray = ()
-               ) -> tuple[list[EigenEstimate], np.ndarray, np.ndarray]:
+def estimate_stack(points: Sequence[tuple[SchemeParams, int, int, int]], rows: np.ndarray = (),
+                   n_s: np.ndarray = (), n_p: np.ndarray = ()
+                   ) -> tuple[list[EigenEstimate], np.ndarray, np.ndarray]:
     """estimate_eigenvalues at every point, and the (B, 5) closed-form
     coefficients and block eigenvalues of the points followed by any extra
     rows ((k, 5) in SchemeParams field order, with n_s = n_sL + n_sR and
     n_p).  A row's block eigenvalues are its even chain's and delta, sorted.
-    One stack serves them all, each row as from a stack of its own; only the
-    points' roots are Newton-polished.  A stack with extra rows is the CLI's
-    char-poly oracle input and gets the Hermitian check every oracle input
-    gets; an estimate-only stack skips the copies and the check, which
-    costs as much as its eigvalsh.  A row that overflows raises ValueError."""
+    One stack and one eigvalsh serve them all, each row as from a stack of
+    its own; only the points' roots are Newton-polished.  A row that
+    overflows raises ValueError."""
     params, ns, nps = _point_arrays(points)
     if len(rows):
         params, ns, nps = (np.concatenate(pair) for pair in
@@ -352,7 +356,7 @@ def _estimates(points: Sequence[tuple[SchemeParams, int, int, int]], rows: np.nd
         j = bad[0]
         raise ValueError(f"secular point {points[j] if j < len(points) else params[j].tolist()}"
                          ": the closed-form coefficients or chain entries overflow")
-    w = _hermitian_eigvalsh(chains) if len(rows) else np.linalg.eigvalsh(chains)
+    w = np.linalg.eigvalsh(chains)
     k = len(points)
     delta = params[:, 1]
     singular = (chains[:k, 0, 1] == 0) | (chains[:k, 2, 3] == 0)
@@ -404,7 +408,7 @@ def regime_scan(points: Iterable[tuple[SchemeParams, int, int, int]]) -> list[Sc
     points = list(points)
     if not points:
         raise ValueError("regime_scan needs a nonempty grid")
-    return [ScanRow(*point, est) for point, est in zip(points, _estimates(points)[0])]
+    return [ScanRow(*point, est) for point, est in zip(points, estimate_stack(points)[0])]
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,17 @@ from ppqnd import (
     PolUnitary,
     basis_state,
     check_invariance,
+    diagonal_invariance,
     lift_unitary,
     lr_to_hv,
     make_space,
     number_op,
     polarization_dephasing,
+    ppqnd_energies,
     ppqnd_hamiltonian,
     stokes_vector,
 )
 from ppqnd import polarization
-from ppqnd.polarization import _diagonal_deviations
-from ppqnd.schemes import _ppqnd_energies
 
 
 def haar_unitary(rng):
@@ -166,17 +166,61 @@ class TestInvariance:
         assert check_invariance(h, lr_to_hv(), (0, 1)) > 1e-3 * abs(chi) / 1e-3
 
 
+def unitary_stack(rng, count):
+    """(count + 3, 2, 2): LR -> HV, 1, a Z and count Haar unitaries."""
+    return np.array([lr_to_hv().matrix, np.eye(2), np.diag([1.0, -1.0])]
+                    + [haar_unitary(rng).matrix for _ in range(count)], dtype=complex)
+
+
 class TestDiagonalRoute:
     def test_stacked_deviations_equal_one_call_per_unitary(self):
-        rng = np.random.default_rng(7)
-        us = np.array([lr_to_hv().matrix, np.eye(2), np.diag([1.0, -1.0])]
-                      + [haar_unitary(rng).matrix for _ in range(12)], dtype=complex)
+        us = unitary_stack(np.random.default_rng(7), 12)
         for cutoffs in ((4, 4, 4), (3, 3, 5)):
             for sensitive in (False, True):
-                space, energies = _ppqnd_energies(-1e-3, *cutoffs, sensitive=sensitive)
-                stacked = _diagonal_deviations(space, energies, us, (0, 1))
-                single = [_diagonal_deviations(space, energies, u[None], (0, 1))[0] for u in us]
+                space, energies = ppqnd_energies(-1e-3, *cutoffs, sensitive=sensitive)
+                stacked = diagonal_invariance(space, energies, us, (0, 1))
+                single = [diagonal_invariance(space, energies, u[None], (0, 1))[0] for u in us]
                 assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("dims,modes", [((1, 4, 4, 4), (0, 1)), ((2, 3, 3, 5), (0, 1)),
+                                            ((1, 3, 2, 3), (2, 0))])
+    def test_each_pair_equals_check_invariance_on_its_operator(self, dims, modes):
+        space = make_space(dims[0], list(dims[1:]))
+        rng = np.random.default_rng(11)
+        us = unitary_stack(rng, 6)
+        energies = rng.uniform(-1.0, 1.0, (len(us), space.total_dim))
+        pairs = diagonal_invariance(space, energies, us, modes)
+        dense = [check_invariance(Operator(space, np.diag(e)), PolUnitary(u), modes)
+                 for e, u in zip(energies, us)]
+        assert pairs.shape == (len(us),)
+        assert np.array_equal(pairs, dense)
+
+    def test_one_diagonal_broadcasts_over_the_stack(self):
+        space, energies = ppqnd_energies(-1e-3, 4, 4, 3, sensitive=True)
+        us = unitary_stack(np.random.default_rng(3), 9)
+        repeated = np.repeat(energies[None], len(us), axis=0)
+        assert np.array_equal(diagonal_invariance(space, energies, us, (0, 1)),
+                              diagonal_invariance(space, repeated, us, (0, 1)))
+
+    @pytest.mark.parametrize("bad", ["non-unitary", "nan-unitary", "one-2x2", "energies-length",
+                                     "energies-rows", "unequal-cutoffs"])
+    def test_rejects_what_it_takes_from_outside(self, bad):
+        space, energies = ppqnd_energies(-1e-3, 3, 3, 2)
+        us = np.array([lr_to_hv().matrix, np.eye(2)], dtype=complex)
+        if bad == "non-unitary":
+            us[1, 0, 0] = 1.1
+        elif bad == "nan-unitary":
+            us[1, 1, 1] = np.nan
+        elif bad == "one-2x2":
+            us = us[0]
+        elif bad == "energies-length":
+            energies = energies[:-1]
+        elif bad == "energies-rows":
+            energies = np.repeat(energies[None], 3, axis=0)
+        else:
+            space, energies = ppqnd_energies(-1e-3, 3, 2, 2)
+        with pytest.raises(ValueError):
+            diagonal_invariance(space, energies, us, (0, 1))
 
     def test_diagonal_hamiltonian_skips_the_dense_route(self, monkeypatch):
         # the route is decided from the matrix: a diagonal H never has the

@@ -93,10 +93,11 @@ from ppqnd.schemes import (
     _pp_chain_stack,
     _pp_components,
     _pp_table,
-    _ppqnd_energies,
     build_pp_block_matrix,
+    ppqnd_energies,
 )
-from ppqnd.secular import _char_poly, _estimates, _hermitian_eigvalsh, _point_arrays
+from ppqnd.secular import (_hermitian_eigvalsh, _point_arrays, char_poly_from_eigenvalues,
+                           estimate_stack)
 
 from linear_pp_oracle import linear_pp_sectors, linear_pp_table, padded
 
@@ -390,7 +391,7 @@ def per_point_dephasing(qubit, alpha, chi, t, sensitive):
     """The route dephasing_grid replaced: the joint state of the signal pair
     and the probe, its partial trace and the fidelity to the input qubit."""
     cutoff = default_cutoff(alpha)
-    space, energies = _ppqnd_energies(chi, 2, 2, cutoff, sensitive)
+    space, energies = ppqnd_energies(chi, 2, 2, cutoff, sensitive)
     pair = np.zeros((2, 2), dtype=complex)
     pair[1, 0], pair[0, 1] = qubit.c_l, qubit.c_r
     amps = pair[..., None] * coherent_state(cutoff, alpha).amplitudes
@@ -1078,7 +1079,7 @@ def test_stack_kernel_rows_equal_stacks_of_their_own(points, seed, count):
     draws = cli._draw_hierarchy_params(rng, count)
     occupations = rng.integers(1, 5, size=(count, 3))
     n_s, n_p = occupations[:, 0] + occupations[:, 1], occupations[:, 2]
-    estimates, coeffs, w = _estimates(points, draws, n_s, n_p)
+    estimates, coeffs, w = estimate_stack(points, draws, n_s, n_p)
     assert len(estimates) == len(points)
     assert coeffs.shape == w.shape == (len(points) + count, 5)
     for est, point in zip(estimates, points):
@@ -1086,7 +1087,7 @@ def test_stack_kernel_rows_equal_stacks_of_their_own(points, seed, count):
         assert bitwise_equal(est.exact_roots, alone.exact_roots)
         assert est == alone
     for k in range(count):
-        _, c, v = _estimates([], draws[k:k + 1], n_s[k:k + 1], n_p[k:k + 1])
+        _, c, v = estimate_stack([], draws[k:k + 1], n_s[k:k + 1], n_p[k:k + 1])
         assert bitwise_equal(coeffs[len(points) + k], c[0])
         assert bitwise_equal(w[len(points) + k], v[0])
 
@@ -1101,8 +1102,8 @@ def test_array_drawn_secular_oracle_equals_per_draw_loop(seed, count):
     draws = cli._draw_hierarchy_params(rng, count)
     occupations = rng.integers(1, 5, size=(count, 3))
     n_s, n_p = occupations[:, 0] + occupations[:, 1], occupations[:, 2]
-    _, closed, w = _estimates([], draws, n_s, n_p)
-    oracle = _char_poly(w)
+    _, closed, w = estimate_stack([], draws, n_s, n_p)
+    oracle = char_poly_from_eigenvalues(w)
     for row, occ, c, o in zip(draws.tolist(), occupations.tolist(), closed, oracle):
         params = SchemeParams(*row)
         assert bitwise_equal(c, secular_coefficients(params, *occ).as_tuple())
@@ -1136,6 +1137,6 @@ def hermitian_stacks(draw):
 @PROPERTY
 @given(hermitian_stacks())
 def test_stacked_char_poly_matches_np_poly_per_matrix(stack):
-    ours = _char_poly(_hermitian_eigvalsh(stack))
+    ours = char_poly_from_eigenvalues(_hermitian_eigvalsh(stack))
     for m, row in zip(stack, ours):
         assert bitwise_equal(row, -np.poly(np.linalg.eigvalsh(m))[1:])

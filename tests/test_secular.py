@@ -8,6 +8,7 @@ from ppqnd import (
     SchemeParams,
     build_pp_block_matrix,
     char_poly_coefficients,
+    char_poly_from_eigenvalues,
     chi_from_params,
     estimate_eigenvalues,
     lambda_large,
@@ -26,11 +27,13 @@ SPEC_POINT = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.1,
 def draw_params(rng, separated=True):
     """Hierarchy-respecting random parameters (ratios >= 10 per step).
 
-    separated=True keeps |Delta - delta| >= 0.1 max(Delta, delta): at
-    detuning collisions the quintic's clustered large roots are only
-    conditioned to ~1e-6 relative in double precision (the coefficient
-    representation loses them to cancellation), which says nothing about
-    the physics, so the generic-position draws carry the root-level checks.
+    separated=True keeps |Delta - delta| >= 0.1 max(Delta, delta).  The
+    caveat is the coefficient route's (quintic_roots): at detuning
+    collisions the quintic's clustered large roots are only conditioned to
+    ~1e-6 relative from the rounded coefficients, which lose them to
+    cancellation, so root-level checks on that route draw separated.  The
+    block route (estimate_eigenvalues) solves the chains themselves and
+    has no such caveat: its root-level checks draw with separated=False.
     """
     while True:
         omega = rng.uniform(10, 100)
@@ -165,6 +168,8 @@ class TestCharPolyOracle:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             char_poly_coefficients(np.eye(4))
+        with pytest.raises(ValueError, match="eigenvalues"):
+            char_poly_from_eigenvalues(np.zeros((2, 4)))
 
     def test_matches_closed_forms_over_many_draws(self):
         rng = np.random.default_rng(2)
@@ -297,7 +302,7 @@ class TestQuinticRoots:
     def test_estimate_sign_matches_exact_root_for_positive_detunings(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
-            params = draw_params(rng)
+            params = draw_params(rng, separated=False)
             occ = [int(v) for v in rng.integers(1, 5, 3)]
             est = estimate_eigenvalues(params, *occ)
             exact = min(est.exact_roots, key=abs)
