@@ -53,12 +53,9 @@ __all__ = [
     "lambda_small_closed_form",
     "lambda_large",
     "quintic_roots",
-    "middle_quartic_roots",
     "estimate_eigenvalues",
     "estimate_stack",
     "regime_scan",
-    "ScanSummary",
-    "summarize_regime_scan",
     "scan_to_csv_rows",
 ]
 
@@ -223,14 +220,10 @@ def quintic_roots(coeffs: SecularCoefficients) -> np.ndarray:
     roots = np.sort(z.real)
     dpoly = np.polyder(poly)
     gap = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(5, np.inf))
-    bound = 10 * np.finfo(float).eps * np.polyval(np.abs(poly), np.abs(roots))
-    simple = bound < 0.5 * gap.min(axis=1) * np.abs(np.polyval(dpoly, roots))
-    for _ in range(_NEWTON_STEPS):
-        slope = np.polyval(dpoly, roots)
-        roots = roots - np.divide(np.polyval(poly, roots), slope, out=np.zeros(5),
-                                  where=simple & (slope != 0))
-    roots = np.sort(roots)
-    p_val = np.abs(np.polyval(poly, roots))
+    bound = 10 * np.finfo(float).eps * _horner(np.abs(poly), np.abs(roots))
+    simple = bound < 0.5 * gap.min(axis=1) * np.abs(_horner(dpoly, roots))
+    roots = np.sort(_newton(poly, dpoly, roots, simple))
+    p_val = np.abs(_horner(poly, roots))
     scale = np.max(np.abs(poly)) * np.maximum(1.0, np.abs(roots)) ** 5
     too_large = np.flatnonzero(p_val > _RESIDUAL_TOL * scale)
     if too_large.size:
@@ -238,21 +231,6 @@ def quintic_roots(coeffs: SecularCoefficients) -> np.ndarray:
         raise ValueError(f"root residual |p({roots[k]:g})| = {p_val[k]:g} "
                          f"exceeds {_RESIDUAL_TOL:g} * scale")
     return roots
-
-
-def middle_quartic_roots(coeffs: SecularCoefficients) -> np.ndarray:
-    """Roots of a l^4 + b l^3 + c l^2 + d l = 0, sorted ascending.
-
-    Diagnostic for the intermediate eigenvalues: the quartic factors as
-    l * (a l^3 + b l^2 + c l + d), so one root is always 0 and the cubic
-    holds the candidates for the middle of the spectrum.  All four are
-    returned; which three form "the middle set" is ambiguous because the
-    smallest-eigenvalue candidate is among them too.
-    """
-    if coeffs.a == 0:
-        raise ValueError("a = 0: quartic diagnostic undefined")
-    cubic = np.roots([coeffs.a, coeffs.b, coeffs.c, coeffs.d])
-    return np.sort(np.concatenate([[0.0], cubic.real]))
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -265,6 +243,17 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     for k in range(1, coeffs.shape[-1]):
         y = y * z + coeffs[..., k:k + 1]
     return y
+
+
+def _newton(poly: np.ndarray, dpoly: np.ndarray, z: np.ndarray, refine: np.ndarray
+            ) -> np.ndarray:
+    """_NEWTON_STEPS Newton steps on the polynomials poly (derivatives dpoly)
+    from z, taken only where refine holds and the slope is nonzero."""
+    for _ in range(_NEWTON_STEPS):
+        slope = _horner(dpoly, z)
+        z = z - np.divide(_horner(poly, z), slope, out=np.zeros_like(z),
+                          where=refine & (slope != 0))
+    return z
 
 
 def _block_roots(w: np.ndarray, coeffs: np.ndarray, delta: np.ndarray,
@@ -284,11 +273,7 @@ def _block_roots(w: np.ndarray, coeffs: np.ndarray, delta: np.ndarray,
     dpoly = poly[:, :-1] * np.arange(5, 0, -1)
     norm = np.max(np.abs(w), axis=1, keepdims=True)
     refine = _horner(np.abs(poly), np.abs(w)) < np.abs(_horner(dpoly, w)) * norm
-    lam = w
-    for _ in range(_NEWTON_STEPS):
-        slope = _horner(dpoly, lam)
-        lam = lam - np.divide(_horner(poly, lam), slope, out=np.zeros_like(lam),
-                              where=refine & (slope != 0))
+    lam = _newton(poly, dpoly, w, refine)
     zero = np.flatnonzero(singular)
     lam[zero, np.argmin(np.abs(lam[zero]), axis=1)] = 0.0
     return np.sort(np.concatenate([lam, delta[:, None]], axis=1), axis=1)
@@ -343,10 +328,23 @@ def estimate_stack(points: Sequence[tuple[SchemeParams, int, int, int]], rows: n
     rows ((k, 5) in SchemeParams field order, with n_s = n_sL + n_sR and
     n_p).  A row's block eigenvalues are its even chain's and delta, sorted.
     One stack and one eigvalsh serve them all, each row as from a stack of
-    its own; only the points' roots are Newton-polished.  A row that
-    overflows raises ValueError."""
+    its own; only the points' roots are Newton-polished.  ValueError refuses
+    extra rows without one n_s and one n_p each, names the first whose n_s
+    or n_p is not a nonnegative integer (before any square root is taken),
+    and the first row that overflows."""
     params, ns, nps = _point_arrays(points)
     if len(rows):
+        k = len(rows)
+        if np.shape(rows) != (k, 5) or not np.shape(n_s) == np.shape(n_p) == (k,):
+            raise ValueError(f"extra rows: expected (k, 5) rows with k n_s and k n_p, got shapes "
+                             f"{np.shape(rows)}, {np.shape(n_s)} and {np.shape(n_p)}")
+        counts = np.array([n_s, n_p], dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(counts) & (counts >= 0)
+                               & (np.floor(counts) == counts)).all(0))
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"extra row {j}: n_s = {n_s[j]} and n_p = {n_p[j]} "
+                             "must be integers >= 0")
         params, ns, nps = (np.concatenate(pair) for pair in
                            ((params, rows), (ns, n_s), (nps, n_p)))
     coeffs = _coefficient_stack(params, ns, nps)
@@ -409,36 +407,6 @@ def regime_scan(points: Iterable[tuple[SchemeParams, int, int, int]]) -> list[Sc
     if not points:
         raise ValueError("regime_scan needs a nonempty grid")
     return [ScanRow(*point, est) for point, est in zip(points, estimate_stack(points)[0])]
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    """Estimate quality bucketed by hierarchy ratio.
-
-    ratios holds the distinct min-hierarchy-ratios found in the scan,
-    ascending; max_rel_err_small / max_rel_err_large the worst estimate
-    error within each bucket.  improves_monotonically records whether the
-    lambda_s error is nonincreasing as the hierarchy deepens (up to a 10%
-    slack for noise-floor flatness).
-    """
-
-    ratios: tuple[float, ...]
-    max_rel_err_small: tuple[float, ...]
-    max_rel_err_large: tuple[float, ...]
-    improves_monotonically: bool
-
-
-def summarize_regime_scan(rows: Sequence[ScanRow]) -> ScanSummary:
-    """Group scan rows by min hierarchy ratio and track error improvement."""
-    buckets: dict[float, list[ScanRow]] = {}
-    for row in rows:
-        key = round(min(row.params.hierarchy_ratios()), 6)
-        buckets.setdefault(key, []).append(row)
-    ratios = tuple(sorted(buckets))
-    err_s = tuple(max(r.estimate.rel_err_small for r in buckets[k]) for k in ratios)
-    err_l = tuple(max(r.estimate.rel_err_large for r in buckets[k]) for k in ratios)
-    monotone = all(b <= a * 1.1 for a, b in zip(err_s, err_s[1:]))
-    return ScanSummary(ratios, err_s, err_l, monotone)
 
 
 _CSV_HEADER = (

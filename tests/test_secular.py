@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,10 @@ from ppqnd import (
     char_poly_from_eigenvalues,
     chi_from_params,
     estimate_eigenvalues,
+    estimate_stack,
     lambda_large,
     lambda_small,
     lambda_small_closed_form,
-    middle_quartic_roots,
     quintic_roots,
     regime_scan,
     scan_to_csv_rows,
@@ -316,28 +317,6 @@ class TestQuinticRoots:
             quintic_roots(bad)
 
 
-class TestMiddleQuarticDiagnostic:
-    def test_matches_middle_roots_where_truncation_holds(self):
-        # dropping the quintic term needs |root| << a, i.e. delta << Delta;
-        # there the nonzero quartic roots land on the exact middle roots
-        params = SchemeParams(1e6, 1e3, 1e2, 1.0, 10.0)
-        roots4 = middle_quartic_roots(secular_coefficients(params, 1, 1, 1))
-        assert len(roots4) == 4
-        # the factored-out zero is the crude stand-in for the smallest root
-        assert np.min(np.abs(roots4)) < 1e-12
-        exact = np.asarray(estimate_eigenvalues(params, 1, 1, 1).exact_roots)
-        for r in roots4[np.abs(roots4) > 1e-12]:
-            assert np.min(np.abs(exact - r) / max(abs(r), 1e-300)) < 0.1
-
-    def test_reports_all_four_candidates_at_equal_detunings(self):
-        # at Delta = delta the middle roots sit at |root| ~ a/3 and the
-        # quartic truncation visibly misplaces them; the diagnostic still
-        # reports all four candidates rather than picking three
-        roots4 = middle_quartic_roots(secular_coefficients(SPEC_POINT, 1, 1, 1))
-        assert len(roots4) == 4
-        assert np.min(np.abs(roots4)) < 1e-12
-
-
 class TestRegimeScan:
     @staticmethod
     def uniform_ratio_point(r):
@@ -374,11 +353,25 @@ class TestRegimeScan:
         assert float(table[1][8]) == rows[0].estimate.lambda_small
 
 
-    def test_summary_buckets_and_monotone_improvement(self):
-        from ppqnd import summarize_regime_scan
-        rows = regime_scan([(self.uniform_ratio_point(r), 1, 1, 1)
-                            for r in (10, 20, 40, 80) for _ in range(2)])
-        summary = summarize_regime_scan(rows)
-        assert summary.ratios == (10.0, 20.0, 40.0, 80.0)
-        assert len(summary.max_rel_err_small) == 4
-        assert summary.improves_monotonically
+class TestEstimateStack:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_s, n_p", [([2, -1], [1, 1]), ([2, 1.5], [1, 1]),
+                                          ([2, 2], [1, -3])])
+    def test_rejects_extra_rows_without_nonnegative_integer_counts(self, n_s, n_p):
+        # refused by name before any square root, not reported as an overflow
+        rows = [astuple(SPEC_POINT)] * 2
+        with pytest.raises(ValueError, match="extra row 1: .* must be integers >= 0"):
+            estimate_stack([], rows, n_s, n_p)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_extra_rows_without_one_count_each(self, count):
+        # numpy would otherwise broadcast one n_s over every row
+        rows = [astuple(SPEC_POINT)] * 2
+        with pytest.raises(ValueError, match="extra rows: expected"):
+            estimate_stack([], rows, [1] * count, [1] * count)
+
+    def test_integral_float_counts_equal_integer_counts(self):
+        rows = [astuple(SPEC_POINT)]
+        _, c_int, w_int = estimate_stack([], rows, [2], [1])
+        _, c_float, w_float = estimate_stack([], rows, [2.0], [1.0])
+        assert np.array_equal(c_int, c_float) and np.array_equal(w_int, w_float)
