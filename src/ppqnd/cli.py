@@ -42,7 +42,6 @@ from .polarization import PolarizationQubit, diagonal_invariance, lr_to_hv
 from .qnd import (
     EVOLUTION_SIGN,
     QUADRATURE_CONVENTION,
-    _dark_root,
     _full_vs_effective,
     backaction_product,
     dephasing_grid,
@@ -50,7 +49,7 @@ from .qnd import (
     evolve_qnd,
 )
 from .schemes import SchemeParams, ppqnd_energies
-from .secular import char_poly_from_eigenvalues, estimate_stack
+from .secular import char_poly_from_eigenvalues, estimate_eigenvalues, estimate_stack
 
 
 class ConfigError(ValueError):
@@ -247,7 +246,6 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
     lam_tol = 0.05
     rng = np.random.default_rng(config.seed)
 
-    names = ("a", "b", "c", "d", "e")
     rows = [("coefficient", "closed_form", "char_poly", "rel_err")]
     point_ok = True
     draws = _draw_hierarchy_params(rng, config.draws)
@@ -258,18 +256,16 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
                                    occupations[:, 0] + occupations[:, 1], occupations[:, 2])
     oc = char_poly_from_eigenvalues(w)
     closed = cf[0].tolist()
+    rel = np.abs(cf - oc) / np.maximum(np.maximum(np.abs(cf), np.abs(oc)), 1e-300)
     # elsewhere e = 0 and the oracle's e is rounding noise: no point check
     if config.n_sl + config.n_sr >= 1 and config.n_p >= 1:
-        for name, x, y in zip(names, closed, oc[0].tolist()):
-            rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
-            point_ok &= rel <= tol
-            rows.append((name, repr(x), repr(y), repr(rel)))
-
-    rel = np.abs(cf - oc) / np.maximum(np.maximum(np.abs(cf), np.abs(oc)), 1e-300)
+        for name, x, y, r in zip("abcde", closed, oc[0].tolist(), rel[0].tolist()):
+            point_ok &= r <= tol
+            rows.append((name, repr(x), repr(y), repr(r)))
     max_rel = float(rel[1:].max()) if config.draws else 0.0
 
     results = {
-        "coefficients_closed_form": dict(zip(names, closed)),
+        "coefficients_closed_form": dict(zip("abcde", closed)),
         "max_rel_err_over_draws": max_rel,
         "draws": config.draws,
         "lambda_small": est.lambda_small,
@@ -385,7 +381,7 @@ def cmd_fullmodel(config: ExperimentConfig, tol: float) -> tuple[dict, list, boo
 
     rows = [("qubit_index", "measured_phase", "predicted_phase_secular",
              "rel_err_secular", "rel_err_kerr", "atomic_leakage")]
-    lam = _dark_root(params, config.n_p)  # one solve for the time and every qubit
+    lam = estimate_eigenvalues(params, 1, 0, config.n_p).exact_small  # for t and every qubit
     if config.time is not None:
         t = config.time
     else:

@@ -471,8 +471,8 @@ class FullVsEffectiveResult:
     For a Fock probe it is arg<psi(0)|psi(t)>; for a coherent probe the
     rotation of arg<a_p>.
 
-    predicted_phase_secular uses the smallest-|.| root of the secular
-    quintic as estimate_eigenvalues gives it, the scheme's own
+    predicted_phase_secular is -lambda t with lambda the dark root
+    estimate_eigenvalues(params, 1, 0, n_p).exact_small, the scheme's own
     perturbed-dark-state eigenvalue; this is the prediction the full model
     tracks.  predicted_phase_kerr uses the N-scheme coefficient chi = -xi_s^2 xi_p^2 / (Delta Omega_d^2) times
     (n_sL + n_sR) n_p; the five-level scheme accumulates half of it
@@ -524,17 +524,12 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
     return _full_vs_effective(params, pol_state, t, n_p, alpha_p, cutoff_p, None)
 
 
-def _dark_root(params: SchemeParams, n_p: int) -> float:
-    """The secular root of smallest magnitude with one signal and n_p probe photons."""
-    roots = np.asarray(estimate_eigenvalues(params, 1, 0, n_p).exact_roots)
-    return float(roots[np.argmin(np.abs(roots))])
-
-
 def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: float,
                        n_p: int | None, alpha_p: complex | None, cutoff_p: int | None,
                        dark_root: float | None) -> FullVsEffectiveResult:
-    """full_vs_effective with its dark root given, _dark_root(params, n_p)
-    (n_p = 1 for a coherent probe), or None to solve for it here."""
+    """full_vs_effective with its dark root given, the exact_small of
+    estimate_eigenvalues(params, 1, 0, n_p) (n_p = 1 for a coherent probe),
+    or None to solve for it here."""
     if (n_p is None) == (alpha_p is None):
         raise ValueError("give exactly one of n_p or alpha_p")
 
@@ -571,8 +566,9 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         measured = _wrap_angle(cmath.phase(mean_a) - cmath.phase(alpha_p))
         input_overlap = abs(psi_t.overlap(psi0)) ** 2
 
-    lam = _dark_root(params, n_p_eff) if dark_root is None else dark_root
-    predicted_secular = -lam * t
+    if dark_root is None:
+        dark_root = estimate_eigenvalues(params, 1, 0, n_p_eff).exact_small
+    predicted_secular = -dark_root * t
     predicted_kerr = -chi_from_params(params) * 1 * n_p_eff * t
 
     by_level = psi_t.amplitudes.reshape(space.atom_dim, -1)

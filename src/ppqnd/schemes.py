@@ -27,7 +27,8 @@ exact for H photons, and the diagonal effective (QND) Hamiltonians.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+import numbers
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -69,6 +70,7 @@ class SchemeParams:
     omega_d field and one xi_s field.  Phases of the Rabi amplitudes are
     fixed to zero; every derived formula depends on |Omega_d|^2 and
     |xi|^2 only, so a complex-phase hook would change nothing measurable.
+    Fields are stored as Python floats; a bool or non-number is a TypeError.
     """
 
     delta_probe: float  # Delta, probe detuning
@@ -78,9 +80,13 @@ class SchemeParams:
     xi_p: float         # per-photon probe coupling, >= 0
 
     def __post_init__(self):
-        for name in ("omega_d", "xi_s", "xi_p"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{field.name} must be a real number, got {value!r}")
+            if field.name in ("omega_d", "xi_s", "xi_p") and value < 0:
+                raise ValueError(f"{field.name} must be nonnegative, got {value}")
+            object.__setattr__(self, field.name, float(value))
 
     def hierarchy_ratios(self) -> tuple[float, float, float]:
         """(min(|Delta|,|delta|)/Omega_d, Omega_d/xi_p, xi_p/xi_s).

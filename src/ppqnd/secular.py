@@ -28,7 +28,9 @@ conditioned.  One kernel, estimate_stack, builds and solves every stack of
 chains: the points of estimate_eigenvalues and regime_scan, and the CLI's
 point with its array-drawn parameter sets, whose block eigenvalues
 char_poly_from_eigenvalues turns into the char-poly oracle.  quintic_roots
-is a coefficient-level utility for coefficients without a block.
+is a coefficient-level utility for coefficients without a block.  The dark
+root is picked here only, as EigenEstimate.exact_small: the regime-scan CSV
+writes it, and full_vs_effective and the CLI's fullmodel predict from it.
 """
 
 from __future__ import annotations
@@ -93,17 +95,24 @@ def _coefficient_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> 
     return np.stack([a, b, c, d, e], axis=1)
 
 
+def _bad_counts(counts: np.ndarray) -> np.ndarray:
+    """Indices of the columns of the (k, B) photon numbers that hold one other
+    than a nonnegative integer (integral floats pass)."""
+    c = np.asarray(counts, dtype=float)
+    return np.flatnonzero(~(np.isfinite(c) & (c >= 0) & (np.floor(c) == c)).all(0))
+
+
 def _point_arrays(points: Sequence[tuple[SchemeParams, int, int, int]]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, 5) parameter rows, n_s and n_p of (params, n_sL, n_sR, n_p) points."""
-    for _, n_sl, n_sr, n_p in points:
-        if n_sl < 0 or n_sr < 0 or n_p < 0:
-            raise ValueError("photon numbers must be >= 0")
+    """(B, 5) parameter rows, n_s and n_p of (params, n_sL, n_sR, n_p) points;
+    ValueError names the first point whose photon numbers are not integers >= 0."""
+    counts = np.array([point[1:] for point in points], dtype=float).reshape(-1, 3)
+    bad = _bad_counts(counts.T)
+    if bad.size:
+        raise ValueError(f"secular point {points[bad[0]]}: photon numbers must be integers >= 0")
     rows = np.array([(p.delta_probe, p.delta_two, p.omega_d, p.xi_s, p.xi_p)
                      for p, *_ in points], dtype=float).reshape(-1, 5)
-    n_s = np.array([n_sl + n_sr for _, n_sl, n_sr, _ in points])
-    n_p = np.array([n_p for *_, n_p in points])
-    return rows, n_s, n_p
+    return rows, counts[:, 0] + counts[:, 1], counts[:, 2]
 
 
 def secular_coefficients(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
@@ -287,16 +296,19 @@ def _rel_err(approx: float, exact: float) -> float:
 class EigenEstimate:
     """Perturbative estimates against the exact quintic roots.
 
-    lambda_small matches the exact root of smallest magnitude (ties broken
-    toward matching sign), lambda_large the largest root.  The reduced
-    closed form is carried as a diagnostic; trace_dominated records whether
-    the largest root actually carries the trace, outside of which the
-    lambda_large estimate is not meaningful.
+    exact_small, the package's one pick of the dark root, is the root of
+    least magnitude; of roots within a relative 1e-12 of it, the first
+    (ascending) with the sign of -e/d, else the first.  lambda_small and the
+    reduced closed form (a diagnostic) are measured against it, lambda_large
+    against the largest root; trace_dominated records whether that root
+    actually carries the trace, outside of which lambda_large is not
+    meaningful.
     """
 
     lambda_small: float
     lambda_large: float
     exact_roots: tuple[float, float, float, float, float]
+    exact_small: float
     rel_err_small: float
     rel_err_large: float
     lambda_small_reduced: float
@@ -306,12 +318,9 @@ class EigenEstimate:
 
 def _smallest_by_magnitude(roots: np.ndarray, sign_hint: float) -> float:
     mags = np.abs(roots)
-    candidates = np.flatnonzero(mags <= mags.min() * (1 + 1e-12))
-    if len(candidates) > 1 and sign_hint != 0:
-        for k in candidates:
-            if np.sign(roots[k]) == np.sign(sign_hint):
-                return float(roots[k])
-    return float(roots[candidates[0]])
+    ties = roots[mags <= mags.min() * (1 + 1e-12)]
+    signed = ties[np.sign(ties) == np.sign(sign_hint)]
+    return float(signed[0] if len(signed) else ties[0])
 
 
 def estimate_eigenvalues(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
@@ -338,9 +347,7 @@ def estimate_stack(points: Sequence[tuple[SchemeParams, int, int, int]], rows: n
         if np.shape(rows) != (k, 5) or not np.shape(n_s) == np.shape(n_p) == (k,):
             raise ValueError(f"extra rows: expected (k, 5) rows with k n_s and k n_p, got shapes "
                              f"{np.shape(rows)}, {np.shape(n_s)} and {np.shape(n_p)}")
-        counts = np.array([n_s, n_p], dtype=float)
-        bad = np.flatnonzero(~(np.isfinite(counts) & (counts >= 0)
-                               & (np.floor(counts) == counts)).all(0))
+        bad = _bad_counts([n_s, n_p])
         if bad.size:
             j = bad[0]
             raise ValueError(f"extra row {j}: n_s = {n_s[j]} and n_p = {n_p[j]} "
@@ -376,15 +383,10 @@ def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int,
         reduced = math.nan  # undefined at Delta = 0 or Omega_d = 0, or where it overflows
     dominated = abs(exact_large) >= 0.9 * abs(coeffs.a) if coeffs.a != 0 else False
     return EigenEstimate(
-        lambda_small=lam_s,
-        lambda_large=lam_l,
-        exact_roots=tuple(float(r) for r in roots),
-        rel_err_small=_rel_err(lam_s, exact_small),
-        rel_err_large=_rel_err(lam_l, exact_large),
-        lambda_small_reduced=reduced,
-        rel_err_small_reduced=_rel_err(reduced, exact_small),
-        trace_dominated=bool(dominated),
-    )
+        lambda_small=lam_s, lambda_large=lam_l, exact_roots=tuple(float(r) for r in roots),
+        exact_small=exact_small, rel_err_small=_rel_err(lam_s, exact_small),
+        rel_err_large=_rel_err(lam_l, exact_large), lambda_small_reduced=reduced,
+        rel_err_small_reduced=_rel_err(reduced, exact_small), trace_dominated=bool(dominated))
 
 
 @dataclass(frozen=True)
@@ -421,11 +423,10 @@ def scan_to_csv_rows(rows: Sequence[ScanRow]) -> list[tuple[str, ...]]:
     out = [_CSV_HEADER]
     for row in rows:
         est = row.estimate
-        exact_small = _smallest_by_magnitude(np.array(est.exact_roots), est.lambda_small)
         cells = (
             row.params.delta_probe, row.params.delta_two, row.params.omega_d,
             row.params.xi_s, row.params.xi_p, row.n_sl, row.n_sr, row.n_p,
-            est.lambda_small, exact_small, est.rel_err_small,
+            est.lambda_small, est.exact_small, est.rel_err_small,
             est.lambda_large, est.exact_roots[-1], est.rel_err_large,
         )
         out.append(tuple(repr(c) for c in cells))

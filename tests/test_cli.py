@@ -492,11 +492,12 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# fullmodel's one dark root serves its target time and every qubit through
-# these two.  Public forms would need a dark_root option (a value the inputs
-# determine), a cache, or a full_vs_effective grid over qubits that no
-# benchmark op exercises yet (every fullmodel op there has one qubit).
-CLI_PRIVATE_IMPORTS = {("qnd", "_dark_root"), ("qnd", "_full_vs_effective")}
+# fullmodel's one dark root (estimate_eigenvalues(...).exact_small) serves
+# its target time and every qubit through this one.  A public form would
+# need a dark_root option (a value the inputs determine), a cache, or a
+# full_vs_effective grid over qubits that no benchmark op exercises yet
+# (every fullmodel op there has one qubit).
+CLI_PRIVATE_IMPORTS = {("qnd", "_full_vs_effective")}
 
 
 def test_cli_imports_only_public_library_names():
@@ -786,6 +787,9 @@ class TestRecords:
         if len(record["rows"]) > 1:
             oracle = char_poly_from_eigenvalues(estimate_stack([point])[2])[0]
             assert [float(row[2]) for row in record["rows"][1:]] == oracle.tolist()
+            # each point error is the scalar relative difference, bit for bit
+            for row, x, y in zip(record["rows"][1:], closed, oracle.tolist()):
+                assert row[3] == repr(abs(x - y) / max(abs(x), abs(y), 1e-300))
 
     def test_zero_signal_coupling_secular_row(self, capsys, tmp_path):
         path = write_config(tmp_path, "dark.json", {

@@ -25,8 +25,10 @@ block are checked against 50-digit mpmath eigenvalues and regime_scan
 against estimate_eigenvalues point by point; the coefficient-level
 quintic_roots against the same kind of oracle next to a fixed 60-step
 Aberth loop; the secular stack kernel's rows against stacks of their own;
-the array-drawn secular oracle against a per-draw loop; and the stacked
-characteristic polynomial against np.poly per matrix.
+the array-drawn secular oracle against a per-draw loop; the one dark-root
+pick (EigenEstimate.exact_small) against its errors, the CSV cell and
+full_vs_effective's prediction, also at Delta = +-0 and a +-lambda tie; and
+the stacked characteristic polynomial against np.poly per matrix.
 Examples are derandomized so the suite stays deterministic.
 """
 
@@ -73,6 +75,7 @@ from ppqnd import (
     pp_mirror_permutation,
     quintic_roots,
     regime_scan,
+    scan_to_csv_rows,
     secular_coefficients,
 )
 from ppqnd import cli
@@ -1090,6 +1093,59 @@ def test_stack_kernel_rows_equal_stacks_of_their_own(points, seed, count):
         _, c, v = estimate_stack([], draws[k:k + 1], n_s[k:k + 1], n_p[k:k + 1])
         assert bitwise_equal(coeffs[len(points) + k], c[0])
         assert bitwise_equal(w[len(points) + k], v[0])
+
+
+TIE_POINT = SchemeParams(0.0, 124.0, 0.16, 7500.0, 0.005)  # its two least roots are +-lambda
+
+
+def at_probe_detuning(value):
+    return lambda point: (dataclasses.replace(point[0], delta_probe=value), *point[1:])
+
+
+# secular_points, the same at Delta = +0 and -0, and the +-lambda tie point
+dark_root_points = st.one_of(secular_points(), secular_points().map(at_probe_detuning(0.0)),
+                             secular_points().map(at_probe_detuning(-0.0)),
+                             st.just((TIE_POINT, 1, 0, 1)))
+
+
+@PROPERTY
+@given(st.lists(dark_root_points, min_size=1, max_size=6))
+def test_exact_small_is_the_root_every_consumer_reads(points):
+    # one pick of the dark root: the errors are measured against it and
+    # the CSV writes it, bit for bit
+    rows = regime_scan(points)
+    table = scan_to_csv_rows(rows)
+    assert table[0][9] == "lambda_s_exact"
+    for row, cells in zip(rows, table[1:]):
+        est = row.estimate
+        roots = np.array(est.exact_roots)
+        assert np.any(roots.view(np.int64) == np.float64(est.exact_small).view(np.int64))
+        assert abs(est.exact_small) <= np.abs(roots).min() * (1 + 1e-12)
+        floor = max(abs(est.exact_small), 1e-300)
+        assert est.rel_err_small == abs(est.lambda_small - est.exact_small) / floor
+        assert bitwise_equal(est.rel_err_small_reduced,
+                             abs(est.lambda_small_reduced - est.exact_small) / floor)
+        assert cells[9] == repr(est.exact_small)
+
+
+@pytest.mark.parametrize("qubit", [PolarizationQubit.horizontal(), PolarizationQubit.vertical(),
+                                   PolarizationQubit.left(), PolarizationQubit(0.6, 0.8j)])
+@pytest.mark.parametrize("probe", [{"n_p": 1}, {"n_p": 3}, {"alpha_p": 0.5 + 0.2j},
+                                   {"alpha_p": 2.0}])
+@settings(derandomize=True, max_examples=9, deadline=None)
+@given(pp_params(), st.sampled_from([None, 0.0, -0.0]), st.floats(0.01, 3.0))
+def test_full_vs_effective_predicts_with_exact_small(qubit, probe, params, delta_probe, phase):
+    # a coherent probe is read per probe photon, at n_p = 1; at Delta = +-0
+    # there is no Kerr coefficient and no result
+    n_p = probe.get("n_p", 1)
+    t = phase_target_time(params, n_p, phase)
+    if delta_probe is not None:
+        params = dataclasses.replace(params, delta_probe=delta_probe)
+        with pytest.raises(ValueError, match="not finite"):
+            full_vs_effective(params, qubit, t, **probe)
+        return
+    res = full_vs_effective(params, qubit, t, **probe)
+    assert res.predicted_phase_secular == -estimate_eigenvalues(params, 1, 0, n_p).exact_small * t
 
 
 @PROPERTY

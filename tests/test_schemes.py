@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from ppqnd import (
     pp_mirror_permutation,
     ppqnd_hamiltonian,
     qnd_hamiltonian,
+    regime_scan,
+    scan_to_csv_rows,
     secular_coefficients,
 )
 from ppqnd.fock import _jacobi_eigh_longdouble
@@ -51,6 +54,24 @@ class TestSchemeParams:
     def test_zero_coupling_ratios_are_inf(self):
         p = SchemeParams(1.0, 1.0, 1.0, 0.0, 0.5)
         assert p.hierarchy_ratios()[2] == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_fields_are_stored_as_python_floats(self):
+        # numpy-scalar fields would reach the CSV as np.float64(...) cells and
+        # meet Delta = 0 with a numpy RuntimeWarning instead of a clean refusal
+        p = SchemeParams(*np.array([3e3, 5e3, 30.0, 0.03, 1.0]))
+        assert [type(v) for v in astuple(p)] == [float] * 5
+        assert p == SchemeParams(3e3, 5e3, 30.0, 0.03, 1.0)
+        assert type(SchemeParams(1, 2, 3, 4, np.int64(5)).xi_p) is float
+        cells = scan_to_csv_rows(regime_scan([(p, 1, 0, 1)]))[1]
+        assert cells[:5] == ("3000.0", "5000.0", "30.0", "0.03", "1.0")
+        with pytest.raises(ValueError, match="not finite"):
+            chi_from_params(SchemeParams(*np.array([0.0, 5e3, 30.0, 0.03, 1.0])))
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1.0", None, 1j])
+    def test_non_real_fields_rejected(self, value):
+        with pytest.raises(TypeError, match="delta_two must be a real number"):
+            SchemeParams(1.0, value, 1.0, 0.1, 0.5)
 
 
 class TestLambdaScheme:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from ppqnd import (
 )
 
 SPEC_POINT = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.1, xi_p=1.0)
+TIE_POINT = SchemeParams(0.0, 124.0, 0.16, 7500.0, 0.005)  # its two least roots are +-lambda
 
 
 def draw_params(rng, separated=True):
@@ -375,3 +377,38 @@ class TestEstimateStack:
         _, c_int, w_int = estimate_stack([], rows, [2], [1])
         _, c_float, w_float = estimate_stack([], rows, [2.0], [1.0])
         assert np.array_equal(c_int, c_float) and np.array_equal(w_int, w_float)
+
+
+class TestDarkRoot:
+    def test_tie_goes_to_the_sign_of_minus_e_over_d(self):
+        # at Delta = 0 the chain's two least roots are +-lambda; -e/d > 0
+        # picks +lambda, and the CSV writes that pick
+        est = estimate_eigenvalues(TIE_POINT, 1, 0, 1)
+        assert est.exact_roots[1] == -est.exact_roots[2] and est.lambda_small > 0
+        assert est.exact_small == est.exact_roots[2] == 0.0049999999977244445
+        row = scan_to_csv_rows(regime_scan([(TIE_POINT, 1, 0, 1)]))[1]
+        assert row[9] == "0.0049999999977244445"
+
+
+class TestPhotonNumbers:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("counts", [(1.5, 0, 1), (0, 0.5, 1), (1, 0, 2.5), (-1, 0, 1),
+                                        (1, 0, -1), (math.nan, 0, 1), (1, 0, math.inf)])
+    def test_points_refuse_other_than_nonnegative_integer_counts(self, counts):
+        # one check for points and extra rows, naming the point before any
+        # square root is taken
+        point = (SPEC_POINT, *counts)
+        message = re.escape(f"secular point {point}: photon numbers must be integers >= 0")
+        for call, args in ((secular_coefficients, point), (estimate_eigenvalues, point),
+                           (regime_scan, [[(SPEC_POINT, 1, 0, 1), point]]),
+                           (estimate_stack, [[point]])):
+            with pytest.raises(ValueError, match=message):
+                call(*args)
+
+    def test_integral_float_counts_equal_integer_counts(self):
+        for counts in ((2, 1, 3), (0, 0, 0), (1, 0, 0)):
+            floats = [float(n) for n in counts]
+            assert (repr(secular_coefficients(SPEC_POINT, *floats))
+                    == repr(secular_coefficients(SPEC_POINT, *counts)))
+            assert (repr(estimate_eigenvalues(SPEC_POINT, *floats))
+                    == repr(estimate_eigenvalues(SPEC_POINT, *counts)))
