@@ -57,6 +57,7 @@ _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
 _POS_TOL = 1e-10
 _JACOBI_SWEEPS = 60  # a cap only: each matrix stops once converged or stagnated
+_TWO_PI = 2 * np.arccos(np.longdouble(-1))  # 2 pi in longdouble, for the phase reduction
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -510,9 +511,19 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     visits every pair (p, q) once, in round-robin order: the disjoint pairs
     of a round rotate at once, a pair that need not turn with c = 1, s = 0.
     A round rotates the rows of [a | v^T], so a's rows and v's columns in
-    one step, then a's columns.  Each matrix stops rotating once it has
-    converged or stagnated at its noise floor.  Returns eigenvalues
-    ascending and eigenvectors as columns, batched like the input.
+    one step, then a's columns.
+
+    Stopping rule.  Each sweep starts from every matrix's off-diagonal
+    norm; a matrix whose norm did not fall below the last sweep's stops
+    turning: it stagnated at its noise floor, or it turned nothing and kept
+    its norm.  A round's test reads entries that only a rotation changes,
+    so a round already tested without a turn since the stack's last
+    rotation is not tested again: once every round has been (the rounds
+    after the last rotation of one sweep and those up to it in the next),
+    nothing can turn, and the call ends without the rest of that sweep or
+    a further norm.  The rotations are those of a run that tests every
+    round of every sweep, bit for bit.  Returns eigenvalues ascending and
+    eigenvectors as columns, batched like the input.
     """
     _require_extended_precision()
     matrix = np.asarray(matrix)
@@ -529,53 +540,63 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     a_diag, a_cols = np.diagonal(a, axis1=1, axis2=2), a.swapaxes(1, 2)
     eps = np.finfo(np.longdouble).eps
     live = np.ones(batch, dtype=bool)
+    live_col = live[:, None]  # a view: follows the in-place updates of live
     prev_off = np.full(batch, np.inf, dtype=np.longdouble)
+    rounds = _round_robin(n)
+    quiet = 0  # rounds tested without a turn since the stack's last rotation
     for _ in range(_JACOBI_SWEEPS):
         squares = a * a
         squares[:, diag, diag] = 0
-        off = np.sqrt(np.sum(squares, axis=(1, 2)))
-        live &= off < prev_off  # stagnated at the noise floor
-        if not live.any():
+        off = np.sqrt(squares.sum(axis=(1, 2)))
+        live &= off < prev_off  # stagnated, or turned nothing last sweep
+        if not np.count_nonzero(live):
             break
         prev_off = off
-        rotated = np.zeros(batch, dtype=bool)
-        for pq, qp in _round_robin(n):
+        for pq, qp in rounds:
             k = len(pq) // 2
             apq, app_aqq = a[:, pq[:k], qp[:k]], a_diag[:, pq]
             app, aqq = app_aqq[:, :k], app_aqq[:, k:]
             # Relative test: a_pq is negligible only against its own diagonal
             # pair, so tiny eigenvalues keep their accuracy next to large ones.
-            turn = live[:, None] & (np.abs(apq) > eps * np.sqrt(np.abs(app * aqq)))
-            if not turn.any():
+            turn = live_col & (np.abs(apq) > eps * np.sqrt(np.abs(app * aqq)))
+            if not np.count_nonzero(turn):
+                quiet += 1
+                if quiet == len(rounds):
+                    break
                 continue
-            rotated |= turn.any(axis=1)
+            quiet = 0
             theta = (aqq - app) / (2 * np.where(turn, apq, 1))
-            t = np.where(theta == 0, 1,
-                         np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1)))
+            theta += 0  # -0 -> +0: t = 1 at theta = 0
+            # sign(theta) / (|theta| + sqrt(theta^2 + 1)), with the sign moved
+            # into the denominator: the same value, bit for bit
+            t = 1 / (theta + np.copysign(np.sqrt(theta * theta + 1), theta))
             t = np.where(turn, t, 0)
             t = np.concatenate([-t, t], axis=1)[:, :, None]
             c = 1 / np.sqrt(t * t + 1)  # (c, c); exactly 1 where t = 0
             s = t * c  # (-s, s): c x_p + (-s) x_q rounds exactly as c x_p - s x_q
             for x in (av, a_cols):  # rows p, q <- (c x_p - s x_q, s x_p + c x_q)
                 x[:, pq] = c * x[:, pq] + s * x[:, qp]
-        live &= rotated  # a sweep without a rotation has converged
+        if quiet == len(rounds):  # every round settled: nothing turns again
+            break
     order = np.argsort(a_diag, axis=1)
-    w = np.take_along_axis(a_diag, order, axis=1)
-    v = np.take_along_axis(vt.swapaxes(1, 2), order[:, None, :], axis=2)
+    b = np.arange(batch)[:, None]
+    w = a_diag[b, order]
+    v = vt[b[:, :, None], order[:, None, :], diag[:, None]]  # v[:, i, j] = vt[:, order[:, j], i]
     return (w[0], v[0]) if matrix.ndim == 2 else (w, v)
 
 
 def evolve(h: Operator, psi: StateVector, t: float) -> StateVector:
-    """exp(-i H t) |psi>.
+    """exp(-i H t) |psi>, for any finite t (ValueError naming t otherwise).
 
     A real symmetric H is cut into the connected components of its nonzero
     pattern (a diagonal H into 1 x 1 ones), and those holding amplitude go
     through _evolve_sectors: longdouble Jacobi and phases (RuntimeError where
     longdouble is plain double).  The Jacobi is O(n^3) per sweep on an
     n-state component: a dense real H of dimension 40, 100 or 200 takes
-    ~0.03, 0.3 or 3 s on one core of a 2-vCPU Xeon VM.  A complex Hermitian
+    ~0.03, 0.6 or 7 s on one core of a 2-vCPU Xeon VM.  A complex Hermitian
     H goes to LAPACK in double.
     """
+    _check_time(t)
     if not h.hermitian_flag:
         raise ValueError("evolve requires a Hermitian operator")
     _check_same_space(h.space, psi.space)
@@ -593,6 +614,7 @@ def evolve(h: Operator, psi: StateVector, t: float) -> StateVector:
 
 def _evolve_diagonal(w: np.ndarray, psi: StateVector, t: float) -> StateVector:
     """exp(-i H t) |psi> for H = diag(w): each amplitude times exp(-i w t) in double."""
+    _check_time(t)
     return _unitary_result(psi.space, np.exp(-1j * w * t) * psi.amplitudes)
 
 
@@ -607,15 +629,23 @@ def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.nda
     longdouble Jacobi call, its phases w t are reduced mod 2 pi in
     longdouble, and the amplitudes outside it stay zero.
     """
+    _check_time(t)
     amps0 = np.append(psi.amplitudes, 0)  # the scratch slot past the space
     amps = np.zeros_like(amps0)
     for index, blocks in sectors:
         w, v = _jacobi_eigh_longdouble(blocks)
         v64 = v.astype(np.float64)
-        wt = np.mod(w * np.longdouble(t), 2 * np.arccos(np.longdouble(-1)))  # w t mod 2 pi
+        wt = np.mod(w * np.longdouble(t), _TWO_PI)
         coeffs = np.exp(-1j * wt.astype(np.float64)) * np.einsum("bji,bj->bi", v64, amps0[index])
         amps[index] = np.einsum("bij,bj->bi", v64, coeffs)
     return _unitary_result(psi.space, amps[:-1])
+
+
+def _check_time(t: float) -> None:
+    """Refuse an evolution time that is not a finite number (inf, NaN): its
+    phases w t are undefined.  Zero and negative times are valid."""
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time t must be finite, got t = {t!r}")
 
 
 def _unitary_result(space: HilbertSpace, amps: np.ndarray) -> StateVector:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .fock import (
     DensityMatrix,
     StateVector,
     _check_density,
+    _check_time,
     _check_unitarity,
     _coherent_amplitudes,
     _evolve_diagonal,
@@ -176,6 +178,14 @@ def homodyne_estimate(state: StateVector | DensityMatrix, lo_phase: float,
     return _mixed_readout(state.matrix, lo_phase, phase_per_photon, phase_reference)
 
 
+def _photon_number(name: str, n: int) -> int:
+    """A photon number as a Python int; ValueError naming it unless it is an
+    integer (numpy's too, but not a bool), so no numpy scalar reaches a record."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer photon number, got {name} = {n!r}")
+    return int(n)
+
+
 def _wrap_angle(x: float) -> float:
     """Wrap to (-pi, pi]."""
     out = math.remainder(x, 2 * math.pi)
@@ -207,6 +217,8 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
                cutoff_p: int | None = None, lo_phase: float = 0.0) -> QndEvolution:
     """Evolve |n_s> (x) |alpha_p> under chi n_s n_p for time t and read out.
 
+    n_s is an integer photon number (not a bool) and t a finite time.
+
     H is diagonal, so each amplitude picks up its own phase.  The probe is
     read from the (cutoff_s, cutoff_p) amplitude matrix m of the joint
     state: its readout as in homodyne_estimate, its purity
@@ -219,6 +231,7 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     amplitudes, normalized the same way but without its truncation check,
     which the input probe has already passed (one warning per call).
     """
+    n_s = _photon_number("n_s", n_s)
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
     cutoff_s = n_s + 1
@@ -272,10 +285,14 @@ def discrimination_error(alpha: float, theta: float, trials: int, seed: int
 
     One generator seeded with seed draws every trial's equal-prior
     hypothesis, then every trial's Gaussian quadrature sample, as arrays.
+    alpha and theta must be finite.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     alpha = float(alpha)
+    for name, value in (("alpha", alpha), ("theta", theta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name} = {value!r}")
     mu0, mu1 = complex(alpha), alpha * cmath.exp(1j * theta)
     sep = mu1 - mu0
     d = abs(sep)
@@ -416,6 +433,8 @@ def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: f
     """
     if len(qubits) == 0 or len(times) == 0:
         raise ValueError("dephasing_grid needs at least one qubit and one time")
+    for t in times:
+        _check_time(t)
     if cutoff_p is None:
         cutoff_p = default_cutoff(alpha_p)
     _, energies = ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
@@ -507,8 +526,8 @@ def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
                       cutoff_p: int | None = None) -> FullVsEffectiveResult:
     """Evolve the full PP Hamiltonian and compare the probe phase.
 
-    Exactly one of n_p (Fock probe) and alpha_p (coherent probe) must be
-    given.  The signal is a single photon in pol_state; the atom starts in
+    Exactly one of n_p (Fock probe, an integer, not a bool) and alpha_p
+    (coherent probe) must be given, and t must be finite.  The signal is a single photon in pol_state; the atom starts in
     level 1.
 
     The evolution is exact within the truncation and runs in extended
@@ -534,6 +553,7 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         raise ValueError("give exactly one of n_p or alpha_p")
 
     if n_p is not None:
+        n_p = _photon_number("n_p", n_p)
         cp = max(2, n_p + 1) if cutoff_p is None else cutoff_p
         if not 0 <= n_p < cp:
             raise ValueError(f"need 0 <= n_p < cutoff_p, got n_p={n_p}, cutoff_p={cp}")

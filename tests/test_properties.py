@@ -856,14 +856,28 @@ def assert_same_bits(ours, reference):
 
 
 @PROPERTY
-@given(st.integers(1, 16), st.integers(1, 11), st.sampled_from(["graded", "sparse"]), seeds)
+@given(st.integers(1, 16), st.integers(1, 11), st.sampled_from(["graded", "sparse", "mixed"]),
+       seeds)
 def test_jacobi_is_bitwise_the_reference_kernel(n, batch, kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "graded":  # rows and columns scaled over 16 decades
         scales = 10.0 ** rng.uniform(-8, 8, size=(batch, n, 1))
         a = rng.standard_normal((batch, n, n)) * scales * scales.transpose(0, 2, 1)
-    else:  # exact zeros: pairs that never turn next to pairs that do
+    elif kind == "sparse":  # exact zeros: pairs that never turn next to pairs that do
         a = rng.standard_normal((batch, n, n)) * (rng.random((batch, n, n)) < 0.3)
+    else:  # members that stop at different sweeps in one stack: a graded or a
+        # dense block of size 0, 1, 2 or n, zero-padded to n, with some padded
+        # diagonal entries.  Up to size 1 nothing turns in sweep 1; a graded
+        # pair turns one round, sweep after sweep, until it stagnates, so the
+        # round skip must still test the round that turned last.
+        size = rng.choice([0, 1, 2, n], size=(batch, 1, 1))
+        graded = rng.random((batch, 1, 1)) < 0.5
+        scales = np.where(graded, 10.0 ** rng.uniform(-8, 8, size=(batch, n, 1)), 1.0)
+        a = rng.standard_normal((batch, n, n)) * scales * scales.transpose(0, 2, 1)
+        inside = np.arange(n) < size
+        kept = (inside & inside.transpose(0, 2, 1)) | (np.eye(n, dtype=bool)
+                                                        & (rng.random((batch, n, 1)) < 0.5))
+        a = a * kept
     a = a + a.transpose(0, 2, 1)
     assert_same_bits(_jacobi_eigh_longdouble(a), reference_jacobi_eigh_longdouble(a))
     assert_same_bits(_jacobi_eigh_longdouble(a[0]), reference_jacobi_eigh_longdouble(a[0]))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ppqnd import (
+    Operator,
     PolarizationQubit,
     SchemeParams,
     backaction_product,
@@ -18,6 +19,7 @@ from ppqnd import (
     dephasing_grid,
     discrimination_error,
     estimate_eigenvalues,
+    evolve,
     evolve_qnd,
     fidelity,
     full_vs_effective,
@@ -310,6 +312,67 @@ class TestNonFiniteDefaultCutoff:
 
     def test_largest_finite_size_still_has_a_cutoff(self):
         assert default_cutoff(1e150) > 1e299
+
+
+def _evolve_tridiagonal(t, imag=0.0):
+    space = make_space(1, [4])
+    upper = (0.1 + 1j * imag) * np.eye(4, k=1)
+    h = Operator(space, np.diag(np.arange(4.0)) + upper + upper.conj().T)
+    return evolve(h, basis_state(space, 0, [1]), t)
+
+
+TIMED_ENTRIES = {
+    "evolve_real": _evolve_tridiagonal,
+    "evolve_complex": lambda t: _evolve_tridiagonal(t, imag=0.1),
+    "evolve_qnd": lambda t: evolve_qnd(1, 2.0, -0.01, t),
+    "full_vs_effective_fock": lambda t: full_vs_effective(
+        RATIO100, PolarizationQubit.horizontal(), t=t, n_p=1),
+    "full_vs_effective_coherent": lambda t: full_vs_effective(
+        RATIO100, PolarizationQubit.horizontal(), t=t, alpha_p=0.5),
+    "dephasing_grid": lambda t: dephasing_grid(CLI_QUBITS, 2.0, -0.1, [1.0, t]),
+    "polarization_dephasing": lambda t: polarization_dephasing(
+        PolarizationQubit.left(), 2.0, -0.1, t, sensitive=True),
+}
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", TIMED_ENTRIES.values(), ids=TIMED_ENTRIES.keys())
+    def test_named_value_error(self, entry, t):
+        # was numpy's "invalid value" RuntimeWarning, then "evolution lost
+        # unitarity: |psi| = nan"
+        with pytest.raises(ValueError, match="evolution time t must be finite"):
+            entry(t)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, -3.0])
+    @pytest.mark.parametrize("entry", TIMED_ENTRIES.values(), ids=TIMED_ENTRIES.keys())
+    def test_zero_and_negative_times_run(self, entry, t):
+        entry(t)
+
+
+class TestInputTypes:
+    @pytest.mark.parametrize("n", [True, np.bool_(True), 1.5, 1.0, np.float64(2.0), "1"])
+    def test_non_integer_photon_numbers_named(self, n):
+        # n_p = True ran as 'fock:True'; 1.5 failed in np.eye, n_s = 1.5 in indexing
+        with pytest.raises(ValueError, match="n_p must be an integer photon number"):
+            full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0, n_p=n)
+        with pytest.raises(ValueError, match="n_s must be an integer photon number"):
+            evolve_qnd(n, 2.0, -0.01, 1.0)
+
+    def test_numpy_integers_are_photon_numbers(self):
+        qubit = PolarizationQubit.horizontal()
+        assert (repr(full_vs_effective(RATIO100, qubit, t=1.0, n_p=np.int64(2)))
+                == repr(full_vs_effective(RATIO100, qubit, t=1.0, n_p=2)))
+        ours, plain = evolve_qnd(np.int32(1), 2.0, -0.01, 1.0), evolve_qnd(1, 2.0, -0.01, 1.0)
+        assert np.array_equal(ours.state.amplitudes, plain.state.amplitudes)
+
+    @pytest.mark.parametrize("name, alpha, theta", [
+        ("alpha", math.nan, 0.1), ("alpha", math.inf, 0.1), ("alpha", -math.inf, 0.1),
+        ("theta", 2.0, math.nan), ("theta", 2.0, math.inf)])
+    def test_non_finite_discrimination_inputs_named(self, name, alpha, theta):
+        # a NaN alpha returned analytic_error = nan next to a Monte Carlo number
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            discrimination_error(alpha, theta, 10, 0)
 
 
 class TestFullVsEffective:
