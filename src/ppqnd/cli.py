@@ -31,7 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -197,17 +197,18 @@ def _finite(value: Any) -> bool:
 
 
 @functools.cache  # the defaults are constants: validated on a command's first record
-def _default_config(command: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_COMMANDS[command].defaults)
+def _default_config(command: str) -> dict:
+    """The command's validated default fields; shared, so never changed."""
+    return ExperimentConfig.from_dict(_COMMANDS[command].defaults).to_dict()
 
 
 def _effective_config(command: str, raw: Any, seed: int | None) -> ExperimentConfig:
     """The command's defaults overridden by the config file, then by --seed;
     only the file's fields and the seed are validated here."""
-    overrides = ExperimentConfig.from_dict(raw).to_dict()
+    values = {**_default_config(command), **ExperimentConfig.from_dict(raw).to_dict()}
     if seed is not None:
-        overrides["seed"] = ExperimentConfig.from_dict({"seed": seed}).seed
-    return replace(_default_config(command), **overrides)
+        values["seed"] = ExperimentConfig.from_dict({"seed": seed}).seed
+    return ExperimentConfig(**values)
 
 
 def _record(command: str, config: ExperimentConfig, results: dict, rows: list) -> dict:
@@ -510,8 +511,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         raw: Any = {}
         if args.config is not None:
             try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
+                with open(args.config, "rb") as fh:
+                    raw = json.loads(fh.read().decode("utf-8"))  # not bytes: no BOM sniffing
             except FileNotFoundError:
                 raise ConfigError(f"config file not found: {args.config}")
             except json.JSONDecodeError as exc:

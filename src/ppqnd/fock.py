@@ -78,6 +78,7 @@ class HilbertSpace:
     def __post_init__(self):
         if self.atom_dim < 1:
             raise ValueError(f"atom_dim must be >= 1, got {self.atom_dim}")
+        object.__setattr__(self, "atom_dim", int(self.atom_dim))
         object.__setattr__(self, "mode_cutoffs", tuple(int(c) for c in self.mode_cutoffs))
         if any(c < 1 for c in self.mode_cutoffs):
             raise ValueError(f"every mode cutoff must be >= 1, got {self.mode_cutoffs}")
@@ -91,9 +92,9 @@ class HilbertSpace:
         """Factor dimensions, atom first."""
         return (self.atom_dim, *self.mode_cutoffs)
 
-    @property
+    @functools.cached_property  # exact Python ints, computed on the first access
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def index_of(self, atom_level: int, occupations: Sequence[int]) -> int:
         """Flat basis index of |atom_level, n_0, n_1, ...>."""
@@ -396,25 +397,35 @@ def coherent_truncation_loss(cutoff: int, alpha: complex) -> float:
     return max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
 
 
-def coherent_state(cutoff: int, alpha: complex) -> StateVector:
-    """Truncated coherent state, renormalized to exactly 1.
-
-    Warns when the truncation loss exceeds 1e-9; use default_cutoff(alpha)
-    to stay well below that.
-    """
+def _coherent_probe(cutoff: int, alpha: complex) -> np.ndarray:
+    """The amplitudes of coherent_state, without the StateVector: the
+    truncated coefficients over their norm.  Refuses cutoff < 1, a
+    non-finite alpha and a cutoff that holds none of the weight; warns on a
+    truncation loss above 1e-9."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude alpha must be finite, got alpha = {alpha!r}")
     c = _coherent_amplitudes(cutoff, alpha)
     loss = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
     if loss > 1e-9:
         warnings.warn(
             f"coherent state truncation loss {loss:.3e} at cutoff {cutoff} for |alpha|={abs(alpha):g}",
-            stacklevel=2,
+            stacklevel=3,
         )
     norm = np.linalg.norm(c)
     if norm == 0:
         raise ValueError(f"cutoff {cutoff} holds none of the weight of |alpha|={abs(alpha):g}")
-    return StateVector(make_space(1, [cutoff]), c / norm)
+    return c / norm
+
+
+def coherent_state(cutoff: int, alpha: complex) -> StateVector:
+    """Truncated coherent state, renormalized to exactly 1.
+
+    Warns when the truncation loss exceeds 1e-9; use default_cutoff(alpha)
+    to stay well below that.  A ValueError names alpha unless it is finite.
+    """
+    return StateVector(make_space(1, [cutoff]), _coherent_probe(cutoff, alpha))
 
 
 def basis_state(space: HilbertSpace, atom_level: int, occupations: Sequence[int]) -> StateVector:

@@ -35,6 +35,7 @@ from .fock import (
     _check_time,
     _check_unitarity,
     _coherent_amplitudes,
+    _coherent_probe,
     _evolve_diagonal,
     _evolve_sectors,
     _occupations,
@@ -111,7 +112,7 @@ def _pure_readout(m: np.ndarray, lo_phase: float, phase_per_photon: float | None
     lowered[:, :-1] = root * m[:, 1:]  # a m
     raised = np.zeros_like(m)
     raised[:, 1:] = root * m[:, :-1]  # a^+ m
-    mean_a = _mean_a(m)
+    mean_a = complex(np.vdot(m[:, :-1], lowered[:, :-1]))  # _mean_a(m), from a m
     rot = cmath.exp(-1j * lo_phase)
     mean_x = (mean_a * rot).real
     centered = 0.5 * (rot * lowered + rot.conjugate() * raised) - mean_x * m
@@ -217,7 +218,8 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
                cutoff_p: int | None = None, lo_phase: float = 0.0) -> QndEvolution:
     """Evolve |n_s> (x) |alpha_p> under chi n_s n_p for time t and read out.
 
-    n_s is an integer photon number (not a bool) and t a finite time.
+    n_s is an integer photon number (not a bool), and chi, t and alpha_p
+    are finite.
 
     H is diagonal, so each amplitude picks up its own phase.  The probe is
     read from the (cutoff_s, cutoff_p) amplitude matrix m of the joint
@@ -239,7 +241,7 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
         cutoff_p = default_cutoff(alpha_p)
     space, energies = _qnd_energies(chi, cutoff_s, cutoff_p)
     amps = np.zeros(space.dims, dtype=complex)
-    amps[0, n_s] = coherent_state(cutoff_p, alpha_p).amplitudes
+    amps[0, n_s] = _coherent_probe(cutoff_p, alpha_p)
     psi_t = _evolve_diagonal(energies, StateVector(space, amps.ravel()), t)
 
     m = psi_t.amplitudes.reshape(cutoff_s, cutoff_p)
@@ -252,7 +254,7 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     def fidelity_to(beta: complex) -> float:
         ket = _coherent_amplitudes(cutoff_p, beta)
         ket /= np.linalg.norm(ket)
-        return float(np.clip(np.linalg.norm(m @ ket.conj()) ** 2, 0.0, 1.0))
+        return min(max(float(np.linalg.norm(m @ ket.conj()) ** 2), 0.0), 1.0)
 
     return QndEvolution(
         state=psi_t,
@@ -285,8 +287,12 @@ def discrimination_error(alpha: float, theta: float, trials: int, seed: int
 
     One generator seeded with seed draws every trial's equal-prior
     hypothesis, then every trial's Gaussian quadrature sample, as arrays.
-    alpha and theta must be finite.
+    trials is a positive integer (not a bool); alpha and theta must be
+    finite.
     """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got trials = {trials!r}")
+    trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     alpha = float(alpha)
@@ -439,7 +445,7 @@ def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: f
         cutoff_p = default_cutoff(alpha_p)
     _, energies = ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
     energies = energies.reshape(4, cutoff_p)  # row s = (n_L, n_R) flattened
-    coh = coherent_state(cutoff_p, alpha_p).amplitudes
+    coh = _coherent_probe(cutoff_p, alpha_p)
 
     def probe_gram(t: float) -> np.ndarray:
         phi = np.exp(energies * (-1j * t))
@@ -562,7 +568,7 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         n_p_eff = n_p
     else:
         cp = default_cutoff(alpha_p) if cutoff_p is None else cutoff_p
-        probe_vec = coherent_state(cp, alpha_p).amplitudes
+        probe_vec = _coherent_probe(cp, alpha_p)
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 

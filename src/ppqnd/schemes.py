@@ -38,7 +38,6 @@ from .fock import (
     StateVector,
     _coupling_table,
     _jacobi_eigh_longdouble,
-    _occupations,
     _scatter,
     make_space,
 )
@@ -361,9 +360,19 @@ def chi_from_params(params: SchemeParams) -> float:
 
 def _cross_kerr_energies(space: HilbertSpace, chi: float, signal_modes: tuple[int, ...],
                          probe_mode: int) -> np.ndarray:
-    """Diagonal of chi * (sum of the signal photon numbers) * n_probe, as a vector."""
-    n_signal = sum(_occupations(space, m) for m in signal_modes)
-    return chi * (n_signal * _occupations(space, probe_mode))
+    """Diagonal of chi * (sum of the signal photon numbers) * n_probe, as a vector.
+
+    The photon numbers are one range per factor, broadcast against each
+    other: their sums and products are exact integers, chi multiplies once,
+    and the result is broadcast to the whole space (a sum over one signal
+    mode does not span the other's axis) and flattened into a new array.  A
+    ValueError names chi unless it is finite.
+    """
+    if not math.isfinite(chi):
+        raise ValueError(f"cross-Kerr coefficient chi must be finite, got chi = {chi!r}")
+    n = np.ix_(*(np.arange(d, dtype=float) for d in space.dims))  # n[1 + mode]
+    n_signal = sum(n[1 + m] for m in signal_modes)
+    return np.broadcast_to(chi * (n_signal * n[1 + probe_mode]), space.dims).flatten()
 
 
 def _qnd_energies(chi: float, cutoff_s: int, cutoff_p: int) -> tuple[HilbertSpace, np.ndarray]:

@@ -255,6 +255,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "secular", "--config", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("data, message", [
+        (b'\xef\xbb\xbf{"n_s": 1}',
+         "config is not valid JSON (line 1): Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (b'{"n_s": 1\xff}',
+         "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+        (b'{"n_s": 1,\r\n"chi": }\r\n', "config is not valid JSON (line 2): Expecting value"),
+    ], ids=["utf8-bom", "invalid-utf8", "crlf-syntax-error"])
+    def test_undecodable_config_exits_one(self, capsys, tmp_path, data, message):
+        # the file is read as UTF-8 text: no BOM is skipped, no encoding guessed
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert run(capsys, "qnd", "--config", str(path)) == (1, "", f"config error: {message}\n")
+
     def test_non_object_config_with_seed_exits_one(self, capsys, tmp_path):
         path = write_config(tmp_path, "list.json", [1, 2])
         code, _, err = run(capsys, "qnd", "--config", path, "--seed", "3")

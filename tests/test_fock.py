@@ -12,6 +12,7 @@ except ImportError:  # pragma: no cover
 
 from ppqnd import (
     DensityMatrix,
+    HilbertSpace,
     Operator,
     StateVector,
     annihilation_op,
@@ -30,7 +31,7 @@ from ppqnd import (
     partial_trace,
     tensor_state,
 )
-from ppqnd.fock import _check_unitarity
+from ppqnd.fock import _check_unitarity, _coherent_amplitudes, _coherent_probe
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -44,6 +45,12 @@ class TestHilbertSpace:
         assert make_space(1, [1]).total_dim == 1
         assert make_space(5, [2, 2, 2]).total_dim == 40
         assert make_space(4, [2, 8]).total_dim == 64
+
+    def test_total_dim_is_exact(self):
+        # the product of the factors as a Python int: np.prod wrapped it in int64
+        for space in (make_space(1, [10**5] * 4), HilbertSpace(np.int64(10**5), (10**5,) * 3)):
+            assert space.total_dim == 10**20
+            assert type(space.total_dim) is int
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -205,6 +212,18 @@ class TestCoherentStates:
         a = annihilation_op(state.space, 0)
         mean_a = complex(np.vdot(state.amplitudes, a.matrix @ state.amplitudes))
         assert abs(mean_a - alpha) < 1e-9
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 5, 30, 75])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 3 * cmath.exp(2.2j), -7.1 + 3j])
+    def test_probe_array_is_the_state_amplitudes(self, cutoff, alpha):
+        # the reference: the truncated coefficients over their norm, as the
+        # state has always been built
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lossy truncations at the small cutoffs
+            state, probe = coherent_state(cutoff, alpha), _coherent_probe(cutoff, alpha)
+        c = _coherent_amplitudes(cutoff, alpha)
+        assert probe.tobytes() == (c / np.linalg.norm(c)).tobytes()
+        assert state.amplitudes.tobytes() == probe.tobytes()
 
     def test_warns_on_lossy_truncation(self):
         with pytest.warns(UserWarning):

@@ -26,6 +26,8 @@ from ppqnd import (
     homodyne_estimate,
     make_space,
     polarization_dephasing,
+    ppqnd_energies,
+    qnd_hamiltonian,
 )
 
 from linear_pp_oracle import linear_pp_sectors
@@ -293,9 +295,10 @@ class TestDephasingGrid:
             dephasing_grid(CLI_QUBITS, 2.0, -0.1, [])
 
     def test_lost_unitarity_refused(self):
-        # chi = inf: inf * 0 photons is NaN, so every probe state is NaN
-        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="lost unitarity"):
-            dephasing_grid(CLI_QUBITS, 2.0, math.inf, [1.0])
+        # chi and t finite, chi * t overflows: the phases exp(-i inf) are NaN
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ArithmeticError, match="lost unitarity"):
+            dephasing_grid(CLI_QUBITS, 2.0, 1e300, [1e300])
 
 
 class TestNonFiniteDefaultCutoff:
@@ -373,6 +376,48 @@ class TestInputTypes:
         # a NaN alpha returned analytic_error = nan next to a Monte Carlo number
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             discrimination_error(alpha, theta, 10, 0)
+
+    @pytest.mark.parametrize("trials", [1.5, 2.0, True, np.bool_(True), "10"])
+    def test_non_integer_trials_named(self, trials):
+        # 1.5 and True failed inside numpy: "expected a sequence of integers"
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            discrimination_error(2.0, 0.1, trials, 0)
+
+    def test_numpy_integer_trials_are_trials(self):
+        ours, plain = discrimination_error(2.0, 0.1, np.int64(50), 3), discrimination_error(2.0, 0.1, 50, 3)
+        assert repr(ours) == repr(plain)
+
+    @pytest.mark.parametrize("chi", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", [
+        lambda chi: evolve_qnd(1, 2.0, chi, 1.0),
+        lambda chi: dephasing_grid(CLI_QUBITS, 2.0, chi, [1.0]),
+        lambda chi: polarization_dephasing(PolarizationQubit.left(), 2.0, chi, 1.0, sensitive=True),
+        lambda chi: ppqnd_energies(chi, 2, 2, 3),
+        lambda chi: qnd_hamiltonian(chi, 2, 3),
+    ], ids=["evolve_qnd", "dephasing_grid", "polarization_dephasing", "ppqnd_energies",
+            "qnd_hamiltonian"])
+    def test_non_finite_chi_named(self, entry, chi):
+        # inf was numpy's "invalid value encountered in multiply", NaN
+        # "evolution lost unitarity: |psi| = nan"
+        with pytest.raises(ValueError, match="chi must be finite, got chi = "):
+            entry(chi)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                       complex(1.0, -math.inf)])
+    @pytest.mark.parametrize("entry", [
+        lambda alpha: coherent_state(5, alpha),
+        lambda alpha: evolve_qnd(1, alpha, -0.01, 1.0, cutoff_p=12),
+        lambda alpha: dephasing_grid(CLI_QUBITS, alpha, -0.1, [1.0], cutoff_p=12),
+        lambda alpha: full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0,
+                                        alpha_p=alpha, cutoff_p=5),
+        lambda alpha: backaction_product(alpha, cutoff=12),
+    ], ids=["coherent_state", "evolve_qnd", "dephasing_grid", "full_vs_effective",
+            "backaction_product"])
+    def test_non_finite_alpha_with_a_cutoff_named(self, entry, alpha):
+        # with a cutoff given, nan was "invalid value encountered in divide"
+        # and inf "... in add"; without one, default_cutoff names |alpha|
+        with pytest.raises(ValueError, match="alpha must be finite, got alpha = "):
+            entry(alpha)
 
 
 class TestFullVsEffective:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import astuple
 
@@ -26,7 +27,8 @@ from ppqnd import (
     scan_to_csv_rows,
     secular_coefficients,
 )
-from ppqnd.fock import _jacobi_eigh_longdouble
+from ppqnd.fock import _jacobi_eigh_longdouble, _occupations
+from ppqnd.schemes import _cross_kerr_energies
 
 SPEC_POINT = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.1, xi_p=1.0)
 FULLMODEL_POINT = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.01, xi_p=1.0)
@@ -266,6 +268,25 @@ class TestEffectiveHamiltonians:
             chi_from_params(SchemeParams(0.0, 1.0, 10.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             chi_from_params(SchemeParams(100.0, 1.0, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("chi", [-1e-3, -0.0, 0.0, 0.37])
+    def test_cross_kerr_energies_are_the_occupation_products(self, chi):
+        # the reference: one flat occupation vector per mode, summed, then
+        # multiplied; the broadcast ranges must give the same bits, zero
+        # signs included
+        def reference(space, signal_modes, probe_mode):
+            n_signal = sum(_occupations(space, m) for m in signal_modes)
+            return chi * (n_signal * _occupations(space, probe_mode))
+
+        for c1, c2, cp in itertools.product((1, 2, 3), (1, 2, 4), (1, 2, 5)):
+            for dims, signal_modes in (([c1, cp], (0,)), ([c1, c2, cp], (0, 1)),
+                                       ([c1, c2, cp], (0,))):  # qnd, PP, sensitive
+                space = make_space(1, dims)
+                ours = _cross_kerr_energies(space, chi, signal_modes, len(dims) - 1)
+                want = reference(space, signal_modes, len(dims) - 1)
+                assert ours.shape == want.shape == (space.total_dim,)
+                assert ours.tobytes() == want.tobytes()
+                assert ours.flags.writeable
 
     def test_qnd_diagonal_rule(self):
         chi = -0.3
