@@ -24,6 +24,7 @@ from ppqnd import (
     SchemeParams,
     chi_from_params,
     compare_block_to_full,
+    full_model_grid,
     full_vs_effective,
     quintic_roots,
     secular_coefficients,
@@ -63,9 +64,11 @@ print()
 print("=" * 70)
 print("3. The H and V channels, and circular inputs straddling both")
 print("=" * 70)
-for name, qubit in (("H", PolarizationQubit.horizontal()), ("V", PolarizationQubit.vertical()),
-                    ("L", PolarizationQubit.left()), ("R", PolarizationQubit.right())):
-    res = full_vs_effective(params, qubit, t=0.1 / abs(lam), alpha_p=1.0)
+qubits = {"H": PolarizationQubit.horizontal(), "V": PolarizationQubit.vertical(),
+          "L": PolarizationQubit.left(), "R": PolarizationQubit.right()}
+# one dark root, one stack of chains and pairs and one Jacobi call for all four
+grid = full_model_grid(params, list(qubits.values()), target_phase=0.1, alpha_p=1.0)
+for name, res in zip(qubits, grid):
     print(f"  |{name}> coherent-probe phase {res.measured_phase:+.9f} rad")
 print("  H carries the phase, V none; L and R (identical: they differ only in")
 print("  the sign of their V part) get arg((e^{i phi_H} + 1)/2), about half.")

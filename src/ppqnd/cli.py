@@ -42,14 +42,14 @@ from .polarization import PolarizationQubit, diagonal_invariance, lr_to_hv
 from .qnd import (
     EVOLUTION_SIGN,
     QUADRATURE_CONVENTION,
-    _full_vs_effective,
     backaction_product,
     dephasing_grid,
     discrimination_error,
     evolve_qnd,
+    full_model_grid,
 )
 from .schemes import SchemeParams, ppqnd_energies
-from .secular import char_poly_from_eigenvalues, estimate_eigenvalues, estimate_stack
+from .secular import char_poly_from_eigenvalues, estimate_stack
 
 
 class ConfigError(ValueError):
@@ -382,20 +382,10 @@ def cmd_fullmodel(config: ExperimentConfig, tol: float) -> tuple[dict, list, boo
 
     rows = [("qubit_index", "measured_phase", "predicted_phase_secular",
              "rel_err_secular", "rel_err_kerr", "atomic_leakage")]
-    lam = estimate_eigenvalues(params, 1, 0, config.n_p).exact_small  # for t and every qubit
-    if config.time is not None:
-        t = config.time
-    else:
-        if lam == 0:
-            raise ConfigError(
-                "target_phase unreachable: the dark-state eigenvalue is zero "
-                "(no cross-Kerr shift); give 'time' directly")
-        t = config.target_phase / abs(lam)
+    when = {"t": config.time} if config.time is not None else {"target_phase": config.target_phase}
     worst_err = 0.0
     worst_leak = 0.0
-    for k, qubit in enumerate(qubits):
-        res = _full_vs_effective(params, qubit, float(t), n_p=config.n_p, alpha_p=None,
-                                 cutoff_p=None, dark_root=lam)
+    for k, res in enumerate(full_model_grid(params, qubits, n_p=config.n_p, **when)):
         worst_err = max(worst_err, res.rel_err_secular)
         worst_leak = max(worst_leak, res.atomic_leakage)
         rows.append((k, repr(res.measured_phase), repr(res.predicted_phase_secular),

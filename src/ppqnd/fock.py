@@ -620,7 +620,7 @@ def evolve(h: Operator, psi: StateVector, t: float) -> StateVector:
     rows, cols = np.nonzero(lower)
     sectors = _sector_blocks((rows, cols, lower[rows, cols]), len(m),
                              np.flatnonzero(psi.amplitudes))
-    return _evolve_sectors(psi, sectors, t)
+    return _evolve_sectors([psi], sectors, t)[0]
 
 
 def _evolve_diagonal(w: np.ndarray, psi: StateVector, t: float) -> StateVector:
@@ -629,27 +629,29 @@ def _evolve_diagonal(w: np.ndarray, psi: StateVector, t: float) -> StateVector:
     return _unitary_result(psi.space, np.exp(-1j * w * t) * psi.amplitudes)
 
 
-def _evolve_sectors(psi: StateVector, sectors: Iterable[tuple[np.ndarray, np.ndarray]],
-                    t: float) -> StateVector:
-    """exp(-i H t) |psi> for a real symmetric H that is block diagonal over `sectors`.
+def _evolve_sectors(psis: Sequence[StateVector], sectors: Iterable[tuple[np.ndarray, np.ndarray]],
+                    t: float) -> list[StateVector]:
+    """exp(-i H t) |psi> for each of `psis`, for a real symmetric H that is
+    block diagonal over `sectors`.
 
     `sectors` holds (index, blocks) stacks, one per block size as from
     _sector_blocks or one zero-padded stack as from schemes._pp_components
     (its padded slots read and write one scratch amplitude, then dropped),
-    and must cover every amplitude of psi; each stack is diagonalized by one
-    longdouble Jacobi call, its phases w t are reduced mod 2 pi in
-    longdouble, and the amplitudes outside it stay zero.
+    and must cover every amplitude of every psi; each stack is diagonalized
+    by one longdouble Jacobi call and its phases w t reduced mod 2 pi in
+    longdouble, once for all psis, and amplitudes outside it stay zero.
     """
     _check_time(t)
-    amps0 = np.append(psi.amplitudes, 0)  # the scratch slot past the space
-    amps = np.zeros_like(amps0)
+    amps0 = [np.append(psi.amplitudes, 0) for psi in psis]  # the scratch slot past the space
+    amps = [np.zeros_like(a) for a in amps0]
     for index, blocks in sectors:
         w, v = _jacobi_eigh_longdouble(blocks)
         v64 = v.astype(np.float64)
-        wt = np.mod(w * np.longdouble(t), _TWO_PI)
-        coeffs = np.exp(-1j * wt.astype(np.float64)) * np.einsum("bji,bj->bi", v64, amps0[index])
-        amps[index] = np.einsum("bij,bj->bi", v64, coeffs)
-    return _unitary_result(psi.space, amps[:-1])
+        phase = np.exp(-1j * np.mod(w * np.longdouble(t), _TWO_PI).astype(np.float64))
+        for a0, a in zip(amps0, amps):
+            coeffs = phase * np.einsum("bji,bj->bi", v64, a0[index])
+            a[index] = np.einsum("bij,bj->bi", v64, coeffs)
+    return [_unitary_result(psi.space, a[:-1]) for psi, a in zip(psis, amps)]
 
 
 def _check_time(t: float) -> None:

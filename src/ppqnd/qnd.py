@@ -38,9 +38,7 @@ from .fock import (
     _coherent_probe,
     _evolve_diagonal,
     _evolve_sectors,
-    _occupations,
     _readonly,
-    coherent_state,
     default_cutoff,
     make_space,
 )
@@ -66,6 +64,7 @@ __all__ = [
     "polarization_dephasing",
     "dephasing_grid",
     "full_vs_effective",
+    "full_model_grid",
 ]
 
 EVOLUTION_SIGN = "exp(-iHt)"
@@ -354,9 +353,8 @@ def backaction_product(alpha_p: complex, cutoff: int | None = None) -> Backactio
         raise ValueError("vacuum probe: zero number variance, the relation is degenerate")
     if cutoff is None:
         cutoff = default_cutoff(alpha_p)
-    state = coherent_state(cutoff, alpha_p)
-    psi = state.amplitudes
-    n = _occupations(state.space, 0)
+    psi = _coherent_probe(cutoff, alpha_p)
+    n = np.arange(cutoff, dtype=float)
     pop = np.abs(psi) ** 2
     mean_n = float(pop @ n)
     number_variance = float(pop @ (n - mean_n) ** 2)
@@ -365,7 +363,7 @@ def backaction_product(alpha_p: complex, cutoff: int | None = None) -> Backactio
                          "the relation is degenerate")
 
     mean_a = _mean_a(psi[None, :])
-    perp = homodyne_estimate(state, cmath.phase(mean_a) + math.pi / 2)
+    perp = _pure_readout(psi[None, :], cmath.phase(mean_a) + math.pi / 2, None, 0.0)
     phase_variance = perp.quadrature_variance / abs(mean_a) ** 2
 
     phi = 0.1 / math.sqrt(max(number_variance, 1e-30))
@@ -415,14 +413,6 @@ class DephasingGrid:
     reduced: np.ndarray
 
 
-def _qubit_pair_vector(qubit: PolarizationQubit) -> np.ndarray:
-    """Amplitudes of c_L |1,0> + c_R |0,1> on the (2, 2) signal pair, indexed (n_L, n_R)."""
-    v = np.zeros((2, 2), dtype=complex)
-    v[1, 0] = qubit.c_l
-    v[0, 1] = qubit.c_r
-    return v
-
-
 def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: float,
                    times: Sequence[float], sensitive: bool = False,
                    cutoff_p: int | None = None) -> DephasingGrid:
@@ -453,7 +443,7 @@ def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: f
         return phi @ phi.conj().T
 
     gram = np.array([probe_gram(t) for t in times])  # (T, 4, 4)
-    c = np.array([_qubit_pair_vector(q).ravel() for q in qubits])  # (Q, 4)
+    c = np.array([[0, q.c_r, q.c_l, 0] for q in qubits], dtype=complex)  # (Q, 4), by s
     rho = c[:, None, :, None] * c.conj()[:, None, None, :] * gram  # (Q, T, 4, 4)
     norm2 = np.trace(rho, axis1=-2, axis2=-1).real
     _check_unitarity(np.sqrt(norm2))
@@ -526,35 +516,45 @@ class FullVsEffectiveResult:
     evolution_sign: str = EVOLUTION_SIGN
 
 
-def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit,
-                      t: float, n_p: int | None = None,
-                      alpha_p: complex | None = None,
+def full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: float,
+                      n_p: int | None = None, alpha_p: complex | None = None,
                       cutoff_p: int | None = None) -> FullVsEffectiveResult:
-    """Evolve the full PP Hamiltonian and compare the probe phase.
+    """full_model_grid of the one qubit pol_state at time t."""
+    return full_model_grid(params, [pol_state], t=t, n_p=n_p, alpha_p=alpha_p,
+                           cutoff_p=cutoff_p)[0]
 
-    Exactly one of n_p (Fock probe, an integer, not a bool) and alpha_p
-    (coherent probe) must be given, and t must be finite.  The signal is a single photon in pol_state; the atom starts in
-    level 1.
 
-    The evolution is exact within the truncation and runs in extended
-    precision at every probe cutoff.  It runs in the drive's linear basis:
-    of its even chains |1; H, n>, 2+, |3>, |4; n - 1> and odd pairs
-    |1; V, n>, 2-, only those that hold amplitude of psi(0) are built, in
-    closed form (schemes._pp_components), so an H photon never meets an odd
-    pair, and diagonalized by one longdouble Jacobi call on all of them,
-    each zero-padded to the widest (exact: the Jacobi never turns a padded
-    row).  No coupling table and no dense Hamiltonian of the full space is
-    built.
+def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *,
+                    t: float | None = None, target_phase: float | None = None,
+                    n_p: int | None = None, alpha_p: complex | None = None,
+                    cutoff_p: int | None = None) -> tuple[FullVsEffectiveResult, ...]:
+    """Evolve the full PP Hamiltonian and compare the probe phase, one
+    result per qubit, in order.
+
+    Each qubit is a single signal photon; the atom starts in level 1.  Give
+    exactly one of n_p (Fock probe, an integer, not a bool) and alpha_p
+    (coherent probe), and exactly one of t and target_phase, both finite.
+    The dark root lambda = estimate_eigenvalues(params, 1, 0, n_p).exact_small
+    (n_p = 1 for a coherent probe) is solved once; target_phase sets
+    t = target_phase / |lambda| (ValueError at lambda = 0).
+
+    The evolution is exact within the truncation, in extended precision at
+    every probe cutoff, in the drive's linear basis: of its even chains
+    |1; H, n>, 2+, |3>, |4; n - 1> and odd pairs |1; V, n>, 2-, those that
+    hold amplitude of some qubit are built in closed form
+    (schemes._pp_components), so an H photon never meets an odd pair, and
+    diagonalized by one longdouble Jacobi call, each zero-padded to the
+    widest (exact: the Jacobi never turns a padded row).  Each qubit goes
+    through that eigenbasis on its own, so its result is, bit for bit, the
+    one it gets alone.  No coupling table and no dense Hamiltonian of the
+    full space is built.
     """
-    return _full_vs_effective(params, pol_state, t, n_p, alpha_p, cutoff_p, None)
-
-
-def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: float,
-                       n_p: int | None, alpha_p: complex | None, cutoff_p: int | None,
-                       dark_root: float | None) -> FullVsEffectiveResult:
-    """full_vs_effective with its dark root given, the exact_small of
-    estimate_eigenvalues(params, 1, 0, n_p) (n_p = 1 for a coherent probe),
-    or None to solve for it here."""
+    if len(qubits) == 0:
+        raise ValueError("full_model_grid needs at least one qubit")
+    if (t is None) == (target_phase is None):
+        raise ValueError("give exactly one of t or target_phase")
+    if target_phase is not None and not math.isfinite(target_phase):
+        raise ValueError(f"target_phase must be finite, got target_phase = {target_phase!r}")
     if (n_p is None) == (alpha_p is None):
         raise ValueError("give exactly one of n_p or alpha_p")
 
@@ -572,46 +572,52 @@ def _full_vs_effective(params: SchemeParams, pol_state: PolarizationQubit, t: fl
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 
+    lam = estimate_eigenvalues(params, 1, 0, n_p_eff).exact_small
+    if target_phase is not None:
+        if lam == 0:
+            raise ValueError("target_phase unreachable: the dark-state eigenvalue is zero "
+                             "(no cross-Kerr shift); give 'time' directly")
+        t = target_phase / abs(lam)
+
     # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4) as in _pp_components;
     # a mirrored qubit only flips the sign of c_V.  Leakage, <a_p> and
     # <psi0|psi_t> do not depend on the basis, so nothing is rotated back.
     space = make_space(5, [2, 2, cp])
-    amps = np.zeros(space.dims, dtype=complex)  # atom in level 1
-    amps[0, 1, 0] = (pol_state.c_l + pol_state.c_r) / math.sqrt(2) * probe_vec
-    amps[0, 0, 1] = (pol_state.c_l - pol_state.c_r) / math.sqrt(2) * probe_vec
-    psi0 = StateVector(space, amps.ravel())
-    stack = _pp_components(params, space.mode_cutoffs, np.flatnonzero(psi0.amplitudes))
-    psi_t = _evolve_sectors(psi0, [stack], t)
+    psi0s = []
+    for qubit in qubits:
+        amps = np.zeros(space.dims, dtype=complex)  # atom in level 1
+        amps[0, 1, 0] = (qubit.c_l + qubit.c_r) / math.sqrt(2) * probe_vec
+        amps[0, 0, 1] = (qubit.c_l - qubit.c_r) / math.sqrt(2) * probe_vec
+        psi0s.append(StateVector(space, amps.ravel()))
+    occupied = np.concatenate([np.flatnonzero(psi.amplitudes) for psi in psi0s])  # repeats too
+    stack = _pp_components(params, space.mode_cutoffs, occupied)
+    psi_ts = _evolve_sectors(psi0s, [stack], t)
 
-    if n_p is not None:
-        amp = psi_t.overlap(psi0).conjugate()  # <psi0|psi_t>
-        measured = cmath.phase(amp)
-        input_overlap = abs(amp) ** 2
-    else:
-        mean_a = _mean_a(psi_t.amplitudes.reshape(-1, cp))
-        measured = _wrap_angle(cmath.phase(mean_a) - cmath.phase(alpha_p))
-        input_overlap = abs(psi_t.overlap(psi0)) ** 2
-
-    if dark_root is None:
-        dark_root = estimate_eigenvalues(params, 1, 0, n_p_eff).exact_small
-    predicted_secular = -dark_root * t
+    predicted_secular = -lam * t
     predicted_kerr = -chi_from_params(params) * 1 * n_p_eff * t
-
-    by_level = psi_t.amplitudes.reshape(space.atom_dim, -1)
-    leak = float(np.sum(np.abs(by_level[1:]) ** 2))
 
     def rel(measured_v: float, predicted_v: float) -> float:
         return abs(measured_v - predicted_v) / max(abs(predicted_v), 1e-300)
 
-    return FullVsEffectiveResult(
-        measured_phase=measured,
-        predicted_phase_secular=predicted_secular,
-        predicted_phase_kerr=predicted_kerr,
-        rel_err_secular=rel(measured, predicted_secular),
-        rel_err_kerr=rel(measured, predicted_kerr),
-        atomic_leakage=leak,
-        input_overlap=input_overlap,
-        regime_ok=params.regime_ok(),
-        hierarchy_ratios=params.hierarchy_ratios(),
-        probe=probe_tag,
-    )
+    results = []
+    for psi0, psi_t in zip(psi0s, psi_ts):
+        overlap = psi_t.overlap(psi0)  # <psi_t|psi0>
+        if n_p is not None:
+            measured = cmath.phase(overlap.conjugate())  # arg <psi0|psi_t>
+        else:
+            mean_a = _mean_a(psi_t.amplitudes.reshape(-1, cp))
+            measured = _wrap_angle(cmath.phase(mean_a) - cmath.phase(alpha_p))
+        by_level = psi_t.amplitudes.reshape(space.atom_dim, -1)
+        results.append(FullVsEffectiveResult(
+            measured_phase=measured,
+            predicted_phase_secular=predicted_secular,
+            predicted_phase_kerr=predicted_kerr,
+            rel_err_secular=rel(measured, predicted_secular),
+            rel_err_kerr=rel(measured, predicted_kerr),
+            atomic_leakage=float(np.sum(np.abs(by_level[1:]) ** 2)),
+            input_overlap=abs(overlap) ** 2,
+            regime_ok=params.regime_ok(),
+            hierarchy_ratios=params.hierarchy_ratios(),
+            probe=probe_tag,
+        ))
+    return tuple(results)

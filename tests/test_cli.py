@@ -505,12 +505,7 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# fullmodel's one dark root (estimate_eigenvalues(...).exact_small) serves
-# its target time and every qubit through this one.  A public form would
-# need a dark_root option (a value the inputs determine), a cache, or a
-# full_vs_effective grid over qubits that no benchmark op exercises yet
-# (every fullmodel op there has one qubit).
-CLI_PRIVATE_IMPORTS = {("qnd", "_full_vs_effective")}
+CLI_PRIVATE_IMPORTS: set[tuple[str, str]] = set()
 
 
 def test_cli_imports_only_public_library_names():
@@ -673,6 +668,26 @@ class TestRecords:
         code, _, _ = run(capsys, command)
         assert code == 0
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("count", [1, 3, 10])
+    def test_fullmodel_record_makes_one_jacobi_call(self, capsys, tmp_path, monkeypatch, count):
+        # every qubit of a record, H, V or mixed, rides one stack of chains
+        # and pairs: H alone, then H, V and L, then H, V and 8 mixed
+        seen, jacobi = [], fock._jacobi_eigh_longdouble
+
+        def counting(matrix):
+            seen.append(np.shape(matrix))
+            return jacobi(matrix)
+        monkeypatch.setattr(fock, "_jacobi_eigh_longdouble", counting)
+        s = 1 / math.sqrt(2)
+        qubits = ([[[s, 0.0], [s, 0.0]], [[s, 0.0], [s, math.pi]]]
+                  + [[[abs(math.cos(k)), 0.0], [abs(math.sin(k)), k]] for k in range(count)])
+        qubits = qubits[:count]
+        path = write_config(tmp_path, "qubits.json", {"qubits": qubits})
+        code, out, _ = run(capsys, "fullmodel", "--config", path)
+        assert code in (0, 2)  # an off-H qubit misses the secular phase
+        assert len(json.loads(out)["rows"]) == count + 1
+        assert len(seen) == 1
 
     def test_fullmodel_results(self, capsys):
         code, out, _ = run(capsys, "fullmodel")

@@ -65,6 +65,7 @@ from ppqnd import (
     evolve,
     evolve_qnd,
     fidelity,
+    full_model_grid,
     full_vs_effective,
     homodyne_estimate,
     lift_unitary,
@@ -717,7 +718,7 @@ def test_evolve_is_the_pp_component_route_bit_for_bit(params, cutoffs, seed, t):
     ours = evolve(h, psi, t).amplitudes
     space, table = _pp_table(params, *cutoffs)  # the circular table evolve cuts from H
     sectors = _sector_blocks(table, space.total_dim, support)
-    assert np.array_equal(ours, _evolve_sectors(psi, sectors, t).amplitudes)
+    assert np.array_equal(ours, _evolve_sectors([psi], sectors, t)[0].amplitudes)
 
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
@@ -926,13 +927,45 @@ def test_restricted_cut_is_the_full_cut_where_a_kept_state_lives(params, cutoffs
     amps = np.zeros(space.total_dim, dtype=complex)
     amps[keep] = rng.standard_normal(keep.size) + 1j * rng.standard_normal(keep.size)
     psi = StateVector(space, amps / np.linalg.norm(amps))
-    restricted = _evolve_sectors(psi, ours, t).amplitudes
-    assert np.array_equal(restricted, _evolve_sectors(psi, full, t).amplitudes)
+    restricted = _evolve_sectors([psi], ours, t)[0].amplitudes
+    assert np.array_equal(restricted, _evolve_sectors([psi], full, t)[0].amplitudes)
 
 
 def phase_target_time(params, n_p, phase):
     """The time at which the dark root of n_p probe photons turns by phase."""
     return phase / abs(min(estimate_eigenvalues(params, 1, 0, n_p).exact_roots, key=abs))
+
+
+@st.composite
+def qubit_lists(draw):
+    """Drawn qubits and exact H, V, L and R, then the mirror (c_R, c_L) or a
+    repeat of some of them, in any order."""
+    exact = st.sampled_from([PolarizationQubit.horizontal(), PolarizationQubit.vertical(),
+                             PolarizationQubit.left(), PolarizationQubit.right()])
+    out = draw(st.lists(st.one_of(qubits(), exact), min_size=1, max_size=4))
+    for k in draw(st.lists(st.integers(0, len(out) - 1), max_size=3)):
+        out.append(PolarizationQubit(out[k].c_r, out[k].c_l) if draw(st.booleans()) else out[k])
+    return draw(st.permutations(out))
+
+
+@PROPERTY
+@given(pp_params(), qubit_lists(),
+       st.sampled_from([{"n_p": 0}, {"n_p": 1}, {"n_p": 3}, {"alpha_p": 0.5 + 0.2j},
+                        {"alpha_p": 1.0, "cutoff_p": 12}, {"alpha_p": 2.0}]),
+       st.floats(-3.0, 3.0))
+def test_full_model_grid_is_each_qubit_alone_bit_for_bit(params, qubit_list, probe, phase):
+    # one stack over every qubit's chains and pairs, one Jacobi call: each
+    # qubit still gets the record it gets alone, and target_phase is the
+    # time phase / |exact_small|, out of reach at n_p = 0 (no shift)
+    lam = estimate_eigenvalues(params, 1, 0, probe.get("n_p", 1)).exact_small
+    t = phase / abs(lam) if lam else phase
+    alone = repr(tuple(full_vs_effective(params, q, t, **probe) for q in qubit_list))
+    assert repr(full_model_grid(params, qubit_list, t=t, **probe)) == alone
+    if lam:
+        assert repr(full_model_grid(params, qubit_list, target_phase=phase, **probe)) == alone
+    else:
+        with pytest.raises(ValueError, match="target_phase unreachable"):
+            full_model_grid(params, qubit_list, target_phase=phase, **probe)
 
 
 @PROPERTY

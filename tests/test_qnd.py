@@ -22,6 +22,7 @@ from ppqnd import (
     evolve,
     evolve_qnd,
     fidelity,
+    full_model_grid,
     full_vs_effective,
     homodyne_estimate,
     make_space,
@@ -59,7 +60,7 @@ def dense_jacobi_evolve(h, psi, t):
     """The dense oracle: the whole real D x D H as one block of the longdouble Jacobi."""
     from ppqnd.fock import _evolve_sectors
     m = h.matrix.real
-    return _evolve_sectors(psi, [(np.arange(len(m))[None], m[None])], t)
+    return _evolve_sectors([psi], [(np.arange(len(m))[None], m[None])], t)[0]
 
 
 class TestEvolveQnd:
@@ -547,8 +548,8 @@ class TestFullVsEffective:
 
         ours = records()
         monkeypatch.setattr(qnd, "_pp_components", linear_pp_sectors)
-        monkeypatch.setattr(qnd, "_evolve_sectors",
-                            lambda psi, stacks, t: per_size_evolve_sectors(psi, stacks[0], t))
+        monkeypatch.setattr(qnd, "_evolve_sectors", lambda psis, stacks, t: [
+            per_size_evolve_sectors(psi, stacks[0], t) for psi in psis])
         assert ours == records()
 
     def test_five_level_path_builds_no_coupling_table(self, monkeypatch):
@@ -639,7 +640,7 @@ class TestFullVsEffective:
         psi0 = StateVector(space, amps)
         for t in (1e3, 1e6):
             dense = dense_jacobi_evolve(h, psi0, t).amplitudes
-            ours = _evolve_sectors(psi0, sectors, t).amplitudes
+            ours = _evolve_sectors([psi0], sectors, t)[0].amplitudes
             assert np.max(np.abs(ours - dense)) < 1e-12
         # At the phase target t ~ 1e11 the fast levels accumulate w t ~ 1e15 rad,
         # which longdouble resolves only to ~1e-4 rad in either route; the
@@ -647,7 +648,7 @@ class TestFullVsEffective:
         roots = quintic_roots(secular_coefficients(RATIO100, 1, 0, n_p))
         t = 0.1 / abs(roots[np.argmin(np.abs(roots))])
         dense = dense_jacobi_evolve(h, psi0, t).amplitudes.reshape(5, -1)
-        ours = _evolve_sectors(psi0, sectors, t).amplitudes.reshape(5, -1)
+        ours = _evolve_sectors([psi0], sectors, t)[0].amplitudes.reshape(5, -1)
         assert np.max(np.abs(ours[0] - dense[0])) < 1e-12
 
     def test_coherent_phase_matches_dense_readout(self):
@@ -696,6 +697,18 @@ class TestFullVsEffective:
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
         res = polarization_dephasing(PolarizationQubit.left(), 1.0, -0.1, 1.0)
         assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("qubits, when, match", [
+        ([], {"t": 1.0}, "at least one qubit"),
+        ([PolarizationQubit.left()], {}, "exactly one of t or target_phase"),
+        ([PolarizationQubit.left()], {"t": 1.0, "target_phase": 0.1},
+         "exactly one of t or target_phase"),
+        ([PolarizationQubit.left()], {"target_phase": math.inf}, "target_phase must be finite"),
+        ([PolarizationQubit.left()], {"target_phase": math.nan}, "target_phase must be finite"),
+    ])
+    def test_full_model_grid_refuses_by_name(self, qubits, when, match):
+        with pytest.raises(ValueError, match=match):
+            full_model_grid(RATIO100, qubits, n_p=1, **when)
 
     def test_rejects_ambiguous_probe(self):
         with pytest.raises(ValueError):
