@@ -13,8 +13,10 @@ only: its tolerance is the config's tolerance field, else the command's
 default, and the record's config echo shows which.
 
 Each command is one row of the _COMMANDS table: its runner, its default
-config, its default tolerance and any extra flag.  Config values are checked
-against the ExperimentConfig annotations (a list[float] holds numbers only);
+config, its default tolerance, any extra flag and any field it reads beyond
+its defaults and tolerance; a config field outside that set is rejected, as
+the record would echo a value nothing used.  Config values are checked against
+the ExperimentConfig annotations (a list[float] holds numbers only);
 non-finite numbers, integers beyond the float range, integers outside
 their field's range 0..max (_INT_MAX), magnitudes above _MAG_MAX, sizes
 two fields ask for together above _SIZE_MAX and empty lists are rejected.
@@ -204,8 +206,14 @@ def _default_config(command: str) -> dict:
 
 def _effective_config(command: str, raw: Any, seed: int | None) -> ExperimentConfig:
     """The command's defaults overridden by the config file, then by --seed;
-    only the file's fields and the seed are validated here."""
-    values = {**_default_config(command), **ExperimentConfig.from_dict(raw).to_dict()}
+    only the file's fields and the seed are validated here, and a file field
+    the command does not read is refused."""
+    entry, given = _COMMANDS[command], ExperimentConfig.from_dict(raw).to_dict()
+    for key in given:
+        if not (key in entry.defaults or key in entry.reads
+                or (key == "tolerance" and entry.tolerance is not None)):
+            raise ConfigError(f"field '{key}': the {command} command does not read it")
+    values = {**_default_config(command), **given}
     if seed is not None:
         values["seed"] = ExperimentConfig.from_dict({"seed": seed}).seed
     return ExperimentConfig(**values)
@@ -404,6 +412,7 @@ class _Command(NamedTuple):
     defaults: dict
     tolerance: float | None  # the config tolerance's default; None: no pass/fail check
     flags: tuple[tuple[str, str], ...] = ()  # extra store_true flags: (name, help)
+    reads: tuple[str, ...] = ()  # fields read beyond the defaults and the tolerance
 
 
 _SQ2 = 1 / math.sqrt(2)
@@ -427,13 +436,13 @@ _COMMANDS: dict[str, _Command] = {
         flags=(("sensitive", "run the polarization-sensitive control interaction"),)),
     "qnd": _Command(cmd_qnd, {
         "n_s": 1, "alpha_p": [2.0, 0.0], "chi": -0.01, "time": 10.0, "seed": 0,
-    }, tolerance=1e-9),
+    }, tolerance=1e-9, reads=("cutoff_p",)),
     "invariance": _Command(cmd_invariance, {
         "chi": -1e-3, "cutoff_s": 4, "cutoff_p": 4, "unitary_count": 100, "seed": 0,
     }, tolerance=1e-10),
     "backaction": _Command(cmd_backaction, {
         "alphas": [[1.0, 0.0], [2.0, 0.0], [5.0, 0.0]], "seed": 0,
-    }, tolerance=1e-6),
+    }, tolerance=1e-6, reads=("cutoff_p",)),
     "discriminate": _Command(cmd_discriminate, {
         "alpha": 4.0, "theta": 0.25, "trials": 20000, "seed": 0,
     }, tolerance=None),
@@ -441,7 +450,7 @@ _COMMANDS: dict[str, _Command] = {
         "delta_probe": 1e4, "delta_two": 1e4, "omega_d": 1e2, "xi_s": 0.01, "xi_p": 1.0,
         "n_p": 1, "target_phase": 0.1, "seed": 0,
         "qubits": [[[_SQ2, 0.0], [_SQ2, 0.0]]],
-    }, tolerance=0.05),
+    }, tolerance=0.05, reads=("time",)),
 }
 
 COMMANDS = tuple(_COMMANDS)

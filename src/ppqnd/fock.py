@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -311,6 +312,14 @@ def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], size: int,
         m = group == g
         blocks[b[m], p[m], q[m]] = blocks[b[m], q[m], p[m]] = vals[m]
     return out
+
+
+def _photon_number(name: str, n: int) -> int:
+    """A photon number as a Python int; ValueError naming it unless it is an
+    integer (numpy's too, but not a bool), so no numpy scalar reaches a record."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer photon number, got {name} = {n!r}")
+    return int(n)
 
 
 def _check_mode(space: HilbertSpace, mode: int) -> None:

@@ -198,23 +198,6 @@ def _pair_layout(space: HilbertSpace, modes: tuple[int, int]) -> tuple[int, np.n
     return cut, flat.reshape(cut * cut, -1)
 
 
-def _apply_sectors(sectors: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """The block-diagonal pair unitary applied to axis 1 of x, written to out.
-
-    x and out are shaped (lead, pair, trail), their pair axis running over
-    the pair states in sector order (the `index` rows of `sectors`,
-    concatenated), so each sector size is one slice.
-    """
-    start = 0
-    for index, blocks in sectors:
-        part = slice(start, start + index.size)
-        start += index.size
-        shape = (len(x), *index.shape, -1)
-        np.matmul(blocks, x[:, part].reshape(shape), out=out[:, part].reshape(shape))
-    return out
-
-
 def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> Operator:
     """Fock-space unitary implementing a_i -> sum_j u_ij a_j on a mode pair.
 
@@ -236,8 +219,7 @@ def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> 
     G acts on the two modes only and conserves N = n_i + n_j, so it is
     exponentiated per pair sector (at most cutoff states each) and the
     blocks are scattered into the dense result, once per state of the
-    other factors.  check_invariance applies the same blocks without
-    building this matrix.
+    other factors.
     """
     cut, layout = _pair_layout(space, modes)
     u_full = np.zeros((space.total_dim,) * 2, dtype=complex)
@@ -282,37 +264,17 @@ def diagonal_invariance(space: HilbertSpace, energies: np.ndarray, unitaries: np
 
 
 def check_invariance(h: Operator, u: PolUnitary, modes: tuple[int, int]) -> float:
-    """max |U H U^+ - H| entrywise for the lifted polarization unitary.
+    """max |U H U^+ - H| entrywise for the lifted polarization unitary U.
 
     An H with no nonzero entry off its diagonal goes blockwise through its
     energies (diagonal_invariance), forming nothing of size D x D.  Any
-    other H is read once, its basis states in pair-sector order, and laid
-    out as (row pair, column pair, rest x rest); U is applied sector by
-    sector on the two pair axes, to the rows of H and then, conjugated, to
-    its columns, one column sector size at a time, each slice subtracted
-    and maximized before the next.  That route holds two D x D complex
-    arrays.  No full-space U is formed on either route, and nothing is
-    cached between calls.
+    other H is checked by the definition, with U = lift_unitary(u, ...).
     """
     diag = np.diagonal(h.matrix)
     if np.count_nonzero(h.matrix) == np.count_nonzero(diag):  # no nonzero off the diagonal
         return float(diagonal_invariance(h.space, diag, u.matrix[None], modes)[0])
-    cut, layout = _pair_layout(h.space, tuple(modes))
-    states = layout[np.concatenate([index.ravel() for index in _pair_sectors(cut)])]
-    n = len(states)
-    x = h.matrix[states[:, None, :, None], states[None, :, None, :]].reshape(n, n, -1)
-    sectors = [(index, blocks[0]) for index, blocks in _sector_unitaries(u.matrix[None], cut)]
-    left = np.empty_like(x)
-    _apply_sectors(sectors, x.reshape(1, n, -1), left.reshape(1, n, -1))
-    worst, start = 0.0, 0
-    for index, blocks in sectors:  # the columns one sector size at a time
-        part = slice(start, start + index.size)
-        start += index.size
-        cols = left[:, part]  # also frees the previous slice's result
-        cols = _apply_sectors([(index, blocks.conj())], cols, np.empty_like(cols))
-        cols -= x[:, part]
-        worst = np.maximum(worst, np.max(np.abs(cols)))  # NaN propagates
-    return float(worst)
+    lift = lift_unitary(u, h.space, modes).matrix
+    return float(np.max(np.abs(lift @ h.matrix @ lift.conj().T - h.matrix)))  # NaN propagates
 
 
 def stokes_vector(q: PolarizationQubit) -> tuple[float, float, float]:

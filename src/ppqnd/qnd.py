@@ -38,6 +38,7 @@ from .fock import (
     _coherent_probe,
     _evolve_diagonal,
     _evolve_sectors,
+    _photon_number,
     _readonly,
     default_cutoff,
     make_space,
@@ -176,14 +177,6 @@ def homodyne_estimate(state: StateVector | DensityMatrix, lo_phase: float,
         return _pure_readout(state.amplitudes[None, :], lo_phase, phase_per_photon,
                              phase_reference)
     return _mixed_readout(state.matrix, lo_phase, phase_per_photon, phase_reference)
-
-
-def _photon_number(name: str, n: int) -> int:
-    """A photon number as a Python int; ValueError naming it unless it is an
-    integer (numpy's too, but not a bool), so no numpy scalar reaches a record."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"{name} must be an integer photon number, got {name} = {n!r}")
-    return int(n)
 
 
 def _wrap_angle(x: float) -> float:
@@ -576,7 +569,8 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
     if target_phase is not None:
         if lam == 0:
             raise ValueError("target_phase unreachable: the dark-state eigenvalue is zero "
-                             "(no cross-Kerr shift); give 'time' directly")
+                             "(no cross-Kerr shift); give the time directly (t, or "
+                             "'time' in a fullmodel config)")
         t = target_phase / abs(lam)
 
     # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4) as in _pp_components;

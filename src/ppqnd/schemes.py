@@ -38,6 +38,7 @@ from .fock import (
     StateVector,
     _coupling_table,
     _jacobi_eigh_longdouble,
+    _photon_number,
     _scatter,
     make_space,
 )
@@ -131,6 +132,7 @@ def lambda_dark_state(params: SchemeParams, n_s: int, cutoff_s: int) -> StateVec
     Exact zero-eigenvalue eigenstate of the Lambda Hamiltonian; the overall
     sign is conventional.
     """
+    n_s = _photon_number("n_s", n_s)
     if not (1 <= n_s < cutoff_s):
         raise ValueError(f"need 1 <= n_s < cutoff_s, got n_s={n_s}, cutoff_s={cutoff_s}")
     space = make_space(3, [cutoff_s])
@@ -322,8 +324,11 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
     _pp_chain_stack (`reduced`), which has one drive leg: its characteristic
     polynomial is not the quintic (its dark root is the N-scheme shift,
     about twice the quintic's).  The secular analysis solves the even chain
-    (drive leg sqrt(2) Omega_d) plus delta.
+    (drive leg sqrt(2) Omega_d) plus delta.  The photon numbers are integers
+    (numpy's too, not bools).
     """
+    n_sl, n_sr, n_p = (_photon_number("n_sl", n_sl), _photon_number("n_sr", n_sr),
+                       _photon_number("n_p", n_p))
     if n_sl < 0 or n_sr < 0 or n_sl + n_sr < 1:
         raise ValueError("need n_sL + n_sR >= 1 (a signal photon to detect)")
     if n_p < 1:

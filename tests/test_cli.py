@@ -72,6 +72,29 @@ def stub_library(monkeypatch):
         monkeypatch.setattr(cli, name, never)
 
 
+# The fields each command reads beyond its defaults and its tolerance (where
+# it has one); a config file's other fields are refused.
+READS = {"qnd": {"cutoff_p"}, "backaction": {"cutoff_p"}, "fullmodel": {"time"}}
+# One valid value of every config field.
+VALID_FIELDS = {
+    "delta_probe": 1e4, "delta_two": 1e4, "omega_d": 1e2, "xi_s": 0.1, "xi_p": 1.0,
+    "n_sl": 1, "n_sr": 1, "n_p": 1, "n_s": 1, "draws": 10, "trials": 10, "unitary_count": 1,
+    "cutoff_s": 3, "cutoff_p": 7, "seed": 1, "chi": -0.1, "time": 1.0, "target_phase": 0.1,
+    "theta": 0.2, "alpha": 2.0, "tolerance": 0.5, "alpha_p": [3.0, 0.0],
+    "alphas": [[1.0, 0.0]], "qubits": [[[1.0, 0.0], [0.0, 0.0]]], "times": [1.0],
+}
+
+
+def read_fields(command):
+    entry = _COMMANDS[command]
+    return (entry.defaults.keys() | READS.get(command, set())
+            | ({"tolerance"} if entry.tolerance is not None else set()))
+
+
+def unread_message(command, key):
+    return f"field '{key}': the {command} command does not read it"
+
+
 def merge_and_revalidate(defaults, raw, seed):
     """Reference for _effective_config: the defaults, the file's fields and
     the seed merged into one dict, and the whole dict validated."""
@@ -466,13 +489,30 @@ class TestParseOnce:
     @pytest.mark.parametrize("raw,seed", [
         ({}, None), ({}, 0), ({"seed": 3}, 2**64 - 1), ({"chi": -1, "seed": 4}, None),
         ({"n_s": 2, "n_p": 3, "cutoff_p": 7, "times": [1, 2.5]}, 9),
+        ({"tolerance": 0.5, "time": 2, "alpha": 3}, None),
     ])
     def test_effective_config_is_the_revalidated_merge(self, raw, seed):
+        # each command merges the fields of raw it reads and refuses each other one
         for command, entry in _COMMANDS.items():
-            ours = _effective_config(command, raw, seed)
-            merged = merge_and_revalidate(entry.defaults, raw, seed)
+            fields = read_fields(command)
+            own = {key: value for key, value in raw.items() if key in fields}
+            ours = _effective_config(command, own, seed)
+            merged = merge_and_revalidate(entry.defaults, own, seed)
             assert ours == merged
             assert repr(ours) == repr(merged)  # -1 for a float field is -1.0 in both
+            for key in raw.keys() - fields:
+                with pytest.raises(ConfigError, match=f"^{unread_message(command, key)}$"):
+                    _effective_config(command, {**own, key: raw[key]}, seed)
+
+    def test_every_field_a_command_does_not_read_exits_one(self, capsys, tmp_path):
+        # fullmodel ran the Fock probe n_p = 1 at cutoff 2 and echoed alpha_p
+        # and cutoff_p; discriminate echoed a tolerance it has no check for
+        assert VALID_FIELDS.keys() == _FIELD_KINDS.keys()
+        for command in COMMANDS:
+            for key in sorted(_FIELD_KINDS.keys() - read_fields(command)):
+                path = write_config(tmp_path, "unread.json", {key: VALID_FIELDS[key]})
+                assert run(capsys, command, "--config", path) == (
+                    1, "", f"config error: {unread_message(command, key)}\n")
 
     def test_defaults_are_validated_once_per_process(self, capsys, monkeypatch):
         calls = []
@@ -594,8 +634,8 @@ class TestRecords:
     def test_invariance_runs_all_unitaries_at_once(self, capsys, tmp_path, monkeypatch):
         # the eigh count does not grow with unitary_count: one batched eigh
         # per pair-sector size for the LR -> HV and Haar stack, whose LR -> HV
-        # blocks the sensitive control reuses; no Operator, and no sector
-        # blocks applied to a D x D layout of H
+        # blocks the sensitive control reuses; no Operator, and no lift of a
+        # unitary to the D x D space
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -605,8 +645,8 @@ class TestRecords:
             return wrapped
         monkeypatch.setattr(fock.Operator, "__post_init__",
                             counting("Operator", fock.Operator.__post_init__))
-        monkeypatch.setattr(polarization, "_apply_sectors",
-                            counting("_apply_sectors", polarization._apply_sectors))
+        monkeypatch.setattr(polarization, "lift_unitary",
+                            counting("lift_unitary", polarization.lift_unitary))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         per_run = []
         for count in (5, 100):

@@ -223,29 +223,27 @@ class TestDiagonalRoute:
             diagonal_invariance(space, energies, us, (0, 1))
 
     def test_diagonal_hamiltonian_skips_the_dense_route(self, monkeypatch):
-        # the route is decided from the matrix: a diagonal H never has the
-        # sector blocks applied to a D x D layout, one off-diagonal entry
-        # sends H down that route (rows, then conjugated columns one pair
-        # sector size at a time: sizes 1, 2, 3 at cutoff 3)
+        # the route is decided from the matrix: a diagonal H never lifts u to
+        # a D x D unitary, one off-diagonal entry lifts it exactly once
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return apply(*args)
-        apply = polarization._apply_sectors
-        monkeypatch.setattr(polarization, "_apply_sectors", counting)
+            return lift(*args)
+        lift = polarization.lift_unitary
+        monkeypatch.setattr(polarization, "lift_unitary", counting)
         h = ppqnd_hamiltonian(-1e-3, 3, 3, 3)
         assert check_invariance(h, lr_to_hv(), (0, 1)) <= 1e-15
         assert calls == []
         m = h.matrix.copy()
         m[1, 3] = m[3, 1] = 1e-3
         dense = check_invariance(Operator(h.space, m), lr_to_hv(), (0, 1))
-        assert len(calls) == 1 + 3
+        assert len(calls) == 1
         assert dense > 1e-4
 
     def test_general_route_retains_nothing(self):
-        # the general route reads H once in sector order and caches no
-        # index between calls: after it returns, nothing it allocated is left
+        # the general route caches nothing between calls: after it
+        # returns, nothing it allocated is left
         h = ppqnd_hamiltonian(-1e-3, 8, 8, 9)
         m = h.matrix.copy()
         i, j = h.space.index_of(0, (0, 0, 1)), h.space.index_of(0, (0, 1, 1))
@@ -259,26 +257,6 @@ class TestDiagonalRoute:
         finally:
             tracemalloc.stop()
         assert retained < 0.1e6
-
-    def test_general_route_peaks_below_two_copies_of_h_and_a_slice(self):
-        # H in sector order and its row transform are the only D^2 complex
-        # arrays; the column transform, its difference from H and the
-        # absolute values exist one column sector size at a time (at most
-        # 14 of the 64 pair states at cutoff 8)
-        h = ppqnd_hamiltonian(-1e-3, 8, 8, 9)
-        m = h.matrix.copy()
-        i, j = h.space.index_of(0, (0, 0, 1)), h.space.index_of(0, (0, 1, 1))
-        m[i, j] = m[j, i] = 1e-3
-        op, u = Operator(h.space, m), lr_to_hv()
-        d = h.space.total_dim
-        assert d == 576
-        tracemalloc.start()
-        try:
-            assert check_invariance(op, u, (0, 1)) > 1e-4
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < (32 + 24 * 14 / 64 + 1) * d * d
 
 
 def by_total_pair_sectors(cut):

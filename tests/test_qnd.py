@@ -14,7 +14,9 @@ from ppqnd import (
     SchemeParams,
     backaction_product,
     basis_state,
+    build_pp_block_matrix,
     coherent_state,
+    compare_block_to_full,
     default_cutoff,
     dephasing_grid,
     discrimination_error,
@@ -25,6 +27,7 @@ from ppqnd import (
     full_model_grid,
     full_vs_effective,
     homodyne_estimate,
+    lambda_dark_state,
     make_space,
     polarization_dephasing,
     ppqnd_energies,
@@ -362,6 +365,16 @@ class TestInputTypes:
             full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0, n_p=n)
         with pytest.raises(ValueError, match="n_s must be an integer photon number"):
             evolve_qnd(n, 2.0, -0.01, 1.0)
+        # the block of n_sL = 1.5 was built at n_s = 2.5, compare_block_to_full
+        # failed inside numpy ("got '3.5'") and took True as a count
+        for name, position in (("n_sl", 0), ("n_sr", 1), ("n_p", 2)):
+            point = [1, 1, 1]
+            point[position] = n
+            for entry in (build_pp_block_matrix, compare_block_to_full):
+                with pytest.raises(ValueError, match=f"{name} must be an integer photon number"):
+                    entry(RATIO100, *point)
+        with pytest.raises(ValueError, match="n_s must be an integer photon number"):
+            lambda_dark_state(RATIO100, n, 5)
 
     def test_numpy_integers_are_photon_numbers(self):
         qubit = PolarizationQubit.horizontal()
@@ -709,6 +722,14 @@ class TestFullVsEffective:
     def test_full_model_grid_refuses_by_name(self, qubits, when, match):
         with pytest.raises(ValueError, match=match):
             full_model_grid(RATIO100, qubits, n_p=1, **when)
+
+    def test_zero_dark_root_names_the_library_and_the_config_time(self):
+        # the message named the fullmodel config's 'time' but not the library's t
+        dark = SchemeParams(1e4, 1e4, 1e2, 0.0, 1.0)
+        with pytest.raises(ValueError) as info:
+            full_model_grid(dark, [PolarizationQubit.left()], target_phase=0.1, n_p=1)
+        assert str(info.value).startswith("target_phase unreachable: ")
+        assert str(info.value).endswith("(t, or 'time' in a fullmodel config)")
 
     def test_rejects_ambiguous_probe(self):
         with pytest.raises(ValueError):
