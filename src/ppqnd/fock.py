@@ -499,22 +499,25 @@ def _require_extended_precision() -> None:
 
 @functools.lru_cache(maxsize=None)
 def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Rounds of disjoint pairs (p < q) of 0..n-1, each as index arrays (p ++ q, q ++ p).
+    """Rounds of disjoint pairs (p < q) of 0..n-1, each as (entries, pairs).
 
-    Each pair occurs in exactly one round.  Circle method: index 0 stays put
-    while the others rotate; with odd n a phantom index n pairs with one
-    real index per round, which then sits out.
+    `entries` (3, k) holds the flat indices of a_pq, a_pp and a_qq of the
+    round's k pairs in one matrix's [a | v^T] (n rows of width 2n), and
+    `pairs` (k, 2) the pairs themselves, which index the pair rows of
+    [a | v^T] and a's pair columns.  Each pair occurs in exactly one round.
+    Circle method: index 0 stays put while the others rotate; with odd n a
+    phantom index n pairs with one real index per round, which then sits out.
     """
-    m = n + n % 2
+    m, width = n + n % 2, 2 * n
     ring = list(range(1, m))
     rounds = []
     for _ in range(m - 1):
         line = [0] + ring
         pairs = [sorted((line[i], line[m - 1 - i])) for i in range(m // 2)]
-        pairs = [pq for pq in pairs if pq[1] < n]
-        p, q = [p for p, _ in pairs], [q for _, q in pairs]
-        rounds.append((_readonly(np.array(p + q, dtype=np.intp)),
-                       _readonly(np.array(q + p, dtype=np.intp))))
+        pairs = np.array([pq for pq in pairs if pq[1] < n], dtype=np.intp).reshape(-1, 2)
+        p, q = pairs.T
+        entries = np.stack([p * width + q, p * (width + 1), q * (width + 1)])
+        rounds.append((_readonly(entries), _readonly(pairs)))
         ring = ring[-1:] + ring[:-1]
     return tuple(rounds)
 
@@ -530,8 +533,12 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     blocks, rotated together in one set of numpy operations.  A sweep
     visits every pair (p, q) once, in round-robin order: the disjoint pairs
     of a round rotate at once, a pair that need not turn with c = 1, s = 0.
-    A round rotates the rows of [a | v^T], so a's rows and v's columns in
-    one step, then a's columns.
+    A round reads a_pq, a_pp and a_qq of its k pairs in one gather from the
+    flat [a | v^T] stack, forms c and s on those k pairs, and applies each
+    pair's g = [[c, -s], [s, c]] as one (B, k, 2, 2) matmul: to the pair
+    rows of [a | v^T] (a's rows and v's columns in one step), then to a's
+    pair columns.  That is O(n) work per pair, and the index tables hold
+    O(n) entries per round; no round forms an n x n rotation.
 
     Stopping rule.  Each sweep starts from every matrix's off-diagonal
     norm; a matrix whose norm did not fall below the last sweep's stops
@@ -558,11 +565,18 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     a, vt = av[:, :, :n], av[:, :, n:]
     vt[:, diag, diag] = 1
     a_diag, a_cols = np.diagonal(a, axis1=1, axis2=2), a.swapaxes(1, 2)
+    flat = av.reshape(-1)  # a view: each round's gather reads the current entries
     eps = np.finfo(np.longdouble).eps
+    # 0-d longdouble operands: numpy converts a Python int, or even a numpy
+    # scalar, on every call, which costs more than these small rounds' arithmetic
+    zero, one, two = (np.array(x, dtype=np.longdouble) for x in (0, 1, 2))
     live = np.ones(batch, dtype=bool)
     live_col = live[:, None]  # a view: follows the in-place updates of live
     prev_off = np.full(batch, np.inf, dtype=np.longdouble)
-    rounds = _round_robin(n)
+    g = np.empty((batch, n // 2, 2, 2), dtype=np.longdouble)  # each pair's [[c, -s], [s, c]]
+    g_c, g_minus_s, g_s, g_c_qq = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    first = np.arange(batch)[:, None, None] * (2 * n * n)  # each matrix's offset in flat
+    rounds = [(first + entries, pairs) for entries, pairs in _round_robin(n)]
     quiet = 0  # rounds tested without a turn since the stack's last rotation
     for _ in range(_JACOBI_SWEEPS):
         squares = a * a
@@ -572,10 +586,9 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if not np.count_nonzero(live):
             break
         prev_off = off
-        for pq, qp in rounds:
-            k = len(pq) // 2
-            apq, app_aqq = a[:, pq[:k], qp[:k]], a_diag[:, pq]
-            app, aqq = app_aqq[:, :k], app_aqq[:, k:]
+        for entries, pairs in rounds:
+            x = flat[entries]
+            apq, app, aqq = x[:, 0], x[:, 1], x[:, 2]
             # Relative test: a_pq is negligible only against its own diagonal
             # pair, so tiny eigenvalues keep their accuracy next to large ones.
             turn = live_col & (np.abs(apq) > eps * np.sqrt(np.abs(app * aqq)))
@@ -585,17 +598,19 @@ def _jacobi_eigh_longdouble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                     break
                 continue
             quiet = 0
-            theta = (aqq - app) / (2 * np.where(turn, apq, 1))
-            theta += 0  # -0 -> +0: t = 1 at theta = 0
+            theta = (aqq - app) / (two * np.where(turn, apq, one))
+            theta += zero  # -0 -> +0: t = 1 at theta = 0
             # sign(theta) / (|theta| + sqrt(theta^2 + 1)), with the sign moved
             # into the denominator: the same value, bit for bit
-            t = 1 / (theta + np.copysign(np.sqrt(theta * theta + 1), theta))
-            t = np.where(turn, t, 0)
-            t = np.concatenate([-t, t], axis=1)[:, :, None]
-            c = 1 / np.sqrt(t * t + 1)  # (c, c); exactly 1 where t = 0
-            s = t * c  # (-s, s): c x_p + (-s) x_q rounds exactly as c x_p - s x_q
-            for x in (av, a_cols):  # rows p, q <- (c x_p - s x_q, s x_p + c x_q)
-                x[:, pq] = c * x[:, pq] + s * x[:, qp]
+            t = one / (theta + np.copysign(np.sqrt(theta * theta + one), theta))
+            t = np.where(turn, t, zero)
+            c = one / np.sqrt(t * t + one)  # exactly 1 where t = 0
+            s = t * c
+            g_c[...], g_minus_s[...], g_s[...], g_c_qq[...] = c, -s, s, c
+            # rows p, q <- (c x_p - s x_q, s x_p + c x_q): matmul sums
+            # 0 + c x_p + (-s) x_q, the same value up to the sign of a zero
+            av[:, pairs] = g @ av[:, pairs]  # a's rows and v's columns
+            a_cols[:, pairs] = g @ a_cols[:, pairs]  # then a's columns
         if quiet == len(rounds):  # every round settled: nothing turns again
             break
     order = np.argsort(a_diag, axis=1)
@@ -613,8 +628,8 @@ def evolve(h: Operator, psi: StateVector, t: float) -> StateVector:
     through _evolve_sectors: longdouble Jacobi and phases (RuntimeError where
     longdouble is plain double).  The Jacobi is O(n^3) per sweep on an
     n-state component: a dense real H of dimension 40, 100 or 200 takes
-    ~0.03, 0.6 or 7 s on one core of a 2-vCPU Xeon VM.  A complex Hermitian
-    H goes to LAPACK in double.
+    ~0.02, 0.45 or 4.6 s on one core of a 2-vCPU Xeon VM.  A complex
+    Hermitian H goes to LAPACK in double.
     """
     _check_time(t)
     if not h.hermitian_flag:

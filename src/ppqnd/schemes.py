@@ -70,7 +70,8 @@ class SchemeParams:
     omega_d field and one xi_s field.  Phases of the Rabi amplitudes are
     fixed to zero; every derived formula depends on |Omega_d|^2 and
     |xi|^2 only, so a complex-phase hook would change nothing measurable.
-    Fields are stored as Python floats; a bool or non-number is a TypeError.
+    Fields are stored as Python floats; a bool or non-number is a TypeError,
+    NaN or an infinity a ValueError naming the field.
     """
 
     delta_probe: float  # Delta, probe detuning
@@ -84,6 +85,8 @@ class SchemeParams:
             value = getattr(self, field.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{field.name} must be a real number, got {value!r}")
+            if not math.isfinite(value):  # a NaN entry would never turn in the Jacobi
+                raise ValueError(f"{field.name} must be finite, got {value}")
             if field.name in ("omega_d", "xi_s", "xi_p") and value < 0:
                 raise ValueError(f"{field.name} must be nonnegative, got {value}")
             object.__setattr__(self, field.name, float(value))

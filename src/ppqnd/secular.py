@@ -64,6 +64,7 @@ __all__ = [
 _REL_FLOOR = 1e-300  # guards relative errors when the exact root is 0
 _NEWTON_STEPS = 3  # from a start within the eps-scale error bound, enough to converge
 _RESIDUAL_TOL = 1e-8  # quintic_roots refuses a root with |p(root)| above this * scale
+_BOOLS = {bool, np.bool_}
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,21 @@ def _bad_counts(counts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(np.isfinite(c) & (c >= 0) & (np.floor(c) == c)).all(0))
 
 
+def _bools_as_nan(counts: Sequence) -> Sequence:
+    """Photon numbers with each bool (Python or numpy) as NaN, which
+    _bad_counts refuses: float() would read it as 0 or 1."""
+    numeric = isinstance(counts, np.ndarray) and counts.dtype != object
+    if _BOOLS.isdisjoint({counts.dtype.type} if numeric else map(type, counts)):
+        return counts
+    return [math.nan if type(n) in _BOOLS else n for n in counts]
+
+
 def _point_arrays(points: Sequence[tuple[SchemeParams, int, int, int]]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B, 5) parameter rows, n_s and n_p of (params, n_sL, n_sR, n_p) points;
     ValueError names the first point whose photon numbers are not integers >= 0."""
-    counts = np.array([point[1:] for point in points], dtype=float).reshape(-1, 3)
+    counts = _bools_as_nan([n for point in points for n in point[1:]])
+    counts = np.array(counts, dtype=float).reshape(-1, 3)
     bad = _bad_counts(counts.T)
     if bad.size:
         raise ValueError(f"secular point {points[bad[0]]}: photon numbers must be integers >= 0")
@@ -124,7 +135,9 @@ def secular_coefficients(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     single-photon polarization state is an eigenstate of n_sL + n_sR with
     eigenvalue 1, so the same numbers apply.
     """
-    row = _coefficient_stack(*_point_arrays([(params, n_sl, n_sr, n_p)]))[0]
+    arrays = _point_arrays([(params, n_sl, n_sr, n_p)])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name just below
+        row = _coefficient_stack(*arrays)[0]
     if not np.isfinite(row).all():
         raise ValueError(f"secular point {(params, n_sl, n_sr, n_p)}: the coefficients overflow")
     return SecularCoefficients(*row.tolist())
@@ -347,15 +360,16 @@ def estimate_stack(points: Sequence[tuple[SchemeParams, int, int, int]], rows: n
         if np.shape(rows) != (k, 5) or not np.shape(n_s) == np.shape(n_p) == (k,):
             raise ValueError(f"extra rows: expected (k, 5) rows with k n_s and k n_p, got shapes "
                              f"{np.shape(rows)}, {np.shape(n_s)} and {np.shape(n_p)}")
-        bad = _bad_counts([n_s, n_p])
+        bad = _bad_counts([_bools_as_nan(n_s), _bools_as_nan(n_p)])
         if bad.size:
             j = bad[0]
             raise ValueError(f"extra row {j}: n_s = {n_s[j]} and n_p = {n_p[j]} "
                              "must be integers >= 0")
         params, ns, nps = (np.concatenate(pair) for pair in
                            ((params, rows), (ns, n_s), (nps, n_p)))
-    coeffs = _coefficient_stack(params, ns, nps)
-    chains = _pp_chain_stack(params * [1.0, 1.0, math.sqrt(2), 1.0, 1.0], ns, nps)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name just below
+        coeffs = _coefficient_stack(params, ns, nps)
+        chains = _pp_chain_stack(params * [1.0, 1.0, math.sqrt(2), 1.0, 1.0], ns, nps)
     bad = np.flatnonzero(~(np.isfinite(coeffs).all(1) & np.isfinite(chains).all((1, 2))))
     if bad.size:
         j = bad[0]

@@ -349,17 +349,16 @@ class TestExitCodes:
         # finite fields whose closed-form coefficients overflow: these ended
         # in an OverflowError traceback, or a record holding "Infinity"
         path = write_config(tmp_path, "huge.json", raw)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "secular", "--config", path)
-            assert code == 1
-            assert out == ""
-            assert err.startswith("config error: secular point (SchemeParams(") and "xi_s=" in err
-            config = {**_COMMANDS["secular"].defaults, **raw}
-            point = (ExperimentConfig.from_dict(config).scheme_params(), config["n_sl"],
-                     config["n_sr"], config["n_p"])
-            for entry in (lambda: estimate_eigenvalues(*point), lambda: regime_scan([point])):
-                with pytest.raises(ValueError, match="overflow"):
-                    entry()
+        code, out, err = run(capsys, "secular", "--config", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: secular point (SchemeParams(") and "xi_s=" in err
+        config = {**_COMMANDS["secular"].defaults, **raw}
+        point = (ExperimentConfig.from_dict(config).scheme_params(), config["n_sl"],
+                 config["n_sr"], config["n_p"])
+        for entry in (lambda: estimate_eigenvalues(*point), lambda: regime_scan([point])):
+            with pytest.raises(ValueError, match="overflow"):
+                entry()
 
     def test_one_level_probe_exits_one(self, capsys, tmp_path):
         # cutoff 1 holds only the vacuum: zero number variance, no phase to read

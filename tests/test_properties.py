@@ -87,6 +87,7 @@ from ppqnd.fock import (
     _jacobi_eigh_longdouble,
     _readonly,
     _require_extended_precision,
+    _round_robin,
     _sector_blocks,
     _sectors,
 )
@@ -904,6 +905,39 @@ def test_jacobi_is_bitwise_the_reference_kernel_on_pp_sectors(params, cutoff_p):
     assert {stack.shape[-1] for stack in stacks} >= {2, 3, 4, 5, 11, 16}
     for stack in stacks:
         assert_same_bits(_jacobi_eigh_longdouble(stack), reference_jacobi_eigh_longdouble(stack))
+
+
+def test_jacobi_is_bitwise_the_reference_kernel_at_n_40():
+    # the five-level stacks stop at n = 16; a dense n = 40 matrix turns every
+    # one of its 39 rounds, pairs whose rows and columns no small n reaches
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((40, 40))
+    a = a + a.T
+    assert_same_bits(_jacobi_eigh_longdouble(a), reference_jacobi_eigh_longdouble(a))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_round_robin_plan_addresses_each_pair_once(n):
+    # one matrix's [a | v^T], n rows of width 2n, each entry holding its own
+    # flat index, which decodes to (row, column)
+    width = 2 * n
+    av = np.arange(n * width).reshape(n, width)
+    seen = []
+    for entries, pairs in _round_robin(n):
+        k = len(pairs)
+        assert entries.shape == (3, k) and pairs.shape == (k, 2)
+        assert not (entries.flags.writeable or pairs.flags.writeable)
+        p, q = pairs.T
+        assert np.all(p < q) and len(set(p) | set(q)) == 2 * k  # disjoint pairs
+        seen += zip(p.tolist(), q.tolist())
+        assert np.array_equal(av.ravel()[entries], [av[p, q], av[p, p], av[q, q]])
+        rows = av[pairs]  # (k, 2, 2n): the pair rows of [a | v^T]
+        assert np.array_equal(rows // width, np.broadcast_to(pairs[..., None], rows.shape))
+        assert np.array_equal(rows % width, np.broadcast_to(np.arange(width), rows.shape))
+        cols = av[:, :n].T[pairs]  # (k, 2, n): a's pair columns
+        assert np.array_equal(cols % width, np.broadcast_to(pairs[..., None], cols.shape))
+        assert np.array_equal(cols // width, np.broadcast_to(np.arange(n), cols.shape))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 @PROPERTY

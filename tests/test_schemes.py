@@ -75,6 +75,18 @@ class TestSchemeParams:
         with pytest.raises(TypeError, match="delta_two must be a real number"):
             SchemeParams(1.0, value, 1.0, 0.1, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
+                             ids=["nan", "inf", "-inf", "np-nan"])
+    @pytest.mark.parametrize("field", range(5))
+    def test_non_finite_fields_rejected_by_name(self, field, value):
+        # a NaN entry never passes the Jacobi's threshold, so compare_block_to_full
+        # used to return all zeros for a NaN xi_s instead of refusing
+        values = list(astuple(SPEC_POINT))
+        values[field] = value
+        name = list(SPEC_POINT.__dataclass_fields__)[field]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            SchemeParams(*values)
+
 
 class TestLambdaScheme:
     def test_decoupled_ground_states_with_zero_signal_coupling(self):

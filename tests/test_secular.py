@@ -89,8 +89,7 @@ class TestSecularCoefficients:
     def test_refuses_overflowing_coefficients(self):
         # b came out inf and d nan here; the refusal names the point
         params = SchemeParams(1e4, 1e4, 1e2, 1e160, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match=r"xi_s=1e\+160"):
+        with pytest.raises(ValueError, match=r"xi_s=1e\+160"):
             secular_coefficients(params, 1, 1, 1)
 
 
@@ -358,12 +357,19 @@ class TestRegimeScan:
 class TestEstimateStack:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_s, n_p", [([2, -1], [1, 1]), ([2, 1.5], [1, 1]),
-                                          ([2, 2], [1, -3])])
+                                          ([2, 2], [1, -3]), ([2, True], [1, 1]),
+                                          ([2, 2], [1, np.True_]),
+                                          (np.array([2, 2]), np.array([1, True], dtype=object))])
     def test_rejects_extra_rows_without_nonnegative_integer_counts(self, n_s, n_p):
         # refused by name before any square root, not reported as an overflow
         rows = [astuple(SPEC_POINT)] * 2
         with pytest.raises(ValueError, match="extra row 1: .* must be integers >= 0"):
             estimate_stack([], rows, n_s, n_p)
+
+    def test_rejects_a_bool_array_of_counts_at_its_first_row(self):
+        rows = [astuple(SPEC_POINT)] * 2
+        with pytest.raises(ValueError, match="extra row 0: n_s = 2 and n_p = True must be"):
+            estimate_stack([], rows, np.array([2, 1]), np.array([True, True]))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_rejects_extra_rows_without_one_count_each(self, count):
@@ -393,7 +399,8 @@ class TestDarkRoot:
 class TestPhotonNumbers:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("counts", [(1.5, 0, 1), (0, 0.5, 1), (1, 0, 2.5), (-1, 0, 1),
-                                        (1, 0, -1), (math.nan, 0, 1), (1, 0, math.inf)])
+                                        (1, 0, -1), (math.nan, 0, 1), (1, 0, math.inf),
+                                        (True, 0, 1), (1, False, 1), (1, 0, np.True_)])
     def test_points_refuse_other_than_nonnegative_integer_counts(self, counts):
         # one check for points and extra rows, naming the point before any
         # square root is taken
