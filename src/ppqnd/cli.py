@@ -2,15 +2,18 @@
 
 Every analysis in the package is exposed as a subcommand that reads a flat
 JSON config, runs deterministically under its seed, and emits a JSON (or
-CSV) record.  Exit codes: 0 success, 1 usage/config error, 2 tolerance
-failure.
+CSV) record.  Exit codes: 0 success, 1 usage/config error or a library
+refusal (a ValueError, or the ArithmeticError of an evolution that lost
+unitarity), 2 tolerance failure.
 
 Complex numbers enter configs as [magnitude, phase_radians] pairs.  Floats
-are emitted through repr, which round-trips exactly.  Wall-clock time goes
-to stderr so that reruns with the same config and seed are byte-identical
-on stdout and in --out files.  A record depends on its argv and its config
-only: its tolerance is the config's tolerance field, else the command's
-default, and the record's config echo shows which.
+are emitted through repr, which round-trips exactly.  A JSON record is
+strict JSON: a non-finite number in it fails the command (exit 1) and
+nothing is written.  Wall-clock time goes to stderr so that reruns with
+the same config and seed are byte-identical on stdout and in --out files.
+A record depends on its argv and its config only: its tolerance is the
+config's tolerance field, else the command's default, and the record's
+config echo shows which.
 
 Each command is one row of the _COMMANDS table: its runner, its default
 config, its default tolerance, any extra flag and any field it reads beyond
@@ -135,16 +138,10 @@ class ExperimentConfig:
 
     def scheme_params(self) -> SchemeParams:
         self.require("delta_probe", "delta_two", "omega_d", "xi_s", "xi_p")
-        try:
-            return SchemeParams(self.delta_probe, self.delta_two, self.omega_d,
-                                self.xi_s, self.xi_p)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SchemeParams(self.delta_probe, self.delta_two, self.omega_d, self.xi_s, self.xi_p)
 
     def qubit_list(self) -> list[PolarizationQubit]:
         self.require("qubits")
-        if not self.qubits:
-            raise ConfigError("field 'qubits': empty qubit list")
         out = []
         for k, pair in enumerate(self.qubits):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -278,7 +275,9 @@ def cmd_secular(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]
         "max_rel_err_over_draws": max_rel,
         "draws": config.draws,
         "lambda_small": est.lambda_small,
-        "lambda_small_reduced": est.lambda_small_reduced,
+        # null where the N-scheme formula is undefined (Delta = 0, Omega_d = 0) or overflows
+        "lambda_small_reduced": (est.lambda_small_reduced
+                                 if math.isfinite(est.lambda_small_reduced) else None),
         "lambda_large": est.lambda_large,
         "exact_roots": list(est.exact_roots),
         "rel_err_small": est.rel_err_small,
@@ -458,7 +457,7 @@ COMMANDS = tuple(_COMMANDS)
 
 def _emit(record: dict, rows: list, fmt: str) -> bytes:
     if fmt == "json":
-        return (json.dumps(record, sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if rows:
@@ -523,13 +522,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             tol = config.tolerance
         flags = {flag: getattr(args, flag) for flag, _ in command.flags}
         results, rows, ok = command.run(config, tol, **flags)
-    except (ConfigError, ValueError) as exc:  # library rejections are config errors here
+        if tol is not None:
+            results["tolerance"] = tol
+        payload = _emit(_record(name, config, results, rows), rows, args.format)
+    except (ValueError, ArithmeticError) as exc:  # library refusals are config errors here
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if tol is not None:
-        results["tolerance"] = tol
-
-    payload = _emit(_record(name, config, results, rows), rows, args.format)
     if args.out is not None:
         with open(args.out, "wb") as fh:
             fh.write(payload)

@@ -15,10 +15,11 @@ Conventions used throughout the package:
   cutoff exists.
 * Every generic block split is _sectors(label): one (B, s) stack of flat
   indices per block size s, labelled by a conserved number (the pair
-  n_i + n_j) or by connected component (_components, cut by
-  _sector_blocks).  The five-level components, at most 5 states, are
-  built in closed form as one zero-padded stack (schemes._pp_components),
-  so they cost one Jacobi call.
+  n_i + n_j) or by connected component of a real symmetric matrix's
+  nonzero pattern (_components; _sector_blocks gathers the matching
+  (B, s, s) blocks from the matrix).  The five-level components, at most
+  5 states, are built in closed form as one zero-padded stack
+  (schemes._pp_components), so they cost one Jacobi call.
 """
 
 from __future__ import annotations
@@ -159,10 +160,6 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def expectation(self, op: "Operator") -> complex:
-        _check_same_space(self.space, op.space)
-        return complex(np.trace(self.matrix @ op.matrix))
-
 
 def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
     """max |M - M^+| of each matrix of m (shape (..., n, n)); NaN where M
@@ -291,27 +288,18 @@ def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
     return label
 
 
-def _sector_blocks(table: tuple[np.ndarray, np.ndarray, np.ndarray], size: int,
-                   keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A coupling table plus its transpose, on a space of `size` states, as
-    (index, blocks) per block size: the connected components of the table
+def _sector_blocks(lower: np.ndarray, keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The real symmetric matrix whose lower triangle is `lower`, as (index,
+    blocks) per block size: the connected components of its nonzero pattern
     that hold a flat index in `keep`.  index (B, s) is those rows of
     _sectors(_components(...)), in order, and no size without one; blocks
-    (B, s, s) the real symmetric operator on each row, in the table's dtype."""
-    rows, cols, vals = table
-    label = _components(rows, cols, size)
+    (B, s, s) the matrix on each row, in lower's dtype."""
+    rows, cols = np.nonzero(lower)
+    label = _components(rows, cols, len(lower))
     kept = np.flatnonzero(np.isin(label, label[keep]))
-    groups = [kept[index] for index in _sectors(label[kept])]
-    where = np.full((3, size), -1, dtype=np.intp)  # (group, row, position) of each index
-    for g, index in enumerate(groups):
-        where[0, index] = g
-        where[1:, index] = np.indices(index.shape)
-    (group, b, p), q = where[:, rows], where[2, cols]
-    out = [(index, np.zeros((*index.shape, index.shape[1]), vals.dtype)) for index in groups]
-    for g, (_, blocks) in enumerate(out):
-        m = group == g
-        blocks[b[m], p[m], q[m]] = blocks[b[m], q[m], p[m]] = vals[m]
-    return out
+    full = lower + np.tril(lower, -1).T
+    return [(index, full[index[:, :, None], index[:, None, :]])
+            for index in (kept[group] for group in _sectors(label[kept]))]
 
 
 def _photon_number(name: str, n: int) -> int:
@@ -406,11 +394,14 @@ def coherent_truncation_loss(cutoff: int, alpha: complex) -> float:
     return max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
 
 
-def _coherent_probe(cutoff: int, alpha: complex) -> np.ndarray:
+def _coherent_probe(cutoff: int | None, alpha: complex) -> np.ndarray:
     """The amplitudes of coherent_state, without the StateVector: the
-    truncated coefficients over their norm.  Refuses cutoff < 1, a
-    non-finite alpha and a cutoff that holds none of the weight; warns on a
+    truncated coefficients over their norm, default_cutoff(alpha) of them
+    when cutoff is None.  Refuses cutoff < 1, a non-finite alpha and a
+    cutoff that holds none of the weight; warns its caller's caller on a
     truncation loss above 1e-9."""
+    if cutoff is None:
+        cutoff = default_cutoff(alpha)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if not cmath.isfinite(alpha):
@@ -640,17 +631,16 @@ def evolve(h: Operator, psi: StateVector, t: float) -> StateVector:
         w, v = np.linalg.eigh(m)
         amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
         return _unitary_result(psi.space, amps)
-    lower = np.tril(m.real)
-    rows, cols = np.nonzero(lower)
-    sectors = _sector_blocks((rows, cols, lower[rows, cols]), len(m),
-                             np.flatnonzero(psi.amplitudes))
+    sectors = _sector_blocks(np.tril(m.real), np.flatnonzero(psi.amplitudes))
     return _evolve_sectors([psi], sectors, t)[0]
 
 
 def _evolve_diagonal(w: np.ndarray, psi: StateVector, t: float) -> StateVector:
     """exp(-i H t) |psi> for H = diag(w): each amplitude times exp(-i w t) in double."""
     _check_time(t)
-    return _unitary_result(psi.space, np.exp(-1j * w * t) * psi.amplitudes)
+    with np.errstate(over="ignore", invalid="ignore"):  # w t overflowing: NaN, refused below
+        phases = np.exp(-1j * w * t)
+    return _unitary_result(psi.space, phases * psi.amplitudes)
 
 
 def _evolve_sectors(psis: Sequence[StateVector], sectors: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -736,14 +726,10 @@ def partial_trace(state: StateVector | DensityMatrix, keep) -> DensityMatrix:
         traced = [i for i in range(n_fac) if i not in keep_factors]
         reduced = np.tensordot(psi, psi.conj(), axes=(traced, traced))
     else:
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        if 2 * n_fac > len(letters):
-            raise ValueError("too many factors for partial trace")
-        row = list(letters[:n_fac])
-        col = [letters[n_fac + i] if i in keep_factors else row[i] for i in range(n_fac)]
-        out_idx = "".join(row[i] for i in keep_factors) + "".join(col[i] for i in keep_factors)
-        subscripts = "".join(row) + "".join(col) + "->" + out_idx
-        reduced = np.einsum(subscripts, state.matrix.reshape(dims + dims))
+        row = list(range(n_fac))  # einsum labels: a traced factor's column shares its row's
+        col = [n_fac + i if i in keep_factors else i for i in range(n_fac)]
+        out = [row[i] for i in keep_factors] + [col[i] for i in keep_factors]
+        reduced = np.einsum(state.matrix.reshape(dims + dims), row + col, out)
 
     new_atom = space.atom_dim if keep_atom else 1
     new_cutoffs = tuple(space.mode_cutoffs[m] for m in keep_modes)

@@ -93,9 +93,6 @@ class PolUnitary:
     def __matmul__(self, other: "PolUnitary") -> "PolUnitary":
         return PolUnitary(self.matrix @ other.matrix)
 
-    def dagger(self) -> "PolUnitary":
-        return PolUnitary(self.matrix.conj().T)
-
 
 def _require_unitary(m: np.ndarray) -> None:
     """Raise ValueError unless every 2x2 matrix of m (shape (..., 2, 2)) is

@@ -40,7 +40,6 @@ from .fock import (
     _evolve_sectors,
     _photon_number,
     _readonly,
-    default_cutoff,
     make_space,
 )
 from .polarization import PolarizationQubit
@@ -229,11 +228,11 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
     cutoff_s = n_s + 1
-    if cutoff_p is None:
-        cutoff_p = default_cutoff(alpha_p)
+    probe = _coherent_probe(cutoff_p, alpha_p)
+    cutoff_p = len(probe)
     space, energies = _qnd_energies(chi, cutoff_s, cutoff_p)
     amps = np.zeros(space.dims, dtype=complex)
-    amps[0, n_s] = _coherent_probe(cutoff_p, alpha_p)
+    amps[0, n_s] = probe
     psi_t = _evolve_diagonal(energies, StateVector(space, amps.ravel()), t)
 
     m = psi_t.amplitudes.reshape(cutoff_s, cutoff_p)
@@ -344,9 +343,8 @@ def backaction_product(alpha_p: complex, cutoff: int | None = None) -> Backactio
     """Measure the number-phase back-action product of a coherent probe."""
     if alpha_p == 0:
         raise ValueError("vacuum probe: zero number variance, the relation is degenerate")
-    if cutoff is None:
-        cutoff = default_cutoff(alpha_p)
     psi = _coherent_probe(cutoff, alpha_p)
+    cutoff = len(psi)
     n = np.arange(cutoff, dtype=float)
     pop = np.abs(psi) ** 2
     mean_n = float(pop @ n)
@@ -424,18 +422,18 @@ def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: f
         raise ValueError("dephasing_grid needs at least one qubit and one time")
     for t in times:
         _check_time(t)
-    if cutoff_p is None:
-        cutoff_p = default_cutoff(alpha_p)
+    coh = _coherent_probe(cutoff_p, alpha_p)
+    cutoff_p = len(coh)
     _, energies = ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
     energies = energies.reshape(4, cutoff_p)  # row s = (n_L, n_R) flattened
-    coh = _coherent_probe(cutoff_p, alpha_p)
 
     def probe_gram(t: float) -> np.ndarray:
         phi = np.exp(energies * (-1j * t))
         phi *= coh
         return phi @ phi.conj().T
 
-    gram = np.array([probe_gram(t) for t in times])  # (T, 4, 4)
+    with np.errstate(over="ignore", invalid="ignore"):  # E t overflowing: NaN, refused below
+        gram = np.array([probe_gram(t) for t in times])  # (T, 4, 4)
     c = np.array([[0, q.c_r, q.c_l, 0] for q in qubits], dtype=complex)  # (Q, 4), by s
     rho = c[:, None, :, None] * c.conj()[:, None, None, :] * gram  # (Q, T, 4, 4)
     norm2 = np.trace(rho, axis1=-2, axis2=-1).real
@@ -560,8 +558,8 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
         probe_tag = f"fock:{n_p}"
         n_p_eff = n_p
     else:
-        cp = default_cutoff(alpha_p) if cutoff_p is None else cutoff_p
-        probe_vec = _coherent_probe(cp, alpha_p)
+        probe_vec = _coherent_probe(cutoff_p, alpha_p)
+        cp = len(probe_vec)
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 

@@ -4,7 +4,8 @@ The package builds the linear components in closed form
 (schemes._pp_components); the oracle writes the same Hamiltonian as a
 coupling table, cuts it generically into connected components and pads the
 per-size stacks into one, so the builder can be checked against it bit for
-bit.  Modes are [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4).
+bit.  A table is cut as the lower triangle it scatters into (table_lower).
+Modes are [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4).
 """
 
 import numpy as np
@@ -23,11 +24,27 @@ def linear_pp_table(params, cutoff_h, cutoff_v, cutoff_p):
          (np.sqrt(np.longdouble(2)) * params.omega_d, 1, 3, None), (params.xi_p, 4, 3, 2)])
 
 
+def table_lower(size, table):
+    """A coupling table on `size` states scattered, in its own dtype, into
+    the lower triangle of the real symmetric matrix it and its transpose
+    make: what _sector_blocks cuts."""
+    rows, cols, vals = table
+    lower = np.zeros((size, size), dtype=vals.dtype)
+    lower[np.maximum(rows, cols), np.minimum(rows, cols)] = vals
+    return lower
+
+
 def linear_pp_sectors(params, cutoffs, keep):
     """The linear table's components that hold a state of `keep`, cut
-    generically, one (index, blocks) stack per block size."""
-    space, table = linear_pp_table(params, *cutoffs)
-    return _sector_blocks(table, space.total_dim, keep)
+    generically, one (index, blocks) stack per block size.  The components
+    are those of the table's entries, zero ones included: a zero coupling
+    keeps its entries, so the components stay the same."""
+    space, (rows, cols, vals) = linear_pp_table(params, *cutoffs)
+    pattern = table_lower(space.total_dim, (rows, cols, np.ones(rows.size)))
+    h = np.zeros((space.total_dim, space.total_dim), dtype=vals.dtype)
+    h[rows, cols] = h[cols, rows] = vals
+    return [(index, h[index[:, :, None], index[:, None, :]])
+            for index, _ in _sector_blocks(pattern, keep)]
 
 
 def padded(sectors, size):

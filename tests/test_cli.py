@@ -27,6 +27,7 @@ from ppqnd.cli import (
     main,
 )
 from ppqnd.polarization import diagonal_invariance, lr_to_hv
+from ppqnd.qnd import DiscriminationResult
 from ppqnd.schemes import ppqnd_energies
 from ppqnd.secular import (
     _point_arrays,
@@ -56,6 +57,22 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity, as a strict JSON parser does."""
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in a record")
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_script(argv):
+    """ppqnd.cli as a subprocess: its exit code, stdout and stderr as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ppqnd.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # The library calls the commands make once a config has passed the size
@@ -369,6 +386,40 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error:") and "number variance" in err
 
+    @pytest.mark.parametrize("command, raw, message", [
+        # SchemeParams' own refusal, not wrapped again
+        ("secular", {"omega_d": -1.0}, "omega_d must be nonnegative, got -1.0"),
+        ("preserve", {"qubits": [[[1.0, 0.0]]]},
+         "field 'qubits'[0]: expected [c_L, c_R] magnitude/phase pairs"),
+        ("qnd", {"alpha_p": [2.0]},
+         "field 'alpha_p': expected [magnitude, phase_radians], got [2.0]"),
+        ("qnd", {"n_s": 1.5}, "field 'n_s': expected an integer, got 1.5"),
+        ("preserve", {"qubits": 3}, "field 'qubits': expected a list, got 3"),
+    ], ids=["omega_d-negative", "qubit-not-a-pair", "alpha_p-not-a-pair", "int-field-float",
+            "list-field-int"])
+    def test_refusals_name_the_field(self, capsys, tmp_path, command, raw, message):
+        path = write_config(tmp_path, "bad.json", raw)
+        assert run(capsys, command, "--config", path) == (1, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("command, raw", [
+        ("qnd", {"chi": 1e300, "time": 1e300}),
+        ("preserve", {"chi": 1e300, "times": [1e300]}),
+    ], ids=["qnd", "preserve"])
+    def test_overflowing_phase_exits_one(self, tmp_path, command, raw):
+        # chi * t overflows: NaN phases, and the lost unitarity is a config
+        # error, with no numpy warning or traceback before it
+        code, out, err = run_script([command, "--config", write_config(tmp_path, "big.json", raw)])
+        assert (code, out) == (1, "")
+        assert err == "config error: evolution lost unitarity: |psi| = np.float64(nan)\n"
+
+    def test_non_finite_record_writes_nothing(self, capsys, monkeypatch):
+        # a record must be strict JSON: a NaN fails the command
+        nan_result = DiscriminationResult(math.nan, 0.1, 0.1, 10, 0)
+        monkeypatch.setattr(cli, "discrimination_error", lambda *args: nan_result)
+        code, out, err = run(capsys, "discriminate")
+        assert (code, out) == (1, "")
+        assert err.startswith("config error: Out of range float values are not JSON compliant")
+
     def test_config_tolerance_is_echoed(self, capsys, tmp_path):
         path = write_config(tmp_path, "tol.json", {"tolerance": 1e-3})
         code, out, _ = run(capsys, "backaction", "--config", path)
@@ -393,6 +444,10 @@ class TestGoldenRecords:
         code, out, _ = run(capsys, command, *(f"--{f}" for f in flag))
         assert code == 0
         assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+    @pytest.mark.parametrize("name", [*COMMANDS, "preserve-sensitive"])
+    def test_golden_is_strict_json(self, name):
+        strict_loads((GOLDEN / f"{name}.json").read_text())
 
     def test_parser_is_reused_and_flags_do_not_carry_over(self, capsys):
         # main builds the parsers once per process; a --sensitive run must not
@@ -866,6 +921,14 @@ class TestRecords:
         record = json.loads(out)
         assert code == 0
         assert record["results"]["lambda_small"] == 0.0
+
+    @pytest.mark.parametrize("raw", [{"delta_probe": 0.0}, {"omega_d": 0.0}],
+                             ids=["delta_probe-0", "omega_d-0"])
+    def test_undefined_reduced_estimate_is_null(self, capsys, tmp_path, raw):
+        # the N-scheme formula is undefined here: the record holds null, not NaN
+        code, out, _ = run(capsys, "secular", "--config", write_config(tmp_path, "c.json", raw))
+        assert code == 0
+        assert strict_loads(out)["results"]["lambda_small_reduced"] is None
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "backaction", "--format", "csv")

@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # the suite's warning policy (pyproject.toml): a RuntimeWarning is an error
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

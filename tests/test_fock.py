@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -350,6 +351,35 @@ def test_hermitian_checks_refuse_nan(check):
     # max |M - M^+| is NaN here, which a `dev > bound` test lets through
     with pytest.raises(ValueError, match=r"Hermitian|\|M - M\^\+\|"):
         check(nan_off_diagonal(5))
+
+
+SPACE_2 = make_space(1, [2])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: make_space(1, [2, 2]).index_of(0, [1]),
+                 "expected 2 occupation numbers, got 1", id="index_of-occupations"),
+    pytest.param(lambda: StateVector(SPACE_2, np.ones(3) / math.sqrt(3)),
+                 "amplitude vector has shape (3,), space needs (2,)", id="StateVector-shape"),
+    pytest.param(lambda: DensityMatrix(SPACE_2, np.eye(3) / 3),
+                 "matrix shape (3, 3) does not match space dim 2", id="DensityMatrix-shape"),
+    pytest.param(lambda: Operator(SPACE_2, np.eye(3)),
+                 "matrix shape (3, 3) does not match space dim 2", id="Operator-shape"),
+    pytest.param(lambda: DensityMatrix(SPACE_2, np.diag([1.5, -0.5])),
+                 "density matrix has negative eigenvalue -0.5", id="DensityMatrix-negative"),
+    pytest.param(lambda: coherent_state(0, 1.0), "cutoff must be >= 1", id="coherent_state-0"),
+    pytest.param(lambda: tensor_state(make_space(2, [2]), 2, [np.array([1, 0])]),
+                 "atom level 2 out of range for atom_dim 2", id="tensor_state-level"),
+    pytest.param(lambda: tensor_state(SPACE_2, 0, []), "expected 1 mode factors, got 0",
+                 id="tensor_state-factors"),
+    pytest.param(lambda: tensor_state(SPACE_2, 0, [np.zeros(2)]),
+                 "tensor_state: a mode factor is the zero vector", id="tensor_state-zero"),
+    pytest.param(lambda: evolve(annihilation_op(SPACE_2, 0), basis_state(SPACE_2, 0, [1]), 1.0),
+                 "evolve requires a Hermitian operator", id="evolve-non-hermitian"),
+])
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestEvolve:

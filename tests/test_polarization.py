@@ -280,6 +280,20 @@ def test_pair_sectors_equal_the_by_total_construction(cut):
         assert not index.flags.writeable  # cached: shared by every later call
 
 
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: PolarizationQubit.normalized(0, 0), "cannot normalize the zero vector",
+                 id="normalized-zero"),
+    pytest.param(lambda: PolUnitary(np.eye(3)), r"expected a 2x2 matrix, got \(3, 3\)",
+                 id="PolUnitary-shape"),
+    pytest.param(lambda: lift_unitary(lr_to_hv(), make_space(1, [2, 2]), (0, 0)),
+                 "modes must be distinct", id="lift_unitary-equal-modes"),
+])
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestStokes:
     def test_poles_and_equator(self):
         assert stokes_vector(PolarizationQubit.left()) == pytest.approx((0.0, 0.0, 1.0))

@@ -104,7 +104,7 @@ from ppqnd.schemes import (
 from ppqnd.secular import (_hermitian_eigvalsh, _point_arrays, char_poly_from_eigenvalues,
                            estimate_stack)
 
-from linear_pp_oracle import linear_pp_sectors, linear_pp_table, padded
+from linear_pp_oracle import linear_pp_sectors, linear_pp_table, padded, table_lower
 
 try:
     import mpmath
@@ -634,7 +634,7 @@ def circular_sector_eigenpairs(params, n_sl, n_sr, n_p):
     n_s = n_sl + n_sr
     space, table = _pp_table(params, n_s + 1, n_s + 1, n_p + 1)
     ket = space.index_of(0, (n_sl, n_sr, n_p))
-    ((index, blocks),) = _sector_blocks(table, space.total_dim, [ket])
+    ((index, blocks),) = _sector_blocks(table_lower(space.total_dim, table), [ket])
     w, v = _jacobi_eigh_longdouble(blocks[0])
     return w, v[np.flatnonzero(index[0] == ket)[0]].astype(np.float64) ** 2
 
@@ -718,7 +718,7 @@ def test_evolve_is_the_pp_component_route_bit_for_bit(params, cutoffs, seed, t):
     psi = StateVector(h.space, amps / np.linalg.norm(amps))
     ours = evolve(h, psi, t).amplitudes
     space, table = _pp_table(params, *cutoffs)  # the circular table evolve cuts from H
-    sectors = _sector_blocks(table, space.total_dim, support)
+    sectors = _sector_blocks(table_lower(space.total_dim, table), support)
     assert np.array_equal(ours, _evolve_sectors([psi], sectors, t)[0].amplitudes)
 
 
@@ -900,7 +900,7 @@ def test_jacobi_is_bitwise_the_reference_kernel_on_pp_sectors(params, cutoff_p):
     for n_sl, n_sr in ((2, 0), (1, 2)):
         circular, table = _pp_table(params, n_sl + n_sr + 1, n_sl + n_sr + 1, 3)
         ket = circular.index_of(0, (n_sl, n_sr, 2))
-        ((_, blocks),) = _sector_blocks(table, circular.total_dim, [ket])
+        ((_, blocks),) = _sector_blocks(table_lower(circular.total_dim, table), [ket])
         stacks.append(blocks[0])
     assert {stack.shape[-1] for stack in stacks} >= {2, 3, 4, 5, 11, 16}
     for stack in stacks:

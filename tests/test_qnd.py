@@ -299,10 +299,29 @@ class TestDephasingGrid:
             dephasing_grid(CLI_QUBITS, 2.0, -0.1, [])
 
     def test_lost_unitarity_refused(self):
-        # chi and t finite, chi * t overflows: the phases exp(-i inf) are NaN
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ArithmeticError, match="lost unitarity"):
+        # chi and t finite, chi * t overflows: the phases exp(-i inf) are NaN,
+        # refused without a numpy warning (the suite makes those errors)
+        with pytest.raises(ArithmeticError, match="lost unitarity"):
             dephasing_grid(CLI_QUBITS, 2.0, 1e300, [1e300])
+
+
+def test_evolve_qnd_lost_unitarity_refused():
+    # as dephasing_grid: NaN phases, refused without a numpy warning
+    with pytest.raises(ArithmeticError, match="lost unitarity"):
+        evolve_qnd(1, 2.0, 1e300, 1e300)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: homodyne_estimate(basis_state(make_space(1, [2, 2]), 0, [0, 0]), 0.0),
+                 "homodyne readout expects a single-mode state", id="homodyne-two-modes"),
+    pytest.param(lambda: evolve_qnd(-1, 2.0, -0.01, 1.0), "n_s must be >= 0",
+                 id="evolve_qnd-negative-n_s"),
+    pytest.param(lambda: backaction_product(2.0, cutoff=0), "^cutoff must be >= 1$",
+                 id="backaction-cutoff-0"),
+])
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestNonFiniteDefaultCutoff:
@@ -311,7 +330,11 @@ class TestNonFiniteDefaultCutoff:
         default_cutoff,
         lambda alpha: evolve_qnd(1, alpha, -0.01, 1.0),
         lambda alpha: polarization_dephasing(PolarizationQubit.left(), alpha, -0.1, 1.0),
-    ], ids=["default_cutoff", "evolve_qnd", "polarization_dephasing"])
+        lambda alpha: backaction_product(alpha),
+        lambda alpha: full_model_grid(RATIO100, [PolarizationQubit.horizontal()], t=1.0,
+                                      alpha_p=alpha),
+    ], ids=["default_cutoff", "evolve_qnd", "polarization_dephasing", "backaction_product",
+            "full_model_grid"])
     def test_named_value_error(self, entry, alpha):
         # was OverflowError (1e200, inf) and "cannot convert float NaN to integer"
         with pytest.raises(ValueError, match=r"\|alpha\| = "):
@@ -319,6 +342,22 @@ class TestNonFiniteDefaultCutoff:
 
     def test_largest_finite_size_still_has_a_cutoff(self):
         assert default_cutoff(1e150) > 1e299
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: coherent_state(3, 2.0),
+    lambda: evolve_qnd(1, 2.0, -0.01, 1.0, cutoff_p=3),
+    lambda: dephasing_grid(CLI_QUBITS, 2.0, -0.1, [1.0], cutoff_p=3),
+    lambda: backaction_product(2.0, cutoff=3),
+    lambda: full_model_grid(RATIO100, [PolarizationQubit.horizontal()], t=1.0, alpha_p=2.0,
+                            cutoff_p=3),
+], ids=["coherent_state", "evolve_qnd", "dephasing_grid", "backaction_product",
+        "full_model_grid"])
+def test_one_truncation_warning_at_the_public_call(entry):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry()
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 def _evolve_tridiagonal(t, imag=0.0):
@@ -643,10 +682,9 @@ class TestFullVsEffective:
         from ppqnd import StateVector, build_pp_hamiltonian, quintic_roots, \
             secular_coefficients
         from ppqnd.fock import _evolve_sectors, _sector_blocks
-        from ppqnd.schemes import _pp_table
         h = build_pp_hamiltonian(RATIO100, 2, 2, n_p + 1)
-        space, table = _pp_table(RATIO100, 2, 2, n_p + 1)  # circular, as h
-        sectors = _sector_blocks(table, space.total_dim, np.arange(space.total_dim))
+        space = h.space
+        sectors = _sector_blocks(np.tril(h.matrix.real), np.arange(space.total_dim))
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[space.index_of(0, (1, 0, n_p))] = 0.6
         amps[space.index_of(0, (0, 1, n_p))] = 0.8j

@@ -149,6 +149,27 @@ class TestNScheme:
             assert lam == pytest.approx(predicted, rel=0.05)
 
 
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: build_lambda_hamiltonian(SPEC_POINT, 1), "cutoff_s must be >= 2",
+                 id="lambda-cutoff"),
+    pytest.param(lambda: lambda_dark_state(SPEC_POINT, 3, 3),
+                 "need 1 <= n_s < cutoff_s, got n_s=3, cutoff_s=3", id="dark-state-n_s"),
+    pytest.param(lambda: build_n_hamiltonian(SPEC_POINT, 1, 3), "cutoffs must be >= 2",
+                 id="n-scheme-cutoff"),
+    pytest.param(lambda: build_pp_hamiltonian(SPEC_POINT, 2, 2, 1), "cutoffs must be >= 2",
+                 id="pp-scheme-cutoff"),
+    pytest.param(lambda: pp_mirror_permutation(make_space(4, [2, 2, 2])),
+                 "mirror permutation is defined for PP-scheme spaces", id="mirror-space"),
+    pytest.param(lambda: pp_mirror_permutation(make_space(5, [2, 3, 2])),
+                 "signal cutoffs must match for the mirror to be a bijection",
+                 id="mirror-cutoffs"),
+])
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestPPScheme:
     def test_hermitian_exactly(self):
         h = build_pp_hamiltonian(SPEC_POINT, 2, 2, 3)

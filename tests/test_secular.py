@@ -8,6 +8,7 @@ import pytest
 
 from ppqnd import (
     SchemeParams,
+    SecularCoefficients,
     build_pp_block_matrix,
     char_poly_coefficients,
     char_poly_from_eigenvalues,
@@ -311,7 +312,6 @@ class TestQuinticRoots:
             assert est.lambda_small < 0 and exact < 0  # same sign, both negative
 
     def test_rejects_complex_root_input(self):
-        from ppqnd.secular import SecularCoefficients
         # -l^5 + l + 1 has genuinely complex roots
         bad = SecularCoefficients(0.0, 0.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -352,6 +352,22 @@ class TestRegimeScan:
         assert all(len(r) == len(table[0]) for r in table)
         # cells round-trip through repr
         assert float(table[1][8]) == rows[0].estimate.lambda_small
+
+
+
+@pytest.mark.parametrize("call, message", [
+    # the extra row's Omega_d column is the drive leg
+    pytest.param(lambda: estimate_stack([], [(1e4, 1e4, -1e2, 0.1, 1.0)], [1], [1]),
+                 "omega_d, xi_s and xi_p must be nonnegative", id="estimate_stack-drive"),
+    # roots 1 +- 9e-4 i, 2, 3, 4: the imaginary residue passes as clustering
+    # noise, and the residual of the pair's real part 1 is refused
+    pytest.param(lambda: quintic_roots(SecularCoefficients(
+        *(-np.poly([1 + 9e-4j, 1 - 9e-4j, 2, 3, 4])[1:].real))),
+        r"root residual \|p\(1\)\| = .* exceeds 1e-08 \* scale", id="quintic_roots-residual"),
+])
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestEstimateStack:
