@@ -17,17 +17,13 @@ Two findings worth staring at:
 Run as: python3 demos/05_full_model_validation.py
 """
 
-import numpy as np
-
 from ppqnd import (
     PolarizationQubit,
     SchemeParams,
     chi_from_params,
     compare_block_to_full,
+    estimate_eigenvalues,
     full_model_grid,
-    full_vs_effective,
-    quintic_roots,
-    secular_coefficients,
 )
 
 params = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.01, xi_p=1.0)
@@ -38,10 +34,8 @@ print("=" * 70)
 print("1. Bright-channel probe phase vs the secular prediction")
 print("=" * 70)
 for n_p in (1, 2, 3):
-    roots = quintic_roots(secular_coefficients(params, 1, 0, n_p))
-    lam = roots[np.argmin(np.abs(roots))]
-    t = 0.1 / abs(lam)  # target phase 0.1 rad
-    res = full_vs_effective(params, PolarizationQubit.horizontal(), t=t, n_p=n_p)
+    # t = 0.1 / |lambda| for the package's dark root lambda: target phase 0.1 rad
+    (res,) = full_model_grid(params, [PolarizationQubit.horizontal()], target_phase=0.1, n_p=n_p)
     print(f"  n_p = {n_p}: measured {res.measured_phase:.9f} rad, secular prediction "
           f"{res.predicted_phase_secular:.9f}, rel err {res.rel_err_secular:.1e}, "
           f"atomic leakage {res.atomic_leakage:.1e}")
@@ -50,10 +44,8 @@ print()
 print("=" * 70)
 print("2. The factor of two against the single-route Kerr formula")
 print("=" * 70)
-roots = quintic_roots(secular_coefficients(params, 1, 0, 1))
-lam = roots[np.argmin(np.abs(roots))]
-res = full_vs_effective(params, PolarizationQubit.horizontal(),
-                        t=0.1 / abs(lam), n_p=1)
+lam = estimate_eigenvalues(params, 1, 0, 1).exact_small
+(res,) = full_model_grid(params, [PolarizationQubit.horizontal()], target_phase=0.1, n_p=1)
 print(f"  chi (single-route formula)     = {chi_from_params(params):+.3e}")
 print(f"  quintic dark-state root / n_p  = {lam:+.3e}")
 print(f"  measured / single-route prediction = "

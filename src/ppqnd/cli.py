@@ -22,7 +22,7 @@ the record would echo a value nothing used.  Config values are checked against
 the ExperimentConfig annotations (a list[float] holds numbers only);
 non-finite numbers, integers beyond the float range, integers outside
 their field's range 0..max (_INT_MAX), magnitudes above _MAG_MAX, sizes
-two fields ask for together above _SIZE_MAX and empty lists are rejected.
+two fields ask for together above MAX_STATE_SIZE and empty lists are rejected.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin, ge
 import numpy as np
 
 from . import __version__
-from .fock import default_cutoff
+from .fock import MAX_STATE_SIZE, default_cutoff
 from .polarization import PolarizationQubit, diagonal_invariance, lr_to_hv
 from .qnd import (
     EVOLUTION_SIGN,
@@ -160,23 +160,23 @@ _FIELD_KINDS = {name: get_args(hint)[0] for name, hint in get_type_hints(Experim
 _EXPECTED = {float: "a number", int: "an integer", list: "a list", list[float]: "a list of numbers"}
 # The largest value of each integer field, of a [magnitude, phase] magnitude
 # (_MAG_MAX: a probe's default cutoff stays near the largest cutoff_p) and
-# of the complex numbers two fields ask for together (_SIZE_MAX: the qnd
-# state (n_s + 1) * cutoff, the invariance deviations (unitary_count + 2) *
-# cutoff_s^2 * cutoff_p), all checked before anything is allocated; they
-# admit the sizes the README quotes.  Peaks under tracemalloc: ~0.7 kB per
-# secular draw, ~24 B per discriminate trial and 70-190 B per complex number
-# of a derived size, so at most ~2 GB.
+# of the complex numbers two fields ask for together (MAX_STATE_SIZE, the
+# library's bound on one state: the qnd state (n_s + 1) * cutoff, the
+# invariance deviations (unitary_count + 2) * cutoff_s^2 * cutoff_p), all
+# checked before anything is allocated; they admit the sizes the README
+# quotes.  Peaks under tracemalloc: ~0.7 kB per secular draw, ~24 B per
+# discriminate trial and 70-190 B per complex number of a derived size, so
+# at most ~2 GB.
 _INT_MAX = {"n_sl": 1000, "n_sr": 1000, "n_p": 1000, "n_s": 1000, "draws": 10**6,
             "trials": 10**7, "unitary_count": 10**5, "cutoff_s": 32, "cutoff_p": 10**6,
             "seed": 2**64 - 1}
 _MAG_MAX = 1000
-_SIZE_MAX = 10**7
 
 
 def _bound_size(size: int, fields: str) -> None:
-    if not size <= _SIZE_MAX:
+    if not size <= MAX_STATE_SIZE:
         raise ConfigError(f"fields {fields}: together they ask for {size:.3g} numbers, "
-                          f"more than {_SIZE_MAX:.0e}")
+                          f"more than {MAX_STATE_SIZE:.0e}")
 
 
 def _to_float(value: Any, key: str) -> float:

@@ -28,6 +28,8 @@ import cmath
 import functools
 import math
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,7 +55,13 @@ __all__ = [
     "evolve",
     "partial_trace",
     "fidelity",
+    "MAX_STATE_SIZE",
 ]
+
+# The most complex numbers one state of the library may ask for: larger
+# states are refused, naming the size, before anything is allocated.
+MAX_STATE_SIZE = 10**7
+_PACKAGE_DIR = os.path.dirname(__file__)  # a warning points at the first frame outside it
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
@@ -394,24 +402,38 @@ def coherent_truncation_loss(cutoff: int, alpha: complex) -> float:
     return max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
 
 
-def _coherent_probe(cutoff: int | None, alpha: complex) -> np.ndarray:
+def _check_size(size: int, what: str) -> None:
+    """Refuse a state of more than MAX_STATE_SIZE complex numbers; `what`
+    names the arguments that ask for it."""
+    if not size <= MAX_STATE_SIZE:
+        raise ValueError(f"{what} asks for a state of {size} complex numbers, "
+                         f"more than {MAX_STATE_SIZE:.0e}")
+
+
+def _coherent_probe(cutoff: int | None, alpha: complex, copies: int = 1) -> np.ndarray:
     """The amplitudes of coherent_state, without the StateVector: the
     truncated coefficients over their norm, default_cutoff(alpha) of them
-    when cutoff is None.  Refuses cutoff < 1, a non-finite alpha and a
-    cutoff that holds none of the weight; warns its caller's caller on a
-    truncation loss above 1e-9."""
+    when cutoff is None.  Refuses cutoff < 1, a caller's state of copies *
+    cutoff numbers above MAX_STATE_SIZE (before allocating the probe), a
+    non-finite alpha and a cutoff that holds none of the weight; warns on a
+    truncation loss above 1e-9, pointing at the first frame outside the
+    package, so every public route warns its own caller."""
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    _check_size(copies * cutoff, f"{copies} x probe cutoff {cutoff}")
     if not cmath.isfinite(alpha):
         raise ValueError(f"coherent amplitude alpha must be finite, got alpha = {alpha!r}")
     c = _coherent_amplitudes(cutoff, alpha)
     loss = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
     if loss > 1e-9:
+        frame, level = sys._getframe(), 1  # no skip_file_prefixes before Python 3.12
+        while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"coherent state truncation loss {loss:.3e} at cutoff {cutoff} for |alpha|={abs(alpha):g}",
-            stacklevel=3,
+            stacklevel=level,
         )
     norm = np.linalg.norm(c)
     if norm == 0:

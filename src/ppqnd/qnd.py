@@ -32,6 +32,7 @@ from .fock import (
     DensityMatrix,
     StateVector,
     _check_density,
+    _check_size,
     _check_time,
     _check_unitarity,
     _coherent_amplitudes,
@@ -43,8 +44,8 @@ from .fock import (
     make_space,
 )
 from .polarization import PolarizationQubit
-from .schemes import (SchemeParams, _pp_components, _qnd_energies, chi_from_params,
-                      ppqnd_energies)
+from .schemes import (SchemeParams, _pp_components, _qnd_energies, _rel_err,
+                      chi_from_params, ppqnd_energies)
 from .secular import estimate_eigenvalues
 
 __all__ = [
@@ -228,7 +229,7 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     if n_s < 0:
         raise ValueError("n_s must be >= 0")
     cutoff_s = n_s + 1
-    probe = _coherent_probe(cutoff_p, alpha_p)
+    probe = _coherent_probe(cutoff_p, alpha_p, copies=cutoff_s)
     cutoff_p = len(probe)
     space, energies = _qnd_energies(chi, cutoff_s, cutoff_p)
     amps = np.zeros(space.dims, dtype=complex)
@@ -422,7 +423,7 @@ def dephasing_grid(qubits: Sequence[PolarizationQubit], alpha_p: complex, chi: f
         raise ValueError("dephasing_grid needs at least one qubit and one time")
     for t in times:
         _check_time(t)
-    coh = _coherent_probe(cutoff_p, alpha_p)
+    coh = _coherent_probe(cutoff_p, alpha_p, copies=4)
     cutoff_p = len(coh)
     _, energies = ppqnd_energies(chi, 2, 2, cutoff_p, sensitive)
     energies = energies.reshape(4, cutoff_p)  # row s = (n_L, n_R) flattened
@@ -523,11 +524,19 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
     result per qubit, in order.
 
     Each qubit is a single signal photon; the atom starts in level 1.  Give
-    exactly one of n_p (Fock probe, an integer, not a bool) and alpha_p
-    (coherent probe), and exactly one of t and target_phase, both finite.
-    The dark root lambda = estimate_eigenvalues(params, 1, 0, n_p).exact_small
-    (n_p = 1 for a coherent probe) is solved once; target_phase sets
-    t = target_phase / |lambda| (ValueError at lambda = 0).
+    exactly one of n_p (Fock probe, an integer >= 0, not a bool) and
+    alpha_p (coherent probe), and exactly one of t and target_phase, both
+    finite.  A Fock probe |n_p> is cut at n_p + 1: the component of
+    |1; H or V, n_p> never reaches another probe number on level 1, so a
+    larger cutoff would only add zeros.  cutoff_p truncates a coherent
+    probe only (default default_cutoff(alpha_p), which warns the caller on
+    a truncation loss above 1e-9) and is refused with n_p.  The components
+    build at any probe cutoff >= 1.  A state of more than MAX_STATE_SIZE
+    complex numbers (20 per probe number) is refused before it is
+    allocated.  The dark root lambda = estimate_eigenvalues(params, 1, 0,
+    n_p).exact_small (n_p = 1 for a coherent probe) is solved once;
+    target_phase sets t = target_phase / |lambda| (ValueError at
+    lambda = 0).
 
     The evolution is exact within the truncation, in extended precision at
     every probe cutoff, in the drive's linear basis: of its even chains
@@ -550,15 +559,19 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
         raise ValueError("give exactly one of n_p or alpha_p")
 
     if n_p is not None:
+        if cutoff_p is not None:
+            raise ValueError("cutoff_p truncates a coherent probe only: a Fock probe |n_p> "
+                             "is cut at n_p + 1")
         n_p = _photon_number("n_p", n_p)
-        cp = max(2, n_p + 1) if cutoff_p is None else cutoff_p
-        if not 0 <= n_p < cp:
-            raise ValueError(f"need 0 <= n_p < cutoff_p, got n_p={n_p}, cutoff_p={cp}")
+        if n_p < 0:
+            raise ValueError("n_p must be >= 0")
+        cp = n_p + 1
+        _check_size(20 * cp, f"n_p = {n_p}")  # 5 levels x 2 x 2 signal states per probe number
         probe_vec = np.eye(1, cp, n_p, dtype=complex)[0]  # |n_p>
         probe_tag = f"fock:{n_p}"
         n_p_eff = n_p
     else:
-        probe_vec = _coherent_probe(cutoff_p, alpha_p)
+        probe_vec = _coherent_probe(cutoff_p, alpha_p, copies=20)
         cp = len(probe_vec)
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
@@ -588,9 +601,6 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
     predicted_secular = -lam * t
     predicted_kerr = -chi_from_params(params) * 1 * n_p_eff * t
 
-    def rel(measured_v: float, predicted_v: float) -> float:
-        return abs(measured_v - predicted_v) / max(abs(predicted_v), 1e-300)
-
     results = []
     for psi0, psi_t in zip(psi0s, psi_ts):
         overlap = psi_t.overlap(psi0)  # <psi_t|psi0>
@@ -604,8 +614,8 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
             measured_phase=measured,
             predicted_phase_secular=predicted_secular,
             predicted_phase_kerr=predicted_kerr,
-            rel_err_secular=rel(measured, predicted_secular),
-            rel_err_kerr=rel(measured, predicted_kerr),
+            rel_err_secular=_rel_err(measured, predicted_secular),
+            rel_err_kerr=_rel_err(measured, predicted_kerr),
             atomic_leakage=float(np.sum(np.abs(by_level[1:]) ** 2)),
             input_overlap=abs(overlap) ** 2,
             regime_ok=params.regime_ok(),

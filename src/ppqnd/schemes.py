@@ -213,8 +213,6 @@ def _pp_components(params: SchemeParams, cutoffs: tuple[int, int, int], keep: np
     most n + n % 2, or a pair to any width), and each padded slot comes
     back as an eigenpair (0, unit vector on that slot).
     """
-    if min(cutoffs) < 2:
-        raise ValueError("cutoffs must be >= 2")
     space = make_space(5, cutoffs)
     keep = np.unique(keep)
     level, n_h, n_v, n_p = np.unravel_index(keep, space.dims)  # ValueError outside the space
@@ -344,6 +342,11 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
                              reduced=True)
     return PPBlockMatrix(_pp_block_stack(row, n_s, n_p)[0], ("1", "2", "2'", "3", "4"),
                          reduced=False)
+
+
+def _rel_err(approx: float, exact: float) -> float:
+    """|approx - exact| / |exact|, the floor 1e-300 standing in for an exact 0."""
+    return abs(approx - exact) / max(abs(exact), 1e-300)
 
 
 def _kerr_shift(params: SchemeParams, n_s: int, n_p: int) -> float:
@@ -500,13 +503,11 @@ def compare_block_to_full(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     w_full, overlaps, own, w_block = _ket_eigenpairs(params, n_sl, n_sr, n_p)
     lam_block = float(w_block[np.argmin(np.abs(w_block))])
     first, second = (np.flatnonzero(m)[np.argmax(overlaps[m])] for m in (own, ~own))
-
-    denom = max(abs(lam_block), 1e-300)
     return {
         "lambda_block": lam_block,
         "lambda_full": float(w_full[first]),
         "overlap": float(overlaps[first]),
         "lambda_full_second": float(w_full[second]),
         "overlap_second": float(overlaps[second]),
-        "relative_difference": abs(float(w_full[first]) - lam_block) / denom,
+        "relative_difference": _rel_err(float(w_full[first]), lam_block),
     }

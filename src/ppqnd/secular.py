@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fock import _hermitian_deviation
-from .schemes import SchemeParams, _kerr_shift, _pp_chain_stack
+from .schemes import SchemeParams, _kerr_shift, _pp_chain_stack, _rel_err
 
 __all__ = [
     "SecularCoefficients",
@@ -61,7 +61,6 @@ __all__ = [
     "scan_to_csv_rows",
 ]
 
-_REL_FLOOR = 1e-300  # guards relative errors when the exact root is 0
 _NEWTON_STEPS = 3  # from a start within the eps-scale error bound, enough to converge
 _RESIDUAL_TOL = 1e-8  # quintic_roots refuses a root with |p(root)| above this * scale
 _BOOLS = {bool, np.bool_}
@@ -299,10 +298,6 @@ def _block_roots(w: np.ndarray, coeffs: np.ndarray, delta: np.ndarray,
     zero = np.flatnonzero(singular)
     lam[zero, np.argmin(np.abs(lam[zero]), axis=1)] = 0.0
     return np.sort(np.concatenate([lam, delta[:, None]], axis=1), axis=1)
-
-
-def _rel_err(approx: float, exact: float) -> float:
-    return abs(approx - exact) / max(abs(exact), _REL_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -622,9 +622,22 @@ def test_components_refuse_states_off_level_1_or_outside_the_space():
                  [space.total_dim], [-1]):
         with pytest.raises(ValueError):
             _pp_components(params, cutoffs, keep)
-    for small in ((1, 2, 3), (2, 1, 3), (2, 2, 1)):
-        with pytest.raises(ValueError, match="cutoffs must be >= 2"):
-            _pp_components(params, small, [0])
+
+
+@pytest.mark.parametrize("cutoffs", list(itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 4))))
+def test_components_build_at_any_cutoff_as_the_linear_table_cut(cutoffs):
+    # no floor at cutoff 2: with a mode cut at 1 the closed form still
+    # matches the oracle's generic cut, row for row, bit for bit
+    params = SchemeParams(1e4, 3e4, 1e2, 0.1, 1.0)
+    space = make_space(5, cutoffs)
+    keep = ground_states(space)
+    index, blocks = _pp_components(params, cutoffs, keep)
+    index_ref, blocks_ref = padded(linear_pp_sectors(params, cutoffs, keep), space.total_dim)
+    order = np.argsort(index_ref[:, 0])
+    assert index.shape == index_ref.shape and blocks.dtype == blocks_ref.dtype
+    assert np.array_equal(index, index_ref[order])
+    assert np.array_equal(blocks, blocks_ref[order])
+    assert np.array_equal(np.signbit(blocks), np.signbit(blocks_ref[order]))
 
 
 def circular_sector_eigenpairs(params, n_sl, n_sr, n_p):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ppqnd import (
+    MAX_STATE_SIZE,
     Operator,
     PolarizationQubit,
     SchemeParams,
@@ -351,13 +352,54 @@ class TestNonFiniteDefaultCutoff:
     lambda: backaction_product(2.0, cutoff=3),
     lambda: full_model_grid(RATIO100, [PolarizationQubit.horizontal()], t=1.0, alpha_p=2.0,
                             cutoff_p=3),
+    lambda: polarization_dephasing(PolarizationQubit.left(), 2.0, -0.1, 1.0, cutoff_p=3),
+    lambda: full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0, alpha_p=2.0,
+                              cutoff_p=3),
 ], ids=["coherent_state", "evolve_qnd", "dephasing_grid", "backaction_product",
-        "full_model_grid"])
+        "full_model_grid", "polarization_dephasing", "full_vs_effective"])
 def test_one_truncation_warning_at_the_public_call(entry):
+    # the first frame outside the package, however many package frames the
+    # public call goes through (polarization_dephasing and full_vs_effective
+    # pointed inside qnd.py)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         entry()
     assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+
+
+@pytest.mark.parametrize("entry, size", [
+    (lambda: coherent_state(10**7 + 1, 1.0), 10**7 + 1),
+    (lambda: backaction_product(1.0, cutoff=10**7 + 1), 10**7 + 1),
+    (lambda: evolve_qnd(1, 1.0, -0.01, 1.0, cutoff_p=5 * 10**6 + 1), 10**7 + 2),
+    (lambda: evolve_qnd(10**6, 1.0, -0.01, 1.0), (10**6 + 1) * default_cutoff(1.0)),
+    (lambda: evolve_qnd(1, 1e4, -0.01, 1.0), 2 * default_cutoff(1e4)),
+    (lambda: dephasing_grid(CLI_QUBITS, 1.0, -0.1, [1.0], cutoff_p=2_500_001), 10_000_004),
+    (lambda: polarization_dephasing(PolarizationQubit.left(), 1.0, -0.1, 1.0,
+                                    cutoff_p=2_500_001), 10_000_004),
+    (lambda: full_model_grid(RATIO100, [PolarizationQubit.horizontal()], t=1.0, alpha_p=1.0,
+                             cutoff_p=500_001), 10_000_020),
+    (lambda: full_model_grid(RATIO100, [PolarizationQubit.horizontal()], t=1.0,
+                             n_p=500_000), 10_000_020),
+    (lambda: full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0, alpha_p=1.0,
+                               cutoff_p=10**7), 2 * 10**8),
+    (lambda: full_vs_effective(RATIO100, PolarizationQubit.horizontal(), t=1.0,
+                               n_p=10**7), 2 * 10**8 + 20),
+], ids=["coherent_state", "backaction_product", "evolve_qnd_cutoff", "evolve_qnd_n_s",
+        "evolve_qnd_alpha", "dephasing_grid", "polarization_dephasing",
+        "full_model_grid_coherent", "full_model_grid_fock", "full_vs_effective_coherent",
+        "full_vs_effective_fock"])
+def test_oversized_states_are_refused_before_allocation(entry, size):
+    # one bound, the CLI's: a state above MAX_STATE_SIZE complex numbers is
+    # refused by its size before the probe or the joint state exists (a
+    # 2e8-number full_model_grid call was killed for memory)
+    assert MAX_STATE_SIZE == 10**7
+
+    def refused():
+        with pytest.raises(ValueError, match=rf"asks for a state of {size} complex numbers, "
+                                             r"more than 1e\+07$"):
+            entry()
+
+    assert traced_peak(refused) < 2**20
 
 
 def _evolve_tridiagonal(t, imag=0.0):
@@ -775,8 +817,23 @@ class TestFullVsEffective:
         with pytest.raises(ValueError):
             full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0)
 
-    def test_rejects_fock_probe_above_the_cutoff(self):
-        with pytest.raises(ValueError, match="cutoff_p"):
-            full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=5, cutoff_p=3)
-        with pytest.raises(ValueError, match="cutoff_p"):
-            full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=3, cutoff_p=3)
+    def test_refuses_cutoff_p_with_a_fock_probe(self):
+        # a Fock probe |n_p> is cut at n_p + 1; cutoff_p truncates a coherent one
+        for cutoff in (1, 3, 5):
+            with pytest.raises(ValueError, match="cutoff_p truncates a coherent probe only"):
+                full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=3,
+                                  cutoff_p=cutoff)
+        with pytest.raises(ValueError, match="n_p must be >= 0"):
+            full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=-1)
+
+    @pytest.mark.parametrize("qubit", [PolarizationQubit.horizontal(), PolarizationQubit.left(),
+                                       PolarizationQubit.vertical()], ids=["H", "L", "V"])
+    def test_coherent_probe_at_cutoff_one_is_the_vacuum_fock_probe(self, qubit):
+        # cutoff 1 holds only the vacuum: the components build there, and the
+        # leakage and overlap are the Fock n_p = 0 record's, bit for bit
+        with pytest.warns(UserWarning, match="truncation loss"):
+            coherent = full_vs_effective(RATIO100, qubit, t=1e9, alpha_p=0.3, cutoff_p=1)
+        fock = full_vs_effective(RATIO100, qubit, t=1e9, n_p=0)
+        assert fock.probe == "fock:0"
+        assert repr(coherent.atomic_leakage) == repr(fock.atomic_leakage)
+        assert repr(coherent.input_overlap) == repr(fock.input_overlap)
