@@ -61,7 +61,8 @@ __all__ = [
 # The most complex numbers one state of the library may ask for: larger
 # states are refused, naming the size, before anything is allocated.
 MAX_STATE_SIZE = 10**7
-_PACKAGE_DIR = os.path.dirname(__file__)  # a warning points at the first frame outside it
+_PACKAGE_DIR = os.path.dirname(__file__)  # a warning points at the first frame outside it,
+_CLI_FILE = os.path.join(_PACKAGE_DIR, "cli.py")  # or at the CLI's line
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
@@ -417,7 +418,8 @@ def _coherent_probe(cutoff: int | None, alpha: complex, copies: int = 1) -> np.n
     cutoff numbers above MAX_STATE_SIZE (before allocating the probe), a
     non-finite alpha and a cutoff that holds none of the weight; warns on a
     truncation loss above 1e-9, pointing at the first frame outside the
-    package, so every public route warns its own caller."""
+    package or in cli.py, so every public route warns its own caller and a
+    CLI run names the command's line, not runpy's."""
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     if cutoff < 1:
@@ -429,7 +431,8 @@ def _coherent_probe(cutoff: int | None, alpha: complex, copies: int = 1) -> np.n
     loss = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
     if loss > 1e-9:
         frame, level = sys._getframe(), 1  # no skip_file_prefixes before Python 3.12
-        while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        while frame is not None and frame.f_code.co_filename != _CLI_FILE \
+                and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
             frame, level = frame.f_back, level + 1
         warnings.warn(
             f"coherent state truncation loss {loss:.3e} at cutoff {cutoff} for |alpha|={abs(alpha):g}",

@@ -79,7 +79,9 @@ class ProbeReadout:
     """Homodyne summary of a single probe mode.
 
     phase_shift and inferred_n_s are None when <a> vanishes (phase
-    undefined, e.g. for Fock states).
+    undefined, e.g. for Fock states); inferred_n_s is also None when no
+    phase per photon was given, as evolve_qnd does outside n_s |chi t| < pi,
+    where the wrapped shift no longer tells the photon number.
     """
 
     phase_shift: float | None
@@ -223,7 +225,9 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     Gram matrix m m^+ is its 1 x 1 block |m_{n_s}|^2, and the purity is
     |m_{n_s}|^4.  The two reference kets |beta> are coherent_state's
     amplitudes, normalized the same way but without its truncation check,
-    which the input probe has already passed (one warning per call).
+    which the input probe has already passed (one warning per call).  The
+    photon number is inferred only where the shift, wrapped to (-pi, pi],
+    is unambiguous, n_s |chi t| < pi; outside it inferred_n_s is None.
     """
     n_s = _photon_number("n_s", n_s)
     if n_s < 0:
@@ -239,7 +243,7 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
     m = psi_t.amplitudes.reshape(cutoff_s, cutoff_p)
     readout = _pure_readout(
         m, lo_phase,
-        phase_per_photon=(-chi * t) if t != 0 else None,
+        phase_per_photon=(-chi * t) if t != 0 and n_s * abs(chi * t) < math.pi else None,
         phase_reference=cmath.phase(alpha_p) if alpha_p != 0 else 0.0,
     )
 
@@ -491,8 +495,8 @@ class FullVsEffectiveResult:
     valid data, labeled by regime_ok.  Only the drive-parallel part
     (c_L + c_R)/sqrt(2) of the qubit feels the probe: an H photon tracks
     the secular prediction, a V photon gets no phase and an L or R photon
-    about half.  Mirrored qubits (c_L, c_R) and (c_R, c_L) give identical
-    records, bit for bit.
+    about half: its fields mix the H and V photons' by |c_L + c_R|^2 and
+    |c_L - c_R|^2, so mirrored qubits (c_L, c_R), (c_R, c_L) match bit for bit.
     """
 
     measured_phase: float
@@ -539,15 +543,16 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
     lambda = 0).
 
     The evolution is exact within the truncation, in extended precision at
-    every probe cutoff, in the drive's linear basis: of its even chains
-    |1; H, n>, 2+, |3>, |4; n - 1> and odd pairs |1; V, n>, 2-, those that
-    hold amplitude of some qubit are built in closed form
-    (schemes._pp_components), so an H photon never meets an odd pair, and
-    diagonalized by one longdouble Jacobi call, each zero-padded to the
-    widest (exact: the Jacobi never turns a padded row).  Each qubit goes
-    through that eigenbasis on its own, so its result is, bit for bit, the
-    one it gets alone.  No coupling table and no dense Hamiltonian of the
-    full space is built.
+    every probe cutoff, in the drive's linear basis (a_H, a_V) =
+    (c_L + c_R, c_L - c_R) / sqrt(2).  Only the kets |1; H> and |1; V> (x)
+    probe that some qubit holds are built, two states of 20 * cutoff numbers
+    at most for any number of qubits; their even chains |1; H, n>, 2+, |3>,
+    |4; n - 1> and odd pairs |1; V, n>, 2- are built in closed form
+    (schemes._pp_components) and diagonalized by one longdouble Jacobi call,
+    zero-padded to the widest (exact: the Jacobi never turns a padded row).
+    A qubit's <psi_t|psi0>, leakage and <a_p> are w_H x_H + w_V x_V over the
+    kets it holds, w = |a|^2 normalized per qubit, so its result is, bit for
+    bit, the one it gets alone.  No dense Hamiltonian of the space is built.
     """
     if len(qubits) == 0:
         raise ValueError("full_model_grid needs at least one qubit")
@@ -584,40 +589,44 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
                              "'time' in a fullmodel config)")
         t = target_phase / abs(lam)
 
-    # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4) as in _pp_components;
-    # a mirrored qubit only flips the sign of c_V.  Leakage, <a_p> and
-    # <psi0|psi_t> do not depend on the basis, so nothing is rotated back.
+    # Modes [s_H, s_V, p] and levels (1, 2+, 2-, 3, 4) as in _pp_components; the
+    # fields do not depend on the basis, so nothing is rotated back.
+    weights = [(abs(q.c_l + q.c_r) ** 2, abs(q.c_l - q.c_r) ** 2) for q in qubits]
+    weights = [(h / (h + v), v / (h + v)) for h, v in weights]
     space = make_space(5, [2, 2, cp])
-    psi0s = []
-    for qubit in qubits:
+    held = [k for k in (0, 1) if any(w[k] for w in weights)]
+    kets = []
+    for k in held:
         amps = np.zeros(space.dims, dtype=complex)  # atom in level 1
-        amps[0, 1, 0] = (qubit.c_l + qubit.c_r) / math.sqrt(2) * probe_vec
-        amps[0, 0, 1] = (qubit.c_l - qubit.c_r) / math.sqrt(2) * probe_vec
-        psi0s.append(StateVector(space, amps.ravel()))
-    occupied = np.concatenate([np.flatnonzero(psi.amplitudes) for psi in psi0s])  # repeats too
+        amps[0, 1 - k, k] = probe_vec  # |1; H> (k = 0) or |1; V> (k = 1)
+        kets.append(StateVector(space, amps.ravel()))
+    occupied = np.concatenate([np.flatnonzero(psi.amplitudes) for psi in kets])
     stack = _pp_components(params, space.mode_cutoffs, occupied)
-    psi_ts = _evolve_sectors(psi0s, [stack], t)
+    per_ket = [None, None]  # Re, Im <psi_t|psi0>, leakage, Re, Im <a_p> of each held ket
+    for k, psi0, psi_t in zip(held, kets, _evolve_sectors(kets, [stack], t)):
+        ov, by_level = psi_t.overlap(psi0), psi_t.amplitudes.reshape(space.atom_dim, -1)
+        a = _mean_a(psi_t.amplitudes.reshape(-1, cp)) if n_p is None else 0j
+        per_ket[k] = ov.real, ov.imag, float(np.sum(np.abs(by_level[1:]) ** 2)), a.real, a.imag
 
     predicted_secular = -lam * t
     predicted_kerr = -chi_from_params(params) * 1 * n_p_eff * t
 
     results = []
-    for psi0, psi_t in zip(psi0s, psi_ts):
-        overlap = psi_t.overlap(psi0)  # <psi_t|psi0>
+    for w in weights:  # elementwise over the qubit's kets; -0.0 + x is x, bit for bit
+        re, im, leak, a_re, a_im = (sum((wk * x[i] for wk, x in zip(w, per_ket) if wk), -0.0)
+                                    for i in range(5))
         if n_p is not None:
-            measured = cmath.phase(overlap.conjugate())  # arg <psi0|psi_t>
+            measured = cmath.phase(complex(re, -im))  # arg <psi0|psi_t>
         else:
-            mean_a = _mean_a(psi_t.amplitudes.reshape(-1, cp))
-            measured = _wrap_angle(cmath.phase(mean_a) - cmath.phase(alpha_p))
-        by_level = psi_t.amplitudes.reshape(space.atom_dim, -1)
+            measured = _wrap_angle(cmath.phase(complex(a_re, a_im)) - cmath.phase(alpha_p))
         results.append(FullVsEffectiveResult(
             measured_phase=measured,
             predicted_phase_secular=predicted_secular,
             predicted_phase_kerr=predicted_kerr,
             rel_err_secular=_rel_err(measured, predicted_secular),
             rel_err_kerr=_rel_err(measured, predicted_kerr),
-            atomic_leakage=float(np.sum(np.abs(by_level[1:]) ** 2)),
-            input_overlap=abs(overlap) ** 2,
+            atomic_leakage=leak,
+            input_overlap=abs(complex(re, im)) ** 2,
             regime_ok=params.regime_ok(),
             hierarchy_ratios=params.hierarchy_ratios(),
             probe=probe_tag,

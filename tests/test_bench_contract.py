@@ -6,10 +6,13 @@ would otherwise surface only in a full benchmark self-check.  These tests
 load tracing.py from its source (no bytecode is written under bench/),
 install and uninstall its Tracer and Counters without running a workload,
 and match BENCHMARK.json's per-layer metric names against the spans and
-counters it provides.
+counters it provides.  They also run every op of both workloads once, so a
+change to the package that breaks an op fails here, not only in a benchmark
+run.
 """
 
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -61,3 +64,28 @@ def test_per_layer_metrics_name_traced_spans(tracing):
             missing.append(name)
     assert missing == []
 
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # registered while it runs: the Op dataclass looks its module up there
+    path = ROOT / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+@pytest.mark.parametrize("name", ["effective", "fullmodel"])
+def test_every_op_passes_its_own_check(workloads, name, tmp_path):
+    # the known_defect ops too: each passes its check today
+    failures = []
+    for op in workloads.build(name, 1, str(tmp_path)):
+        _, failure = op.finish(op.call())
+        if failure is not None:
+            failures.append((op.key, failure))
+    assert failures == []

@@ -648,6 +648,28 @@ class TestRecords:
         assert "library_version" in record
         assert record["config"]["n_s"] == 1
 
+    @pytest.mark.parametrize("raw, inferred", [
+        ({}, 1), ({"chi": -0.01, "time": 400.0}, None),
+        ({"n_s": 4, "chi": -0.01, "time": 100.0}, None)])
+    def test_qnd_infers_the_photon_number_only_where_it_can(self, capsys, tmp_path, raw,
+                                                           inferred):
+        # past n_s |chi t| = pi the wrapped shift no longer tells n_s: these
+        # wrote inferred_n_s 0 for n_s = 1 and 4, and exited 0
+        code, out, _ = run(capsys, "qnd", "--config", write_config(tmp_path, "q.json", raw))
+        assert code == 0
+        assert json.loads(out)["results"]["inferred_n_s"] == inferred
+
+    def test_truncation_warning_names_the_cli_line(self, tmp_path):
+        # under python -m ppqnd.cli the first frame outside the package is
+        # runpy's, so each warning named '<frozen runpy>'
+        code, _, err = run_script(["backaction", "--config",
+                                   write_config(tmp_path, "cut.json", {"cutoff_p": 3})])
+        warned = [line for line in err.splitlines() if "UserWarning" in line]
+        assert code == 2  # the record runs, and the cut probes fail its check
+        assert len(warned) == 3
+        assert all(line.startswith(str(ROOT / "src" / "ppqnd" / "cli.py") + ":")
+                   for line in warned)
+
     def test_backaction_results(self, capsys):
         code, out, _ = run(capsys, "backaction")
         record = json.loads(out)

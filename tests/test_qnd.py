@@ -100,6 +100,14 @@ class TestEvolveQnd:
         assert res.probe_fidelity > res.probe_fidelity_flipped
         assert res.readout.inferred_n_s == 2
 
+    @pytest.mark.parametrize("n_s, t, inferred", [
+        (1, 10.0, 1), (3, 100.0, 3), (1, 400.0, None), (4, 100.0, None), (0, 1e3, 0)])
+    def test_photon_number_inferred_only_where_the_shift_is_unambiguous(self, n_s, t, inferred):
+        # the shift is wrapped to (-pi, pi]: past n_s |chi t| = pi it was
+        # divided by the unwrapped -chi t, and n_s = 1 at chi t = -4 read 0
+        res = evolve_qnd(n_s, 2.0, -0.01, t)
+        assert res.readout.inferred_n_s == inferred
+
     def test_joint_state_stays_product(self):
         res = evolve_qnd(3, 2.0, -0.3, 1.7)
         assert res.probe_purity == pytest.approx(1.0, abs=1e-10)
@@ -825,6 +833,30 @@ class TestFullVsEffective:
                                   cutoff_p=cutoff)
         with pytest.raises(ValueError, match="n_p must be >= 0"):
             full_vs_effective(RATIO100, PolarizationQubit.left(), t=1.0, n_p=-1)
+
+    def test_readme_headline_phases(self):
+        # README: at the fullmodel parameters with |alpha| = 1 and
+        # t = 0.1/|lambda|, an H photon writes 0.09999 rad, L or R 0.04999
+        # and V none (below 1e-15)
+        h, l, r, v = full_model_grid(RATIO100, [
+            PolarizationQubit.horizontal(), PolarizationQubit.left(),
+            PolarizationQubit.right(), PolarizationQubit.vertical()],
+            target_phase=0.1, alpha_p=1.0)
+        assert abs(h.measured_phase - 0.09999) <= 1e-5
+        assert abs(l.measured_phase - 0.04999) <= 1e-5
+        assert repr(l.measured_phase) == repr(r.measured_phase)
+        assert abs(v.measured_phase) <= 1e-15
+
+    def test_record_memory_does_not_grow_with_the_qubits(self):
+        # each basis ket |1; H> and |1; V> is evolved once and each qubit
+        # weighs the two: 64 qubits at n_p = 1000 kept 64 pairs of
+        # 20 * 1001-number states (83 MB peak)
+        rng = np.random.default_rng(5)
+        qubits = [PolarizationQubit.horizontal(), PolarizationQubit.vertical()] + [
+            PolarizationQubit(math.cos(th), math.sin(th) * cmath.exp(1j * ph))
+            for th, ph in rng.uniform(0.0, math.pi / 2, size=(62, 2))]
+        peak = traced_peak(lambda: full_model_grid(RATIO100, qubits, t=1e9, n_p=1000))
+        assert peak < 8e6
 
     @pytest.mark.parametrize("qubit", [PolarizationQubit.horizontal(), PolarizationQubit.left(),
                                        PolarizationQubit.vertical()], ids=["H", "L", "V"])
