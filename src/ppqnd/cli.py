@@ -316,7 +316,7 @@ def cmd_qnd(config: ExperimentConfig, tol: float) -> tuple[dict, list, bool]:
 
     results = {
         "phase_shift": res.readout.phase_shift,
-        "expected_phase_shift": -config.chi * config.n_s * config.time,
+        "expected_phase_shift": res.expected_phase_shift,
         "inferred_n_s": res.readout.inferred_n_s,
         "quadrature_mean": res.readout.quadrature_mean,
         "quadrature_variance": res.readout.quadrature_variance,

@@ -7,8 +7,7 @@ Mode-operator basis changes are 2x2 unitaries u acting as
 States carry the conjugate: a single photon with amplitude column c in the
 old basis reads u^+ c in the new one, while the active Fock-space lift
 built here transforms single-photon amplitude columns by u itself
-(U a_k^+ U^+ = sum_i u_ik a_i^+).  The circular-to-linear change is the
-fixed matrix
+(U a_k^+ U^+ = sum_i u_ik a_i^+).  The circular-to-linear change is
 
     (a_L, a_R)^T = (1/sqrt(2)) [[1, i], [1, -i]] (a_H, a_V)^T.
 """
@@ -18,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -56,13 +56,11 @@ class PolarizationQubit:
 
     @staticmethod
     def horizontal() -> "PolarizationQubit":
-        s = 1 / math.sqrt(2)
-        return PolarizationQubit(s, s)
+        return PolarizationQubit(1 / math.sqrt(2), 1 / math.sqrt(2))
 
     @staticmethod
     def vertical() -> "PolarizationQubit":
-        s = 1 / math.sqrt(2)
-        return PolarizationQubit(s, -s)
+        return PolarizationQubit(1 / math.sqrt(2), -1 / math.sqrt(2))
 
     @staticmethod
     def normalized(c_l: complex, c_r: complex) -> "PolarizationQubit":
@@ -140,40 +138,41 @@ def _principal_generator(u: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _pair_sectors(cut: int) -> tuple[np.ndarray, ...]:
-    """Photon-number sectors N = n_i + n_j of two modes of cutoff cut, as
-    fock._sectors index stacks over the pair index n_i * cut + n_j.
-
-    Sizes run 1 .. cut; the sectors N >= cut are cut short by the
-    truncation.  Within a row n_i ascends.
-    """
-    n_i, n_j = np.indices((cut, cut)).reshape(2, -1)
-    return tuple(_readonly(index) for index in _sectors(n_i + n_j))
+    """Photon-number sectors N = n_i + n_j of two modes of cutoff cut, as fock._sectors
+    index stacks over the pair index n_i * cut + n_j: sizes run 1 .. cut (the sectors
+    N >= cut are cut short by the truncation), and within a row n_i ascends."""
+    return tuple(_readonly(index) for index in _sectors(np.indices((cut, cut)).sum(0).ravel()))
 
 
-def _sector_unitaries(u: np.ndarray, cut: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """exp(-i G) on every pair sector for each of K 2x2 unitaries u (shape
-    (K, 2, 2)), G = sum_ab h_ab a_a^+ a_b with h = i log(u).
-
-    Returns one (index, blocks) per sector size s: index (B, s) as from
-    _pair_sectors, blocks (K, B, s, s) the unitaries, from one batched eigh
-    per size for all K.  G only moves photons between the two modes, so it
-    never leaves a sector, truncated or not.  Each unitary's blocks are
-    the same, bit for bit, as from a call with that unitary alone.
-    """
-    h = _principal_generator(u)[:, None, None]  # (K, 1, 1, 2, 2): broadcast over (B, s)
+@functools.lru_cache(maxsize=None)
+def _sector_templates(cut: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(index, n_i, hop) per pair sector size s: index (B, s) as from
+    _pair_sectors, n_i (B, s, s) the diagonal of mode-i photon numbers and hop
+    (B, s, s) the symmetric <k+1, N-k-1| a_i^+ a_j |k, N-k> = sqrt(n_i' n_j)."""
     out = []
     for index in _pair_sectors(cut):
-        batch, size = index.shape
         n_i, n_j = np.divmod(index, cut)
-        hop = np.sqrt(n_i[:, 1:] * n_j[:, :-1])  # <k+1, N-k-1| a_i^+ a_j |k, N-k>
-        g = np.zeros((len(u), batch, size, size), dtype=complex)
-        k = np.arange(size)
-        g[..., k, k] = h[..., 0, 0] * n_i + h[..., 1, 1] * n_j
-        g[..., k[1:], k[:-1]] = h[..., 0, 1] * hop
-        g[..., k[:-1], k[1:]] = h[..., 1, 0] * hop
-        w, v = np.linalg.eigh(g)
-        out.append((index, (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)))
-    return out
+        low = np.sqrt(n_i[:, :, None] * n_j[:, None, :]) * np.eye(index.shape[1], k=-1)
+        out.append((index, _readonly(n_i[:, :, None] * np.eye(index.shape[1])),
+                    _readonly(low + low.swapaxes(1, 2))))
+    return tuple(out)
+
+
+def _sector_rotations(h: np.ndarray, cut: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """R = exp(-i T_N) per pair sector for K Hermitian 2x2 generators h (K, 2, 2),
+    T_N = (h00 - h11) n_i + |h01| hop real symmetric (_sector_templates).
+
+    G = sum_ab h_ab a_a^+ a_b never leaves a sector N = n_i + n_j, truncated or
+    not, and there G_N = h11 N + D T_N D^+, D = diag(exp(i n_i arg h01)): a phase
+    similarity makes the Hermitian tridiagonal G_N real (Parlett, The Symmetric
+    Eigenvalue Problem, 1998), so exp(-i G_N) = exp(-i h11 N) D R D^+.  Yields
+    (index, R (K, B, s, s)) per sector size s from one real batched eigh; each R
+    is, bit for bit, what a call with its generator alone gives."""
+    h = h[:, None, None, None]  # (K, 1, 1, 1, 2, 2): broadcast over (B, s, s)
+    split, scale = (h[..., 0, 0] - h[..., 1, 1]).real, abs(h[..., 0, 1])
+    for index, n_i, hop in _sector_templates(cut):
+        w, q = np.linalg.eigh(split * n_i + scale * hop)
+        yield index, (q * np.exp(-1j * w)[..., None, :]) @ q.swapaxes(-1, -2)
 
 
 def _pair_layout(space: HilbertSpace, modes: tuple[int, int]) -> tuple[int, np.ndarray]:
@@ -198,31 +197,29 @@ def _pair_layout(space: HilbertSpace, modes: tuple[int, int]) -> tuple[int, np.n
 def lift_unitary(u: PolUnitary, space: HilbertSpace, modes: tuple[int, int]) -> Operator:
     """Fock-space unitary implementing a_i -> sum_j u_ij a_j on a mode pair.
 
-    Built as exp(-i G) with the quadratic generator
-    G = sum_jk h_jk a_j^+ a_k, h = i log(u) (principal branch, taken in
-    closed form from the eigendecomposition of u), so U is photon-number
-    conserving by construction: G commutes with n_i + n_j, which generates
-    the U(1) center of the U(2) mode-mixing action.  A u with eigenvalue -1
-    lands on the branch cut; the principal log takes its argument as +pi,
-    an overall pi phase on one eigenmode that cancels in any U H U^+
-    similarity check.
+    Built as exp(-i G) with G = sum_jk h_jk a_j^+ a_k, h = i log(u) (principal
+    branch, in closed form), so U conserves photon number by construction: G
+    commutes with n_i + n_j, which generates the U(1) center of the U(2)
+    mode-mixing action.  A u with eigenvalue -1 lands on the branch cut; the
+    principal log takes its argument as +pi, an overall pi phase on one
+    eigenmode that cancels in any U H U^+ similarity check.
 
-    Truncation caveat: the lift is exact (the symmetric-power
-    representation of u) on every complete photon-number sector
-    n_i + n_j <= cutoff - 1; sectors touching the truncation boundary are
-    unitary but representation-faithless, so states should keep their
-    support below the boundary.
-
-    G acts on the two modes only and conserves N = n_i + n_j, so it is
-    exponentiated per pair sector (at most cutoff states each) and the
-    blocks are scattered into the dense result, once per state of the
-    other factors.
+    The lift is exact (the symmetric-power representation of u) on every
+    complete sector n_i + n_j <= cutoff - 1; sectors touching the truncation
+    boundary are unitary but representation-faithless, so states should keep
+    their support below it.  Each sector N gets exp(-i h11 N) D R D^+ with R
+    from _sector_rotations, scattered into the dense result once per state of
+    the other factors.
     """
     cut, layout = _pair_layout(space, modes)
+    h = _principal_generator(u.matrix[None])
+    phi, h11 = np.angle(h[0, 0, 1]), h[0, 1, 1].real
     u_full = np.zeros((space.total_dim,) * 2, dtype=complex)
-    for index, blocks in _sector_unitaries(u.matrix[None], cut):
+    for index, r in _sector_rotations(h, cut):
+        n_i, n_j = np.divmod(index[..., None], cut)  # (B, s, 1)
+        turn = phi * (n_i - n_i.swapaxes(1, 2)) - h11 * (n_i + n_j)  # exp(-i h11 N) D . D^+
         rows = layout[index]
-        u_full[rows[:, :, None, :], rows[:, None, :, :]] = blocks[0, ..., None]
+        u_full[rows[:, :, None, :], rows[:, None, :, :]] = (r[0] * np.exp(1j * turn))[..., None]
     return Operator(space, u_full, hermitian_flag=False)
 
 
@@ -232,13 +229,15 @@ def diagonal_invariance(space: HilbertSpace, energies: np.ndarray, unitaries: np
     ((K, D) energies, or one (D,) diagonal for every k) and the lift U_k of
     u_k (unitaries of shape (K, 2, 2)), as a (K,) array.
 
-    U is block diagonal over (pair sector, state of the other factors) and
-    so is a diagonal H, so U H U^+ - H vanishes exactly outside those
-    blocks; inside one it is U_N diag(e) U_N^+ - diag(e), at most cutoff x
-    cutoff.  One batched eigh per sector size serves all K, and nothing of
-    size D x D is formed.  Each pair's deviation equals, bit for bit, a call
-    with that pair alone.  ValueError unless every u_k is unitary, the
-    energies have one of those shapes and the pair's cutoffs are equal.
+    U and a diagonal H are block diagonal over (pair sector, state of the other
+    factors), so U H U^+ - H vanishes outside those blocks, and inside one
+    U_N = exp(-i h11 N) D R D^+ (_sector_rotations) leaves
+    |U_N diag(e) U_N^+ - diag(e)| = |R diag(e) R^+ - diag(e)| entrywise: the
+    phase cancels and D is diagonal.  One real eigh and one product per sector
+    size serve all K; nothing of size D x D is formed.  Each deviation equals,
+    bit for bit, a call with its pair alone.  ValueError unless every u_k is
+    unitary, the energies have one of those shapes and the pair's cutoffs are
+    equal.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     if unitaries.shape[1:] != (2, 2):
@@ -250,12 +249,13 @@ def diagonal_invariance(space: HilbertSpace, energies: np.ndarray, unitaries: np
     cut, layout = _pair_layout(space, tuple(modes))
     energies = energies.reshape(-1, dim)  # (1 or K, D)
     worst = np.zeros(len(unitaries))
-    for index, blocks in _sector_unitaries(unitaries, cut):
-        e = np.moveaxis(energies[:, layout[index]], -1, 2)[..., None, :]  # (1|K, B, rest, 1, s)
-        blocks = blocks[:, :, None]                                      # (K, B, 1, s, s)
-        dev = np.conj(blocks) @ (blocks * e).swapaxes(-1, -2)  # the transpose of U diag(e) U^+
+    for index, r in _sector_rotations(_principal_generator(unitaries), cut):
+        e = energies[:, layout[index].swapaxes(1, 2)]  # (1|K, B, rest, s)
+        left = r[:, :, None] * e[..., None, :]  # R diag(e), (K, B, rest, s, s)
+        stack = left.shape[:2] + (left.shape[2] * left.shape[3], left.shape[4])  # one product per R
+        dev = (left.reshape(stack) @ np.conj(r).swapaxes(-1, -2)).reshape(left.shape)
         k = np.arange(index.shape[1])
-        dev[..., k, k] -= e[..., 0, :]
+        dev[..., k, k] -= e
         worst = np.maximum(worst, np.abs(dev).max(axis=(1, 2, 3, 4)))
     return worst
 

@@ -198,6 +198,8 @@ class QndEvolution:
     convention; probe_fidelity_flipped against the opposite sign, so the
     matching convention is visible in the record.  probe_purity near 1
     certifies the joint state stayed a product (Schmidt rank 1).
+    expected_phase_shift is that rotation's phase -chi n_s t, wrapped to
+    (-pi, pi] as readout.phase_shift is, so the two compare directly.
     """
 
     state: StateVector
@@ -205,6 +207,7 @@ class QndEvolution:
     probe_fidelity: float
     probe_fidelity_flipped: float
     probe_purity: float
+    expected_phase_shift: float
     evolution_sign: str = EVOLUTION_SIGN
 
 
@@ -258,6 +261,7 @@ def evolve_qnd(n_s: int, alpha_p: complex, chi: float, t: float,
         probe_fidelity=fidelity_to(alpha_p * cmath.exp(-1j * chi * n_s * t)),
         probe_fidelity_flipped=fidelity_to(alpha_p * cmath.exp(+1j * chi * n_s * t)),
         probe_purity=float(np.linalg.norm(m[n_s]) ** 4),
+        expected_phase_shift=_wrap_angle(-chi * n_s * t),
     )
 
 

@@ -377,13 +377,18 @@ def _cross_kerr_energies(space: HilbertSpace, chi: float, signal_modes: tuple[in
     other: their sums and products are exact integers, chi multiplies once,
     and the result is broadcast to the whole space (a sum over one signal
     mode does not span the other's axis) and flattened into a new array.  A
-    ValueError names chi unless it is finite.
+    ValueError names chi unless it and every energy are finite.
     """
     if not math.isfinite(chi):
         raise ValueError(f"cross-Kerr coefficient chi must be finite, got chi = {chi!r}")
     n = np.ix_(*(np.arange(d, dtype=float) for d in space.dims))  # n[1 + mode]
-    n_signal = sum(n[1 + m] for m in signal_modes)
-    return np.broadcast_to(chi * (n_signal * n[1 + probe_mode]), space.dims).flatten()
+    counts = sum(n[1 + m] for m in signal_modes) * n[1 + probe_mode]
+    with np.errstate(over="ignore"):
+        energies = chi * counts
+    if not np.isfinite(energies).all():
+        raise ValueError(f"cross-Kerr energies overflow: chi = {chi!r} times the largest "
+                         f"photon-number product {float(counts.max())!r} is not finite")
+    return np.broadcast_to(energies, space.dims).flatten()
 
 
 def _qnd_energies(chi: float, cutoff_s: int, cutoff_p: int) -> tuple[HilbertSpace, np.ndarray]:

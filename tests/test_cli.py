@@ -412,6 +412,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "config error: evolution lost unitarity: |psi| = np.float64(nan)\n"
 
+    @pytest.mark.parametrize("command, product", [("qnd", 29.0), ("preserve", 58.0),
+                                                  ("invariance", 18.0)])
+    def test_overflowing_chi_is_refused_by_name(self, tmp_path, command, product):
+        # a finite chi whose energies overflow: these printed numpy's overflow
+        # RuntimeWarning, then 'lost unitarity' or a NaN record refusal
+        code, out, err = run_script([command, "--config",
+                                     write_config(tmp_path, "chi.json", {"chi": 1e308})])
+        assert (code, out) == (1, "")
+        assert err == ("config error: cross-Kerr energies overflow: chi = 1e+308 times the "
+                       f"largest photon-number product {product!r} is not finite\n")
+
     def test_non_finite_record_writes_nothing(self, capsys, monkeypatch):
         # a record must be strict JSON: a NaN fails the command
         nan_result = DiscriminationResult(math.nan, 0.1, 0.1, 10, 0)
@@ -658,6 +669,15 @@ class TestRecords:
         code, out, _ = run(capsys, "qnd", "--config", write_config(tmp_path, "q.json", raw))
         assert code == 0
         assert json.loads(out)["results"]["inferred_n_s"] == inferred
+
+    def test_qnd_phases_are_wrapped_alike(self, capsys, tmp_path):
+        # past |chi n_s t| = pi the measured shift wraps to (-pi, pi]: the
+        # expected shift was written unwrapped, 4.0 beside -2.2832
+        raw = {"chi": -0.01, "time": 400.0}
+        code, out, _ = run(capsys, "qnd", "--config", write_config(tmp_path, "q.json", raw))
+        results = json.loads(out)["results"]
+        assert code == 0
+        assert abs(results["phase_shift"] - results["expected_phase_shift"]) <= 1e-12
 
     def test_truncation_warning_names_the_cli_line(self, tmp_path):
         # under python -m ppqnd.cli the first frame outside the package is

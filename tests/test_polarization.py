@@ -202,6 +202,11 @@ class TestDiagonalRoute:
         assert np.array_equal(diagonal_invariance(space, energies, us, (0, 1)),
                               diagonal_invariance(space, repeated, us, (0, 1)))
 
+    def test_empty_stack_has_no_deviations(self):
+        space, energies = ppqnd_energies(-1e-3, 3, 3, 2)
+        devs = diagonal_invariance(space, energies, np.zeros((0, 2, 2)), (0, 1))
+        assert devs.shape == (0,)
+
     @pytest.mark.parametrize("bad", ["non-unitary", "nan-unitary", "one-2x2", "energies-length",
                                      "energies-rows", "unequal-cutoffs"])
     def test_rejects_what_it_takes_from_outside(self, bad):
@@ -257,6 +262,40 @@ class TestDiagonalRoute:
         finally:
             tracemalloc.stop()
         assert retained < 0.1e6
+
+    @pytest.mark.parametrize("cut", [1, 2, 5])
+    def test_one_real_eigh_per_sector_size(self, monkeypatch, cut):
+        # the lift and the invariance check share one route: a real symmetric
+        # eigh per pair-sector size, for one unitary or a whole stack
+        dtypes = []
+
+        def recording(a):
+            dtypes.append(np.asarray(a).dtype)
+            return eigh(a)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        space, energies = ppqnd_energies(-1e-3, cut, cut, 2)
+        lift_unitary(lr_to_hv(), space, (0, 1))
+        assert dtypes == [np.float64] * cut
+        dtypes.clear()
+        diagonal_invariance(space, energies, unitary_stack(np.random.default_rng(8), 9), (0, 1))
+        assert dtypes == [np.float64] * cut
+
+    def test_peak_memory_at_a_wide_pair(self):
+        # cutoff_p = 1 < cutoff_s: a (K, B, s, s, s) product tensor would take
+        # 50 * 2 * 15^3 * 16 B = 5.4e6 B at sector size 15 alone, while the
+        # complex generator route (a complex eigh per sector size) peaked at
+        # 3591816 B here; the real route stays within 1.25 times that
+        space, energies = ppqnd_energies(-1e-3, 16, 16, 1)
+        us = unitary_stack(np.random.default_rng(9), 47)
+        diagonal_invariance(space, energies, us, (0, 1))  # the sector templates are cached
+        tracemalloc.start()
+        try:
+            diagonal_invariance(space, energies, us, (0, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 3591816
 
 
 def by_total_pair_sectors(cut):

@@ -5,7 +5,8 @@ elementwise evolution of a diagonal H against its eigendecomposition,
 the amplitude partial trace against the density-matrix one, the
 closed-form 2x2 log against scipy's logm, the sector-blocked
 polarization lift against the pair-space and full-space exp(-i G), the
-blockwise invariance check against the dense triple product U H U^+,
+blockwise invariance check against the dense triple product U H U^+ and
+against its definition over the dense lift,
 the ladder-sum homodyne readouts and the amplitude-matrix purity and
 fidelity of evolve_qnd against dense operators on the reduced density
 matrix, the probe-Gram dephasing grid against the per-point joint state,
@@ -61,6 +62,7 @@ from ppqnd import (
     coherent_state,
     default_cutoff,
     dephasing_grid,
+    diagonal_invariance,
     estimate_eigenvalues,
     evolve,
     evolve_qnd,
@@ -69,6 +71,7 @@ from ppqnd import (
     full_vs_effective,
     homodyne_estimate,
     lift_unitary,
+    lr_to_hv,
     make_space,
     number_op,
     partial_trace,
@@ -148,9 +151,9 @@ def full_space_lift(u, space, modes):
 
 
 @st.composite
-def lift_cases(draw):
+def lift_cases(draw, max_cut=4):
     """(space, modes) with two distinct, equally truncated modes in any order."""
-    pair_cut = draw(st.integers(1, 4))
+    pair_cut = draw(st.integers(1, max_cut))
     other = draw(st.lists(st.integers(1, 3), max_size=1))
     cutoffs = [pair_cut, pair_cut] + other
     order = draw(st.permutations(range(len(cutoffs))))
@@ -296,6 +299,32 @@ def test_blockwise_invariance_matches_dense_triple_product(case, seed, kind):
     assert abs(ours - oracle) < 1e-12
     if kind == "invariant":
         assert ours < 1e-12
+
+
+# The identity, a scalar e^{i theta} I (h01 = 0), Z = diag(1, -1) (on the
+# principal log's branch cut), LR -> HV and Haar.
+polarization_unitaries = st.one_of(
+    st.just(np.eye(2, dtype=complex)),
+    st.floats(-math.pi, math.pi).map(lambda theta: np.exp(1j * theta) * np.eye(2)),
+    st.just(np.diag([1.0, -1.0]).astype(complex)),
+    st.just(lr_to_hv().matrix),
+    seeds.map(lambda seed: haar_unitary(np.random.default_rng(seed)).matrix))
+
+
+@PROPERTY
+@given(lift_cases(max_cut=6), polarization_unitaries, seeds, st.floats(1e-3, 1e3))
+def test_diagonal_invariance_is_its_definition(case, u, seed, scale):
+    # max |L diag(e) L^+ - diag(e)| with L the dense lift, against the sector
+    # route that forms no L.  Per entry each route sums at most cutoff
+    # products L_am e_m L*_bm, each within about 2 eps of max|e| (the rows of L
+    # are unit vectors); two routes, so they agree to 4 eps max|e| cutoff
+    space, modes = case
+    e = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, space.total_dim)
+    lift = lift_unitary(PolUnitary(u), space, modes).matrix
+    definition = np.max(np.abs(lift @ np.diag(e) @ lift.conj().T - np.diag(e)))
+    ours = diagonal_invariance(space, e, u[None], modes)[0]
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(e)) * space.mode_cutoffs[modes[0]]
+    assert abs(ours - definition) <= bound
 
 
 def dense_readout(rho, lo_phase):

@@ -2,6 +2,7 @@ import cmath
 import collections
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -504,6 +505,27 @@ class TestInputTypes:
         # "evolution lost unitarity: |psi| = nan"
         with pytest.raises(ValueError, match="chi must be finite, got chi = "):
             entry(chi)
+
+    @pytest.mark.parametrize("entry", [
+        lambda chi: evolve_qnd(1, 2.0, chi, 1.0),
+        lambda chi: dephasing_grid(CLI_QUBITS, 2.0, chi, [1.0]),
+        lambda chi: polarization_dephasing(PolarizationQubit.left(), 2.0, chi, 1.0, sensitive=True),
+        lambda chi: ppqnd_energies(chi, 2, 2, 3),
+        lambda chi: qnd_hamiltonian(chi, 2, 3),
+    ], ids=["evolve_qnd", "dephasing_grid", "polarization_dephasing", "ppqnd_energies",
+            "qnd_hamiltonian"])
+    def test_overflowing_chi_named(self, entry):
+        # a finite chi times a photon-number product past the float range was
+        # numpy's "overflow encountered in multiply"
+        for chi in (1e308, -1e308):
+            message = re.escape(f"overflow: chi = {chi!r} times the largest")
+            with pytest.raises(ValueError, match=message):
+                entry(chi)
+
+    def test_largest_chi_with_a_unit_product(self):
+        # one photon in each mode at most: chi itself is the largest energy
+        _, energies = ppqnd_energies(1e308, 2, 1, 2)
+        assert energies.max() == 1e308
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
                                        complex(1.0, -math.inf)])
