@@ -28,7 +28,7 @@ print("1. Closed-form coefficients vs the characteristic-polynomial oracle")
 print("=" * 70)
 closed = secular_coefficients(params, n_sl, n_sr, n_p)
 block = build_pp_block_matrix(params, n_sl, n_sr, n_p)
-oracle = char_poly_coefficients(block.matrix)
+oracle = char_poly_coefficients(block)
 for name, x, y in zip("abcde", closed.as_tuple(), oracle.as_tuple()):
     rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
     print(f"  {name}: closed {x:+.6e}   oracle {y:+.6e}   rel diff {rel:.1e}")

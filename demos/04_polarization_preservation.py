@@ -15,11 +15,13 @@ import math
 import numpy as np
 
 from ppqnd import (
+    Operator,
     PolarizationQubit,
     PolUnitary,
     check_invariance,
     lr_to_hv,
     polarization_dephasing,
+    ppqnd_energies,
     ppqnd_hamiltonian,
     stokes_vector,
 )
@@ -71,7 +73,7 @@ print(f"  50 Haar-random u:     max |U H U+ - H| = {worst:.2e}")
 print("  (n_sL + n_sR generates the U(1) center of the mode-mixing action,")
 print("   so every quadratic lift commutes with the interaction)")
 
-from ppqnd import sensitive_qnd_hamiltonian
-h_sens = sensitive_qnd_hamiltonian(-1e-3, 4, 4, 4)
+space, energies = ppqnd_energies(-1e-3, 4, 4, 4, sensitive=True)
+h_sens = Operator(space, np.diag(energies.astype(complex)))
 print(f"  sensitive control:    deviation under LR -> HV = "
       f"{check_invariance(h_sens, lr_to_hv(), (0, 1)):.2e}  (not invariant)")

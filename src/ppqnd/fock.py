@@ -12,7 +12,7 @@ Conventions used throughout the package:
 * Time evolution is exp(-i H t), exact at any t (see evolve).
 * A mode with cutoff c holds photon numbers 0 .. c-1.  The annihilation
   operator is truncated: a|c-1> = sqrt(c-1)|c-2> and no level above the
-  cutoff exists.
+  cutoff exists; a^+ is annihilation_op(...).matrix.conj().T.
 * Every generic block split is _sectors(label): one (B, s) stack of flat
   indices per block size s, labelled by a conserved number (the pair
   n_i + n_j) or by connected component of a real symmetric matrix's
@@ -43,7 +43,6 @@ __all__ = [
     "Operator",
     "make_space",
     "annihilation_op",
-    "creation_op",
     "number_op",
     "atom_transition_op",
     "default_cutoff",
@@ -135,7 +134,7 @@ class StateVector:
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= _NORM_TOL:  # also refuses NaN
-            raise ValueError(f"state not normalized: |psi| = {norm!r}")
+            raise ValueError(f"state not normalized: |psi| = {float(norm)!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     def overlap(self, other: "StateVector") -> complex:
@@ -182,7 +181,7 @@ def _check_density(m: np.ndarray) -> None:
     tr = np.trace(m, axis1=-2, axis2=-1).real.ravel()
     bad = ~(np.abs(tr - 1.0) <= _NORM_TOL)  # also refuses NaN
     if bad.any():
-        raise ValueError(f"density matrix trace is {tr[bad][0]!r}, expected 1")
+        raise ValueError(f"density matrix trace is {float(tr[bad][0])!r}, expected 1")
     herm_dev = np.max(_hermitian_deviation(m))
     if not herm_dev <= _HERM_TOL:  # also refuses NaN
         raise ValueError(f"density matrix not Hermitian: max |M - M^+| = {herm_dev:g}")
@@ -212,9 +211,6 @@ class Operator:
             if not dev <= _HERM_TOL:  # also refuses NaN
                 raise ValueError(f"hermitian_flag set but max |M - M^+| = {dev:g}")
         object.__setattr__(self, "matrix", _readonly(m))
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T, self.hermitian_flag)
 
 
 def _check_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
@@ -329,10 +325,6 @@ def annihilation_op(space: HilbertSpace, mode: int) -> Operator:
     _check_mode(space, mode)
     rules = [(1.0, level, level, mode) for level in range(space.atom_dim)]
     return _scatter(space, _coupling_table(space, [], rules), hermitian=False)
-
-
-def creation_op(space: HilbertSpace, mode: int) -> Operator:
-    return annihilation_op(space, mode).dagger()
 
 
 def _occupations(space: HilbertSpace, mode: int) -> np.ndarray:
@@ -713,7 +705,7 @@ def _check_unitarity(raw_norm: np.ndarray) -> None:
     raw_norm = np.ravel(raw_norm)
     bad = ~(np.abs(raw_norm - 1.0) <= 1e-10)  # also refuses NaN
     if bad.any():
-        raise ArithmeticError(f"evolution lost unitarity: |psi| = {raw_norm[bad][0]!r}")
+        raise ArithmeticError(f"evolution lost unitarity: |psi| = {float(raw_norm[bad][0])!r}")
 
 
 def _resolve_keep(space: HilbertSpace, keep) -> tuple[bool, tuple[int, ...]]:

@@ -69,10 +69,6 @@ class PolarizationQubit:
             raise ValueError("cannot normalize the zero vector")
         return PolarizationQubit(c_l / n, c_r / n)
 
-    def apply(self, u: "PolUnitary") -> "PolarizationQubit":
-        c = u.matrix @ np.array([self.c_l, self.c_r])
-        return PolarizationQubit(complex(c[0]), complex(c[1]))
-
 
 @dataclass(frozen=True)
 class PolUnitary:
@@ -87,9 +83,6 @@ class PolUnitary:
         _require_unitary(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def __matmul__(self, other: "PolUnitary") -> "PolUnitary":
-        return PolUnitary(self.matrix @ other.matrix)
 
 
 def _require_unitary(m: np.ndarray) -> None:
@@ -236,8 +229,8 @@ def diagonal_invariance(space: HilbertSpace, energies: np.ndarray, unitaries: np
     phase cancels and D is diagonal.  One real eigh and one product per sector
     size serve all K; nothing of size D x D is formed.  Each deviation equals,
     bit for bit, a call with its pair alone.  ValueError unless every u_k is
-    unitary, the energies have one of those shapes and the pair's cutoffs are
-    equal.
+    unitary, the energies are finite and have one of those shapes, and the
+    pair's cutoffs are equal.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
     if unitaries.shape[1:] != (2, 2):
@@ -246,6 +239,9 @@ def diagonal_invariance(space: HilbertSpace, energies: np.ndarray, unitaries: np
     energies, dim = np.asarray(energies), space.total_dim
     if energies.shape not in ((dim,), (len(unitaries), dim)):
         raise ValueError(f"energies of shape {energies.shape}: want ({dim},) or (K, {dim})")
+    if not np.isfinite(energies).all():  # inf - inf would warn and give NaN deviations
+        bad = np.count_nonzero(~np.isfinite(energies))
+        raise ValueError(f"energies must be finite: {bad} of {energies.size} are not")
     cut, layout = _pair_layout(space, tuple(modes))
     energies = energies.reshape(-1, dim)  # (1 or K, D)
     worst = np.zeros(len(unitaries))

@@ -20,8 +20,9 @@ Three atomic schemes, in increasing size:
 Atomic levels are indexed from 0, so scheme level "1" is index 0,
 "2" is 1, "2'" is 2, "3" is 3, "4" is 4 in the PP scheme.
 
-Also provided: the 5x5 single-excitation block model of the PP scheme,
-exact for H photons, and the diagonal effective (QND) Hamiltonians.
+Also provided: the PP scheme's block model, a bare matrix exact for H
+photons, and the diagonal effective (QND) Hamiltonians, whose
+polarization-sensitive control comes as energies only (ppqnd_energies).
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from .fock import (
     _coupling_table,
     _jacobi_eigh_longdouble,
     _photon_number,
+    _readonly,
     _scatter,
     make_space,
 )
 
 __all__ = [
     "SchemeParams",
-    "PPBlockMatrix",
     "build_lambda_hamiltonian",
     "lambda_dark_state",
     "build_n_hamiltonian",
@@ -55,7 +56,6 @@ __all__ = [
     "chi_from_params",
     "qnd_hamiltonian",
     "ppqnd_hamiltonian",
-    "sensitive_qnd_hamiltonian",
     "ppqnd_energies",
     "compare_block_to_full",
 ]
@@ -254,26 +254,6 @@ def pp_mirror_permutation(space: HilbertSpace) -> np.ndarray:
     return np.ravel_multi_index((level_map[lvl], nr, nl, npp), space.dims).ravel()
 
 
-@dataclass(frozen=True)
-class PPBlockMatrix:
-    """Single-excitation block model of the PP scheme.
-
-    `matrix` is 5x5 on {|1,n_s,n_p>, |2,..>, |2',..>, |3,n_s-1,n_p>,
-    |4,n_s-1,n_p-1>} for n_sL, n_sR >= 1; when one circular occupation is
-    zero the corresponding intermediate state does not exist, the row and
-    column are dropped and `reduced` is set (4x4 chain).
-    """
-
-    matrix: np.ndarray
-    labels: tuple[str, ...]
-    reduced: bool
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def _pp_chain_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.ndarray:
     """(B, 4, 4) symmetric chains |1> - |2> - |3> - |4> with diagonal (0, delta,
     0, Delta) and legs xi_s sqrt(n_s), drive, xi_p sqrt(n_p), one per row of
@@ -309,24 +289,25 @@ def _pp_block_stack(params: np.ndarray, n_s: np.ndarray, n_p: np.ndarray) -> np.
     return m
 
 
-def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) -> PPBlockMatrix:
-    """Block model of one (n_sL, n_sR, n_p) occupation: the route-symmetrized
-    5x5 block, whose characteristic polynomial is the quintic, when both
-    circular occupations are nonzero; the single-route 4x4 chain otherwise.
+def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) -> np.ndarray:
+    """Block model of one (n_sL, n_sR, n_p) occupation as a read-only real
+    matrix: the route-symmetrized 5x5 block on {|1>, |2>, |2'>, |3>, |4>},
+    whose characteristic polynomial is the quintic, when both circular
+    occupations are nonzero; the single-route 4x4 chain of _pp_chain_stack on
+    |1>, the 2 or 2' that exists, |3> and |4> otherwise, so the shape tells
+    the two apart.  The chain has one drive leg: its characteristic polynomial
+    is not the quintic (its dark root is the N-scheme shift, about twice the
+    quintic's).
 
     The block basis deliberately does not resolve which circular route the
     signal excitation took, so for mixed occupations the two signal legs
     enter with the route-symmetrized amplitude xi_s sqrt(n_s/2) each
     (n_s = n_sL + n_sR).  In the basis 2+- that block is exactly the full
     scheme's component of |1; n_s H photons, n_p> (the chain |1>, 2+, 3, 4
-    of _pp_components) plus the uncoupled 2- at delta: the block model is exact
-    for drive-parallel photons (see compare_block_to_full).  With one
-    circular occupation zero the block is the single-route chain of
-    _pp_chain_stack (`reduced`), which has one drive leg: its characteristic
-    polynomial is not the quintic (its dark root is the N-scheme shift,
-    about twice the quintic's).  The secular analysis solves the even chain
-    (drive leg sqrt(2) Omega_d) plus delta.  The photon numbers are integers
-    (numpy's too, not bools).
+    of _pp_components) plus the uncoupled 2- at delta: the block model is
+    exact for drive-parallel photons (see compare_block_to_full).  The
+    secular analysis solves the even chain (drive leg sqrt(2) Omega_d) plus
+    delta.  The photon numbers are integers (numpy's too, not bools).
     """
     n_sl, n_sr, n_p = (_photon_number("n_sl", n_sl), _photon_number("n_sr", n_sr),
                        _photon_number("n_p", n_p))
@@ -334,14 +315,9 @@ def build_pp_block_matrix(params: SchemeParams, n_sl: int, n_sr: int, n_p: int) 
         raise ValueError("need n_sL + n_sR >= 1 (a signal photon to detect)")
     if n_p < 1:
         raise ValueError("block model needs n_p >= 1 (the |4> state absorbs a probe photon)")
-    row = np.array([astuple(params)])
-    n_s, n_p = np.array([n_sl + n_sr]), np.array([n_p])
-    if n_sl == 0 or n_sr == 0:
-        kept = "2" if n_sr == 0 else "2'"
-        return PPBlockMatrix(_pp_chain_stack(row, n_s, n_p)[0], ("1", kept, "3", "4"),
-                             reduced=True)
-    return PPBlockMatrix(_pp_block_stack(row, n_s, n_p)[0], ("1", "2", "2'", "3", "4"),
-                         reduced=False)
+    row, n_s = np.array([astuple(params)]), np.array([n_sl + n_sr])
+    stack = _pp_chain_stack if n_sl == 0 or n_sr == 0 else _pp_block_stack
+    return _readonly(stack(row, n_s, np.array([n_p]))[0])
 
 
 def _rel_err(approx: float, exact: float) -> float:
@@ -399,9 +375,10 @@ def _qnd_energies(chi: float, cutoff_s: int, cutoff_p: int) -> tuple[HilbertSpac
 
 def ppqnd_energies(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int,
                    sensitive: bool = False) -> tuple[HilbertSpace, np.ndarray]:
-    """The space and diagonal of ppqnd_hamiltonian, chi (n_sL + n_sR) n_p, or of
-    sensitive_qnd_hamiltonian, chi n_sL n_p, when sensitive; modes [s_L, s_R, p].
-    diagonal_invariance and dephasing_grid take them without a D x D Operator."""
+    """The space and diagonal of ppqnd_hamiltonian, chi (n_sL + n_sR) n_p, or
+    when sensitive of the control chi n_sL n_p, which breaks its L/R symmetry;
+    modes [s_L, s_R, p].  diagonal_invariance and dephasing_grid take them
+    without a D x D Operator."""
     space = make_space(1, [cutoff_sl, cutoff_sr, cutoff_p])
     return space, _cross_kerr_energies(space, chi, (0,) if sensitive else (0, 1), 2)
 
@@ -423,18 +400,6 @@ def ppqnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int, cutoff_p: int)
     eigenstate of n_sL + n_sR with eigenvalue 1.
     """
     return _diagonal_operator(*ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p))
-
-
-def sensitive_qnd_hamiltonian(chi: float, cutoff_sl: int, cutoff_sr: int,
-                              cutoff_p: int) -> Operator:
-    """Polarization-sensitive control chi * n_sL * n_p, modes [s_L, s_R, p].
-
-    Only the left-circular photon kicks the probe, so this Hamiltonian
-    breaks the L/R symmetry that ppqnd_hamiltonian keeps; it serves as the
-    control that shows the invariance and dephasing checks can fail.
-    """
-    return _diagonal_operator(*ppqnd_energies(chi, cutoff_sl, cutoff_sr, cutoff_p,
-                                              sensitive=True))
 
 
 def _hadamard_column(n_sl: int, n_sr: int) -> np.ndarray:
@@ -462,7 +427,7 @@ def _ket_eigenpairs(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
     eigenvalues, their overlaps (v^T ket)^2 and whether each is of the
     component of |1; n_s H photons, n_p>, then the block's eigenvalues; the
     padded eigenpairs, eigenvalue 0 on a padded slot, are dropped."""
-    block = build_pp_block_matrix(params, n_sl, n_sr, n_p).matrix
+    block = build_pp_block_matrix(params, n_sl, n_sr, n_p)
     n_s = n_sl + n_sr
     space = make_space(5, (n_s + 1, n_s + 1, n_p + 1))
     scratch = space.total_dim

@@ -113,8 +113,11 @@ def unread_message(command, key):
 
 
 def merge_and_revalidate(defaults, raw, seed):
-    """Reference for _effective_config: the defaults, the file's fields and
-    the seed merged into one dict, and the whole dict validated."""
+    """Reference for _effective_config: the defaults (less target_phase where
+    the file gives the time it stands in for), the file's fields and the seed
+    merged into one dict, and the whole dict validated."""
+    if "time" in raw:
+        defaults = {key: value for key, value in defaults.items() if key != "target_phase"}
     merged = {**defaults, **ExperimentConfig.from_dict(raw).to_dict()}
     if seed is not None:
         merged["seed"] = seed
@@ -410,7 +413,7 @@ class TestExitCodes:
         # error, with no numpy warning or traceback before it
         code, out, err = run_script([command, "--config", write_config(tmp_path, "big.json", raw)])
         assert (code, out) == (1, "")
-        assert err == "config error: evolution lost unitarity: |psi| = np.float64(nan)\n"
+        assert err == "config error: evolution lost unitarity: |psi| = nan\n"
 
     @pytest.mark.parametrize("command, product", [("qnd", 29.0), ("preserve", 58.0),
                                                   ("invariance", 18.0)])
@@ -905,8 +908,8 @@ class TestRecords:
         assert_roots_match_mpmath(json.loads(out))
 
     def test_secular_draws_run_as_arrays(self, capsys, tmp_path, monkeypatch):
-        # no per-draw SchemeParams, PPBlockMatrix or eigvalsh: the counts are
-        # the same for 10 and 1000 draws, and the point's block is solved in
+        # no per-draw SchemeParams or eigvalsh: the counts are the same for
+        # 10 and 1000 draws, and the point's block is solved in
         # the same eigvalsh as the draws', for its oracle and its roots
         counts = collections.Counter()
 
@@ -915,8 +918,8 @@ class TestRecords:
                 counts[name] += 1
                 return fn(*args, **kwargs)
             return wrapped
-        for cls in (schemes.SchemeParams, schemes.PPBlockMatrix):
-            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(schemes.SchemeParams, "__post_init__",
+                            counting("SchemeParams", schemes.SchemeParams.__post_init__))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         per_run = []
         for draws in (10, 1000):
@@ -1002,6 +1005,25 @@ class TestRecords:
         path = write_config(tmp_path, "t.json", {"time": 1e8})
         code, out, _ = run(capsys, "fullmodel", "--config", path)
         assert code == 0
+
+    def test_fullmodel_time_replaces_the_default_target_phase(self, tmp_path, capsys):
+        # the record echoed the default target_phase, which the given time
+        # left unused; its echo reruns to the same bytes
+        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+        path = write_config(tmp_path, "t.json", {"time": 1e9})
+        assert main(["fullmodel", "--config", path, "--out", str(out_a)]) == 0
+        echo = json.loads(out_a.read_bytes())["config"]
+        assert echo["time"] == 1e9 and "target_phase" not in echo
+        echo_path = write_config(tmp_path, "echo.json", echo)
+        assert main(["fullmodel", "--config", echo_path, "--out", str(out_b)]) == 0
+        capsys.readouterr()
+        assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_fullmodel_refuses_both_time_fields(self, capsys, tmp_path):
+        # a file with both ran on time without a word and echoed both
+        path = write_config(tmp_path, "both.json", {"time": 1e9, "target_phase": 0.1})
+        assert run(capsys, "fullmodel", "--config", path) == (
+            1, "", "config error: fields 'time' and 'target_phase': give one or the other\n")
 
 
     def test_record_regenerates_from_its_own_config_echo(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestLiftUnitary:
         sel = np.ix_(sector_idx, sector_idx)
         for _ in range(5):
             u1, u2 = haar_unitary(rng), haar_unitary(rng)
-            lhs = lift_unitary(u1 @ u2, space, (0, 1)).matrix
+            lhs = lift_unitary(PolUnitary(u1.matrix @ u2.matrix), space, (0, 1)).matrix
             rhs = lift_unitary(u1, space, (0, 1)).matrix @ lift_unitary(u2, space, (0, 1)).matrix
             assert np.max(np.abs(lhs[sel] - rhs[sel])) < 1e-9
 
@@ -226,6 +227,17 @@ class TestDiagonalRoute:
             space, energies = ppqnd_energies(-1e-3, 3, 2, 2)
         with pytest.raises(ValueError):
             diagonal_invariance(space, energies, us, (0, 1))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_refuses_non_finite_energies_by_name(self, value):
+        # inf printed three RuntimeWarnings and NaN nothing; both returned [nan]
+        space, energies = ppqnd_energies(-1e-3, 3, 3, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^energies must be finite: 18 of 18 are not$"):
+                diagonal_invariance(space, np.full_like(energies, value),
+                                    lr_to_hv().matrix[None], (0, 1))
+        assert caught == []
 
     def test_diagonal_hamiltonian_skips_the_dense_route(self, monkeypatch):
         # the route is decided from the matrix: a diagonal H never lifts u to
@@ -353,6 +365,7 @@ class TestDephasingBasisIndependence:
         base = PolarizationQubit.horizontal()
         ref = polarization_dephasing(base, 1.5, -0.2, 3.0).fidelity
         for _ in range(5):
-            rotated = base.apply(haar_unitary(rng))
+            c = haar_unitary(rng).matrix @ [base.c_l, base.c_r]
+            rotated = PolarizationQubit(complex(c[0]), complex(c[1]))
             fid = polarization_dephasing(rotated, 1.5, -0.2, 3.0).fidelity
             assert abs(fid - ref) < 1e-10

@@ -1289,8 +1289,7 @@ def test_array_drawn_secular_oracle_equals_per_draw_loop(seed, count):
         even = np.array([[row[0], row[1], row[2] * math.sqrt(2), row[3], row[4]]])
         chain = _pp_chain_stack(even, np.array([occ[0] + occ[1]]), np.array([occ[2]]))[0]
         assert bitwise_equal(o, -np.poly(np.sort([*np.linalg.eigvalsh(chain), row[1]]))[1:])
-        block = np.array(char_poly_coefficients(build_pp_block_matrix(params, *occ).matrix)
-                         .as_tuple())
+        block = np.array(char_poly_coefficients(build_pp_block_matrix(params, *occ)).as_tuple())
         assert np.all(np.abs(o - block) <= 1e-9 * np.maximum(np.abs(o), np.abs(block)))
 
 
@@ -1303,7 +1302,7 @@ def hermitian_stacks(draw):
     kind = draw(st.sampled_from(["block", "real", "complex", "diagonal"]))
     if kind == "block":
         params = draw(pp_params())
-        return np.array([build_pp_block_matrix(params, *(int(n) for n in rng.integers(1, 4, 3))).matrix
+        return np.array([build_pp_block_matrix(params, *(int(n) for n in rng.integers(1, 4, 3)))
                          for _ in range(batch)])
     if kind == "diagonal":
         return np.array([np.diag(rng.integers(-2, 3, 5).astype(float)) for _ in range(batch)])

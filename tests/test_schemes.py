@@ -228,20 +228,20 @@ class TestPPScheme:
         ]
         restriction = h.matrix[np.ix_(idx, idx)].real
         block = build_pp_block_matrix(params, 1, 0, n_p)
-        assert block.reduced
-        assert np.array_equal(restriction, block.matrix)
+        assert block.shape == (4, 4)
+        assert np.array_equal(restriction, block)
 
 
 class TestPPBlockMatrix:
     def test_trace_identity(self):
         block = build_pp_block_matrix(SPEC_POINT, 2, 1, 3)
-        assert np.trace(block.matrix) == pytest.approx(
+        assert np.trace(block) == pytest.approx(
             2 * SPEC_POINT.delta_two + SPEC_POINT.delta_probe)
 
     def test_zero_couplings_spectrum(self):
         params = SchemeParams(2.0, 1.0, 0.0, 0.0, 0.0)
         block = build_pp_block_matrix(params, 1, 1, 1)
-        w = np.sort(np.linalg.eigvalsh(block.matrix))
+        w = np.sort(np.linalg.eigvalsh(block))
         assert np.allclose(w, [0.0, 0.0, 1.0, 1.0, 2.0])
 
     def test_char_poly_matches_closed_forms_over_draws(self):
@@ -254,20 +254,18 @@ class TestPPBlockMatrix:
                                   omega, xi_s, xi_p)
             occ = [int(v) for v in rng.integers(1, 5, 3)]
             closed = secular_coefficients(params, *occ).as_tuple()
-            oracle = char_poly_coefficients(build_pp_block_matrix(params, *occ).matrix).as_tuple()
+            oracle = char_poly_coefficients(build_pp_block_matrix(params, *occ)).as_tuple()
             for x, y in zip(closed, oracle):
                 assert abs(x - y) <= 1e-9 * max(abs(x), abs(y), 1e-300)
 
     def test_occupation_swap_leaves_matrix_unchanged(self):
         block_a = build_pp_block_matrix(SPEC_POINT, 3, 1, 2)
         block_b = build_pp_block_matrix(SPEC_POINT, 1, 3, 2)
-        assert np.array_equal(block_a.matrix, block_b.matrix)
+        assert np.array_equal(block_a, block_b)
 
     def test_degenerate_occupations_reduce(self):
-        block = build_pp_block_matrix(SPEC_POINT, 2, 0, 1)
-        assert block.reduced and block.matrix.shape == (4, 4)
-        block = build_pp_block_matrix(SPEC_POINT, 0, 2, 1)
-        assert block.reduced and block.matrix.shape == (4, 4)
+        assert build_pp_block_matrix(SPEC_POINT, 2, 0, 1).shape == (4, 4)
+        assert build_pp_block_matrix(SPEC_POINT, 0, 2, 1).shape == (4, 4)
 
     def test_rejects_no_signal_or_probe(self):
         with pytest.raises(ValueError):
@@ -448,7 +446,7 @@ class TestBlockVsFull:
         # the reduced 4x4 chain is padded to the widest component (5 states
         # at n_s >= 2); its padded eigenvalue 0 must not win argmin |lambda|
         report = compare_block_to_full(FULLMODEL_POINT, *point)
-        w, _ = _jacobi_eigh_longdouble(build_pp_block_matrix(FULLMODEL_POINT, *point).matrix)
+        w, _ = _jacobi_eigh_longdouble(build_pp_block_matrix(FULLMODEL_POINT, *point))
         alone = float(w[np.argmin(np.abs(w))])
         assert report["lambda_block"] != 0.0
         assert abs(report["lambda_block"] - alone) <= 1e-13 * abs(alone)
