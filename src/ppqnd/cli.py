@@ -201,11 +201,6 @@ def _default_config(command: str) -> dict:
     return ExperimentConfig.from_dict(_COMMANDS[command].defaults).to_dict()
 
 
-# Fields that set one quantity two ways: a file's field replaces the other's
-# default, so the record echoes only the one used, and a file with both is refused.
-_ALTERNATIVES = (("time", "target_phase"),)
-
-
 def _effective_config(command: str, raw: Any, seed: int | None) -> ExperimentConfig:
     """The command's defaults overridden by the config file, then by --seed;
     only the file's fields and the seed are validated here, and a file field
@@ -216,11 +211,10 @@ def _effective_config(command: str, raw: Any, seed: int | None) -> ExperimentCon
                 or (key == "tolerance" and entry.tolerance is not None)):
             raise ConfigError(f"field '{key}': the {command} command does not read it")
     defaults = _default_config(command)
-    for pair in _ALTERNATIVES:
-        if all(key in given for key in pair):
-            raise ConfigError("fields '{}' and '{}': give one or the other".format(*pair))
-        if any(key in given for key in pair):
-            defaults = {key: value for key, value in defaults.items() if key not in pair}
+    if "time" in given:  # it replaces a default target_phase, so only the one used is echoed
+        if "target_phase" in given:
+            raise ConfigError("fields 'time' and 'target_phase': give one or the other")
+        defaults = {key: value for key, value in defaults.items() if key != "target_phase"}
     values = {**defaults, **given}
     if seed is not None:
         values["seed"] = ExperimentConfig.from_dict({"seed": seed}).seed
