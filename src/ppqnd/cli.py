@@ -240,8 +240,8 @@ def _draw_hierarchy_params(rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, 5) parameter rows in SchemeParams field order with
     Delta, delta in Omega_d * U(10, 1000), Omega_d in U(10, 100) and
     Omega_d / xi_p, xi_p / xi_s in U(10, 100)."""
-    u = rng.uniform([10.0, 10.0, 10.0, 10.0, 10.0], [100.0, 100.0, 100.0, 1000.0, 1000.0],
-                    size=(count, 5))
+    # rng.uniform(10, [100, 100, 100, 1000, 1000])'s arithmetic on the same stream
+    u = 10.0 + np.array([90.0, 90.0, 90.0, 990.0, 990.0]) * rng.random((count, 5))
     omega = u[:, 0]
     xi_p = omega / u[:, 1]
     xi_s = xi_p / u[:, 2]

@@ -544,7 +544,9 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
     allocated.  The dark root lambda = estimate_eigenvalues(params, 1, 0,
     n_p).exact_small (n_p = 1 for a coherent probe) is solved once;
     target_phase sets t = target_phase / |lambda| (ValueError at
-    lambda = 0).
+    lambda = 0).  Where |delta| is below every root of the even chain, that
+    pick is delta, the root of the uncoupled 2-, which no H photon reaches:
+    ValueError, whichever of t and target_phase is given.
 
     The evolution is exact within the truncation, in extended precision at
     every probe cutoff, in the drive's linear basis (a_H, a_V) =
@@ -585,7 +587,15 @@ def full_model_grid(params: SchemeParams, qubits: Sequence[PolarizationQubit], *
         probe_tag = f"coherent:{alpha_p!r}"
         n_p_eff = 1  # phase is read per probe photon
 
-    lam = estimate_eigenvalues(params, 1, 0, n_p_eff).exact_small
+    est = estimate_eigenvalues(params, 1, 0, n_p_eff)
+    chain = list(est.exact_roots)
+    chain.remove(params.delta_two)
+    least = min(chain, key=abs)
+    if abs(params.delta_two) < abs(least):  # the dark-root pick would be the uncoupled 2-
+        raise ValueError(f"delta_two = {params.delta_two!r} is below every root of the even "
+                         f"chain in magnitude (its least root is {least!r}): an H photon "
+                         "never reaches 2-, so its root at delta predicts no phase")
+    lam = est.exact_small
     if target_phase is not None:
         if lam == 0:
             raise ValueError("target_phase unreachable: the dark-state eigenvalue is zero "

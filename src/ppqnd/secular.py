@@ -27,8 +27,10 @@ is then Newton-polished on the closed-form quintic, where it is well
 conditioned.  One kernel, estimate_stack, builds and solves every stack of
 chains: the points of estimate_eigenvalues and regime_scan, and the CLI's
 point with its array-drawn parameter sets, whose block eigenvalues
-char_poly_from_eigenvalues turns into the char-poly oracle.  quintic_roots
-is a coefficient-level utility for coefficients without a block.  The dark
+char_poly_from_eigenvalues turns into the char-poly oracle; a point's
+polish and dark-root pick then run in Python floats, bit for bit the
+float64 arithmetic of arrays.  quintic_roots is a coefficient-level utility
+for coefficients without a block, polished the same way.  The dark
 root is picked here only, as EigenEstimate.exact_small: the regime-scan CSV
 writes it, and full_vs_effective and the CLI's fullmodel predict from it.
 """
@@ -173,12 +175,13 @@ def char_poly_from_eigenvalues(w: np.ndarray) -> np.ndarray:
     if w.ndim != 2 or w.shape[1] != 5:
         raise ValueError(f"expected (B, 5) eigenvalues, got shape {w.shape}")
     # poly = [1, -e1, e2, -e3, e4, -e5] (elementary symmetric polys of the
-    # eigenvalues); our convention -l^5 + a l^4 + ... + e is its negative.
-    poly = np.zeros((len(w), 6))
-    poly[:, 0] = 1.0
-    for k in range(5):
-        poly[:, 1:k + 2] -= w[:, k:k + 1] * poly[:, :k + 1]
-    return -poly[:, 1:]
+    # eigenvalues), one row per power so each step runs on contiguous rows;
+    # our convention -l^5 + a l^4 + ... + e is its negative.
+    poly = np.zeros((6, len(w)))
+    poly[0] = 1.0
+    for k, root in enumerate(w.T):
+        poly[1:k + 2] -= root * poly[:k + 1]
+    return -poly[1:].T
 
 
 def lambda_small(coeffs: SecularCoefficients) -> float:
@@ -226,11 +229,11 @@ def quintic_roots(coeffs: SecularCoefficients) -> np.ndarray:
     the real axis by O(eps^(1/3)) of the root magnitude, so small imaginary
     residue is dropped.  Every simple root, one whose Newton rounding bound
     is below half its distance to the other roots, is Newton-polished on
-    the polynomial; a cluster keeps its real parts.  Imaginary residue
-    beyond the clustering scale signals genuinely complex roots, i.e.
-    coefficients that never came from a Hermitian matrix, and raises; so
-    does a final residual |p(root)| above 1e-8 * scale (_RESIDUAL_TOL) with
-    scale = max|coefficient| * max(1, |root|)^5.
+    the polynomial in floats, as in _estimate; a cluster keeps its real
+    parts.  Imaginary residue beyond the clustering scale signals genuinely
+    complex roots, i.e. coefficients that never came from a Hermitian
+    matrix, and raises; so does a final residual |p(root)| above 1e-8 *
+    scale (_RESIDUAL_TOL) with scale = max|coefficient| * max(1, |root|)^5.
     """
     poly = np.array([-1.0, *coeffs.as_tuple()])
     z = np.roots(poly)
@@ -239,12 +242,13 @@ def quintic_roots(coeffs: SecularCoefficients) -> np.ndarray:
         raise ValueError(f"complex root residue {max_imag:g}: "
                          "coefficients not from a Hermitian matrix?")
     roots = np.sort(z.real)
-    dpoly = np.polyder(poly)
-    gap = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(5, np.inf))
-    bound = 10 * np.finfo(float).eps * _horner(np.abs(poly), np.abs(roots))
-    simple = bound < 0.5 * gap.min(axis=1) * np.abs(_horner(dpoly, roots))
-    roots = np.sort(_newton(poly, dpoly, roots, simple))
-    p_val = np.abs(_horner(poly, roots))
+    gap = (np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(5, np.inf))).min(axis=1)
+    c = poly.tolist()
+    dc, abs_c = _derivative(c), np.abs(poly).tolist()
+    simple = [10 * np.finfo(float).eps * _horner(abs_c, abs(r)) < 0.5 * g * abs(_horner(dc, r))
+              for r, g in zip(roots.tolist(), gap.tolist())]
+    roots = np.sort([_newton(c, dc, r) if s else r for r, s in zip(roots.tolist(), simple)])
+    p_val = np.abs([_horner(c, r) for r in roots.tolist()])
     scale = np.max(np.abs(poly)) * np.maximum(1.0, np.abs(roots)) ** 5
     too_large = np.flatnonzero(p_val > _RESIDUAL_TOL * scale)
     if too_large.size:
@@ -254,50 +258,30 @@ def quintic_roots(coeffs: SecularCoefficients) -> np.ndarray:
     return roots
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Polynomials (coefficients on the last axis, highest power first) at z.
-
-    The arithmetic is np.polyval's, so each value matches it bit for bit:
-    its first step, 0 * z + c_0, is exactly c_0 for finite z.
-    """
-    y = coeffs[..., :1].astype(np.result_type(coeffs, z))
-    for k in range(1, coeffs.shape[-1]):
-        y = y * z + coeffs[..., k:k + 1]
-    return y
+def _horner(coeffs: Sequence[float], z: float) -> float:
+    """The quintic with the six coefficients coeffs (highest power first) at
+    the float z; a polynomial of lower degree leads with zeros.  The
+    arithmetic is np.polyval's, so the value matches it bit for bit: its
+    first step, 0 * z + c_0, is exactly c_0 for finite z."""
+    c0, c1, c2, c3, c4, c5 = coeffs
+    return ((((c0 * z + c1) * z + c2) * z + c3) * z + c4) * z + c5
 
 
-def _newton(poly: np.ndarray, dpoly: np.ndarray, z: np.ndarray, refine: np.ndarray
-            ) -> np.ndarray:
-    """_NEWTON_STEPS Newton steps on the polynomials poly (derivatives dpoly)
-    from z, taken only where refine holds and the slope is nonzero."""
+def _derivative(coeffs: Sequence[float]) -> list[float]:
+    """np.polyder of the quintic coeffs (c_k times 5 - k), led by a zero for _horner."""
+    c0, c1, c2, c3, c4, _ = coeffs
+    return [0.0, c0 * 5, c1 * 4, c2 * 3, c3 * 2, c4]
+
+
+def _newton(poly: Sequence[float], dpoly: Sequence[float], z: float) -> float:
+    """At most _NEWTON_STEPS Newton steps on the polynomial poly (derivative
+    dpoly) from the float z; a zero slope ends them."""
     for _ in range(_NEWTON_STEPS):
         slope = _horner(dpoly, z)
-        z = z - np.divide(_horner(poly, z), slope, out=np.zeros_like(z),
-                          where=refine & (slope != 0))
+        if slope == 0:
+            break
+        z = z - _horner(poly, z) / slope
     return z
-
-
-def _block_roots(w: np.ndarray, coeffs: np.ndarray, delta: np.ndarray,
-                 singular: np.ndarray) -> np.ndarray:
-    """Sorted real roots (B, 5) of the quintics (delta - lambda) Q(lambda):
-    delta, and the roots of Q from w, the eigvalsh eigenvalues (B, 4) of Q's chains.
-
-    eigvalsh gives each root to about eps ||H||, and Newton on the
-    closed-form quintic p to about eps sum_k |c_k| |lambda|^k / |p'(lambda)|.
-    A chain root is refined, by at most _NEWTON_STEPS Newton steps from its
-    eigvalsh value, exactly where the second bound is the smaller: roots
-    small against ||H|| and simple, among them the dark root; a root next
-    to delta has p' ~ 0 and keeps it.  Where Q(0) = s p = 0 (`singular`: an
-    end leg of the chain is 0) the chain root of least magnitude is 0.
-    """
-    poly = np.concatenate([np.full((len(w), 1), -1.0), coeffs], axis=1)
-    dpoly = poly[:, :-1] * np.arange(5, 0, -1)
-    norm = np.max(np.abs(w), axis=1, keepdims=True)
-    refine = _horner(np.abs(poly), np.abs(w)) < np.abs(_horner(dpoly, w)) * norm
-    lam = _newton(poly, dpoly, w, refine)
-    zero = np.flatnonzero(singular)
-    lam[zero, np.argmin(np.abs(lam[zero]), axis=1)] = 0.0
-    return np.sort(np.concatenate([lam, delta[:, None]], axis=1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -324,13 +308,6 @@ class EigenEstimate:
     trace_dominated: bool
 
 
-def _smallest_by_magnitude(roots: np.ndarray, sign_hint: float) -> float:
-    mags = np.abs(roots)
-    ties = roots[mags <= mags.min() * (1 + 1e-12)]
-    signed = ties[np.sign(ties) == np.sign(sign_hint)]
-    return float(signed[0] if len(signed) else ties[0])
-
-
 def estimate_eigenvalues(params: SchemeParams, n_sl: int, n_sr: int, n_p: int
                          ) -> EigenEstimate:
     """Bundle the lambda_s / lambda_l estimates with exact roots and errors."""
@@ -345,10 +322,12 @@ def estimate_stack(points: Sequence[tuple[SchemeParams, int, int, int]], rows: n
     rows ((k, 5) in SchemeParams field order, with n_s = n_sL + n_sR and
     n_p).  A row's block eigenvalues are its even chain's and delta, sorted.
     One stack and one eigvalsh serve them all, each row as from a stack of
-    its own; only the points' roots are Newton-polished.  ValueError refuses
-    extra rows without one n_s and one n_p each, names the first whose n_s
-    or n_p is not a nonnegative integer (before any square root is taken),
-    and the first row that overflows."""
+    its own.  Each point's roots are then polished and its estimate built
+    in Python floats (_estimate): faster than array code below some 50
+    points (a CLI record solves one), about 1.1x slower above.  ValueError
+    refuses extra rows without one n_s and one n_p each, names the first
+    whose n_s or n_p is not a nonnegative integer (before any square root
+    is taken), and the first row that overflows."""
     params, ns, nps = _point_arrays(points)
     if len(rows):
         k = len(rows)
@@ -365,37 +344,57 @@ def estimate_stack(points: Sequence[tuple[SchemeParams, int, int, int]], rows: n
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name just below
         coeffs = _coefficient_stack(params, ns, nps)
         chains = _pp_chain_stack(params * [1.0, 1.0, math.sqrt(2), 1.0, 1.0], ns, nps)
-    bad = np.flatnonzero(~(np.isfinite(coeffs).all(1) & np.isfinite(chains).all((1, 2))))
-    if bad.size:
-        j = bad[0]
+    if not (np.isfinite(coeffs).all() and np.isfinite(chains).all()):
+        j = np.flatnonzero(~(np.isfinite(coeffs).all(1) & np.isfinite(chains).all((1, 2))))[0]
         raise ValueError(f"secular point {points[j] if j < len(points) else params[j].tolist()}"
                          ": the closed-form coefficients or chain entries overflow")
     w = np.linalg.eigvalsh(chains)
     k = len(points)
-    delta = params[:, 1]
     singular = (chains[:k, 0, 1] == 0) | (chains[:k, 2, 3] == 0)
-    roots = _block_roots(w[:k], coeffs[:k], delta[:k], singular)
-    estimates = [_estimate(*point, SecularCoefficients(*c), r)
-                 for point, c, r in zip(points, coeffs[:k].tolist(), roots)]
-    return estimates, coeffs, np.sort(np.concatenate([w, delta[:, None]], axis=1), axis=1)
+    floats = zip(coeffs[:k].tolist(), w[:k].tolist(), params[:k, 1].tolist(), singular.tolist())
+    estimates = [_estimate(*point, *row) for point, row in zip(points, floats)]
+    return estimates, coeffs, np.sort(np.concatenate([w, params[:, 1:2]], axis=1), axis=1)
 
 
-def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int,
-              coeffs: SecularCoefficients, roots: np.ndarray) -> EigenEstimate:
-    lam_s = lambda_small(coeffs) if coeffs.d != 0 else 0.0
-    lam_l = lambda_large(coeffs)
-    exact_small = _smallest_by_magnitude(roots, lam_s)
-    exact_large = float(roots[-1])
+def _estimate(params: SchemeParams, n_sl: int, n_sr: int, n_p: int, coeffs: list[float],
+              w: list[float], delta: float, singular: bool) -> EigenEstimate:
+    """EigenEstimate of one point, in Python floats, from its coefficients
+    a..e, its even chain's eigvalsh eigenvalues w (the roots of Q besides
+    delta) and whether an end leg of the chain is 0 (`singular`).
+
+    eigvalsh gives each root to about eps ||H||, and Newton on the quintic p
+    to about eps sum_k |c_k| |lambda|^k / |p'(lambda)|.  A chain root takes
+    at most _NEWTON_STEPS Newton steps exactly where the second bound is the
+    smaller: roots small against ||H|| and simple, the dark root among
+    them; a root next to delta has p' ~ 0 and keeps its value.  Where
+    Q(0) = s p = 0 (`singular`) the chain root of least magnitude is 0.
+    """
+    a, _, _, d, e = coeffs
+    poly = [-1.0, *coeffs]
+    dpoly = _derivative(poly)
+    abs_poly = list(map(abs, poly))
+    norm = max(map(abs, w))
+    lam = [_newton(poly, dpoly, z) if _horner(abs_poly, abs(z)) < abs(_horner(dpoly, z)) * norm
+           else z for z in w]
+    if singular:
+        mags = [abs(z) for z in lam]
+        lam[mags.index(min(mags))] = 0.0
+    roots = np.sort([*lam, delta]).tolist()  # numpy orders mixed-sign zeros unlike sorted()
+    lam_s = -e / d if d != 0 else 0.0
+    mags = [abs(r) for r in roots]
+    cut, sign = min(mags) * (1 + 1e-12), (lam_s > 0) - (lam_s < 0)
+    ties = [r for r, m in zip(roots, mags) if m <= cut]
+    exact_small = next((r for r in ties if (r > 0) - (r < 0) == sign), ties[0])
     try:
         reduced = lambda_small_closed_form(params, n_sl, n_sr, n_p)
     except ValueError:
         reduced = math.nan  # undefined at Delta = 0 or Omega_d = 0, or where it overflows
-    dominated = abs(exact_large) >= 0.9 * abs(coeffs.a) if coeffs.a != 0 else False
     return EigenEstimate(
-        lambda_small=lam_s, lambda_large=lam_l, exact_roots=tuple(float(r) for r in roots),
+        lambda_small=lam_s, lambda_large=a, exact_roots=tuple(roots),
         exact_small=exact_small, rel_err_small=_rel_err(lam_s, exact_small),
-        rel_err_large=_rel_err(lam_l, exact_large), lambda_small_reduced=reduced,
-        rel_err_small_reduced=_rel_err(reduced, exact_small), trace_dominated=bool(dominated))
+        rel_err_large=_rel_err(a, roots[-1]), lambda_small_reduced=reduced,
+        rel_err_small_reduced=_rel_err(reduced, exact_small),
+        trace_dominated=a != 0 and abs(roots[-1]) >= 0.9 * abs(a))
 
 
 @dataclass(frozen=True)

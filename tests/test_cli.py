@@ -491,6 +491,21 @@ class TestGoldenRecords:
         assert code == 0
         assert again == first
 
+    def test_records_that_need_no_longdouble_run_where_it_is_plain_double(self, capsys,
+                                                                           monkeypatch):
+        # only fullmodel's quasidark evolution needs the 80-bit longdouble:
+        # the other defaults, the secular root polish among them, stay in
+        # double and keep their goldens where longdouble is 64 bits
+        def refuse():
+            raise RuntimeError("extended precision unavailable")
+        monkeypatch.setattr(fock, "_require_extended_precision", refuse)
+        for name in ("secular", "preserve", "qnd", "invariance", "backaction", "discriminate"):
+            code, out, _ = run(capsys, name)
+            assert code == 0
+            assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+        with pytest.raises(RuntimeError, match="extended precision unavailable"):
+            main(["fullmodel"])
+
 
 # Configs rejected while a record is validated or before its library call.
 BAD_FIELDS = [
@@ -1000,6 +1015,17 @@ class TestRecords:
         code, _, err = run(capsys, "fullmodel", "--config", path)
         assert code == 1
         assert "target_phase" in err
+
+    @pytest.mark.parametrize("delta_two", [0.0, -0.0, 1e-14])
+    @pytest.mark.parametrize("when", [{}, {"time": 1e12}])
+    def test_fullmodel_refuses_delta_below_the_chain_roots(self, capsys, tmp_path, delta_two,
+                                                           when):
+        # the dark-root pick was delta itself: at 0 it exited 1 for a zero
+        # shift, at 1e-14 it predicted from delta and exited 2
+        path = write_config(tmp_path, "delta.json", {"delta_two": delta_two, **when})
+        code, out, err = run(capsys, "fullmodel", "--config", path)
+        assert (code, out) == (1, "")
+        assert f"delta_two = {delta_two!r} is below every root of the even chain" in err
 
     def test_fullmodel_with_explicit_time(self, capsys, tmp_path):
         path = write_config(tmp_path, "t.json", {"time": 1e8})

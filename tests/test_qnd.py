@@ -1,5 +1,6 @@
 import cmath
 import collections
+import dataclasses
 import functools
 import math
 import re
@@ -840,6 +841,26 @@ class TestFullVsEffective:
             full_model_grid(dark, [PolarizationQubit.left()], target_phase=0.1, n_p=1)
         assert str(info.value).startswith("target_phase unreachable: ")
         assert str(info.value).endswith("(t, or 'time' in a fullmodel config)")
+
+    @pytest.mark.parametrize("delta_two", [0.0, -0.0, 1e-14])
+    @pytest.mark.parametrize("when", [{"t": 1e12}, {"target_phase": 0.1}])
+    @pytest.mark.parametrize("probe", [{"n_p": 1}, {"alpha_p": 0.5}])
+    def test_refuses_delta_below_every_chain_root(self, delta_two, when, probe):
+        # an H photon never reaches 2-, so the root at delta, which the
+        # dark-root pick lands on here, predicts nothing; the chain's own
+        # dark root is -4.99999997500000008e-13 (test_secular)
+        params = dataclasses.replace(RATIO100, delta_two=delta_two)
+        message = (f"delta_two = {delta_two!r} is below every root of the even chain in "
+                   "magnitude (its least root is -4.999999975000001e-13)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            full_model_grid(params, [PolarizationQubit.horizontal()], **when, **probe)
+
+    def test_zero_delta_with_no_probe_photon_keeps_the_zero_shift_refusal(self):
+        # at n_p = 0 the chain has an exact zero root, which delta = 0 is not below
+        params = dataclasses.replace(RATIO100, delta_two=0.0)
+        with pytest.raises(ValueError, match="target_phase unreachable"):
+            full_model_grid(params, [PolarizationQubit.horizontal()], target_phase=0.1, n_p=0)
+        full_model_grid(params, [PolarizationQubit.horizontal()], t=1.0, n_p=0)
 
     def test_rejects_ambiguous_probe(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 import re
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from ppqnd import (
     scan_to_csv_rows,
     secular_coefficients,
 )
+from ppqnd import cli
 
 SPEC_POINT = SchemeParams(delta_probe=1e4, delta_two=1e4, omega_d=1e2, xi_s=0.1, xi_p=1.0)
 TIE_POINT = SchemeParams(0.0, 124.0, 0.16, 7500.0, 0.005)  # its two least roots are +-lambda
@@ -435,3 +439,73 @@ class TestPhotonNumbers:
                     == repr(secular_coefficients(SPEC_POINT, *counts)))
             assert (repr(estimate_eigenvalues(SPEC_POINT, *floats))
                     == repr(estimate_eigenvalues(SPEC_POINT, *counts)))
+
+
+# Points whose every EigenEstimate float tests/golden/secular_bits.json
+# pins as float.hex: the ratio-10 and ratio-100 points (delta = Delta),
+# delta = +-0 (once with a zero leg, whose roots hold 0.0 and -0.0),
+# Delta = +-0, the tie point, zero occupations, zero couplings, negative
+# detunings and hierarchy ratios 0.3 and 1e4.
+RATIO100_POINT = SchemeParams(1e4, 1e4, 1e2, 0.01, 1.0)
+BIT_POINTS = [
+    (SPEC_POINT, 1, 0, 1),
+    (RATIO100_POINT, 1, 0, 1),
+    (RATIO100_POINT, 2, 1, 3),
+    (SchemeParams(1.5e4, 1e4, 1e2, 0.01, 1.0), 1, 1, 1),
+    (SchemeParams(1e4, 0.0, 1e2, 0.01, 1.0), 1, 0, 1),
+    (SchemeParams(1e4, -0.0, 1e2, 0.01, 1.0), 1, 0, 1),
+    (SchemeParams(1e4, -0.0, 1e2, 0.01, 1.0), 1, 0, 0),
+    (SchemeParams(0.0, 1e4, 1e2, 0.01, 1.0), 1, 0, 1),
+    (SchemeParams(-0.0, 1e4, 1e2, 0.01, 1.0), 1, 0, 1),
+    (TIE_POINT, 1, 0, 1),
+    (RATIO100_POINT, 0, 0, 1),
+    (RATIO100_POINT, 1, 0, 0),
+    (RATIO100_POINT, 0, 0, 0),
+    (SchemeParams(1e4, 1e4, 1e2, 0.0, 1.0), 1, 0, 1),
+    (SchemeParams(1e4, 1e4, 1e2, 0.01, 0.0), 1, 0, 1),
+    (SchemeParams(1e4, 1e4, 0.0, 0.01, 1.0), 1, 0, 1),
+    (SchemeParams(1e4, -2e4, 1e2, 0.01, 1.0), 1, 0, 1),
+    (SchemeParams(-1e4, -3e3, 1e2, 0.1, 1.0), 1, 2, 1),
+    (SchemeParams(30.0, 45.0, 100.0, 100 / 0.09, 100 / 0.3), 1, 0, 1),
+    (SchemeParams(1e6, 1.5e6, 1e2, 1e-6, 1e-2), 1, 0, 1),
+]
+BITS_GOLDEN = Path(__file__).resolve().parent / "golden" / "secular_bits.json"
+
+
+def _hex(value):
+    if isinstance(value, tuple):
+        return [_hex(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def secular_bits(estimates):
+    """The pinned table: each point of BIT_POINTS with its EigenEstimate
+    (estimates, in order), quintic_roots at criterion 7's coefficients
+    (the ratio-100 point at n_p = 1, 2, 3) and the sha256 of the secular
+    command's 1000 drawn parameter rows at seeds 0-2."""
+    return {
+        "estimates": [{"point": _hex((*astuple(params), *counts)),
+                       **{k: _hex(v) for k, v in asdict(est).items()}}
+                      for (params, *counts), est in zip(BIT_POINTS, estimates)],
+        "quintic_roots": [
+            _hex(tuple(quintic_roots(secular_coefficients(RATIO100_POINT, 1, 0, n_p)).tolist()))
+            for n_p in (1, 2, 3)],
+        "draws_sha256": [
+            hashlib.sha256(cli._draw_hierarchy_params(np.random.default_rng(seed), 1000)
+                           .astype("<f8").tobytes()).hexdigest()
+            for seed in (0, 1, 2)],
+    }
+
+
+class TestPinnedBits:
+    # The table was written by secular_bits on the array-path code that
+    # the per-point polish replaced (commit 1f59545); the per-point path and
+    # the stacked scan must reproduce it bit for bit.
+    def test_estimates_roots_and_draws_equal_the_pinned_table(self):
+        pinned = json.loads(BITS_GOLDEN.read_text())
+        assert secular_bits([estimate_eigenvalues(*p) for p in BIT_POINTS]) == pinned
+
+    def test_one_scan_of_the_points_equals_the_pinned_table(self):
+        pinned = json.loads(BITS_GOLDEN.read_text())
+        rows = regime_scan(BIT_POINTS)
+        assert secular_bits([row.estimate for row in rows])["estimates"] == pinned["estimates"]
